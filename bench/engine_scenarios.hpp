@@ -89,9 +89,10 @@ inline ScenarioResult runCancelHeavy(std::size_t window = 4096, std::size_t chur
 }
 
 /// Rebalance-heavy: F equal flows over one shared link, arrivals
-/// staggered so every arrival and every completion re-rates the whole
+/// staggered so every arrival and every completion rebalances a large
 /// active set. Nominal work = sum over arrivals and completions of the
-/// active-set size ≈ F*(F+2), a pure function of F.
+/// active-set size ≈ F*(F+2) (what a per-flow solver re-rates), a pure
+/// function of F.
 inline ScenarioResult runRebalanceHeavy(std::size_t flows = 600, std::size_t reps = 3,
                                         probe::FlightRecorder* rec = nullptr) {
   ScenarioResult res;
@@ -110,7 +111,7 @@ inline ScenarioResult runRebalanceHeavy(std::size_t flows = 600, std::size_t rep
       spec.bytes = 50'000'000;
       spec.route = {shared};
       // Stagger arrivals so each start lands while earlier flows are
-      // still active and forces a full re-rate of the set.
+      // still active and forces a rebalance.
       spec.startupLatency = 1e-6 * static_cast<double>(i);
       net.startFlow(spec, [&done](const FlowCompletion&) { ++done; });
     }

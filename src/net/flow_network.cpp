@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 
@@ -12,9 +11,6 @@
 namespace hcsim {
 
 namespace {
-// Flows with fewer remaining bytes than this are considered complete;
-// guards against floating-point residue keeping a flow alive forever.
-constexpr double kByteEpsilon = 1e-6;
 // Relative rate change below which we do not bother re-timing the
 // completion event (hysteresis to avoid event churn).
 constexpr double kRateHysteresis = 1e-9;
@@ -23,6 +19,32 @@ constexpr double kRateHysteresis = 1e-9;
 // skips exceed this the completion is re-anchored, bounding cumulative
 // drift across arbitrarily many small rebalances to ~100 skips' worth.
 constexpr double kEtaDriftBudget = 100 * kRateHysteresis;
+
+bool sameBits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// FNV-1a over the link ids and the cap/weight bit patterns. Only a
+/// filter: lookups confirm a hash match against the stored signature.
+std::uint64_t signatureHash(const Route& route, Bandwidth rateCap, double weight) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t v) {
+    h ^= v;
+    h *= 0x100000001b3ull;
+  };
+  for (LinkId l : route) mix(l.value);
+  mix(std::bit_cast<std::uint64_t>(rateCap));
+  mix(std::bit_cast<std::uint64_t>(weight));
+  return h;
+}
+
+/// Heap order for a group's flows. The std heap algorithms keep the
+/// comparator's greatest element in front, so "finishes later" puts the
+/// earliest target (lowest id on ties) at the head.
+constexpr auto finishesLater = [](const auto& a, const auto& b) {
+  if (a.target != b.target) return a.target > b.target;
+  return a.id > b.id;
+};
 }  // namespace
 
 LinkId FlowNetwork::addLink(std::string name, Bandwidth capacity, Seconds latency) {
@@ -54,30 +76,35 @@ void FlowNetwork::setLinkHealth(LinkId id, double health) {
   rebalance();
 }
 
-bool FlowNetwork::abortFlow(FlowId id) {
-  auto it = active_.find(id);
-  if (it == active_.end()) return false;
-  advanceProgress();
-  ActiveFlow f = std::move(it->second);
-  active_.erase(it);
-  if (f.completionEvent.valid()) sim_.cancel(f.completionEvent);
-  if (tel_ && f.spanIdx != telemetry::kNoSpan) tel_->endSpan(f.spanIdx, sim_.now());
-  rebalance();
-  return true;
-}
-
 std::size_t FlowNetwork::replaceLinkInFlows(LinkId from, LinkId to) {
   advanceProgress();
   std::size_t rerouted = 0;
-  for (auto& [id, f] : active_) {
-    bool touched = false;
-    for (LinkId& l : f.route) {
-      if (l == from) {
-        l = to;
-        touched = true;
-      }
+  for (std::size_t i = 0; i < live_.size();) {
+    const std::uint32_t slot = live_[i];
+    Group& g = groups_[slot];
+    if (std::find(g.route.begin(), g.route.end(), from) == g.route.end()) {
+      ++i;
+      continue;
     }
-    if (touched) ++rerouted;
+    // Every member shares the route, so the whole group moves.
+    std::replace(g.route.begin(), g.route.end(), from, to);
+    g.hash = signatureHash(g.route, g.rateCap, g.weight);
+    rerouted += g.heap.size();
+    const std::uint32_t into = findGroup(g.route, g.rateCap, g.weight, g.hash, slot);
+    if (into == kNoGroup) {
+      ++i;
+      continue;
+    }
+    // The new signature is already live: merge, re-basing each flow's
+    // target on the surviving group's V so it keeps its remaining bytes.
+    Group& dst = groups_[into];
+    for (Flow& f : g.heap) {
+      f.target = dst.served + (f.target - g.served);
+      dst.heap.push_back(std::move(f));
+      std::push_heap(dst.heap.begin(), dst.heap.end(), finishesLater);
+    }
+    dst.members += g.members;
+    retireGroup(slot);  // erases live_[i]
   }
   if (rerouted > 0) rebalance();
   return rerouted;
@@ -98,14 +125,10 @@ FlowId FlowNetwork::startFlow(const FlowSpec& spec,
     throw std::invalid_argument("FlowNetwork: flow class must have >= 1 member");
   }
   const FlowId id = nextFlowId_++;
-  ActiveFlow flow;
+  Flow flow;
   flow.id = id;
-  flow.route = spec.route;
-  flow.rateCap = spec.rateCap;
-  flow.weight = spec.weight;
+  flow.bytes = spec.bytes;
   flow.members = spec.members;
-  flow.remaining = static_cast<double>(spec.bytes);
-  flow.totalBytes = spec.bytes;
   flow.startTime = sim_.now();
   flow.onComplete = std::move(onComplete);
 
@@ -119,172 +142,172 @@ FlowId FlowNetwork::startFlow(const FlowSpec& spec,
   }
 
   if (spec.startupLatency > 0.0) {
-    sim_.schedule(spec.startupLatency,
-                  [this, f = std::move(flow)]() mutable { activate(std::move(f)); });
+    sim_.schedule(spec.startupLatency, [this, f = std::move(flow), route = spec.route,
+                                        cap = spec.rateCap, weight = spec.weight]() mutable {
+      activate(std::move(f), route, cap, weight);
+    });
   } else {
-    activate(std::move(flow));
+    activate(std::move(flow), spec.route, spec.rateCap, spec.weight);
   }
   return id;
 }
 
-void FlowNetwork::activate(ActiveFlow flow) {
-  flow.lastUpdate = sim_.now();
-  if (flow.remaining <= kByteEpsilon) {
+void FlowNetwork::activate(Flow flow, const Route& route, Bandwidth rateCap, double weight) {
+  if (flow.bytes == 0) {
     // Zero-byte flow: completes as soon as its startup latency elapsed.
     if (tel_ && flow.spanIdx != telemetry::kNoSpan) tel_->endSpan(flow.spanIdx, sim_.now());
-    FlowCompletion done{flow.id, flow.totalBytes * flow.members, flow.members, flow.startTime,
-                        sim_.now()};
-    auto cb = std::move(flow.onComplete);
-    if (cb) cb(done);
+    if (flow.onComplete) {
+      flow.onComplete(FlowCompletion{flow.id, 0, flow.members, flow.startTime, sim_.now()});
+    }
     return;
   }
-  const FlowId id = flow.id;
-  active_.emplace(id, std::move(flow));
   advanceProgress();
+  const std::uint64_t hash = signatureHash(route, rateCap, weight);
+  std::uint32_t slot = findGroup(route, rateCap, weight, hash, kNoGroup);
+  if (slot == kNoGroup) slot = createGroup(route, rateCap, weight, hash);
+  Group& g = groups_[slot];
+  flow.target = g.served + static_cast<double>(flow.bytes);
+  g.members += flow.members;
+  g.heap.push_back(std::move(flow));
+  std::push_heap(g.heap.begin(), g.heap.end(), finishesLater);
+  ++activeFlows_;
   rebalance();
 }
 
-std::uint32_t FlowNetwork::bottleneckStage(telemetry::Telemetry& tel, const ActiveFlow& f) const {
-  if (f.bottleneck == kFrozenByCap) return tel.stageId("stream-cap");
-  if (f.bottleneck == kFrozenByNone || f.bottleneck >= links_.size()) {
+std::uint32_t FlowNetwork::findGroup(const Route& route, Bandwidth rateCap, double weight,
+                                     std::uint64_t hash, std::uint32_t skip) const {
+  // A linear pass over the stored hashes: every lookup is followed by a
+  // solve over all live groups anyway, and nothing is copied or allocated.
+  for (std::uint32_t slot : live_) {
+    const Group& g = groups_[slot];
+    if (g.hash == hash && slot != skip && g.route == route && sameBits(g.rateCap, rateCap) &&
+        sameBits(g.weight, weight)) {
+      return slot;
+    }
+  }
+  return kNoGroup;
+}
+
+std::uint32_t FlowNetwork::createGroup(const Route& route, Bandwidth rateCap, double weight,
+                                       std::uint64_t hash) {
+  std::uint32_t slot;
+  if (!freeGroups_.empty()) {
+    slot = freeGroups_.back();
+    freeGroups_.pop_back();
+  } else {
+    slot = static_cast<std::uint32_t>(groups_.size());
+    groups_.emplace_back();
+  }
+  Group& g = groups_[slot];
+  g.hash = hash;
+  g.route.assign(route.begin(), route.end());  // reuses a retired slot's storage
+  g.rateCap = rateCap;
+  g.weight = weight;
+  g.members = 0;
+  g.served = 0.0;
+  live_.push_back(slot);
+  return slot;
+}
+
+void FlowNetwork::retireGroup(std::uint32_t slot) {
+  Group& g = groups_[slot];
+  if (g.completionEvent.valid()) sim_.cancel(g.completionEvent);
+  g.completionEvent = EventId{};
+  g.heap.clear();  // keeps its capacity for the slot's next group
+  live_.erase(std::find(live_.begin(), live_.end(), slot));
+  freeGroups_.push_back(slot);
+}
+
+std::uint32_t FlowNetwork::bottleneckStage(telemetry::Telemetry& tel, const Group& g) const {
+  if (g.bottleneck == kFrozenByCap) return tel.stageId("stream-cap");
+  if (g.bottleneck == kFrozenByNone || g.bottleneck >= links_.size()) {
     return tel.stageId("unconstrained");
   }
-  return tel.stageForLink(f.bottleneck, links_[f.bottleneck].name);
+  return tel.stageForLink(g.bottleneck, links_[g.bottleneck].name);
 }
 
 void FlowNetwork::advanceProgress() {
   const SimTime now = sim_.now();
+  const SimTime dt = now - lastAdvance_;
+  lastAdvance_ = now;
+  if (!(dt > 0.0)) return;
   // One enabled-check per pass; `tel` stays null on the common path so
   // the loop body carries a single dead branch when telemetry is off.
   telemetry::Telemetry* tel = (tel_ && tel_->enabled()) ? tel_ : nullptr;
-  for (auto& [id, f] : active_) {
-    const SimTime dt = now - f.lastUpdate;
-    if (dt > 0.0 && f.rate > 0.0) {
-      // Per-member progress; links carry the aggregate (x members — exact
-      // x1.0 for singletons, so the legacy path is bit-identical).
-      const double moved = std::min(f.remaining, f.rate * dt);
-      f.remaining -= moved;
-      const double carried = moved * static_cast<double>(f.members);
-      for (LinkId lid : f.route) links_[lid.value].bytesCarried += carried;
-      if (tel && f.spanIdx != telemetry::kNoSpan) {
-        tel->accrue(f.spanIdx, bottleneckStage(*tel, f), dt, carried);
+  for (std::uint32_t slot : live_) {
+    Group& g = groups_[slot];
+    if (g.rate <= 0.0) continue;
+    const double step = g.rate * dt;  // per member
+    // Links carry the aggregate. A member already past its target keeps
+    // being credited until its completion fires; completeHead settles
+    // that overshoot with a signed residue.
+    const double carried = step * static_cast<double>(g.members);
+    for (LinkId lid : g.route) links_[lid.value].bytesCarried += carried;
+    if (tel) {
+      const std::uint32_t stage = bottleneckStage(*tel, g);
+      for (const Flow& f : g.heap) {
+        if (f.spanIdx == telemetry::kNoSpan) continue;
+        const double moved = std::clamp(f.target - g.served, 0.0, step);
+        tel->accrue(f.spanIdx, stage, dt, moved * static_cast<double>(f.members));
       }
     }
-    f.lastUpdate = now;
+    g.served += step;
   }
 }
 
 void FlowNetwork::computeMaxMinRates() {
-  // Signature ordering for the hierarchical solve: flows with the same
-  // route, per-member rate cap and per-member weight are interchangeable
-  // to progressive filling, so they solve as one group. Doubles compare
-  // by bit pattern — the group key must be exact, not tolerant.
-  const auto sameSignature = [](const ActiveFlow* a, const ActiveFlow* b) {
-    return a->route == b->route &&
-           std::bit_cast<std::uint64_t>(a->rateCap) == std::bit_cast<std::uint64_t>(b->rateCap) &&
-           std::bit_cast<std::uint64_t>(a->weight) == std::bit_cast<std::uint64_t>(b->weight);
+  // Hierarchical weighted progressive filling: the members of a group
+  // are interchangeable, so the group fills as ONE entry whose link
+  // weight is `weight x members`, and every member then runs at the
+  // group's per-member rate. This is what makes a flow class of N
+  // members byte-identical to N coexisting singleton flows: both present
+  // the same group to the solver.
+  const auto fillWeight = [](const Group& g) {
+    return g.weight * static_cast<double>(g.members);
   };
-  const auto signatureLess = [](const ActiveFlow* a, const ActiveFlow* b) {
-    if (a->route != b->route) {
-      return std::lexicographical_compare(
-          a->route.begin(), a->route.end(), b->route.begin(), b->route.end(),
-          [](LinkId x, LinkId y) { return x.value < y.value; });
+  if (inSolve_.size() < links_.size()) {
+    headroom_.resize(links_.size());
+    unfrozenWeight_.resize(links_.size());
+    inSolve_.resize(links_.size(), 0);
+  }
+  solveLinks_.clear();
+  unfrozen_.clear();
+  for (std::uint32_t slot : live_) {
+    Group& g = groups_[slot];
+    g.rate = 0.0;
+    g.bottleneck = kFrozenByNone;
+    unfrozen_.push_back(slot);
+    for (LinkId lid : g.route) {
+      const std::uint32_t l = lid.value;
+      if (!inSolve_[l]) {
+        inSolve_[l] = 1;
+        solveLinks_.push_back(l);
+        headroom_[l] = links_[l].capacity * links_[l].health;
+        unfrozenWeight_[l] = 0.0;
+      }
+      unfrozenWeight_[l] += fillWeight(g);
     }
-    const auto capA = std::bit_cast<std::uint64_t>(a->rateCap);
-    const auto capB = std::bit_cast<std::uint64_t>(b->rateCap);
-    if (capA != capB) return capA < capB;
-    return std::bit_cast<std::uint64_t>(a->weight) < std::bit_cast<std::uint64_t>(b->weight);
-  };
-
-  // Hierarchical weighted progressive filling: flows sharing a signature
-  // (route, per-member cap, per-member weight) are interchangeable, so
-  // they fill as ONE group whose link weight is `weight x members`. This
-  // is what makes a flow class of N members byte-identical to N
-  // coexisting singleton flows: both present the same group to the
-  // solver, the same per-unit-weight deltas come out, and the analytic
-  // within-group split is "every member gets weight x delta".
-  std::vector<double> headroom(links_.size());
-  std::vector<double> unfrozenWeightOnLink(links_.size(), 0.0);
-  for (std::size_t i = 0; i < links_.size(); ++i) {
-    headroom[i] = links_[i].capacity * links_[i].health;
   }
-
-  std::vector<ActiveFlow*> flows;
-  flows.reserve(active_.size());
-  for (auto& [id, f] : active_) {
-    f.rate = 0.0;
-    f.bottleneck = kFrozenByNone;
-    flows.push_back(&f);
-  }
-  // Deterministic iteration independent of hash-map order: signature
-  // first (so groups are contiguous), flow id within a signature.
-  std::sort(flows.begin(), flows.end(),
-            [&sameSignature, &signatureLess](const ActiveFlow* a, const ActiveFlow* b) {
-              if (!sameSignature(a, b)) return signatureLess(a, b);
-              return a->id < b->id;
-            });
-
-  // One solver entry per signature group. `rate` is per member; `weight`
-  // (= per-member weight x total members) is the group's claim on links.
-  struct Group {
-    ActiveFlow* rep = nullptr;  // lowest-id member (route/cap/weight source)
-    std::size_t first = 0;      // [first, last) range in `flows`
-    std::size_t last = 0;
-    double weight = 0.0;        // per-member weight x members
-    double rate = 0.0;          // per member
-    std::uint32_t bottleneck = kFrozenByNone;
-  };
-  std::vector<Group> groups;
-  groups.reserve(flows.size());
-  for (std::size_t i = 0; i < flows.size();) {
-    std::size_t j = i;
-    std::uint64_t members = 0;
-    ActiveFlow* rep = flows[i];
-    while (j < flows.size() && sameSignature(flows[i], flows[j])) {
-      members += flows[j]->members;
-      if (flows[j]->id < rep->id) rep = flows[j];
-      ++j;
-    }
-    Group g;
-    g.rep = rep;
-    g.first = i;
-    g.last = j;
-    g.weight = rep->weight * static_cast<double>(members);
-    groups.push_back(g);
-    i = j;
-  }
-  // Fill in ascending lowest-member-id order — for all-singleton sets
-  // this is exactly the legacy per-flow id order.
-  std::sort(groups.begin(), groups.end(),
-            [](const Group& a, const Group& b) { return a.rep->id < b.rep->id; });
-  for (const Group& g : groups) {
-    for (LinkId lid : g.rep->route) unfrozenWeightOnLink[lid.value] += g.weight;
-  }
-
-  std::vector<bool> frozen(groups.size(), false);
-  std::size_t unfrozen = groups.size();
+  for (std::uint32_t l : solveLinks_) inSolve_[l] = 0;
 
   // Each round freezes at least one group, so rounds are bounded; guard
   // against regressions that would otherwise spin silently.
   std::size_t rounds = 0;
-  const std::size_t maxRounds = groups.size() + links_.size() + 2;
+  const std::size_t maxRounds = unfrozen_.size() + solveLinks_.size() + 2;
 
-  while (unfrozen > 0) {
+  while (!unfrozen_.empty()) {
     if (++rounds > maxRounds) {
       throw std::logic_error("FlowNetwork: progressive filling failed to converge");
     }
     // Max per-unit-weight increment permitted by links...
     double delta = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < links_.size(); ++i) {
-      if (unfrozenWeightOnLink[i] > 1e-12) {
-        delta = std::min(delta, headroom[i] / unfrozenWeightOnLink[i]);
-      }
+    for (std::uint32_t l : solveLinks_) {
+      if (unfrozenWeight_[l] > 1e-12) delta = std::min(delta, headroom_[l] / unfrozenWeight_[l]);
     }
     // ... and by per-member caps (each member gains weight*delta per step).
-    for (std::size_t i = 0; i < groups.size(); ++i) {
-      if (!frozen[i]) {
-        delta = std::min(delta, (groups[i].rep->rateCap - groups[i].rate) / groups[i].rep->weight);
-      }
+    for (std::uint32_t slot : unfrozen_) {
+      const Group& g = groups_[slot];
+      delta = std::min(delta, (g.rateCap - g.rate) / g.weight);
     }
     if (!std::isfinite(delta)) {
       // No route constraints at all: every unfrozen group is capped only
@@ -295,60 +318,40 @@ void FlowNetwork::computeMaxMinRates() {
     }
     if (delta < 0.0) delta = 0.0;
 
-    for (std::size_t i = 0; i < groups.size(); ++i) {
-      if (frozen[i]) continue;
-      const double gain = delta * groups[i].rep->weight;  // per member
-      groups[i].rate += gain;
-      const double claimed = delta * groups[i].weight;  // whole group
-      for (LinkId lid : groups[i].rep->route) headroom[lid.value] -= claimed;
+    for (std::uint32_t slot : unfrozen_) {
+      Group& g = groups_[slot];
+      g.rate += delta * g.weight;                    // per member
+      const double claimed = delta * fillWeight(g);  // whole group
+      for (LinkId lid : g.route) headroom_[lid.value] -= claimed;
     }
 
     // Freeze: capped groups first, then groups crossing a saturated link.
-    std::size_t newlyFrozen = 0;
-    for (std::size_t i = 0; i < groups.size(); ++i) {
-      if (frozen[i]) continue;
-      bool freeze = groups[i].rate >= groups[i].rep->rateCap - 1e-12;
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < unfrozen_.size(); ++i) {
+      Group& g = groups_[unfrozen_[i]];
+      bool freeze = g.rate >= g.rateCap - 1e-12;
       if (freeze) {
-        groups[i].bottleneck = kFrozenByCap;
+        g.bottleneck = kFrozenByCap;
       } else {
-        for (LinkId lid : groups[i].rep->route) {
-          if (headroom[lid.value] <=
-              1e-9 * links_[lid.value].capacity * links_[lid.value].health + 1e-12) {
+        for (LinkId lid : g.route) {
+          const Link& l = links_[lid.value];
+          if (headroom_[lid.value] <= 1e-9 * l.capacity * l.health + 1e-12) {
             freeze = true;
-            groups[i].bottleneck = lid.value;
+            g.bottleneck = lid.value;
             break;
           }
         }
       }
       if (freeze) {
-        frozen[i] = true;
-        ++newlyFrozen;
-        for (LinkId lid : groups[i].rep->route) unfrozenWeightOnLink[lid.value] -= groups[i].weight;
+        for (LinkId lid : g.route) unfrozenWeight_[lid.value] -= fillWeight(g);
+      } else {
+        unfrozen_[kept++] = unfrozen_[i];
       }
     }
-    unfrozen -= newlyFrozen;
-    if (newlyFrozen == 0) {
-      // delta == 0 with nothing to freeze can only happen on degenerate
-      // zero-capacity links; freeze everything to guarantee termination.
-      for (std::size_t i = 0; i < groups.size(); ++i) {
-        if (!frozen[i]) {
-          frozen[i] = true;
-          for (LinkId lid : groups[i].rep->route) {
-            unfrozenWeightOnLink[lid.value] -= groups[i].weight;
-          }
-        }
-      }
-      unfrozen = 0;
-    }
-  }
-
-  // Within-group split: every member flow of a group runs at the group's
-  // per-member rate with the group's bottleneck attribution.
-  for (const Group& g : groups) {
-    for (std::size_t i = g.first; i < g.last; ++i) {
-      flows[i]->rate = g.rate;
-      flows[i]->bottleneck = g.bottleneck;
-    }
+    // delta == 0 with nothing to freeze can only happen on degenerate
+    // zero-capacity links; freeze everything to guarantee termination.
+    if (kept == unfrozen_.size()) kept = 0;
+    unfrozen_.resize(kept);
   }
 }
 
@@ -359,86 +362,87 @@ void FlowNetwork::rebalance() {
   }
   if (probe::FlightRecorder* rec = sim_.recorder()) {
     rec->record(sim_.now(), probe::RecordKind::NetRebalance,
-                static_cast<std::uint32_t>(active_.size()), static_cast<double>(rerates_));
+                static_cast<std::uint32_t>(activeFlows_), static_cast<double>(rerates_));
   }
   const SimTime now = sim_.now();
-  for (auto& [id, f] : active_) {
-    if (f.rate <= 0.0) {
-      // Stalled flow (zero-capacity path): leave it unscheduled; a later
+  for (std::uint32_t slot : live_) {
+    Group& g = groups_[slot];
+    if (g.rate <= 0.0) {
+      // Stalled group (zero-capacity path): leave it unscheduled; a later
       // rebalance schedules the completion once capacity appears.
-      if (f.completionEvent.valid()) {
-        sim_.cancel(f.completionEvent);
-        f.completionEvent = EventId{};
-        f.scheduledEta = -1.0;
-        f.etaDrift = 0.0;
+      if (g.completionEvent.valid()) {
+        sim_.cancel(g.completionEvent);
+        g.completionEvent = EventId{};
       }
       continue;
     }
-    // Re-time the completion event at the new rate.
-    const Seconds eta = f.remaining / f.rate;
+    // Re-time the head's completion at the new rate (now, if its target
+    // is already reached).
+    const Seconds eta = std::max(0.0, g.heap.front().target - g.served) / g.rate;
     const SimTime newCompletion = now + eta;
-    if (f.completionEvent.valid()) {
+    if (g.completionEvent.valid()) {
       // Skip churn if completion time barely moved — but account the
       // skipped correction, and re-anchor once the accrued drift leaves
       // its budget, so many small rebalances cannot compound error.
       const double scale = std::max(1.0, std::fabs(eta));
-      const double drift = std::fabs(eta - (f.scheduledEta - now));
-      if (drift <= kRateHysteresis * scale && f.etaDrift + drift <= kEtaDriftBudget * scale) {
-        f.etaDrift += drift;
+      const double drift = std::fabs(eta - (g.scheduledEta - now));
+      if (drift <= kRateHysteresis * scale && g.etaDrift + drift <= kEtaDriftBudget * scale) {
+        g.etaDrift += drift;
         continue;
       }
-      ++f.rateEpoch;
       ++rerates_;
-      f.scheduledEta = newCompletion;
-      f.etaDrift = 0.0;
-      sim_.adjustKey(f.completionEvent, newCompletion);
+      g.scheduledEta = newCompletion;
+      g.etaDrift = 0.0;
+      sim_.adjustKey(g.completionEvent, newCompletion);
       continue;
     }
-    const FlowId fid = id;
-    ++f.rateEpoch;
     ++rerates_;
-    f.scheduledEta = newCompletion;
-    f.etaDrift = 0.0;
-    f.completionEvent = sim_.scheduleAt(newCompletion, [this, fid] { finish(fid); });
+    g.scheduledEta = newCompletion;
+    g.etaDrift = 0.0;
+    g.completionEvent = sim_.scheduleAt(newCompletion, [this, slot] { completeHead(slot); });
   }
 }
 
-void FlowNetwork::finish(FlowId id) {
-  auto it = active_.find(id);
-  if (it == active_.end()) return;
+void FlowNetwork::completeHead(std::uint32_t slot) {
   advanceProgress();
-  if (it->second.remaining > 1.0) {
-    // Defensive: floating-point drift left real bytes outstanding. Clear
-    // the fired event handle and let rebalance() schedule a fresh one.
-    it->second.completionEvent = EventId{};
-    it->second.scheduledEta = -1.0;
-    it->second.etaDrift = 0.0;
+  Group& g = groups_[slot];
+  g.completionEvent = EventId{};  // this event just fired
+  if (g.heap.front().target - g.served > 1.0) {
+    // Defensive: floating-point drift left real bytes outstanding; let
+    // rebalance() schedule a fresh event.
     rebalance();
     return;
   }
-  ActiveFlow f = std::move(it->second);
-  active_.erase(it);
-  // Account any residue (float rounding) as carried.
-  if (f.remaining > 0.0) {
-    const double residue = f.remaining * static_cast<double>(f.members);
-    for (LinkId lid : f.route) links_[lid.value].bytesCarried += residue;
-    f.remaining = 0.0;
-  }
+  std::pop_heap(g.heap.begin(), g.heap.end(), finishesLater);
+  Flow f = std::move(g.heap.back());
+  g.heap.pop_back();
+  g.members -= f.members;
+  --activeFlows_;
+  // Settle the float residue — bytes not yet credited, or (negative) the
+  // overshoot credited since the target was reached — so links carry
+  // exactly the flow's payload.
+  const double residue = (f.target - g.served) * static_cast<double>(f.members);
+  for (LinkId lid : g.route) links_[lid.value].bytesCarried += residue;
+  if (g.heap.empty()) retireGroup(slot);
   if (tel_ && f.spanIdx != telemetry::kNoSpan) tel_->endSpan(f.spanIdx, sim_.now());
-  FlowCompletion done{f.id, f.totalBytes * f.members, f.members, f.startTime, sim_.now()};
+  const FlowCompletion done{f.id, f.bytes * f.members, f.members, f.startTime, sim_.now()};
   rebalance();
   if (f.onComplete) f.onComplete(done);
 }
 
 Bandwidth FlowNetwork::flowRate(FlowId id) const {
-  const auto it = active_.find(id);
-  if (it == active_.end()) return 0.0;
-  return it->second.rate * static_cast<double>(it->second.members);
+  for (std::uint32_t slot : live_) {
+    const Group& g = groups_[slot];
+    for (const Flow& f : g.heap) {
+      if (f.id == id) return g.rate * static_cast<double>(f.members);
+    }
+  }
+  return 0.0;
 }
 
 std::uint64_t FlowNetwork::activeMembers() const {
   std::uint64_t total = 0;
-  for (const auto& [id, f] : active_) total += f.members;
+  for (std::uint32_t slot : live_) total += groups_[slot].members;
   return total;
 }
 
@@ -446,9 +450,10 @@ std::vector<LinkStats> FlowNetwork::linkStats() const {
   std::vector<LinkStats> out;
   out.reserve(links_.size());
   std::vector<Bandwidth> alloc(links_.size(), 0.0);
-  for (const auto& [id, f] : active_) {
-    const double aggregate = f.rate * static_cast<double>(f.members);
-    for (LinkId lid : f.route) alloc[lid.value] += aggregate;
+  for (std::uint32_t slot : live_) {
+    const Group& g = groups_[slot];
+    const double aggregate = g.rate * static_cast<double>(g.members);
+    for (LinkId lid : g.route) alloc[lid.value] += aggregate;
   }
   for (std::size_t i = 0; i < links_.size(); ++i) {
     // Report the *effective* capacity so degraded links show up in

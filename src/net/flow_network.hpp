@@ -6,48 +6,65 @@
 // max-min fairness subject to (a) each link's capacity and (b) an optional
 // per-flow rate cap (used to model single-stream TCP limits, per-NFS-
 // session serialization, and device ceilings). Whenever a flow starts or
-// finishes, the allocation is recomputed and the completion events of
-// affected flows are re-timed — the standard flow-level network
-// simulation technique.
+// finishes, the allocation is recomputed and completion events are
+// re-timed — the standard flow-level network simulation technique.
+//
+// ## Signature groups
+//
+// Flows with the same route, per-member rate cap and per-member weight
+// (doubles compared by bit pattern) are interchangeable to progressive
+// filling: they always run at the same per-member rate. They live in one
+// persistent *signature group*, created when its first flow activates
+// and retired when its last flow leaves. A group keeps
+//
+//  - a cumulative per-member service counter V (bytes each member has
+//    been served since the group was created), so crediting progress
+//    costs one update per group, not per flow;
+//  - its flows in a min-heap on their finish target (V at join + bytes);
+//    a flow's remaining bytes are `target - V`;
+//  - exactly ONE completion event, timed for the heap head.
+//
+// Progressive filling runs over the live groups in creation order, each
+// weighted by `weight x total members`, with no sort and with scratch
+// buffers owned by the network, so a solve costs O(groups + links they
+// touch) and allocates nothing once warm. Same-timestamp completions
+// fire in group creation order.
 //
 // ## Epoch re-rating protocol
 //
-// Each active flow owns exactly one completion event for its whole
-// lifetime, scheduled when the flow first gets a positive rate. A
-// rebalance of F flows does F in-place `Simulator::adjustKey` updates —
-// O(F log n) heap work, zero allocations, zero tombstones — instead of
-// the classic cancel + reschedule pair per flow. The flow's `rateEpoch`
-// counts completion re-ratings (a fresh schedule or an adjust-key), and
-// `scheduledEta` always equals the absolute time the live event will
-// fire. adjustKey assigns the event a fresh FIFO sequence number, so
-// same-timestamp dispatch order is identical to what cancel +
-// reschedule produced. Rebalances that would move the completion by
-// less than the hysteresis tolerance skip the heap update but accrue
-// the skipped correction in `etaDrift`; once the accrued drift exceeds
-// its budget the completion is re-anchored, so error cannot accumulate
-// across many small rebalances.
+// A group's completion event is scheduled when the group first gets a
+// positive rate, and later rebalances re-time it in place with
+// `Simulator::adjustKey` — at most one heap update per live group, zero
+// allocations, zero tombstones. `scheduledEta` always equals the
+// absolute time the live event will fire. adjustKey assigns the event a
+// fresh FIFO sequence number, so same-timestamp dispatch order is
+// identical to what cancel + reschedule produced. Rebalances that would
+// move the completion by less than the hysteresis tolerance skip the
+// heap update but accrue the skipped correction in `etaDrift`; once the
+// accrued drift exceeds its budget the completion is re-anchored, so
+// error cannot accumulate across many small rebalances. One event
+// completes one flow: when it fires, the head leaves the heap and the
+// event is scheduled again for the next head — at `now` if that flow's
+// target is already reached — so every flow still costs exactly one
+// dispatched completion.
 //
 // ## Flow classes (hcsim::scale)
 //
 // A flow launched with `members = N` is a *flow class*: N statistically
 // identical member flows collapsed into one entry. `bytes`, `rateCap`
-// and `weight` are all PER MEMBER; the class occupies one heap event and
-// one ActiveFlow however large N is, so memory and rebalance cost are
-// flat in the member count. The solver is hierarchical: progressive
-// filling runs over *signature groups* (same route, rate cap and
-// weight), each weighted by `weight x total members`, and the resulting
-// per-unit-weight share is the analytic within-class split — every
-// member of a class receives the same per-member rate a standalone flow
-// with that signature would. Because explicit flows are grouped by the
-// same rule, a class of N members is byte-identical to N coexisting
-// singleton flows of the same signature (see docs/SCALE.md for the
-// exactness contract). FlowCompletion reports aggregate bytes
-// (per-member bytes x members).
+// and `weight` are all PER MEMBER; the class is one heap entry that adds
+// N to its group's member count, so memory and rebalance cost are flat
+// in the member count. The group's solved per-unit-weight share is the
+// analytic within-group split — every member receives the same
+// per-member rate a standalone flow with that signature would — and
+// explicit flows join groups by the same rule, so a class of N members
+// is byte-identical to N coexisting singleton flows of the same
+// signature (see docs/SCALE.md for the exactness contract).
+// FlowCompletion reports aggregate bytes (per-member bytes x members).
 
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <unordered_map>
 #include <vector>
 
 #include "net/link.hpp"
@@ -117,15 +134,11 @@ class FlowNetwork {
   void failLink(LinkId id) { setLinkHealth(id, 0.0); }
   void restoreLink(LinkId id) { setLinkHealth(id, 1.0); }
 
-  /// Abort an in-flight flow: progress is credited, the completion event
-  /// is cancelled, the remaining bytes are dropped and survivors
-  /// re-rate. The flow's onComplete never fires. Returns false when the
-  /// id is unknown or already finished.
-  bool abortFlow(FlowId id);
-
   /// Substitute `to` for `from` in the routes of all in-flight flows and
   /// re-rate — failover semantics (e.g. NFS retrying in-flight ops
-  /// against a surviving server after a node failure). Returns how many
+  /// against a surviving server after a node failure). A group moves as
+  /// a whole; when its new signature is already live it merges into that
+  /// group and every flow keeps its remaining bytes. Returns how many
   /// flows were rerouted.
   std::size_t replaceLinkInFlows(LinkId from, LinkId to);
 
@@ -141,8 +154,8 @@ class FlowNetwork {
   FlowId startFlow(const FlowSpec& spec, std::function<void(const FlowCompletion&)> onComplete);
 
   /// Number of flow entries currently transferring (a class of any
-  /// member count is one entry — this is the memory/rebalance footprint).
-  std::size_t activeFlows() const { return active_.size(); }
+  /// member count is one entry — this is the memory footprint).
+  std::size_t activeFlows() const { return activeFlows_; }
 
   /// Total member flows in flight (sum of `members` over active entries).
   std::uint64_t activeMembers() const;
@@ -152,9 +165,10 @@ class FlowNetwork {
   /// singleton flows.
   Bandwidth flowRate(FlowId id) const;
 
-  /// Completion re-ratings performed since construction (fresh schedules
-  /// plus in-place adjust-key updates). A rebalance of F running flows
-  /// adds at most F; hysteresis-skipped flows add nothing.
+  /// Completion re-timings performed since construction: fresh schedules
+  /// plus in-place adjust-key updates of group completion events. A
+  /// rebalance adds at most G, the number of live signature groups;
+  /// hysteresis-skipped groups add nothing.
   std::uint64_t rerates() const { return rerates_; }
 
   /// Utilization snapshot of every link.
@@ -171,57 +185,86 @@ class FlowNetwork {
   /// nothing (degenerate freeze), rather than by a link index.
   static constexpr std::uint32_t kFrozenByCap = 0xfffffffeu;
   static constexpr std::uint32_t kFrozenByNone = 0xffffffffu;
+  static constexpr std::uint32_t kNoGroup = 0xffffffffu;
 
-  struct ActiveFlow {
+  /// One flow entry: carried through its startup latency, then a member
+  /// of its signature group's finish-target heap.
+  struct Flow {
     FlowId id = 0;
-    Route route;
-    Bandwidth rateCap = 0.0;   // per member
-    double weight = 1.0;       // per member
-    std::uint32_t members = 1; // member flows this entry aggregates
-    double remaining = 0.0;  // bytes left PER MEMBER (double: fractional progress)
-    Bytes totalBytes = 0;    // per member
+    double target = 0.0;        // group V at which its last byte lands
+    Bytes bytes = 0;            // per member
+    std::uint32_t members = 1;  // member flows this entry aggregates
+    std::uint32_t spanIdx = telemetry::kNoSpan;  // open telemetry span, if any
     SimTime startTime = 0.0;
-    SimTime lastUpdate = 0.0;
-    Bandwidth rate = 0.0;  // per member (aggregate = rate * members)
-    SimTime scheduledEta = -1.0;   // absolute time of the scheduled completion
-    std::uint64_t rateEpoch = 0;   // completion re-ratings of this flow
-    double etaDrift = 0.0;         // accrued |skipped completion moves| since last re-anchor
-    EventId completionEvent{};
     std::function<void(const FlowCompletion&)> onComplete;
-    // What froze this flow's rate in the last progressive-filling pass:
+  };
+
+  struct Group {
+    std::uint64_t hash = 0;  // of (route, rateCap bits, weight bits)
+    Route route;
+    Bandwidth rateCap = 0.0;    // per member
+    double weight = 1.0;        // per member
+    std::uint64_t members = 0;  // member flows over all heap entries
+    double served = 0.0;        // V: cumulative per-member service, bytes
+    Bandwidth rate = 0.0;       // per member
+    // What froze this group's rate in the last progressive-filling pass:
     // a link index, kFrozenByCap, or kFrozenByNone. Written
     // unconditionally (one store); read only when telemetry is on.
     std::uint32_t bottleneck = kFrozenByNone;
-    std::uint32_t spanIdx = telemetry::kNoSpan;  // open telemetry span, if any
+    std::vector<Flow> heap;     // min-heap on (target, id)
+    EventId completionEvent{};  // fires for heap.front()
+    // Set whenever completionEvent is (re)timed; read only while it is
+    // valid: its absolute fire time, and the accrued |skipped completion
+    // moves| since the last re-anchor.
+    SimTime scheduledEta = -1.0;
+    double etaDrift = 0.0;
   };
 
-  /// Credit progress to every active flow for time elapsed since its
-  /// lastUpdate, at its current rate.
+  /// Credit every live group with service at its current rate for the
+  /// time since the last credit.
   void advanceProgress();
 
   /// Recompute the max-min fair allocation and (re)schedule completions.
   void rebalance();
 
-  /// Hierarchical progressive filling over the current active set:
-  /// flows are grouped by signature (route, rate cap, weight), each
-  /// group weighted by `weight x total members`, and the solved
-  /// per-unit-weight share is written back as every member's rate. Fills
-  /// `rate` and `bottleneck` fields.
+  /// Weighted progressive filling over the live groups; fills each
+  /// group's per-member `rate` and `bottleneck`.
   void computeMaxMinRates();
 
-  void activate(ActiveFlow flow);
-  void finish(FlowId id);
+  void activate(Flow flow, const Route& route, Bandwidth rateCap, double weight);
 
-  /// Interned stage id for the flow's bottleneck sentinel/link (only
+  /// A group's completion event: retire its head flow.
+  void completeHead(std::uint32_t slot);
+
+  /// Live group with this signature (other than `skip`), or kNoGroup.
+  std::uint32_t findGroup(const Route& route, Bandwidth rateCap, double weight,
+                          std::uint64_t hash, std::uint32_t skip) const;
+  std::uint32_t createGroup(const Route& route, Bandwidth rateCap, double weight,
+                            std::uint64_t hash);
+  void retireGroup(std::uint32_t slot);
+
+  /// Interned stage id for the group's bottleneck sentinel/link (only
   /// called when telemetry is enabled).
-  std::uint32_t bottleneckStage(telemetry::Telemetry& tel, const ActiveFlow& f) const;
+  std::uint32_t bottleneckStage(telemetry::Telemetry& tel, const Group& g) const;
 
   Simulator& sim_;
   std::vector<Link> links_;
   FlowId nextFlowId_ = 1;
   std::uint64_t rerates_ = 0;
+  std::size_t activeFlows_ = 0;
+  SimTime lastAdvance_ = 0.0;  // when advanceProgress last credited the groups
   telemetry::Telemetry* tel_ = nullptr;
-  std::unordered_map<FlowId, ActiveFlow> active_;
+  std::vector<Group> groups_;              // slots; retired ones keep route/heap storage
+  std::vector<std::uint32_t> freeGroups_;  // retired slots, reused first
+  std::vector<std::uint32_t> live_;        // live slots in creation order
+  // Progressive-filling scratch, reused by every solve: per-link headroom,
+  // unfrozen group weight and a membership flag (indexed by link), the
+  // links the live groups touch, and the still-unfrozen group slots.
+  std::vector<double> headroom_;
+  std::vector<double> unfrozenWeight_;
+  std::vector<char> inSolve_;
+  std::vector<std::uint32_t> solveLinks_;
+  std::vector<std::uint32_t> unfrozen_;
 };
 
 }  // namespace hcsim

@@ -218,7 +218,7 @@ TEST(ChaosValidate, FailSlowSeverityMustBeFractional) {
   EXPECT_NE(problems[0].find("(0, 1)"), std::string::npos);
 }
 
-// ---------- FlowNetwork link health / abort ----------
+// ---------- FlowNetwork link health ----------
 
 TEST(LinkHealth, FailSlowThrottlesAnActiveFlow) {
   Simulator sim;
@@ -246,22 +246,6 @@ TEST(LinkHealth, FailStopStallsAndRestoreResumes) {
   // 200 B, a 10 s outage, then the remaining 800 B at full rate.
   EXPECT_NEAR(end, 12.0 + 800.0 / 100.0, 1e-9);
   EXPECT_DOUBLE_EQ(net.linkHealth(l), 1.0);
-}
-
-TEST(LinkHealth, AbortFlowCancelsItsCompletion) {
-  Simulator sim;
-  FlowNetwork net{sim};
-  const LinkId l = net.addLink("l", 100.0);
-  bool fired = false;
-  SimTime otherEnd = -1;
-  const FlowId doomed = net.startFlow({1000, {l}}, [&](const FlowCompletion&) { fired = true; });
-  net.startFlow({1000, {l}}, [&](const FlowCompletion& c) { otherEnd = c.endTime; });
-  sim.schedule(5.0, [&] { EXPECT_TRUE(net.abortFlow(doomed)); });
-  sim.run();
-  EXPECT_FALSE(fired);
-  // The survivor had half the link for 5 s (250 B done), then all of it.
-  EXPECT_NEAR(otherEnd, 5.0 + 750.0 / 100.0, 1e-9);
-  EXPECT_FALSE(net.abortFlow(doomed));  // unknown id -> false
 }
 
 // ---------- client retry / backoff ----------

@@ -327,18 +327,54 @@ TEST(FlowNetwork, ManyTinyReratesHaveBoundedCompletionError) {
   EXPECT_GT(h.net.rerates(), 1u);
 }
 
+// rerates() counts completion-event schedules plus in-place re-timings.
+// Completion events belong to signature groups, not flows: these two
+// flows share route, cap and weight, so they share one event, timed for
+// whichever finishes first. That is what keeps work per event
+// proportional to groups.
 TEST(FlowNetwork, ReratesCountsEpochAdvances) {
   Harness h;
   const LinkId l = h.net.addLink("l", 100.0);
   EXPECT_EQ(h.net.rerates(), 0u);
   h.net.startFlow({500, {l}}, [](const FlowCompletion&) {});
-  EXPECT_EQ(h.net.rerates(), 1u);  // initial completion scheduling
+  EXPECT_EQ(h.net.rerates(), 1u);  // the group's first completion schedule
   h.net.startFlow({1000, {l}}, [](const FlowCompletion&) {});
-  // Arrival halves the first flow's rate: one re-rate + one fresh schedule.
-  EXPECT_EQ(h.net.rerates(), 3u);
+  // The arrival halves the group's rate: its one event is re-timed once.
+  EXPECT_EQ(h.net.rerates(), 2u);
   h.sim.run();
-  // The short flow's departure re-rates the survivor once more.
-  EXPECT_EQ(h.net.rerates(), 4u);
+  // The short flow's departure schedules the event for the survivor.
+  EXPECT_EQ(h.net.rerates(), 3u);
+}
+
+// 1,000 flows of one signature arriving one at a time, then draining:
+// every arrival and every departure re-times at most the group's one
+// completion event, and that event is the only one pending.
+TEST(FlowNetwork, SameSignatureFlowsShareOneCompletionEvent) {
+  Harness h;
+  const LinkId l = h.net.addLink("l", 1e6);
+  constexpr int kFlows = 1000;
+  int completed = 0;
+  std::uint64_t seen = 0;
+  const auto onDone = [&](const FlowCompletion&) {
+    ++completed;
+    EXPECT_LE(h.net.rerates() - seen, 1u);
+    EXPECT_LE(h.sim.pendingEvents(), 1u);
+    seen = h.net.rerates();
+  };
+  for (int i = 0; i < kFlows; ++i) {
+    h.sim.runUntil(1e-3 * i);
+    seen = h.net.rerates();
+    // Varied sizes, so the group's earliest finisher keeps changing.
+    const Bytes bytes = 1'000'000 + static_cast<Bytes>((i * 7919) % 1000) * 1000;
+    h.net.startFlow({bytes, {l}}, onDone);
+    EXPECT_LE(h.net.rerates() - seen, 1u);
+    EXPECT_EQ(h.sim.pendingEvents(), 1u);
+  }
+  EXPECT_EQ(h.net.activeFlows(), static_cast<std::size_t>(kFlows));
+  seen = h.net.rerates();
+  h.sim.run();
+  EXPECT_EQ(completed, kFlows);
+  EXPECT_EQ(h.sim.eventsDispatched(), static_cast<std::uint64_t>(kFlows));
 }
 
 TEST_P(MaxMinPropertyTest, NoLinkOversubscribedAndWorkConserving) {

@@ -185,9 +185,9 @@ TEST(TelemetryFlows, EngineCountersExportThroughRegistry) {
   cfg.repetitions = 1;
   runner.run(cfg);
 
-  // Two unequal flows on a private link: when the short one finishes,
-  // the survivor's completion is re-rated through the in-place
-  // adjust-key path, so `adjusted` must move.
+  // Two unequal flows on a private link share one signature group: the
+  // second arrival halves the group's rate, so its completion is re-rated
+  // through the in-place adjust-key path and `adjusted` must move.
   FlowNetwork& net = bench.topo().network();
   const LinkId shared = net.addLink("test.shared", 1e9);
   FlowSpec small;
