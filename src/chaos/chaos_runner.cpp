@@ -1,6 +1,5 @@
 #include "chaos/chaos_runner.hpp"
 
-#include <cmath>
 #include <limits>
 #include <map>
 #include <sstream>
@@ -10,6 +9,7 @@
 #include "probe/flight_recorder.hpp"
 #include "scale/flow_class.hpp"
 #include "util/units.hpp"
+#include "workload/workload_runner.hpp"
 
 namespace hcsim::chaos {
 
@@ -20,9 +20,8 @@ std::string componentKey(const FaultSpec& f) {
   return f.component + ":" + std::to_string(f.index);
 }
 
-/// Components not healthy just before time `t` (events at exactly `t` fire
-/// after the sampler that closes the interval ending at `t`, so they are
-/// strictly excluded).
+/// Components not healthy just before time `t` (events at exactly `t` are
+/// part of the next slice, so they are strictly excluded).
 std::size_t activeFaultsBefore(const ChaosSpec& spec, Seconds t) {
   std::map<std::string, bool> unhealthy;
   for (const ChaosEvent& ev : spec.events) {
@@ -37,10 +36,29 @@ std::size_t activeFaultsBefore(const ChaosSpec& spec, Seconds t) {
   return n;
 }
 
-}  // namespace
+/// Landmarks of a validated (time-ordered) schedule.
+ChaosLandmarks landmarksOf(const ChaosSpec& spec) {
+  ChaosLandmarks lm;
+  lm.any = !spec.events.empty();
+  lm.firstFaultAt = lm.any ? spec.events.front().at : std::numeric_limits<Seconds>::infinity();
+  lm.degradedTolerance = spec.degradedTolerance;
+  for (const ChaosEvent& ev : spec.events) {
+    if (ev.fault.action == FaultAction::Restore) lm.lastRestoreAt = ev.at;
+  }
+  return lm;
+}
 
+/// Background rebuild traffic accounting for scheduleFaults.
+struct RebuildStats {
+  Bytes bytes = 0;             ///< resync bytes that finished draining
+  Seconds completedAt = -1.0;  ///< when the last rebuild flow drained
+};
+
+/// Schedule a validated fault list onto the environment's simulator.
+/// Restore events with rebuildGiB start their background flow and record
+/// into `stats` when given.
 void scheduleFaults(Environment& env, const std::vector<ChaosEvent>& events,
-                    RebuildStats* stats) {
+                    RebuildStats* stats = nullptr) {
   Simulator& sim = env.bench->sim();
   for (std::size_t i = 0; i < events.size(); ++i) {
     const ChaosEvent& ev = events[i];
@@ -85,193 +103,133 @@ void scheduleFaults(Environment& env, const std::vector<ChaosEvent>& events,
   }
 }
 
-ChaosOutcome runChaosOn(Environment& env, const ChaosSpec& spec) {
-  {
-    const std::vector<std::string> problems =
-        validateSchedule(spec, *env.fs, env.bench->topo());
-    if (!problems.empty()) {
-      std::string msg = "chaos: invalid scenario:";
-      for (const std::string& p : problems) msg += "\n  - " + p;
-      throw std::invalid_argument(msg);
-    }
+/// The drill's foreground as a closed-loop source: every rank keeps one
+/// request-sized op in flight until the horizon. Rank r is client
+/// {r / ppn, r % ppn} on its own file r; sequential patterns advance a
+/// per-rank cursor, random ones hit offset 0. With clientsPerProc > 1
+/// each rank is a flow class of that many identical clients.
+class DrillSource final : public workload::WorkloadSource {
+ public:
+  explicit DrillSource(const ChaosSpec& spec) : spec_(spec) {}
+
+  const std::string& name() const override { return name_; }
+
+  workload::WorkloadPlan load(const workload::WorkloadContext& ctx) override {
+    const ChaosWorkload& w = spec_.workload;
+    sim_ = ctx.sim;
+    end_ = sim_->now() + spec_.horizon;
+    workload::WorkloadPlan plan;
+    plan.ranks = w.nodes * w.procsPerNode;
+    plan.phase.pattern = w.access;
+    plan.phase.requestSize = w.requestBytes;
+    plan.phase.nodes = static_cast<std::uint32_t>(w.nodes);
+    plan.phase.procsPerNode = static_cast<std::uint32_t>(w.procsPerNode);
+    plan.phase.readerDiffersFromWriter = true;
+    plan.clientsPerRank = static_cast<std::uint32_t>(w.clientsPerProc);
+    plan.sampleIntervalSec = spec_.interval;
+    plan.horizonSec = spec_.horizon;  // a timed closed-loop run
+    busy_.assign(plan.ranks, false);
+    cursor_.assign(plan.ranks, 0);
+    return plan;
   }
 
-  Simulator& sim = env.bench->sim();
-  FileSystemModel& fs = *env.fs;
-  const ChaosWorkload& w = spec.workload;
+  workload::NextStatus next(std::size_t rank, workload::WorkloadOp& out) override {
+    if (busy_[rank]) return workload::NextStatus::Wait;
+    if (sim_->now() >= end_) return workload::NextStatus::End;
+    const ChaosWorkload& w = spec_.workload;
+    IoRequest& req = out.io;
+    req.client = ClientId{static_cast<std::uint32_t>(rank / w.procsPerNode),
+                          static_cast<std::uint32_t>(rank % w.procsPerNode)};
+    req.fileId = rank;
+    req.bytes = w.requestBytes;
+    req.pattern = w.access;
+    if (w.access == AccessPattern::SequentialWrite || w.access == AccessPattern::SequentialRead) {
+      req.offset = cursor_[rank];
+      cursor_[rank] += w.requestBytes;
+    }
+    busy_[rank] = true;
+    return workload::NextStatus::Op;
+  }
 
-  PhaseSpec phase;
-  phase.pattern = w.access;
-  phase.requestSize = w.requestBytes;
-  phase.nodes = static_cast<std::uint32_t>(w.nodes);
-  phase.procsPerNode = static_cast<std::uint32_t>(w.procsPerNode);
-  phase.readerDiffersFromWriter = true;
-  fs.beginPhase(phase);
+  void onComplete(std::size_t rank, const workload::WorkloadOp&, const IoResult&) override {
+    busy_[rank] = false;
+  }
 
-  // Shared accounting the samplers and drivers update.
-  Bytes completedBytes = 0;
+ private:
+  const ChaosSpec& spec_;
+  const std::string name_ = "chaos";
+  Simulator* sim_ = nullptr;
+  SimTime end_ = 0.0;
+  std::vector<bool> busy_;
+  std::vector<Bytes> cursor_;
+};
+
+}  // namespace
+
+ChaosLandmarks injectSection(const JsonValue& section, Environment& env, const std::string& who) {
+  if (section.isNull()) return {};
+  ChaosSpec cs;
+  std::string err;
+  if (!parseChaosSpec(section, cs, err)) {
+    throw std::invalid_argument(who + ": 'chaos' section: " + err);
+  }
+  if (cs.events.empty()) return {};
+  // The host run owns the clock, so there is no horizon to check against.
+  cs.horizon = std::numeric_limits<double>::infinity();
+  cs.interval = 1.0;
+  const std::vector<std::string> problems = validateSchedule(cs, *env.fs, env.bench->topo());
+  if (!problems.empty()) {
+    std::string msg = who + ": 'chaos' section:";
+    for (const std::string& p : problems) msg += " " + p + ";";
+    throw std::invalid_argument(msg);
+  }
+  scheduleFaults(env, cs.events);
+  return landmarksOf(cs);
+}
+
+ChaosOutcome runChaosOn(Environment& env, const ChaosSpec& spec) {
+  const std::vector<std::string> problems = validateSchedule(spec, *env.fs, env.bench->topo());
+  if (!problems.empty()) {
+    std::string msg = "chaos: invalid scenario:";
+    for (const std::string& p : problems) msg += "\n  - " + p;
+    throw std::invalid_argument(msg);
+  }
+
+  RebuildStats rebuild;
+  scheduleFaults(env, spec.events, &rebuild);
+  const ChaosLandmarks lm = landmarksOf(spec);
+  workload::WorkloadRunner runner(*env.bench, *env.fs);
+  if (spec.retryEnabled) runner.enableRetry(spec.retry);
+  runner.setMonitors(spec.monitors);
+  runner.setChaosLandmarks(lm.firstFaultAt, lm.lastRestoreAt, lm.degradedTolerance);
+  DrillSource source(spec);
+  const workload::WorkloadOutcome r = runner.run(source);
+
   ChaosOutcome out;
   out.name = spec.name;
   out.site = spec.site;
   out.storage = spec.storage;
-  const std::size_t members = std::max<std::size_t>(1, w.clientsPerProc);
-  out.flowClasses = static_cast<std::uint64_t>(w.nodes) * w.procsPerNode;
-  out.clientsTotal = out.flowClasses * members;
-
-  // Fault-schedule landmarks, needed both online (watchdog) and post-run.
-  const Seconds firstEventAt = spec.events.empty()
-                                   ? std::numeric_limits<Seconds>::infinity()
-                                   : spec.events.front().at;
-  Seconds lastRestoreAt = -1.0;
-  for (const ChaosEvent& ev : spec.events) {
-    if (ev.fault.action == FaultAction::Restore) lastRestoreAt = std::max(lastRestoreAt, ev.at);
-  }
-
-  // SLO watchdog: observes the sampler slices below, never schedules
-  // anything itself — with every monitor satisfied the run is
-  // byte-identical to a monitor-free one.
-  probe::WatchdogSet watchdog(spec.monitors);
-  out.monitors = watchdog.monitorCount();
-  watchdog.setRecorder(sim.recorder());
-  struct HealthyOnline {
-    double sum = 0.0;
-    std::size_t n = 0;
-    double maxGBs = 0.0;
-  } healthyOnline;
-
-  std::vector<std::unique_ptr<ClientSession>> sessions;
-  sessions.reserve(w.nodes * w.procsPerNode);
-  for (std::uint32_t n = 0; n < w.nodes; ++n) {
-    for (std::uint32_t p = 0; p < w.procsPerNode; ++p) {
-      auto s = std::make_unique<ClientSession>(fs, ClientId{n, p},
-                                               static_cast<std::uint64_t>(n) * w.procsPerNode + p);
-      if (spec.retryEnabled) s->enableRetry(sim, spec.retry);
-      sessions.push_back(std::move(s));
-    }
-  }
-  const auto sumRetries = [&sessions] {
-    std::uint64_t n = 0;
-    for (const auto& s : sessions) n += s->retries();
-    return n;
-  };
-
-  // Samplers first: at an equal timestamp they take an earlier FIFO seq
-  // than fault events and op completions, so each slice closes before the
-  // next slice's events apply — the timeline is deterministic.
-  struct SamplerState {
-    Seconds lastT = 0.0;
-    Bytes lastBytes = 0;
-    std::uint64_t lastRetries = 0;
-  } samp;
-  std::vector<Seconds> sampleTimes;
-  const std::size_t fullSlices =
-      static_cast<std::size_t>(std::floor(spec.horizon / spec.interval + 1e-9));
-  for (std::size_t k = 1; k <= fullSlices; ++k) {
-    sampleTimes.push_back(static_cast<double>(k) * spec.interval);
-  }
-  if (sampleTimes.empty() || sampleTimes.back() < spec.horizon - 1e-9) {
-    sampleTimes.push_back(spec.horizon);  // trailing partial slice
-  }
-  for (Seconds t : sampleTimes) {
-    sim.scheduleAt(t, [&, t] {
-      IntervalSample s;
-      s.start = samp.lastT;
-      s.end = t;
-      const std::uint64_t retriesNow = sumRetries();
-      s.gbs = units::toGBs(static_cast<double>(completedBytes - samp.lastBytes) /
-                           (t - samp.lastT));
-      s.retries = retriesNow - samp.lastRetries;
-      s.activeFaults = activeFaultsBefore(spec, t);
-      out.timeline.push_back(s);
-      samp.lastT = t;
-      samp.lastBytes = completedBytes;
-      samp.lastRetries = retriesNow;
-      if (probe::FlightRecorder* rec = sim.recorder()) {
-        rec->record(t, probe::RecordKind::GoodputSample,
-                    static_cast<std::uint32_t>(out.timeline.size() - 1), s.gbs);
-      }
-      if (watchdog.active()) {
-        if (s.end <= firstEventAt + 1e-9) {
-          healthyOnline.sum += s.gbs;
-          ++healthyOnline.n;
-        }
-        healthyOnline.maxGBs = std::max(healthyOnline.maxGBs, s.gbs);
-        if (lastRestoreAt >= 0.0) {
-          // Same healthy estimate the post-run availability metrics use,
-          // but built incrementally: pre-fault slices all close before
-          // any fault slice, so by restore time the floor is final.
-          const double healthyEst = healthyOnline.n > 0
-                                        ? healthyOnline.sum / static_cast<double>(healthyOnline.n)
-                                        : healthyOnline.maxGBs;
-          watchdog.setRecoveryContext(lastRestoreAt, healthyEst, spec.degradedTolerance);
-        }
-        watchdog.observeSlice(s.start, s.end, s.gbs);
-      }
-    });
-  }
-
-  // Fault schedule.
-  RebuildStats rebuild;
-  scheduleFaults(env, spec.events, &rebuild);
-
-  // Drivers: one request-sized op in flight per session, re-issued on
-  // completion until the horizon. With clientsPerProc > 1 each session
-  // drives a flow class: one op standing for `members` identical
-  // clients (IoRequest::members), with the same cursor semantics as the
-  // singleton path — members == 1 goes through the legacy calls and is
-  // byte-identical to the pre-knob drill.
-  std::function<void(std::size_t)> issue = [&](std::size_t i) {
-    ClientSession& s = *sessions[i];
-    const auto done = [&, i](const IoResult& r) {
-      if (!r.failed) completedBytes += r.bytes;
-      if (sim.now() < spec.horizon) issue(i);
-    };
-    if (members > 1) {
-      IoRequest req;
-      req.client = s.client();
-      req.fileId = s.fileId();
-      req.bytes = w.requestBytes;
-      req.pattern = w.access;
-      req.members = static_cast<std::uint32_t>(members);
-      switch (w.access) {
-        case AccessPattern::SequentialWrite:
-        case AccessPattern::SequentialRead:
-          req.offset = s.cursor();
-          s.seek(s.cursor() + w.requestBytes);
-          break;
-        case AccessPattern::RandomRead:
-        case AccessPattern::RandomWrite:
-          req.offset = 0;
-          break;
-      }
-      s.submitRequest(req, done);
-      return;
-    }
-    switch (w.access) {
-      case AccessPattern::SequentialWrite: s.write(w.requestBytes, false, done); break;
-      case AccessPattern::SequentialRead: s.read(w.requestBytes, done); break;
-      case AccessPattern::RandomRead: s.readAt(0, w.requestBytes, done); break;
-      case AccessPattern::RandomWrite: s.writeAt(0, w.requestBytes, false, done); break;
-    }
-  };
-  for (std::size_t i = 0; i < sessions.size(); ++i) issue(i);
-
-  sim.runUntil(spec.horizon);
-  fs.endPhase();
-
-  // ---- Availability metrics over the timeline. ----
+  out.flowClasses = r.ranks;
+  out.clientsTotal = r.clientsTotal();
+  out.foregroundBytes = r.bytesMoved;
+  out.retries = r.retries;
+  out.failedOps = r.opsFailed / r.clientsPerRank;  // per class op, as the retry layer bills
+  out.lateCompletions = r.lateCompletions;
   out.rebuildBytes = rebuild.bytes;
   out.rebuildCompletedAt = rebuild.completedAt;
-  out.foregroundBytes = completedBytes;
-  out.retries = sumRetries();
-  for (const auto& s : sessions) {
-    out.failedOps += s->failedOps();
-    out.lateCompletions += s->lateCompletions();
+  out.monitors = r.monitors;
+  out.breaches = r.breaches;
+  for (const workload::WorkloadSample& s : r.timeline) {
+    IntervalSample slice;
+    slice.start = s.start;
+    slice.end = s.end;
+    slice.gbs = s.gbs;
+    slice.activeFaults = activeFaultsBefore(spec, s.end);
+    slice.retries = s.retries;
+    out.timeline.push_back(slice);
   }
 
-  watchdog.finish(spec.horizon);
-  out.breaches = watchdog.breaches();
-
+  // ---- Availability metrics over the timeline. ----
   if (!out.timeline.empty()) {
     double healthySum = 0.0;
     std::size_t healthyN = 0;
@@ -281,7 +239,7 @@ ChaosOutcome runChaosOn(Environment& env, const ChaosSpec& spec) {
       sum += s.gbs;
       out.minGBs = std::min(out.minGBs, s.gbs);
       out.maxGBs = std::max(out.maxGBs, s.gbs);
-      if (s.end <= firstEventAt + 1e-9) {
+      if (s.end <= lm.firstFaultAt + 1e-9) {
         healthySum += s.gbs;
         ++healthyN;
       }
@@ -298,10 +256,10 @@ ChaosOutcome runChaosOn(Environment& env, const ChaosSpec& spec) {
       if (s.degraded) out.degradedSeconds += s.end - s.start;
     }
 
-    if (lastRestoreAt >= 0.0) {
+    if (lm.lastRestoreAt >= 0.0) {
       for (const IntervalSample& s : out.timeline) {
-        if (s.start >= lastRestoreAt - 1e-9 && !s.degraded) {
-          out.timeToRecover = s.end - lastRestoreAt;
+        if (s.start >= lm.lastRestoreAt - 1e-9 && !s.degraded) {
+          out.timeToRecover = s.end - lm.lastRestoreAt;
           break;
         }
       }
@@ -311,9 +269,7 @@ ChaosOutcome runChaosOn(Environment& env, const ChaosSpec& spec) {
 }
 
 ChaosOutcome runChaos(const ChaosSpec& spec) {
-  Environment env = makeEnvironment(spec.site, spec.storage, spec.workload.nodes,
-                                    spec.storageConfig.isNull() ? nullptr : &spec.storageConfig,
-                                    spec.transport.isNull() ? nullptr : &spec.transport);
+  Environment env = makeEnvironment(spec, spec.workload.nodes);
   return runChaosOn(env, spec);
 }
 

@@ -3,16 +3,19 @@
 // scheduled faults into the simulation clock, and report a time-sliced
 // bandwidth/availability timeline.
 //
-// Mechanics: nodes*procsPerNode ClientSessions each keep exactly one
-// request-sized op in flight (with the retry/backoff layer armed, timed-out
-// ops re-submit over whatever capacity survives). Fault events apply
-// through FileSystemModel::applyFault — or straight onto a named topology
-// link — and take effect mid-flight via the flow network's epoch
-// re-rating. A restore event may start background rebuild traffic over the
-// model's rebuildRoute, contending with the foreground like a real resync.
-// Every `intervalSec` a sampler snapshots completed bytes, giving the
-// per-interval GB/s timeline the paper-style availability metrics
-// (degraded time, time-to-recover) are derived from.
+// Mechanics: the drill is a closed-loop WorkloadSource driven by the one
+// WorkloadRunner. nodes*procsPerNode ranks each keep exactly one
+// request-sized op in flight until the horizon (with the runner's
+// retry/backoff layer armed, timed-out ops re-submit over whatever
+// capacity survives). Fault events apply through
+// FileSystemModel::applyFault — or straight onto a named topology link —
+// and take effect mid-flight via the flow network's epoch re-rating. A
+// restore event may start background rebuild traffic over the model's
+// rebuildRoute, contending with the foreground like a real resync. The
+// runner's goodput sampler closes a slice every `intervalSec` (plus a
+// trailing partial slice at the horizon); the paper-style availability
+// metrics (degraded time, time-to-recover) are derived from that
+// timeline.
 
 #include <string>
 #include <vector>
@@ -69,19 +72,24 @@ struct ChaosOutcome {
   std::vector<probe::Breach> breaches;
 };
 
-/// Background rebuild traffic accounting for scheduleFaults.
-struct RebuildStats {
-  Bytes bytes = 0;           ///< resync bytes that finished draining
-  Seconds completedAt = -1.0;  ///< when the last rebuild flow drained
+/// Where a schedule folded into another run strikes — what recoverySec
+/// monitors need from it: degradation starts at the first fault, the
+/// recovery clock at the last restore.
+struct ChaosLandmarks {
+  bool any = false;  ///< false = no events were scheduled
+  Seconds firstFaultAt = 0.0;
+  Seconds lastRestoreAt = -1.0;  ///< -1 = schedule never restores
+  double degradedTolerance = 0.02;
 };
 
-/// Schedule a validated fault list onto an environment's simulator (no
-/// workload, no sampling — the caller drives whatever runs on top). This
-/// is how sweep trials fold a "chaos" section into an ordinary IOR/DLIO
-/// run. Restore events with rebuildGiB start their background flow and
-/// record into `stats` when given.
-void scheduleFaults(Environment& env, const std::vector<ChaosEvent>& events,
-                    RebuildStats* stats = nullptr);
+/// Fold a spec's "chaos" section (events plus the usual schedule keys)
+/// into whatever runs on `env` next: parse it, validate it against the
+/// deployment and schedule its faults onto the simulator, so they strike
+/// mid-run. Sweep IOR/DLIO trials and workload specs both go through
+/// here. A null or event-free section schedules nothing, byte-identical
+/// to no section. Throws std::invalid_argument
+/// ("<who>: 'chaos' section: ...") listing every problem.
+ChaosLandmarks injectSection(const JsonValue& section, Environment& env, const std::string& who);
 
 /// Run a scenario on an existing environment (must match the spec's
 /// site/storage — the caller owns that invariant). Throws

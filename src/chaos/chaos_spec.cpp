@@ -1,36 +1,17 @@
 #include "chaos/chaos_spec.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <map>
 #include <sstream>
 
 #include "config/serialize.hpp"
 #include "net/topology.hpp"
-#include "sweep/sweep_spec.hpp"
 
 namespace hcsim::chaos {
 
 namespace {
-
-bool parseSite(const std::string& s, Site& out) {
-  if (s == "lassen") out = Site::Lassen;
-  else if (s == "ruby") out = Site::Ruby;
-  else if (s == "quartz") out = Site::Quartz;
-  else if (s == "wombat") out = Site::Wombat;
-  else return false;
-  return true;
-}
-
-bool parseStorage(const std::string& s, StorageKind& out) {
-  if (s == "vast") out = StorageKind::Vast;
-  else if (s == "gpfs") out = StorageKind::Gpfs;
-  else if (s == "lustre") out = StorageKind::Lustre;
-  else if (s == "nvme") out = StorageKind::NvmeLocal;
-  else if (s == "daos") out = StorageKind::Daos;
-  else return false;
-  return true;
-}
 
 bool parseAction(const std::string& s, FaultAction& out) {
   if (s == "fail") out = FaultAction::Fail;
@@ -71,7 +52,12 @@ bool parseEvent(const JsonValue& j, std::size_t idx, ChaosEvent& out, std::strin
     error = at("component 'link' needs the 'link' key naming a topology link");
     return false;
   }
-  out.fault.index = static_cast<std::size_t>(j.numberOr("index", 0.0));
+  const double index = j.numberOr("index", 0.0);
+  if (!(index >= 0.0 && index < 1e15 && index == std::floor(index))) {
+    error = at("'index' must be a non-negative integer");
+    return false;
+  }
+  out.fault.index = static_cast<std::size_t>(index);
   if (const JsonValue* sv = j.find("severity")) {
     if (!sv->isNumber()) {
       error = at("'severity' must be a number in (0, 1)");
@@ -99,44 +85,21 @@ bool parseChaosSpec(const JsonValue& json, ChaosSpec& out, std::string& error) {
     return false;
   }
   out = ChaosSpec{};
-  out.name = json.stringOr("name", "chaos");
-  if (!parseSite(json.stringOr("site", "lassen"), out.site)) {
-    error = "'site' must be lassen|ruby|quartz|wombat";
-    return false;
-  }
-  if (!parseStorage(json.stringOr("storage", "vast"), out.storage)) {
-    error = "'storage' must be vast|gpfs|lustre|nvme|daos";
-    return false;
-  }
-  if (const JsonValue* sc = json.find("storageConfig")) out.storageConfig = sweep::deepCopy(*sc);
-  if (const JsonValue* tr = json.find("transport")) {
-    if (!tr->isObject() && !tr->isNull()) {
-      error = "'transport' must be an object of endpoint-profile overrides";
-      return false;
-    }
-    out.transport = sweep::deepCopy(*tr);
-  }
+  std::vector<std::string> problems;
+  parseSpecHeader(json, out, problems);
 
   if (const JsonValue* w = json.find("workload")) {
+    ChaosWorkload& cw = out.workload;
     if (!w->isObject()) {
-      error = "'workload' must be an object";
-      return false;
-    }
-    out.workload.nodes = static_cast<std::size_t>(w->numberOr("nodes", 4.0));
-    out.workload.procsPerNode = static_cast<std::size_t>(w->numberOr("procsPerNode", 8.0));
-    if (const JsonValue* a = w->find("access")) {
-      if (!fromJson(*a, out.workload.access)) {
-        error = "workload: 'access' must be seq-read|seq-write|rand-read|rand-write";
-        return false;
+      problems.push_back("workload: must be an object");
+    } else {
+      positiveInt(*w, "nodes", 4.0, cw.nodes, problems);
+      positiveInt(*w, "procsPerNode", 8.0, cw.procsPerNode, problems);
+      if (const JsonValue* a = w->find("access"); a != nullptr && !fromJson(*a, cw.access)) {
+        problems.push_back("workload.access: must be seq-read|seq-write|rand-read|rand-write");
       }
-    }
-    out.workload.requestBytes =
-        static_cast<Bytes>(w->numberOr("requestBytes", 16.0 * 1024 * 1024));
-    out.workload.clientsPerProc =
-        static_cast<std::size_t>(w->numberOr("clientsPerProc", 1.0));
-    if (w->numberOr("clientsPerProc", 1.0) < 1.0) {
-      error = "workload: 'clientsPerProc' must be >= 1";
-      return false;
+      positiveBytes(*w, "requestBytes", 16.0 * 1024 * 1024, cw.requestBytes, problems);
+      positiveInt(*w, "clientsPerProc", 1.0, cw.clientsPerProc, problems);
     }
   }
 
@@ -144,49 +107,33 @@ bool parseChaosSpec(const JsonValue& json, ChaosSpec& out, std::string& error) {
   out.interval = json.numberOr("intervalSec", 5.0);
   out.degradedTolerance = json.numberOr("degradedTolerance", 0.02);
 
-  if (const JsonValue* r = json.find("retry")) {
-    if (r->isBool()) {
-      out.retryEnabled = *r->boolean();
-    } else if (r->isObject()) {
-      out.retry.timeout = r->numberOr("timeoutSec", out.retry.timeout);
-      out.retry.maxRetries =
-          static_cast<std::size_t>(r->numberOr("maxRetries", static_cast<double>(out.retry.maxRetries)));
-      out.retry.backoffBase = r->numberOr("backoffBaseSec", out.retry.backoffBase);
-      out.retry.backoffMultiplier = r->numberOr("backoffMultiplier", out.retry.backoffMultiplier);
-    } else {
-      error = "'retry' must be false or an object";
-      return false;
-    }
-  }
-
   if (const JsonValue* ev = json.find("events")) {
     const JsonArray* arr = ev->array();
     if (arr == nullptr) {
-      error = "'events' must be an array";
-      return false;
-    }
-    out.events.reserve(arr->size());
-    for (std::size_t i = 0; i < arr->size(); ++i) {
-      ChaosEvent e;
-      if (!parseEvent((*arr)[i], i, e, error)) return false;
-      out.events.push_back(std::move(e));
+      problems.push_back("'events' must be an array");
+    } else {
+      for (std::size_t i = 0; i < arr->size(); ++i) {
+        ChaosEvent e;
+        std::string err;
+        if (!parseEvent((*arr)[i], i, e, err)) {
+          problems.push_back(err);
+          break;
+        }
+        out.events.push_back(std::move(e));
+      }
     }
   }
 
-  {
-    std::vector<std::string> monitorProblems;
-    probe::parseMonitors(json, out.monitors, monitorProblems);
-    for (const probe::MonitorSpec& m : out.monitors) {
-      if (m.metric == probe::MonitorMetric::P99OpLatencySec) {
-        monitorProblems.push_back(
-            "monitors: p99OpLatencySec is not supported by chaos scenarios (the drill does "
-            "not collect per-op latency; use a workload spec)");
-      }
+  for (const probe::MonitorSpec& m : out.monitors) {
+    if (m.metric == probe::MonitorMetric::P99OpLatencySec) {
+      problems.push_back(
+          "monitors: p99OpLatencySec is not supported by chaos scenarios (the drill does "
+          "not collect per-op latency; use a workload spec)");
     }
-    if (!monitorProblems.empty()) {
-      error = monitorProblems.front();
-      return false;
-    }
+  }
+  if (!problems.empty()) {
+    error = problems.front();
+    return false;
   }
   return true;
 }
@@ -242,10 +189,6 @@ std::vector<std::string> validateSchedule(const ChaosSpec& spec, const FileSyste
   if (spec.interval > spec.horizon && spec.horizon > 0.0) {
     add("'intervalSec' exceeds 'horizonSec': the timeline would have no samples");
   }
-  if (spec.workload.nodes == 0) add("workload: 'nodes' must be >= 1");
-  if (spec.workload.procsPerNode == 0) add("workload: 'procsPerNode' must be >= 1");
-  if (spec.workload.requestBytes == 0) add("workload: 'requestBytes' must be >= 1");
-  if (spec.workload.clientsPerProc == 0) add("workload: 'clientsPerProc' must be >= 1");
 
   bool anyRestore = false;
   for (const ChaosEvent& ev : spec.events) {

@@ -48,9 +48,7 @@
 #include <vector>
 
 #include "core/experiment.hpp"
-#include "fs/client_session.hpp"
 #include "fs/fault.hpp"
-#include "probe/monitor.hpp"
 #include "util/json.hpp"
 
 namespace hcsim::chaos {
@@ -74,26 +72,21 @@ struct ChaosWorkload {
   std::size_t clientsPerProc = 1;
 };
 
-/// A full parsed scenario.
-struct ChaosSpec {
-  std::string name = "chaos";
-  Site site = Site::Lassen;
-  StorageKind storage = StorageKind::Vast;
-  JsonValue storageConfig;  ///< null = site preset as-is
-  /// Raw "transport" section: merged onto the model's declared endpoint
-  /// profile and routed through hcsim::transport. null = no fabric.
-  JsonValue transport;
+/// A full parsed scenario: the shared spec header (name, site, storage,
+/// storageConfig, transport, retry, monitors — core/experiment.hpp) plus
+/// the drill. Retry is on unless the spec says "retry": false, and
+/// p99OpLatencySec monitors are rejected at parse time (the drill does
+/// not collect per-op latency).
+struct ChaosSpec : SpecHeader {
+  ChaosSpec() {
+    name = "chaos";
+    retryEnabled = true;
+  }
   ChaosWorkload workload;
   Seconds horizon = 90.0;
   Seconds interval = 5.0;
   double degradedTolerance = 0.02;
-  bool retryEnabled = true;
-  RetryPolicy retry;
   std::vector<ChaosEvent> events;
-  /// SLO watchdogs evaluated online against the timeline samplers
-  /// (p99OpLatencySec is rejected at parse time — the chaos drill does
-  /// not collect per-op latency).
-  std::vector<probe::MonitorSpec> monitors;
 };
 
 /// Parse a scenario from JSON. On failure returns false and sets `error`

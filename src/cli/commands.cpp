@@ -1,6 +1,7 @@
 #include "cli/commands.hpp"
 
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <ostream>
 
@@ -29,36 +30,17 @@ namespace hcsim::cli {
 
 namespace {
 
-bool parseSite(const std::string& s, Site& out) {
-  if (s == "lassen") out = Site::Lassen;
-  else if (s == "ruby") out = Site::Ruby;
-  else if (s == "quartz") out = Site::Quartz;
-  else if (s == "wombat") out = Site::Wombat;
-  else return false;
-  return true;
-}
-
-bool parseStorage(const std::string& s, StorageKind& out) {
-  if (s == "vast") out = StorageKind::Vast;
-  else if (s == "gpfs") out = StorageKind::Gpfs;
-  else if (s == "lustre") out = StorageKind::Lustre;
-  else if (s == "nvme") out = StorageKind::NvmeLocal;
-  else if (s == "daos") out = StorageKind::Daos;
-  else return false;
-  return true;
-}
-
 bool parsePattern(const std::string& s, AccessPattern& out) {
   return fromJson(JsonValue(s), out);
 }
 
 bool parseTarget(const ArgParser& args, std::ostream& err, Site& site, StorageKind& kind) {
   if (!parseSite(args.getOr("--site", ""), site)) {
-    err << "error: --site must be one of lassen|ruby|quartz|wombat\n";
+    err << "error: --site must be one of " << siteNames() << "\n";
     return false;
   }
   if (!parseStorage(args.getOr("--storage", ""), kind)) {
-    err << "error: --storage must be one of vast|gpfs|lustre|nvme|daos\n";
+    err << "error: --storage must be one of " << storageNames() << "\n";
     return false;
   }
   return true;
@@ -122,6 +104,51 @@ bool dumpRecorder(const probe::FlightRecorder& rec, const std::string& prefix,
   out << "dumped " << rec.size() << " flight-recorder record(s) to " << jsonlPath << " and "
       << tracePath << "\n";
   return true;
+}
+
+/// What a finished chaos or workload run hands the shared output tail.
+struct RunReport {
+  std::size_t monitors = 0;
+  std::vector<probe::Breach> breaches;
+  std::string jsonl;  ///< --out
+  std::string csv;    ///< --csv
+  std::function<void(telemetry::MetricsRegistry&)> exportTo;  ///< the run's own gauges
+};
+
+/// The tail `hcsim chaos` and `hcsim workload` share: the breach table,
+/// the --telemetry registry and attribution table, --out, --csv,
+/// --dump-on-exit, and exit 3 when a monitor breached.
+int finishRun(const ArgParser& args, const Environment& env, const RunReport& run,
+              std::ostream& out, std::ostream& err) {
+  if (run.monitors > 0) {
+    out << "monitors: " << run.monitors << " evaluated, " << run.breaches.size()
+        << " breach(es)\n";
+    out << probe::renderBreachTable(run.breaches);
+  }
+  if (args.has("--telemetry")) {
+    telemetry::MetricsRegistry reg;
+    env.bench->collectMetrics(reg, env.fs.get());
+    if (env.transport) env.transport->exportMetrics(reg);
+    run.exportTo(reg);
+    out << reg.renderTable();
+    const telemetry::AttributionReport rep = env.bench->telemetry().attribution();
+    if (rep.spans > 0) out << rep.renderTable();
+  }
+  for (const auto& [flag, text] : {std::pair{"--out", &run.jsonl}, std::pair{"--csv", &run.csv}}) {
+    const auto path = args.get(flag);
+    if (!path) continue;
+    std::ofstream f(*path, std::ios::binary | std::ios::trunc);
+    if (!f) {
+      err << "error: cannot write " << *path << "\n";
+      return 1;
+    }
+    f << *text;
+    out << "wrote " << *path << "\n";
+  }
+  if (const auto prefix = args.get("--dump-on-exit")) {
+    if (!dumpRecorder(env.bench->recorder(), *prefix, out, err)) return 1;
+  }
+  return run.breaches.empty() ? 0 : 3;
 }
 
 }  // namespace
@@ -296,16 +323,12 @@ int cmdMdtest(const ArgParser& args, std::ostream& out, std::ostream& err) {
 }
 
 int cmdPlan(const ArgParser& args, std::ostream& out, std::ostream& err) {
-  Machine machine;
-  const std::string m = args.getOr("--machine", "wombat");
-  if (m == "lassen") machine = Machine::lassen();
-  else if (m == "ruby") machine = Machine::ruby();
-  else if (m == "quartz") machine = Machine::quartz();
-  else if (m == "wombat") machine = Machine::wombat();
-  else {
-    err << "error: --machine must be lassen|ruby|quartz|wombat\n";
+  Site site;
+  if (!parseSite(args.getOr("--machine", "wombat"), site)) {
+    err << "error: --machine must be " << siteNames() << "\n";
     return 2;
   }
+  const Machine machine = machineFor(site);
   PlanGoal goal;
   if (!parsePattern(args.getOr("--pattern", "seq-read"), goal.pattern)) {
     err << "error: bad --pattern\n";
@@ -437,9 +460,7 @@ int cmdChaos(const ArgParser& args, std::ostream& out, std::ostream& err) {
     err << "error: " << parseErr << "\n";
     return 2;
   }
-  Environment env = makeEnvironment(spec.site, spec.storage, spec.workload.nodes,
-                                    spec.storageConfig.isNull() ? nullptr : &spec.storageConfig,
-                                    spec.transport.isNull() ? nullptr : &spec.transport);
+  Environment env = makeEnvironment(spec, spec.workload.nodes);
   // Validate before running so every schedule problem surfaces at once
   // with an actionable message and a distinct exit code.
   const std::vector<std::string> problems =
@@ -464,33 +485,10 @@ int cmdChaos(const ArgParser& args, std::ostream& out, std::ostream& err) {
     out << "rebuild: " << formatBytes(result.rebuildBytes) << " drained at t="
         << result.rebuildCompletedAt << " s\n";
   }
-  if (result.monitors > 0) {
-    out << "monitors: " << result.monitors << " evaluated, " << result.breaches.size()
-        << " breach(es)\n";
-    out << probe::renderBreachTable(result.breaches);
-  }
-  if (const auto outPath = args.get("--out")) {
-    std::ofstream f(*outPath, std::ios::binary | std::ios::trunc);
-    if (!f) {
-      err << "error: cannot write " << *outPath << "\n";
-      return 1;
-    }
-    f << chaos::toJsonl(result);
-    out << "wrote " << *outPath << "\n";
-  }
-  if (const auto csvPath = args.get("--csv")) {
-    std::ofstream f(*csvPath, std::ios::binary | std::ios::trunc);
-    if (!f) {
-      err << "error: cannot write " << *csvPath << "\n";
-      return 1;
-    }
-    f << t.toCsv();
-    out << "wrote " << *csvPath << "\n";
-  }
-  if (const auto prefix = args.get("--dump-on-exit")) {
-    if (!dumpRecorder(env.bench->recorder(), *prefix, out, err)) return 1;
-  }
-  return result.breaches.empty() ? 0 : 3;
+  return finishRun(args, env,
+                   {result.monitors, result.breaches, chaos::toJsonl(result), t.toCsv(),
+                    [&result](telemetry::MetricsRegistry& reg) { chaos::exportTo(result, reg); }},
+                   out, err);
 }
 
 int cmdWorkload(const ArgParser& args, std::ostream& out, std::ostream& err) {
@@ -523,12 +521,9 @@ int cmdWorkload(const ArgParser& args, std::ostream& out, std::ostream& err) {
     for (const std::string& p : problems) err << "  - " << p << "\n";
     return 2;
   }
-  Environment env = makeEnvironment(spec.site, spec.storage, bundle.nodes,
-                                    spec.storageConfig.isNull() ? nullptr : &spec.storageConfig,
-                                    spec.transport.isNull() ? nullptr : &spec.transport);
-  const bool telemetryOn = args.has("--telemetry");
-  if (telemetryOn) env.bench->telemetry().setEnabled(true);
-  workload::ChaosLandmarks landmarks;
+  Environment env = makeEnvironment(spec, bundle.nodes);
+  if (args.has("--telemetry")) env.bench->telemetry().setEnabled(true);
+  chaos::ChaosLandmarks landmarks;
   try {
     landmarks = workload::injectWorkloadChaos(spec, env);
   } catch (const std::exception& ex) {
@@ -564,41 +559,10 @@ int cmdWorkload(const ArgParser& args, std::ostream& out, std::ostream& err) {
     }
     out << t.toString();
   }
-  if (r.monitors > 0) {
-    out << "monitors: " << r.monitors << " evaluated, " << r.breaches.size() << " breach(es)\n";
-    out << probe::renderBreachTable(r.breaches);
-  }
-  if (telemetryOn) {
-    telemetry::MetricsRegistry reg;
-    env.bench->collectMetrics(reg, env.fs.get());
-    if (env.transport) env.transport->exportMetrics(reg);
-    workload::exportTo(r, reg);
-    out << reg.renderTable();
-    const telemetry::AttributionReport rep = env.bench->telemetry().attribution();
-    if (rep.spans > 0) out << rep.renderTable();
-  }
-  if (const auto outPath = args.get("--out")) {
-    std::ofstream of(*outPath, std::ios::binary | std::ios::trunc);
-    if (!of) {
-      err << "error: cannot write " << *outPath << "\n";
-      return 1;
-    }
-    of << workload::toJsonl(r);
-    out << "wrote " << *outPath << "\n";
-  }
-  if (const auto csvPath = args.get("--csv")) {
-    std::ofstream of(*csvPath, std::ios::binary | std::ios::trunc);
-    if (!of) {
-      err << "error: cannot write " << *csvPath << "\n";
-      return 1;
-    }
-    of << workload::toCsv(r);
-    out << "wrote " << *csvPath << "\n";
-  }
-  if (const auto prefix = args.get("--dump-on-exit")) {
-    if (!dumpRecorder(env.bench->recorder(), *prefix, out, err)) return 1;
-  }
-  return r.breaches.empty() ? 0 : 3;
+  return finishRun(args, env,
+                   {r.monitors, r.breaches, workload::toJsonl(r), workload::toCsv(r),
+                    [&r](telemetry::MetricsRegistry& reg) { workload::exportTo(r, reg); }},
+                   out, err);
 }
 
 int cmdProbe(const ArgParser& args, std::ostream& out, std::ostream& err) {
@@ -635,11 +599,11 @@ int cmdScale(const ArgParser& args, std::ostream& out, std::ostream& err) {
   Site site = Site::Lassen;
   StorageKind kind = StorageKind::Vast;
   if (const auto s = args.get("--site"); s && !parseSite(*s, site)) {
-    err << "error: --site must be one of lassen|ruby|quartz|wombat\n";
+    err << "error: --site must be one of " << siteNames() << "\n";
     return 2;
   }
   if (const auto s = args.get("--storage"); s && !parseStorage(*s, kind)) {
-    err << "error: --storage must be one of vast|gpfs|lustre|nvme|daos\n";
+    err << "error: --storage must be one of " << storageNames() << "\n";
     return 2;
   }
   const std::size_t clients = args.sizeOr("--clients", 1000000);
@@ -934,20 +898,7 @@ int cmdDumpConfig(const ArgParser& args, std::ostream& out, std::ostream& err) {
   Site site;
   StorageKind kind;
   if (!parseTarget(args, err, site, kind)) return 2;
-  JsonValue j;
-  switch (kind) {
-    case StorageKind::Vast:
-      j = toJson(site == Site::Lassen   ? vastOnLassen()
-                 : site == Site::Ruby   ? vastOnRuby()
-                 : site == Site::Quartz ? vastOnQuartz()
-                                        : vastOnWombat());
-      break;
-    case StorageKind::Gpfs: j = toJson(gpfsOnLassen()); break;
-    case StorageKind::Lustre: j = toJson(lustreOnQuartz()); break;
-    case StorageKind::NvmeLocal: j = toJson(nvmeOnWombat()); break;
-    case StorageKind::Daos: j = toJson(daosInstance()); break;
-  }
-  out << writeJson(j, 2) << "\n";
+  out << writeJson(presetJson(site, kind), 2) << "\n";
   return 0;
 }
 

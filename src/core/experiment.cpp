@@ -1,41 +1,9 @@
 #include "core/experiment.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
-#include "config/serialize.hpp"
-
 namespace hcsim {
-
-const char* toString(Site s) {
-  switch (s) {
-    case Site::Lassen: return "Lassen";
-    case Site::Ruby: return "Ruby";
-    case Site::Quartz: return "Quartz";
-    case Site::Wombat: return "Wombat";
-  }
-  return "?";
-}
-
-const char* toString(StorageKind k) {
-  switch (k) {
-    case StorageKind::Vast: return "VAST";
-    case StorageKind::Gpfs: return "GPFS";
-    case StorageKind::Lustre: return "Lustre";
-    case StorageKind::NvmeLocal: return "NVMe";
-    case StorageKind::Daos: return "DAOS";
-  }
-  return "?";
-}
-
-Machine machineFor(Site site) {
-  switch (site) {
-    case Site::Lassen: return Machine::lassen();
-    case Site::Ruby: return Machine::ruby();
-    case Site::Quartz: return Machine::quartz();
-    case Site::Wombat: return Machine::wombat();
-  }
-  throw std::invalid_argument("machineFor: unknown site");
-}
 
 Environment makeEnvironment(Site site, StorageKind kind, std::size_t nodes) {
   return makeEnvironment(site, kind, nodes, nullptr);
@@ -48,57 +16,10 @@ Environment makeEnvironment(Site site, StorageKind kind, std::size_t nodes,
 
 Environment makeEnvironment(Site site, StorageKind kind, std::size_t nodes,
                             const JsonValue* storageOverrides, const JsonValue* transportSection) {
+  requireSite(kind, site);
   Environment env;
   env.bench = std::make_unique<TestBench>(machineFor(site), nodes);
-  const auto badOverrides = [] {
-    return std::invalid_argument("makeEnvironment: 'storageConfig' overrides do not parse");
-  };
-  switch (kind) {
-    case StorageKind::Vast: {
-      VastConfig c = site == Site::Lassen   ? vastOnLassen()
-                     : site == Site::Ruby   ? vastOnRuby()
-                     : site == Site::Quartz ? vastOnQuartz()
-                                            : vastOnWombat();
-      if (storageOverrides && !fromJson(*storageOverrides, c)) throw badOverrides();
-      env.fs = env.bench->attachVast(std::move(c));
-      break;
-    }
-    case StorageKind::Gpfs: {
-      if (site != Site::Lassen) {
-        throw std::invalid_argument("makeEnvironment: the paper only tests GPFS on Lassen");
-      }
-      GpfsConfig c = gpfsOnLassen();
-      if (storageOverrides && !fromJson(*storageOverrides, c)) throw badOverrides();
-      env.fs = env.bench->attachGpfs(std::move(c));
-      break;
-    }
-    case StorageKind::Lustre: {
-      if (site != Site::Quartz && site != Site::Ruby) {
-        throw std::invalid_argument("makeEnvironment: the paper tests Lustre on Quartz/Ruby");
-      }
-      LustreConfig c = site == Site::Quartz ? lustreOnQuartz() : lustreOnRuby();
-      if (storageOverrides && !fromJson(*storageOverrides, c)) throw badOverrides();
-      env.fs = env.bench->attachLustre(std::move(c));
-      break;
-    }
-    case StorageKind::NvmeLocal: {
-      if (site != Site::Wombat) {
-        throw std::invalid_argument("makeEnvironment: node-local NVMe is only on Wombat");
-      }
-      NvmeLocalConfig c = nvmeOnWombat();
-      if (storageOverrides && !fromJson(*storageOverrides, c)) throw badOverrides();
-      env.fs = env.bench->attachNvme(std::move(c));
-      break;
-    }
-    case StorageKind::Daos: {
-      // DAOS is not one of the paper's deployments; its pool is wired
-      // with its own fabric and is reachable from any site's machine.
-      DaosConfig c = daosInstance();
-      if (storageOverrides && !fromJson(*storageOverrides, c)) throw badOverrides();
-      env.fs = env.bench->attachDaos(std::move(c));
-      break;
-    }
-  }
+  env.fs = backendInfo(kind).attach(*env.bench, site, storageOverrides);
   // Attach the NIC/transport layer when the spec opts in — or always for
   // DAOS, the one model built on the fabric from day one. A null section
   // for the other models leaves the launch path byte-identical to a
@@ -114,6 +35,81 @@ Environment makeEnvironment(Site site, StorageKind kind, std::size_t nodes,
     env.fs->setTransport(env.transport.get());
   }
   return env;
+}
+
+Environment makeEnvironment(const SpecHeader& spec, std::size_t nodes) {
+  return makeEnvironment(spec.site, spec.storage, nodes,
+                         spec.storageConfig.isNull() ? nullptr : &spec.storageConfig,
+                         spec.transport.isNull() ? nullptr : &spec.transport);
+}
+
+void parseSpecHeader(const JsonValue& doc, SpecHeader& out, std::vector<std::string>& problems) {
+  out.name = doc.stringOr("name", out.name);
+  const std::string site = doc.stringOr("site", siteInfo(out.site).name);
+  if (!parseSite(site, out.site)) {
+    problems.push_back("site: must be " + siteNames() + " (got '" + site + "')");
+  }
+  const std::string storage = doc.stringOr("storage", backendInfo(out.storage).name);
+  if (!parseStorage(storage, out.storage)) {
+    problems.push_back("storage: must be " + storageNames() + " (got '" + storage + "')");
+  }
+  const auto section = [&](const char* key, const char* what, JsonValue& dst) {
+    const JsonValue* v = doc.find(key);
+    if (v == nullptr) return;
+    if (v->isObject() || v->isNull()) {
+      dst = *v;
+    } else {
+      problems.push_back(std::string(key) + ": must be an object of " + what + " overrides");
+    }
+  };
+  section("storageConfig", "preset", out.storageConfig);
+  section("transport", "endpoint-profile", out.transport);
+
+  if (const JsonValue* r = doc.find("retry")) {
+    RetryPolicy& p = out.retry;
+    if (r->isBool()) {
+      out.retryEnabled = *r->boolean();
+    } else if (r->isObject()) {
+      out.retryEnabled = true;
+      p.timeout = r->numberOr("timeoutSec", p.timeout);
+      if (!(p.timeout > 0.0)) problems.push_back("retry.timeoutSec: must be > 0 seconds");
+      const double retries = r->numberOr("maxRetries", static_cast<double>(p.maxRetries));
+      if (!(retries >= 0.0 && retries < 1e9 && retries == std::floor(retries))) {
+        problems.push_back("retry.maxRetries: must be a non-negative integer");
+      } else {
+        p.maxRetries = static_cast<std::size_t>(retries);
+      }
+      p.backoffBase = r->numberOr("backoffBaseSec", p.backoffBase);
+      if (!(p.backoffBase >= 0.0)) problems.push_back("retry.backoffBaseSec: must be >= 0 seconds");
+      p.backoffMultiplier = r->numberOr("backoffMultiplier", p.backoffMultiplier);
+      if (!(p.backoffMultiplier >= 1.0)) problems.push_back("retry.backoffMultiplier: must be >= 1");
+    } else {
+      problems.push_back("retry: must be a boolean or an object");
+    }
+  }
+  probe::parseMonitors(doc, out.monitors, problems);
+}
+
+bool positiveInt(const JsonValue& section, const char* key, double fallback, std::size_t& out,
+                 std::vector<std::string>& problems) {
+  const double v = section.numberOr(key, fallback);
+  if (!(v >= 1.0 && v < 1e15 && v == std::floor(v))) {
+    problems.push_back(std::string("workload.") + key + ": must be a positive integer");
+    return false;
+  }
+  out = static_cast<std::size_t>(v);
+  return true;
+}
+
+bool positiveBytes(const JsonValue& section, const char* key, double fallback, Bytes& out,
+                   std::vector<std::string>& problems) {
+  const double v = section.numberOr(key, fallback);
+  if (!(v > 0.0 && v < 1e18)) {
+    problems.push_back(std::string("workload.") + key + ": must be > 0 bytes");
+    return false;
+  }
+  out = static_cast<Bytes>(v);
+  return true;
 }
 
 namespace {

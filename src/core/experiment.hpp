@@ -10,20 +10,15 @@
 #include <vector>
 
 #include "cluster/deployments.hpp"
+#include "core/backends.hpp"
 #include "dlio/dlio_runner.hpp"
+#include "fs/client_session.hpp"
 #include "ior/ior_runner.hpp"
+#include "probe/monitor.hpp"
 #include "transport/transport.hpp"
 #include "util/json.hpp"
 
 namespace hcsim {
-
-enum class Site { Lassen, Ruby, Quartz, Wombat };
-enum class StorageKind { Vast, Gpfs, Lustre, NvmeLocal, Daos };
-
-const char* toString(Site s);
-const char* toString(StorageKind k);
-
-Machine machineFor(Site site);
 
 /// A TestBench + an attached storage model, owned together. When a spec
 /// carries a "transport" section (or the model is DAOS, which always
@@ -39,8 +34,9 @@ struct Environment {
 };
 
 /// Build the paper's deployment of `kind` as reached from `site`, with
-/// `nodes` compute nodes wired. Throws std::invalid_argument for
-/// combinations the paper does not define (e.g. GPFS on Wombat).
+/// `nodes` compute nodes wired (the backend table's preset and attach
+/// row). Throws std::invalid_argument for combinations the paper does
+/// not define (e.g. GPFS on Wombat).
 Environment makeEnvironment(Site site, StorageKind kind, std::size_t nodes);
 
 /// As above, with optional JSON overrides merged onto the site preset's
@@ -58,6 +54,38 @@ Environment makeEnvironment(Site site, StorageKind kind, std::size_t nodes,
 /// StorageKind::Daos, which always runs on its config-embedded profile.
 Environment makeEnvironment(Site site, StorageKind kind, std::size_t nodes,
                             const JsonValue* storageOverrides, const JsonValue* transportSection);
+
+/// The header every run spec shares, chaos scenarios and workload specs
+/// alike: the deployment to build and how its clients behave.
+struct SpecHeader {
+  std::string name;
+  Site site = Site::Lassen;
+  StorageKind storage = StorageKind::Vast;
+  JsonValue storageConfig;  ///< null = site preset as-is
+  /// Raw "transport" section: merged onto the model's declared endpoint
+  /// profile and routed through hcsim::transport. null = no fabric.
+  JsonValue transport;
+  bool retryEnabled = false;  ///< "retry": true/false, or an object of knobs
+  RetryPolicy retry;
+  std::vector<probe::MonitorSpec> monitors;  ///< SLO watchdogs (probe/monitor.hpp)
+};
+
+/// Parse the header keys of `doc` (a JSON object) — name, site, storage,
+/// storageConfig, transport, retry, monitors — into `out`. Absent keys
+/// keep the defaults already in `out`. Appends one actionable line per
+/// problem to `problems`.
+void parseSpecHeader(const JsonValue& doc, SpecHeader& out, std::vector<std::string>& problems);
+
+/// makeEnvironment for a parsed header.
+Environment makeEnvironment(const SpecHeader& spec, std::size_t nodes);
+
+/// Validators for keys of a spec's "workload" section: read `key` (or
+/// `fallback` when absent) into `out`, or append
+/// "workload.<key>: must be ..." to `problems` and return false.
+bool positiveInt(const JsonValue& section, const char* key, double fallback, std::size_t& out,
+                 std::vector<std::string>& problems);
+bool positiveBytes(const JsonValue& section, const char* key, double fallback, Bytes& out,
+                   std::vector<std::string>& problems);
 
 /// One point of a bandwidth series.
 struct BandwidthPoint {

@@ -28,7 +28,9 @@ void ClientSession::submitAttempt(const IoRequest& req, std::size_t attempt, Sim
                                   std::shared_ptr<IoCallback> done) {
   Simulator& sim = *retrySim_;
   // One settle flag per attempt: whichever of {completion, timeout}
-  // fires first wins; the loser sees the flag and backs off. A flow
+  // fires first wins; the loser sees the flag and backs off. Records
+  // carry the request's client, not the session's: WorkloadRunner
+  // submits every rank's requests through an anonymous session. A flow
   // class (req.members > 1) shares one flag, one timer and one counter
   // increment across all its members — retries are never double-billed.
   auto settled = std::make_shared<bool>(false);
@@ -42,7 +44,7 @@ void ClientSession::submitAttempt(const IoRequest& req, std::size_t attempt, Sim
       ++failedOps_;
       if (rec) {
         rec->record(retrySim_->now(), probe::RecordKind::OpFailed,
-                    probe::clientSubject(client_.node, client_.proc),
+                    probe::clientSubject(req.client.node, req.client.proc),
                     static_cast<double>(attempt));
       }
       IoResult r;
@@ -56,7 +58,7 @@ void ClientSession::submitAttempt(const IoRequest& req, std::size_t attempt, Sim
     ++retries_;
     if (rec) {
       rec->record(retrySim_->now(), probe::RecordKind::RetryTimeout,
-                  probe::clientSubject(client_.node, client_.proc),
+                  probe::clientSubject(req.client.node, req.client.proc),
                   static_cast<double>(attempt));
     }
     const Seconds wait = policy_.backoffBase * std::pow(policy_.backoffMultiplier,
@@ -67,14 +69,14 @@ void ClientSession::submitAttempt(const IoRequest& req, std::size_t attempt, Sim
     });
   });
 
-  fs_->submit(req, [this, timer, opStart, done, settled](const IoResult& r) {
+  fs_->submit(req, [this, who = req.client, timer, opStart, done, settled](const IoResult& r) {
     if (*settled) {
       // The attempt was abandoned at its deadline; its bytes moved, but
       // the op has already been retried (or failed). Swallow.
       ++lateCompletions_;
       if (probe::FlightRecorder* rec = retrySim_->recorder()) {
         rec->record(retrySim_->now(), probe::RecordKind::LateCompletion,
-                    probe::clientSubject(client_.node, client_.proc), 0.0);
+                    probe::clientSubject(who.node, who.proc), 0.0);
       }
       return;
     }

@@ -10,75 +10,12 @@
 
 namespace hcsim::oracle {
 
-const char* siteName(Site s) {
-  switch (s) {
-    case Site::Lassen: return "lassen";
-    case Site::Ruby: return "ruby";
-    case Site::Quartz: return "quartz";
-    case Site::Wombat: return "wombat";
-  }
-  return "?";
-}
-
-const char* storageName(StorageKind k) {
-  switch (k) {
-    case StorageKind::Vast: return "vast";
-    case StorageKind::Gpfs: return "gpfs";
-    case StorageKind::Lustre: return "lustre";
-    case StorageKind::NvmeLocal: return "nvme";
-  }
-  return "?";
-}
-
-JsonValue presetJson(Site site, StorageKind kind) {
-  switch (kind) {
-    case StorageKind::Vast:
-      return toJson(site == Site::Lassen   ? vastOnLassen()
-                    : site == Site::Ruby   ? vastOnRuby()
-                    : site == Site::Quartz ? vastOnQuartz()
-                                           : vastOnWombat());
-    case StorageKind::Gpfs: return toJson(gpfsOnLassen());
-    case StorageKind::Lustre:
-      return toJson(site == Site::Ruby ? lustreOnRuby() : lustreOnQuartz());
-    case StorageKind::NvmeLocal: return toJson(nvmeOnWombat());
-  }
-  return JsonValue();
-}
-
-std::vector<Knob> defaultKnobs(StorageKind kind) {
-  switch (kind) {
-    case StorageKind::Vast:
-      return {{"cnodes", 0.75, 1.5, true},
-              {"nconnect", 0.5, 1.5, true},
-              {"rdmaSessionCap", 0.75, 1.5, false},
-              {"tcpSessionCap", 0.75, 1.5, false},
-              {"fabricLinkBandwidth", 0.75, 1.5, false}};
-    case StorageKind::Gpfs:
-      return {{"nsdServers", 0.5, 2.0, true},
-              {"serverReadBandwidth", 0.75, 1.5, false},
-              {"serverWriteBandwidth", 0.75, 1.5, false},
-              {"serverCacheBytes", 0.5, 2.0, false},
-              {"spindlesPerServer", 0.75, 1.5, true}};
-    case StorageKind::Lustre:
-      return {{"ossCount", 0.5, 1.5, true},
-              {"ossBandwidth", 0.75, 1.5, false},
-              {"spindlesPerOss", 0.75, 1.25, true},
-              {"mdsCount", 0.5, 2.0, true},
-              {"clientCap", 0.75, 1.25, false}};
-    case StorageKind::NvmeLocal:
-      return {{"drivesPerNode", 0.5, 2.0, true},
-              {"memoryBandwidth", 0.75, 1.5, false},
-              {"dirtyLimitBytes", 0.5, 2.0, false}};
-  }
-  return {};
-}
-
 ConfigGenerator::ConfigGenerator(Site site, StorageKind kind, std::vector<Knob> knobs)
     : site_(site), kind_(kind), knobs_(std::move(knobs)), preset_(presetJson(site, kind)) {
   for (const Knob& k : knobs_) {
     if (!hasNumericPath(preset_, k.path)) {
       throw std::logic_error("oracle: knob '" + k.path + "' is not a numeric path of the " +
-                             std::string(storageName(kind)) + " serialization");
+                             std::string(backendInfo(kind).name) + " serialization");
     }
   }
 }
@@ -107,8 +44,8 @@ JsonValue ConfigGenerator::makeBase(std::uint64_t seed, AccessPattern access) co
   }
 
   JsonObject base;
-  base["site"] = std::string(siteName(site_));
-  base["storage"] = std::string(storageName(kind_));
+  base["site"] = std::string(siteInfo(site_).name);
+  base["storage"] = std::string(backendInfo(kind_).name);
   base["ior"] = JsonValue(std::move(ior));
   base["storageConfig"] = storageConfig;
   return JsonValue(std::move(base));

@@ -2,7 +2,8 @@
 // Seeded trial-config generators for the oracle's metamorphic relations.
 //
 // A generator starts from a site's preset deployment, perturbs a curated
-// set of storage knobs — each addressed by the dotted JSON path the
+// set of storage knobs (by default the backend table's oracleKnobs row,
+// core/backends.hpp) — each addressed by the dotted JSON path the
 // config serializer emits and validated against the serializer's path
 // enumeration at construction, so a renamed field fails loudly instead
 // of silently un-perturbing a knob — and randomizes the IOR geometry
@@ -17,34 +18,13 @@
 
 namespace hcsim::oracle {
 
-/// One perturbable storage knob: a dotted path into the serialized
-/// storage config plus the multiplicative range drawn from when the
-/// knob is perturbed. Integer knobs round and clamp to >= 1.
-struct Knob {
-  std::string path;
-  double lo = 0.75;
-  double hi = 1.5;
-  bool integer = false;
-};
-
-const char* siteName(Site s);
-const char* storageName(StorageKind k);
-
-/// The serialized preset deployment of `kind` as reached from `site`
-/// (what `hcsim dump-config` prints).
-JsonValue presetJson(Site site, StorageKind kind);
-
-/// The default knob table for a storage system: knobs whose perturbation
-/// must preserve every relation the catalog states about that system.
-std::vector<Knob> defaultKnobs(StorageKind kind);
-
 class ConfigGenerator {
  public:
   /// Throws std::logic_error when a knob path does not resolve to a
   /// numeric leaf of the preset's serialization (serializer drift).
   ConfigGenerator(Site site, StorageKind kind, std::vector<Knob> knobs);
   ConfigGenerator(Site site, StorageKind kind)
-      : ConfigGenerator(site, kind, defaultKnobs(kind)) {}
+      : ConfigGenerator(site, kind, backendInfo(kind).oracleKnobs) {}
 
   Site site() const { return site_; }
   StorageKind kind() const { return kind_; }

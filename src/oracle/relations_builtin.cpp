@@ -200,7 +200,7 @@ void addVastRelations(RelationRegistry& reg) {
 // ---- GPFS ----
 
 void addGpfsRelations(RelationRegistry& reg) {
-  const ConfigGenerator lassen(Site::Lassen, StorageKind::Gpfs, defaultKnobs(StorageKind::Gpfs));
+  const ConfigGenerator lassen(Site::Lassen, StorageKind::Gpfs);
 
   {
     MetamorphicRelation r;
@@ -266,8 +266,7 @@ void addGpfsRelations(RelationRegistry& reg) {
 // ---- Lustre ----
 
 void addLustreRelations(RelationRegistry& reg) {
-  const ConfigGenerator quartz(Site::Quartz, StorageKind::Lustre,
-                               defaultKnobs(StorageKind::Lustre));
+  const ConfigGenerator quartz(Site::Quartz, StorageKind::Lustre);
 
   reg.add(makeMonotonic(
       "lustre.read-monotone-in-stripe-count", "lustre", quartz, AccessPattern::SequentialRead,
@@ -309,8 +308,7 @@ void addLustreRelations(RelationRegistry& reg) {
 // ---- node-local NVMe ----
 
 void addNvmeRelations(RelationRegistry& reg) {
-  const ConfigGenerator wombat(Site::Wombat, StorageKind::NvmeLocal,
-                               defaultKnobs(StorageKind::NvmeLocal));
+  const ConfigGenerator wombat(Site::Wombat, StorageKind::NvmeLocal);
 
   reg.add(makeMonotonic(
       "nvme.read-monotone-in-queue-depth", "nvme", wombat, AccessPattern::SequentialRead,

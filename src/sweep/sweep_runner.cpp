@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <deque>
-#include <limits>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -20,34 +19,6 @@
 namespace hcsim::sweep {
 
 namespace {
-
-bool parseSiteName(const std::string& s, Site& out) {
-  if (s == "lassen") out = Site::Lassen;
-  else if (s == "ruby") out = Site::Ruby;
-  else if (s == "quartz") out = Site::Quartz;
-  else if (s == "wombat") out = Site::Wombat;
-  else return false;
-  return true;
-}
-
-bool parseStorageName(const std::string& s, StorageKind& out) {
-  if (s == "vast") out = StorageKind::Vast;
-  else if (s == "gpfs") out = StorageKind::Gpfs;
-  else if (s == "lustre") out = StorageKind::Lustre;
-  else if (s == "nvme") out = StorageKind::NvmeLocal;
-  else if (s == "daos") out = StorageKind::Daos;
-  else return false;
-  return true;
-}
-
-/// makeEnvironment with the trial's optional "storageConfig" overrides
-/// merged onto the site's preset deployment, plus the optional
-/// "transport" section routing transfers through hcsim::transport
-/// (core/experiment owns the logic, shared with hcsim::chaos).
-Environment makeTrialEnvironment(Site site, StorageKind kind, std::size_t nodes,
-                                 const JsonValue* overrides, const JsonValue* transportSection) {
-  return makeEnvironment(site, kind, nodes, overrides, transportSection);
-}
 
 /// Copy the fabric's endpoint counters into the metric columns. A trial
 /// without a fabric leaves hasTransport unset, so its emitted bytes stay
@@ -89,32 +60,6 @@ void fillSelf(TrialMetrics& m, const Environment& env) {
   m.selfSinkSec = p.seconds(probe::SelfProfiler::Bucket::Sink);
 }
 
-/// Fold an optional "chaos" section (events + the usual schedule keys)
-/// into an IOR/DLIO trial: the faults are scheduled onto the trial's
-/// simulator before the runner starts, so they strike mid-workload. An
-/// absent or event-free section leaves the trial byte-identical to a
-/// build without this feature.
-void injectChaos(const JsonValue& config, Environment& env) {
-  const JsonValue* section = config.find("chaos");
-  if (section == nullptr || section->isNull()) return;
-  chaos::ChaosSpec cs;
-  std::string err;
-  if (!chaos::parseChaosSpec(*section, cs, err)) {
-    throw std::invalid_argument("sweep: 'chaos' section: " + err);
-  }
-  if (cs.events.empty()) return;
-  // The runner owns the clock, so there is no horizon to check against.
-  cs.horizon = std::numeric_limits<double>::infinity();
-  cs.interval = 1.0;
-  const std::vector<std::string> problems = chaos::validateSchedule(cs, *env.fs, env.bench->topo());
-  if (!problems.empty()) {
-    std::string msg = "sweep: 'chaos' section:";
-    for (const std::string& p : problems) msg += " " + p + ";";
-    throw std::invalid_argument(msg);
-  }
-  chaos::scheduleFaults(env, cs.events);
-}
-
 TrialMetrics runIorTrial(const JsonValue& config, Site site, StorageKind kind,
                          const TrialOptions& opts) {
   IorConfig cfg;
@@ -122,11 +67,12 @@ TrialMetrics runIorTrial(const JsonValue& config, Site site, StorageKind kind,
     if (!fromJson(*j, cfg)) throw std::invalid_argument("sweep: 'ior' section does not parse");
   }
   cfg.validate();
-  Environment env = makeTrialEnvironment(site, kind, cfg.nodes, config.find("storageConfig"),
-                                         config.find("transport"));
+  Environment env = makeEnvironment(site, kind, cfg.nodes, config.find("storageConfig"),
+                                    config.find("transport"));
   if (opts.telemetry) env.bench->telemetry().setEnabled(true);
   if (opts.selfProfile) env.bench->profiler().setEnabled(true);
-  injectChaos(config, env);
+  // An optional "chaos" section strikes mid-workload.
+  if (const JsonValue* c = config.find("chaos")) chaos::injectSection(*c, env, "sweep");
   IorRunner runner(*env.bench, *env.fs);
   const IorResult r = runner.run(cfg);
   // The opLatency contract: per-op latencies exist exactly when
@@ -171,13 +117,10 @@ TrialMetrics runWorkloadTrial(const JsonValue& config, const TrialOptions& opts)
     for (const std::string& p : problems) msg += " " + p + ";";
     throw std::invalid_argument(msg);
   }
-  Environment env = makeTrialEnvironment(spec.site, spec.storage, bundle.nodes,
-                                         spec.storageConfig.isNull() ? nullptr
-                                                                     : &spec.storageConfig,
-                                         spec.transport.isNull() ? nullptr : &spec.transport);
+  Environment env = makeEnvironment(spec, bundle.nodes);
   if (opts.telemetry) env.bench->telemetry().setEnabled(true);
   if (opts.selfProfile) env.bench->profiler().setEnabled(true);
-  const workload::ChaosLandmarks lm = workload::injectWorkloadChaos(spec, env);
+  const chaos::ChaosLandmarks lm = workload::injectWorkloadChaos(spec, env);
   const workload::WorkloadOutcome r =
       workload::runWorkload(env, spec, *bundle.source, nullptr, &lm);
   TrialMetrics m;
@@ -218,11 +161,12 @@ TrialMetrics runDlioTrial(const JsonValue& config, Site site, StorageKind kind,
   if (const JsonValue* j = config.find("dlio")) {
     if (!fromJson(*j, cfg)) throw std::invalid_argument("sweep: 'dlio' section does not parse");
   }
-  Environment env = makeTrialEnvironment(site, kind, cfg.nodes, config.find("storageConfig"),
-                                         config.find("transport"));
+  Environment env = makeEnvironment(site, kind, cfg.nodes, config.find("storageConfig"),
+                                    config.find("transport"));
   if (opts.telemetry) env.bench->telemetry().setEnabled(true);
   if (opts.selfProfile) env.bench->profiler().setEnabled(true);
-  injectChaos(config, env);
+  // An optional "chaos" section strikes mid-workload.
+  if (const JsonValue* c = config.find("chaos")) chaos::injectSection(*c, env, "sweep");
   DlioRunner runner(*env.bench, *env.fs);
   const DlioResult r = runner.run(cfg);
   TrialMetrics m;
@@ -245,9 +189,7 @@ TrialMetrics runChaosTrial(const JsonValue& config, const TrialOptions& opts) {
   if (!chaos::parseChaosSpec(config, spec, err)) {
     throw std::invalid_argument("sweep: chaos trial: " + err);
   }
-  Environment env = makeEnvironment(spec.site, spec.storage, spec.workload.nodes,
-                                    spec.storageConfig.isNull() ? nullptr : &spec.storageConfig,
-                                    spec.transport.isNull() ? nullptr : &spec.transport);
+  Environment env = makeEnvironment(spec, spec.workload.nodes);
   if (opts.telemetry) env.bench->telemetry().setEnabled(true);
   if (opts.selfProfile) env.bench->profiler().setEnabled(true);
   const chaos::ChaosOutcome r = chaos::runChaosOn(env, spec);
@@ -281,12 +223,12 @@ TrialMetrics runTrial(const std::string& experiment, const JsonValue& config,
   TrialMetrics m;
   try {
     Site site = Site::Lassen;
-    if (!parseSiteName(config.stringOr("site", "lassen"), site)) {
-      throw std::invalid_argument("sweep: 'site' must be lassen|ruby|quartz|wombat");
+    if (!parseSite(config.stringOr("site", "lassen"), site)) {
+      throw std::invalid_argument("sweep: 'site' must be " + siteNames());
     }
     StorageKind kind = StorageKind::Vast;
-    if (!parseStorageName(config.stringOr("storage", "vast"), kind)) {
-      throw std::invalid_argument("sweep: 'storage' must be vast|gpfs|lustre|nvme|daos");
+    if (!parseStorage(config.stringOr("storage", "vast"), kind)) {
+      throw std::invalid_argument("sweep: 'storage' must be " + storageNames());
     }
     if (experiment == "ior") return runIorTrial(config, site, kind, opts);
     if (experiment == "dlio") return runDlioTrial(config, site, kind, opts);

@@ -29,8 +29,10 @@ void exportTo(const WorkloadOutcome& out, telemetry::MetricsRegistry& reg) {
   }
 }
 
-// The per-run state machine. Completion callbacks outlive the run()
-// stack frame never — sim.run() drains everything before Impl dies.
+// The per-run state machine. Completion callbacks never outlive the
+// run() stack frame: sim.run() drains everything before Impl dies. A
+// timed run is the exception — its in-flight ops stay pending, never to
+// be dispatched (see WorkloadRunner::run).
 struct WorkloadRunner::Impl {
   WorkloadSource* source = nullptr;
   Simulator* sim = nullptr;
@@ -54,6 +56,7 @@ struct WorkloadRunner::Impl {
   SimTime start = 0.0;
   SimTime lastEnd = 0.0;
   Bytes sampledBytes = 0;
+  std::uint64_t sampledRetries = 0;
 
   // SLO watchdog (owned by run(); outlives every sim callback).
   probe::WatchdogSet* watchdog = nullptr;
@@ -64,6 +67,7 @@ struct WorkloadRunner::Impl {
   struct {
     double sum = 0.0;
     std::size_t n = 0;
+    double best = 0.0;
   } healthy;  ///< pre-fault slices, for the recovery floor
 
   // ---- closed mode: completion-driven chains/pipelines ----
@@ -243,9 +247,9 @@ struct WorkloadRunner::Impl {
   // ---- goodput timeline sampling ----
 
   /// Feed one closed slice to the watchdog. Chaos landmarks (when the
-  /// run carries an injected fault schedule) drive the recovery floor
-  /// the same way the chaos drill does: the healthy estimate is the mean
-  /// of slices that close before the first fault, and the recovery clock
+  /// run carries a fault schedule) drive the recovery floor: the healthy
+  /// estimate is the mean of slices that close before the first fault —
+  /// the best slice so far when none does — and the recovery clock
   /// starts at the last restore.
   void feedWatchdog(const WorkloadSample& s) {
     if (watchdog == nullptr) return;
@@ -254,27 +258,44 @@ struct WorkloadRunner::Impl {
         healthy.sum += s.gbs;
         ++healthy.n;
       }
-      if (lastRestoreAt >= 0.0 && healthy.n > 0) {
-        watchdog->setRecoveryContext(lastRestoreAt - start,
-                                     healthy.sum / static_cast<double>(healthy.n),
-                                     degradedTolerance);
+      healthy.best = std::max(healthy.best, s.gbs);
+      if (lastRestoreAt >= 0.0) {
+        const double estimate =
+            healthy.n > 0 ? healthy.sum / static_cast<double>(healthy.n) : healthy.best;
+        watchdog->setRecoveryContext(lastRestoreAt - start, estimate, degradedTolerance);
       }
     }
     watchdog->observeSlice(s.start, s.end, s.gbs);
   }
 
-  /// Open-loop plans sample to the horizon, exactly as before. Closed
-  /// plans (horizonSec == 0) have no natural end, so sampling stops at
-  /// the first slice boundary after the workload drains.
+  std::uint64_t retriesSoFar() const {
+    std::uint64_t n = 0;
+    for (const RankState& st : ranks) n += st.session->retries();
+    return n;
+  }
+
+  /// Plans with a horizon sample up to it, closing on a partial slice
+  /// when the interval does not divide the horizon. Closed plans without
+  /// one have no natural end, so sampling stops at the first slice
+  /// boundary after the workload drains.
   void scheduleSample(std::size_t slice) {
-    const SimTime end = start + static_cast<SimTime>(slice + 1) * plan.sampleIntervalSec;
-    if (plan.horizonSec > 0.0 && end > start + plan.horizonSec + 1e-9) return;
-    sim->scheduleAt(end, [this, slice, end] {
+    const SimTime from = static_cast<SimTime>(slice) * plan.sampleIntervalSec;
+    SimTime end = start + static_cast<SimTime>(slice + 1) * plan.sampleIntervalSec;
+    Seconds width = plan.sampleIntervalSec;
+    if (plan.horizonSec > 0.0 && end > start + plan.horizonSec + 1e-9) {
+      if (from >= plan.horizonSec - 1e-9) return;
+      end = start + plan.horizonSec;
+      width = plan.horizonSec - from;
+    }
+    sim->scheduleAt(end, [this, slice, from, end, width] {
       WorkloadSample s;
-      s.start = static_cast<SimTime>(slice) * plan.sampleIntervalSec;
+      s.start = from;
       s.end = end - start;
-      s.gbs = static_cast<double>(out.bytesMoved - sampledBytes) / plan.sampleIntervalSec / 1e9;
+      s.gbs = static_cast<double>(out.bytesMoved - sampledBytes) / width / 1e9;
+      const std::uint64_t retries = retriesSoFar();
+      s.retries = retries - sampledRetries;
       sampledBytes = out.bytesMoved;
+      sampledRetries = retries;
       out.timeline.push_back(s);
       if (probe::FlightRecorder* rec = sim->recorder()) {
         rec->record(end, probe::RecordKind::GoodputSample,
@@ -318,6 +339,8 @@ WorkloadOutcome WorkloadRunner::run(WorkloadSource& source) {
   impl.lastEnd = impl.start;
   impl.ranks.resize(impl.plan.ranks);
   for (Impl::RankState& st : impl.ranks) {
+    // Requests carry their own client and file; the session only adds
+    // the retry layer.
     st.session = std::make_unique<ClientSession>(fs_, ClientId{}, 0);
     if (retryEnabled_) st.session->enableRetry(*impl.sim, retry_);
     st.nextArrival = impl.start;
@@ -330,30 +353,35 @@ WorkloadOutcome WorkloadRunner::run(WorkloadSource& source) {
   } else {
     for (std::size_t r = 0; r < impl.ranks.size(); ++r) impl.scheduleArrival(r);
   }
-  // Open-loop plans sample over their horizon as before; closed plans
-  // only sample when the interval was set explicitly (the spec knob or
-  // setSampleInterval) so existing closed runs stay byte-identical.
+  // Plans with a horizon sample over it as before; closed plans without
+  // one only sample when the interval was set explicitly (the spec knob
+  // or setSampleInterval) so existing closed runs stay byte-identical.
   const bool closedSampling =
       impl.plan.mode == DriveMode::Closed && sampleIntervalOverride_ > 0.0;
   if (impl.plan.sampleIntervalSec > 0.0 && (impl.plan.horizonSec > 0.0 || closedSampling)) {
     impl.scheduleSample(0);
   }
 
-  impl.sim->run();
+  const bool timed = impl.plan.mode == DriveMode::Closed && impl.plan.horizonSec > 0.0;
+  if (timed) {
+    impl.sim->runUntil(impl.start + impl.plan.horizonSec);
+  } else {
+    impl.sim->run();
+  }
   fs_.endPhase();
 
-  if (impl.outstandingTotal != 0) {
+  if (!timed && impl.outstandingTotal != 0) {
     throw std::logic_error("WorkloadRunner: simulation drained with outstanding I/O");
   }
-  if (impl.live != 0) {
+  if (!timed && impl.live != 0) {
     throw std::logic_error("WorkloadRunner: simulation drained with live ranks");
   }
 
   WorkloadOutcome out = std::move(impl.out);
   out.elapsed = impl.lastEnd - impl.start;
   out.simElapsed = impl.sim->now() - impl.start;
+  out.retries = impl.retriesSoFar();
   for (const Impl::RankState& st : impl.ranks) {
-    out.retries += st.session->retries();
     out.lateCompletions += st.session->lateCompletions();
   }
   if (watchdog.active()) {

@@ -1,7 +1,8 @@
 #pragma once
 // WorkloadRunner — the single generic driver behind IorRunner,
-// DlioRunner, trace replay and the synthetic generators (io500, grammar,
-// openloop). It owns everything that used to be duplicated per runner:
+// DlioRunner, trace replay, the synthetic generators (io500, grammar,
+// openloop) and the chaos drill's closed-loop foreground (a timed run).
+// It owns everything that used to be duplicated per runner:
 // channel bookkeeping, trace recording, completion accounting, barrier
 // and phase handling, open-loop arrival scheduling, goodput timeline
 // sampling, and the chaos retry layer (every submit goes through a
@@ -27,11 +28,14 @@ class MetricsRegistry;
 
 namespace workload {
 
-/// One goodput timeline slice (open-loop sampling).
+/// One goodput timeline slice. Full slices are sampleIntervalSec wide;
+/// a plan with a horizon ends on a trailing partial slice when the
+/// interval does not divide it.
 struct WorkloadSample {
   Seconds start = 0.0;
   Seconds end = 0.0;
-  double gbs = 0.0;  ///< bytes completed in the slice / slice width
+  double gbs = 0.0;            ///< bytes completed in the slice / slice width
+  std::uint64_t retries = 0;   ///< retry-layer re-submissions fired in the slice
 };
 
 struct WorkloadOutcome {
@@ -91,16 +95,16 @@ class WorkloadRunner {
   void setMonitors(std::vector<probe::MonitorSpec> monitors) { monitors_ = std::move(monitors); }
 
   /// Override the plan's goodput sample interval (> 0 seconds). Also
-  /// enables timeline sampling for closed-loop generators, which have no
+  /// enables timeline sampling for closed-loop generators without a
   /// horizon: sampling then stops at the first slice boundary after the
-  /// workload drains. Without the override only open-loop plans with a
-  /// horizon sample, exactly as before.
+  /// workload drains. Without the override only plans with a horizon
+  /// sample, exactly as before.
   void setSampleInterval(Seconds interval) { sampleIntervalOverride_ = interval; }
 
   /// Chaos landmarks for recoverySec monitors when the run carries an
   /// injected fault schedule: the watchdog's healthy-goodput estimate is
-  /// built from slices that close before `firstFaultAt`, and the
-  /// recovery clock starts at `lastRestoreAt`.
+  /// the mean of slices that close before `firstFaultAt` (the best slice
+  /// when none does), and the recovery clock starts at `lastRestoreAt`.
   void setChaosLandmarks(Seconds firstFaultAt, Seconds lastRestoreAt,
                          double degradedTolerance) {
     haveLandmarks_ = true;
@@ -112,6 +116,12 @@ class WorkloadRunner {
   /// Drive the source to completion. Throws std::logic_error when the
   /// simulation drains with live ranks or outstanding I/O (a source
   /// state-machine bug).
+  ///
+  /// A Closed plan with horizonSec > 0 is a timed run instead: the
+  /// simulation stops at start + horizon, and ops still in flight there
+  /// are abandoned uncounted (the drained checks do not apply). Their
+  /// pending callbacks point into the finished run, so the environment
+  /// must not be run again after a timed run.
   WorkloadOutcome run(WorkloadSource& source);
 
  private:

@@ -1,13 +1,10 @@
 #include "workload/workload_spec.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <map>
 #include <set>
 #include <stdexcept>
 
-#include "chaos/chaos_runner.hpp"
-#include "chaos/chaos_spec.hpp"
 #include "config/serialize.hpp"
 #include "trace/trace_import.hpp"
 #include "util/stats.hpp"
@@ -45,28 +42,6 @@ class OwningReplaySource : public WorkloadSource {
 };
 
 std::string prefix(const std::string& key) { return std::string(kWhere) + "." + key + ": "; }
-
-bool positiveInt(const JsonValue& w, const char* key, double fallback, std::size_t& out,
-                 std::vector<std::string>& problems) {
-  const double v = w.numberOr(key, fallback);
-  if (v < 1.0 || v != static_cast<double>(static_cast<std::uint64_t>(v))) {
-    problems.push_back(prefix(key) + "must be a positive integer");
-    return false;
-  }
-  out = static_cast<std::size_t>(v);
-  return true;
-}
-
-bool positiveBytes(const JsonValue& w, const char* key, double fallback, Bytes& out,
-                   std::vector<std::string>& problems) {
-  const double v = w.numberOr(key, fallback);
-  if (v <= 0.0) {
-    problems.push_back(prefix(key) + "must be > 0 bytes");
-    return false;
-  }
-  out = static_cast<Bytes>(v);
-  return true;
-}
 
 SourceBundle makeIor(const JsonValue& w, std::vector<std::string>& problems) {
   IorConfig cfg;
@@ -216,6 +191,23 @@ std::vector<std::string> knownGenerators() {
   return names;
 }
 
+namespace {
+
+std::string generatorList() {
+  std::string s;
+  for (const std::string& n : knownGenerators()) {
+    if (!s.empty()) s += ", ";
+    s += n;
+  }
+  return s;
+}
+
+std::string unknownGenerator(const std::string& name) {
+  return "workload.generator: unknown generator '" + name + "' (known: " + generatorList() + ")";
+}
+
+}  // namespace
+
 void parseWorkloadSpec(const JsonValue& doc, WorkloadRunSpec& out,
                        std::vector<std::string>& problems) {
   out = WorkloadRunSpec{};
@@ -223,38 +215,7 @@ void parseWorkloadSpec(const JsonValue& doc, WorkloadRunSpec& out,
     problems.push_back("the spec must be a JSON object");
     return;
   }
-  out.name = doc.stringOr("name", "workload");
-
-  const std::string site = doc.stringOr("site", "lassen");
-  if (site == "lassen") out.site = Site::Lassen;
-  else if (site == "ruby") out.site = Site::Ruby;
-  else if (site == "quartz") out.site = Site::Quartz;
-  else if (site == "wombat") out.site = Site::Wombat;
-  else problems.push_back("site: must be lassen|ruby|quartz|wombat (got '" + site + "')");
-
-  const std::string storage = doc.stringOr("storage", "vast");
-  if (storage == "vast") out.storage = StorageKind::Vast;
-  else if (storage == "gpfs") out.storage = StorageKind::Gpfs;
-  else if (storage == "lustre") out.storage = StorageKind::Lustre;
-  else if (storage == "nvme") out.storage = StorageKind::NvmeLocal;
-  else if (storage == "daos") out.storage = StorageKind::Daos;
-  else problems.push_back("storage: must be vast|gpfs|lustre|nvme|daos (got '" + storage + "')");
-
-  if (const JsonValue* sc = doc.find("storageConfig")) {
-    if (!sc->isObject() && !sc->isNull()) {
-      problems.push_back("storageConfig: must be an object of preset overrides");
-    } else {
-      out.storageConfig = *sc;
-    }
-  }
-
-  if (const JsonValue* tr = doc.find("transport")) {
-    if (!tr->isObject() && !tr->isNull()) {
-      problems.push_back("transport: must be an object of endpoint-profile overrides");
-    } else {
-      out.transport = *tr;
-    }
-  }
+  parseSpecHeader(doc, out, problems);
 
   const JsonValue* w = doc.find("workload");
   if (w == nullptr || !w->isObject()) {
@@ -263,39 +224,9 @@ void parseWorkloadSpec(const JsonValue& doc, WorkloadRunSpec& out,
     out.workload = *w;
     out.generator = w->stringOr("generator", "");
     if (out.generator.empty()) {
-      problems.push_back("workload.generator: required (one of: " +
-                         [] {
-                           std::string s;
-                           for (const std::string& n : knownGenerators()) {
-                             if (!s.empty()) s += ", ";
-                             s += n;
-                           }
-                           return s;
-                         }() +
-                         ")");
+      problems.push_back("workload.generator: required (one of: " + generatorList() + ")");
     } else if (registry().find(out.generator) == registry().end()) {
-      std::string s;
-      for (const std::string& n : knownGenerators()) {
-        if (!s.empty()) s += ", ";
-        s += n;
-      }
-      problems.push_back("workload.generator: unknown generator '" + out.generator +
-                         "' (known: " + s + ")");
-    }
-  }
-
-  if (const JsonValue* r = doc.find("retry")) {
-    if (r->isBool()) {
-      out.retryEnabled = *r->boolean();
-    } else if (r->isObject()) {
-      out.retryEnabled = true;
-      out.retry.timeout = r->numberOr("timeoutSec", out.retry.timeout);
-      out.retry.maxRetries = static_cast<std::size_t>(
-          r->numberOr("maxRetries", static_cast<double>(out.retry.maxRetries)));
-      out.retry.backoffBase = r->numberOr("backoffBaseSec", out.retry.backoffBase);
-      out.retry.backoffMultiplier = r->numberOr("backoffMultiplier", out.retry.backoffMultiplier);
-    } else {
-      problems.push_back("retry: must be a boolean or an object");
+      problems.push_back(unknownGenerator(out.generator));
     }
   }
 
@@ -310,9 +241,6 @@ void parseWorkloadSpec(const JsonValue& doc, WorkloadRunSpec& out,
   }
 
   {
-    std::vector<std::string> monitorProblems;
-    probe::parseMonitors(doc, out.monitors, monitorProblems);
-    for (std::string& p : monitorProblems) problems.push_back(std::move(p));
     bool needsTimeline = false;
     bool needsRecovery = false;
     for (const probe::MonitorSpec& m : out.monitors) {
@@ -336,53 +264,19 @@ void parseWorkloadSpec(const JsonValue& doc, WorkloadRunSpec& out,
 SourceBundle makeSource(const WorkloadRunSpec& spec, std::vector<std::string>& problems) {
   const auto it = registry().find(spec.generator);
   if (it == registry().end()) {
-    std::string s;
-    for (const std::string& n : knownGenerators()) {
-      if (!s.empty()) s += ", ";
-      s += n;
-    }
-    problems.push_back("workload.generator: unknown generator '" + spec.generator +
-                       "' (known: " + s + ")");
+    problems.push_back(unknownGenerator(spec.generator));
     return {};
   }
   return it->second(spec.workload, problems);
 }
 
-ChaosLandmarks injectWorkloadChaos(const WorkloadRunSpec& spec, Environment& env) {
-  ChaosLandmarks lm;
-  if (spec.chaos.isNull()) return lm;
-  chaos::ChaosSpec cs;
-  std::string err;
-  if (!chaos::parseChaosSpec(spec.chaos, cs, err)) {
-    throw std::invalid_argument("workload: 'chaos' section: " + err);
-  }
-  if (cs.events.empty()) return lm;
-  // The workload owns the clock — no horizon to bound the schedule.
-  cs.horizon = std::numeric_limits<double>::infinity();
-  cs.interval = 1.0;
-  const std::vector<std::string> problems =
-      chaos::validateSchedule(cs, *env.fs, env.bench->topo());
-  if (!problems.empty()) {
-    std::string msg = "workload: 'chaos' section:";
-    for (const std::string& p : problems) msg += " " + p + ";";
-    throw std::invalid_argument(msg);
-  }
-  chaos::scheduleFaults(env, cs.events);
-  lm.any = true;
-  lm.firstFaultAt = cs.events.front().at;
-  lm.degradedTolerance = cs.degradedTolerance;
-  for (const chaos::ChaosEvent& ev : cs.events) {
-    lm.firstFaultAt = std::min(lm.firstFaultAt, ev.at);
-    if (ev.fault.action == FaultAction::Restore) {
-      lm.lastRestoreAt = std::max(lm.lastRestoreAt, ev.at);
-    }
-  }
-  return lm;
+chaos::ChaosLandmarks injectWorkloadChaos(const WorkloadRunSpec& spec, Environment& env) {
+  return chaos::injectSection(spec.chaos, env, kWhere);
 }
 
 WorkloadOutcome runWorkload(Environment& env, const WorkloadRunSpec& spec,
                             WorkloadSource& source, TraceLog* trace,
-                            const ChaosLandmarks* landmarks) {
+                            const chaos::ChaosLandmarks* landmarks) {
   WorkloadRunner runner(*env.bench, *env.fs);
   runner.setTraceLog(trace);
   if (spec.retryEnabled) runner.enableRetry(spec.retry);

@@ -25,34 +25,27 @@
 #include <string>
 #include <vector>
 
+#include "chaos/chaos_runner.hpp"
 #include "core/experiment.hpp"
-#include "fs/client_session.hpp"
 #include "util/json.hpp"
 #include "workload/workload_runner.hpp"
 #include "workload/workload_source.hpp"
 
 namespace hcsim::workload {
 
-struct WorkloadRunSpec {
-  std::string name = "workload";
-  Site site = Site::Lassen;
-  StorageKind storage = StorageKind::Vast;
-  JsonValue storageConfig;  ///< null = site preset as-is
-  /// Raw "transport" section: merged onto the model's declared endpoint
-  /// profile and routed through hcsim::transport. null = no fabric
-  /// (byte-identical to before the transport layer existed).
-  JsonValue transport;
+/// The shared spec header (name, site, storage, storageConfig, transport,
+/// retry, monitors — core/experiment.hpp) plus the generator. A null
+/// "transport" means no fabric, byte-identical to before the transport
+/// layer existed; retry is off unless the spec asks for it.
+struct WorkloadRunSpec : SpecHeader {
+  WorkloadRunSpec() { name = "workload"; }
   std::string generator;
   JsonValue workload;  ///< the raw "workload" section (generator keys)
-  bool retryEnabled = false;
-  RetryPolicy retry;
   JsonValue chaos;  ///< raw "chaos" section, null = none
   /// Explicit goodput sample interval (top-level "sampleIntervalSec").
   /// 0 = generator default; the knob must be > 0 when present, and also
   /// arms timeline sampling for closed-loop generators.
   double sampleIntervalSec = 0.0;
-  /// SLO watchdogs (top-level "monitors", probe/monitor.hpp grammar).
-  std::vector<probe::MonitorSpec> monitors;
 };
 
 /// Names the registry knows, sorted, for error messages and docs.
@@ -73,28 +66,18 @@ struct SourceBundle {
 };
 SourceBundle makeSource(const WorkloadRunSpec& spec, std::vector<std::string>& problems);
 
-/// What an injected fault schedule pins down for recoverySec monitors:
-/// when degradation starts, when the last restore fires, and the
-/// tolerance band the chaos section declared.
-struct ChaosLandmarks {
-  bool any = false;  ///< false = no events were scheduled
-  Seconds firstFaultAt = 0.0;
-  Seconds lastRestoreAt = -1.0;  ///< -1 = schedule never restores
-  double degradedTolerance = 0.02;
-};
-
 /// Schedule the spec's optional "chaos" section onto the environment
-/// (parse + validate + scheduleFaults). Throws std::invalid_argument
-/// with an actionable message on a bad section; no-op when absent.
-/// Returns the schedule's landmarks for runWorkload's watchdog.
-ChaosLandmarks injectWorkloadChaos(const WorkloadRunSpec& spec, Environment& env);
+/// (chaos::injectSection). Throws std::invalid_argument with an
+/// actionable message on a bad section; no-op when absent. Returns the
+/// schedule's landmarks for runWorkload's watchdog.
+chaos::ChaosLandmarks injectWorkloadChaos(const WorkloadRunSpec& spec, Environment& env);
 
 /// Drive the source on the environment with the spec's retry settings,
 /// sample-interval override, and monitors. Pass injectWorkloadChaos's
 /// landmarks so recoverySec monitors know the restore time.
 WorkloadOutcome runWorkload(Environment& env, const WorkloadRunSpec& spec,
                             WorkloadSource& source, TraceLog* trace = nullptr,
-                            const ChaosLandmarks* landmarks = nullptr);
+                            const chaos::ChaosLandmarks* landmarks = nullptr);
 
 /// JSONL: one "summary" record (opLatency is null — never zeros — when
 /// no per-op distribution was collected), then one "sample" record per

@@ -482,6 +482,61 @@ TEST(ChaosRunner, TimelineIsDeterministic) {
   EXPECT_EQ(chaos::toJsonl(a), chaos::toJsonl(b));
 }
 
+// The drill's output bytes, pinned: the committed VAST CNode-failover
+// scenario and a DAOS target drill in the benchmark's shape. Any change
+// to the drill's issue loop, sampler or availability math shows up here
+// byte-for-byte, not just within the dip-shape tolerances above.
+constexpr const char* kCnodeFailoverJsonl = R"({"scenario":"cnode-failover","site":"Lassen","storage":"VAST","summary":{"degradedSec":30,"failedOps":0,"finalGBs":7.9658221567999998,"foregroundBytes":657129996288,"healthyGBs":7.9456894976000001,"lateCompletions":0,"maxGBs":8.0530636799999993,"meanGBs":7.3014444032000005,"minGBs":5.8586038271999996,"rebuildBytes":68719476736,"rebuildCompletedAtSec":60.584080783012446,"retries":0,"timeToRecoverSec":5}}
+{"GBs":7.8383153152,"activeFaults":0,"degraded":false,"endSec":5,"interval":0,"retries":0,"startSec":0}
+{"GBs":8.0530636799999993,"activeFaults":0,"degraded":false,"endSec":10,"interval":1,"retries":0,"startSec":5}
+{"GBs":7.8383153152,"activeFaults":0,"degraded":false,"endSec":15,"interval":2,"retries":0,"startSec":10}
+{"GBs":8.0530636799999993,"activeFaults":0,"degraded":false,"endSec":20,"interval":3,"retries":0,"startSec":15}
+{"GBs":7.8383153152,"activeFaults":0,"degraded":false,"endSec":25,"interval":4,"retries":0,"startSec":20}
+{"GBs":8.0530636799999993,"activeFaults":0,"degraded":false,"endSec":30,"interval":5,"retries":0,"startSec":25}
+{"GBs":5.9861106688000003,"activeFaults":2,"degraded":true,"endSec":35,"interval":6,"retries":0,"startSec":30}
+{"GBs":5.9055800319999996,"activeFaults":2,"degraded":true,"endSec":40,"interval":7,"retries":0,"startSec":35}
+{"GBs":6.0934848511999995,"activeFaults":2,"degraded":true,"endSec":45,"interval":8,"retries":0,"startSec":40}
+{"GBs":5.8586038271999996,"activeFaults":2,"degraded":true,"endSec":50,"interval":9,"retries":0,"startSec":45}
+{"GBs":6.0599304191999996,"activeFaults":2,"degraded":true,"endSec":55,"interval":10,"retries":0,"startSec":50}
+{"GBs":6.0397977599999999,"activeFaults":2,"degraded":true,"endSec":60,"interval":11,"retries":0,"startSec":55}
+{"GBs":7.8651588608000003,"activeFaults":0,"degraded":false,"endSec":65,"interval":12,"retries":0,"startSec":60}
+{"GBs":8.026220134399999,"activeFaults":0,"degraded":false,"endSec":70,"interval":13,"retries":0,"startSec":65}
+{"GBs":7.9993765888000006,"activeFaults":0,"degraded":false,"endSec":75,"interval":14,"retries":0,"startSec":70}
+{"GBs":7.9524003839999997,"activeFaults":0,"degraded":false,"endSec":80,"interval":15,"retries":0,"startSec":75}
+{"GBs":7.9993765888000006,"activeFaults":0,"degraded":false,"endSec":85,"interval":16,"retries":0,"startSec":80}
+{"GBs":7.9658221567999998,"activeFaults":0,"degraded":false,"endSec":90,"interval":17,"retries":0,"startSec":85}
+)";
+
+constexpr const char* kDaosTargetDrillJsonl = R"({"scenario":"daos-target-drill","site":"Lassen","storage":"DAOS","summary":{"degradedSec":8,"failedOps":0,"finalGBs":21.93620992,"foregroundBytes":410160988160,"healthyGBs":21.550333951999999,"lateCompletions":10,"maxGBs":21.93620992,"meanGBs":20.508049407999998,"minGBs":17.767071743999999,"rebuildBytes":0,"rebuildCompletedAtSec":-1,"retries":10,"timeToRecoverSec":2}}
+{"GBs":21.550333951999999,"activeFaults":0,"degraded":false,"endSec":2,"interval":0,"retries":0,"startSec":0}
+{"GBs":17.800626176000002,"activeFaults":1,"degraded":true,"endSec":4,"interval":1,"retries":0,"startSec":2}
+{"GBs":17.767071743999999,"activeFaults":1,"degraded":true,"endSec":6,"interval":2,"retries":0,"startSec":4}
+{"GBs":18.543017983999999,"activeFaults":1,"degraded":true,"endSec":8,"interval":3,"retries":10,"startSec":6}
+{"GBs":19.998441472,"activeFaults":1,"degraded":true,"endSec":10,"interval":4,"retries":0,"startSec":8}
+{"GBs":21.793603584,"activeFaults":0,"degraded":false,"endSec":12,"interval":5,"retries":0,"startSec":10}
+{"GBs":21.906849791999999,"activeFaults":0,"degraded":false,"endSec":14,"interval":6,"retries":0,"startSec":12}
+{"GBs":21.911044096000001,"activeFaults":0,"degraded":false,"endSec":16,"interval":7,"retries":0,"startSec":14}
+{"GBs":21.87329536,"activeFaults":0,"degraded":false,"endSec":18,"interval":8,"retries":0,"startSec":16}
+{"GBs":21.93620992,"activeFaults":0,"degraded":false,"endSec":20,"interval":9,"retries":0,"startSec":18}
+)";
+
+TEST(ChaosRunner, DrillOutputBytesArePinned) {
+  ChaosSpec spec;
+  std::string err;
+  ASSERT_TRUE(chaos::parseChaosSpec(acceptanceScenario(), spec, err)) << err;
+  EXPECT_EQ(chaos::toJsonl(chaos::runChaos(spec)), kCnodeFailoverJsonl);
+
+  const ChaosSpec daos = specFromText(R"({
+    "name": "daos-target-drill", "site": "lassen", "storage": "daos",
+    "workload": {"nodes": 4, "procsPerNode": 8, "access": "seq-write",
+                 "requestBytes": 8388608},
+    "horizonSec": 20, "intervalSec": 2, "retry": {"timeoutSec": 5},
+    "events": [
+      {"atSec": 2, "action": "fail", "component": "target", "index": 3},
+      {"atSec": 10, "action": "restore", "component": "target", "index": 3}]})");
+  EXPECT_EQ(chaos::toJsonl(chaos::runChaos(daos)), kDaosTargetDrillJsonl);
+}
+
 TEST(ChaosRunner, InvalidScheduleThrowsWithEveryProblem) {
   ChaosSpec spec = specFromText(R"({"events": [
     {"atSec": 1, "action": "restore", "component": "cnode", "index": 0},

@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <tuple>
 
 #include "config/serialize.hpp"
 
@@ -146,6 +148,21 @@ TEST(Cli, DumpConfigEmitsValidJson) {
   EXPECT_DOUBLE_EQ(v.numberOr("nconnect", 0), 16.0);
 }
 
+// The preset comes from the backend table, so dump-config rejects the
+// site/storage pairs makeEnvironment rejects, with the same message.
+TEST(Cli, DumpConfigFollowsSiteRules) {
+  for (const auto& [site, storage, rule] :
+       {std::tuple{"wombat", "gpfs", "only tests GPFS on Lassen"},
+        std::tuple{"lassen", "nvme", "node-local NVMe is only on Wombat"}}) {
+    std::string out, err, iorErr;
+    EXPECT_NE(runCli({"dump-config", "--site", site, "--storage", storage}, &out, &err), 0);
+    EXPECT_TRUE(out.empty()) << out;
+    EXPECT_NE(err.find(rule), std::string::npos) << err;
+    runCli({"ior", "--site", site, "--storage", storage}, nullptr, &iorErr);
+    EXPECT_EQ(err, iorErr);
+  }
+}
+
 // ---- chaos command ----
 
 std::string writeTempSpec(const std::string& name, const std::string& text) {
@@ -221,6 +238,71 @@ TEST(Cli, ChaosRunsScenarioAndWritesTimeline) {
   std::getline(written, firstLine);
   std::remove(outPath.c_str());
   EXPECT_NE(firstLine.find("\"scenario\""), std::string::npos);
+}
+
+TEST(Cli, ChaosTelemetryPrintsGaugesWithoutChangingResults) {
+  const std::string path = writeTempSpec("chaos_telemetry", R"({
+    "name": "cli-telemetry", "site": "lassen", "storage": "vast",
+    "workload": {"nodes": 2, "procsPerNode": 4, "requestBytes": 8388608},
+    "horizonSec": 6, "intervalSec": 2,
+    "events": [
+      {"atSec": 2, "action": "fail", "component": "cnode", "index": 0},
+      {"atSec": 4, "action": "restore", "component": "cnode", "index": 0}]})");
+  const std::string plainPath = "/tmp/hcsim_cli_chaos_plain.jsonl";
+  const std::string telPath = "/tmp/hcsim_cli_chaos_tel.jsonl";
+  std::string plainOut, telOut;
+  EXPECT_EQ(runCli({"chaos", path, "--out", plainPath}, &plainOut), 0);
+  EXPECT_EQ(runCli({"chaos", path, "--out", telPath, "--telemetry"}, &telOut), 0);
+  std::remove(path.c_str());
+  EXPECT_EQ(plainOut.find("chaos.degraded_sec"), std::string::npos);
+  EXPECT_NE(telOut.find("chaos.degraded_sec"), std::string::npos) << telOut;
+  const auto slurp = [](const std::string& p) {
+    std::ifstream f(p, std::ios::binary);
+    std::stringstream ss;
+    ss << f.rdbuf();
+    std::remove(p.c_str());
+    return ss.str();
+  };
+  const std::string plain = slurp(plainPath);
+  EXPECT_FALSE(plain.empty());
+  EXPECT_EQ(plain, slurp(telPath));
+}
+
+// Nonsense header and drill values fail at parse time with one
+// actionable line and exit 2, in both spec dialects.
+TEST(Cli, NonsenseSpecValuesExitTwoWithOneLine) {
+  const std::string ior = R"("workload": {"generator": "ior", "nodes": 1, "procsPerNode": 2,
+                                          "segments": 4})";
+  const std::string badEvent =
+      R"("events": [{"atSec": 1, "action": "fail", "component": "cnode", "index": -1}])";
+  struct Case {
+    const char* command;
+    std::string spec;
+    const char* problem;
+  };
+  const Case cases[] = {
+      {"chaos", R"({"workload": {"nodes": -3}})", "workload.nodes: must be a positive integer"},
+      {"chaos", R"({"workload": {"requestBytes": -5}})", "workload.requestBytes: must be > 0"},
+      {"chaos", R"({"retry": {"timeoutSec": -1}})", "retry.timeoutSec: must be > 0"},
+      {"chaos", R"({"retry": {"maxRetries": -1}})", "retry.maxRetries: must be a non-negative"},
+      {"chaos", R"({"retry": {"backoffBaseSec": -0.5}})", "retry.backoffBaseSec: must be >= 0"},
+      {"chaos", R"({"retry": {"backoffMultiplier": 0.5}})", "retry.backoffMultiplier: must be >= 1"},
+      {"chaos", "{" + badEvent + "}", "events[0]: 'index' must be a non-negative integer"},
+      {"workload", "{" + ior + R"(, "retry": {"timeoutSec": -1}})", "retry.timeoutSec: must be > 0"},
+      {"workload", "{" + ior + R"(, "retry": {"maxRetries": -1}})",
+       "retry.maxRetries: must be a non-negative"},
+      {"workload", "{" + ior + R"(, "chaos": {)" + badEvent + "}}",
+       "events[0]: 'index' must be a non-negative integer"},
+  };
+  for (const Case& c : cases) {
+    const std::string path = writeTempSpec("nonsense", c.spec);
+    std::string err;
+    EXPECT_EQ(runCli({c.command, path}, nullptr, &err), 2) << c.spec;
+    std::remove(path.c_str());
+    EXPECT_NE(err.find(c.problem), std::string::npos) << c.spec << "\n" << err;
+    const std::size_t lines = static_cast<std::size_t>(std::count(err.begin(), err.end(), '\n'));
+    EXPECT_LE(lines, 2u) << err;  // "error: <spec>:" plus at most one problem line
+  }
 }
 
 TEST(Cli, HelpMentionsChaos) {

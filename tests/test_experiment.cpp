@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace hcsim {
 namespace {
 
@@ -35,6 +37,36 @@ TEST(Experiment, RejectsCombinationsThePaperDoesNotDefine) {
   EXPECT_THROW(makeEnvironment(Site::Lassen, StorageKind::Lustre, 1), std::invalid_argument);
   EXPECT_THROW(makeEnvironment(Site::Lassen, StorageKind::NvmeLocal, 1), std::invalid_argument);
   EXPECT_THROW(makeEnvironment(Site::Wombat, StorageKind::Lustre, 1), std::invalid_argument);
+}
+
+// backendInfo()/siteInfo() index the tables by enum value, and every
+// name parser and preset lookup reads the same rows.
+TEST(BackendTable, RowsSitInEnumOrderAndServeEverySite) {
+  for (std::size_t i = 0; i < siteTable().size(); ++i) {
+    const SiteInfo& row = siteTable()[i];
+    EXPECT_EQ(static_cast<std::size_t>(row.site), i);
+    Site parsed;
+    ASSERT_TRUE(parseSite(row.name, parsed));
+    EXPECT_EQ(parsed, row.site);
+  }
+  for (std::size_t i = 0; i < backendTable().size(); ++i) {
+    const BackendInfo& row = backendTable()[i];
+    EXPECT_EQ(static_cast<std::size_t>(row.kind), i);
+    StorageKind parsed;
+    ASSERT_TRUE(parseStorage(row.name, parsed));
+    EXPECT_EQ(parsed, row.kind);
+    for (const SiteInfo& site : siteTable()) {
+      const bool runs =
+          std::find(row.sites.begin(), row.sites.end(), site.site) != row.sites.end();
+      if (runs) {
+        EXPECT_TRUE(presetJson(site.site, row.kind).isObject()) << row.name << "@" << site.name;
+      } else {
+        EXPECT_THROW(presetJson(site.site, row.kind), std::invalid_argument);
+      }
+    }
+  }
+  EXPECT_EQ(storageNames(), "vast|gpfs|lustre|nvme|daos");
+  EXPECT_TRUE(backendInfo(StorageKind::Daos).oracleKnobs.empty());
 }
 
 TEST(Experiment, NodeSweepReturnsOnePointPerCount) {

@@ -26,7 +26,7 @@ using oracle::RelationRegistry;
 // ---------- config path enumeration ----------
 
 TEST(JsonPaths, EnumeratesSerializerLeavesInOrder) {
-  const JsonValue preset = oracle::presetJson(Site::Lassen, StorageKind::Vast);
+  const JsonValue preset = presetJson(Site::Lassen, StorageKind::Vast);
   const auto paths = enumerateJsonPaths(preset);
   ASSERT_FALSE(paths.empty());
   for (std::size_t i = 1; i < paths.size(); ++i) {
@@ -40,7 +40,7 @@ TEST(JsonPaths, EnumeratesSerializerLeavesInOrder) {
 }
 
 TEST(JsonPaths, NumericPathLookup) {
-  const JsonValue preset = oracle::presetJson(Site::Wombat, StorageKind::NvmeLocal);
+  const JsonValue preset = presetJson(Site::Wombat, StorageKind::NvmeLocal);
   EXPECT_TRUE(hasNumericPath(preset, "drivesPerNode"));
   EXPECT_TRUE(hasNumericPath(preset, "drive.readBandwidth"));
   EXPECT_FALSE(hasNumericPath(preset, "noSuchKnob"));
@@ -339,7 +339,7 @@ TEST(Golden, PerturbedModelConstantFailsWithNamedCell) {
   perturbed.spec.base = sweep::deepCopy(fig.spec.base);
   ASSERT_TRUE(sweep::jsonPathSet(
       perturbed.spec.base, "storageConfig.drive.readBandwidth",
-      JsonValue(2.0 * numberAtPath(oracle::presetJson(Site::Wombat, StorageKind::NvmeLocal),
+      JsonValue(2.0 * numberAtPath(presetJson(Site::Wombat, StorageKind::NvmeLocal),
                                    "drive.readBandwidth", 0.0))));
   const oracle::FigureCheck check = oracle::checkFigure(perturbed, dir, 2, 2.0);
   EXPECT_FALSE(check.pass());

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "cli/args.hpp"
 #include "cli/commands.hpp"
 #include "core/experiment.hpp"
+#include "probe/flight_recorder.hpp"
 #include "sweep/result_sink.hpp"
 #include "sweep/sweep_runner.hpp"
 #include "telemetry/metrics_registry.hpp"
@@ -227,6 +229,38 @@ TEST(WorkloadChaos, OpenLoopFailSlowDegradesAndRecovers) {
   ASSERT_GT(healthy, 0.0);
   EXPECT_LT(degraded, 0.9 * healthy) << "fail-slow did not dent goodput";
   EXPECT_GT(recovered, 0.7 * healthy) << "restore did not recover goodput";
+}
+
+// Retry-layer records name the client whose request timed out, not the
+// runner's anonymous per-rank session.
+TEST(WorkloadChaos, RetryRecordsCarryTheRequestClient) {
+  const JsonValue doc = mustParse(R"({
+    "site":"wombat","storage":"nvme",
+    "workload":{"generator":"openloop","clients":8,"clientsPerNode":4,
+      "ratePerClientHz":50,"horizonSec":4,"objects":64,"objectBytes":4194304,
+      "requestBytes":1048576,"readFraction":0,"seed":3},
+    "retry":{"timeoutSec":0.5},
+    "chaos":{"events":[
+      {"atSec":1,"action":"fail","component":"drive","index":0},
+      {"atSec":3,"action":"restore","component":"drive","index":0}]}})");
+  WorkloadRunSpec spec;
+  std::vector<std::string> problems;
+  workload::parseWorkloadSpec(doc, spec, problems);
+  workload::SourceBundle bundle = workload::makeSource(spec, problems);
+  ASSERT_TRUE(problems.empty()) << problems.front();
+  Environment env = makeEnvironment(spec.site, spec.storage, bundle.nodes, nullptr);
+  workload::injectWorkloadChaos(spec, env);
+  const workload::WorkloadOutcome out = workload::runWorkload(env, spec, *bundle.source);
+  ASSERT_GT(out.retries, 0u);
+
+  std::set<std::uint32_t> subjects;
+  for (const probe::Record& r : env.bench->recorder().snapshot()) {
+    if (r.kind == probe::RecordKind::RetryTimeout || r.kind == probe::RecordKind::OpFailed ||
+        r.kind == probe::RecordKind::LateCompletion) {
+      subjects.insert(r.subject);
+    }
+  }
+  EXPECT_GE(subjects.size(), 2u);
 }
 
 // ---- io500 relations, direct ----
