@@ -2,7 +2,8 @@
 // geometry: would upgrading Lassen's single TCP gateway (latency) or
 // raising the per-client NFS session cap change IOR read bandwidth?
 // The axes address VastConfig fields through the same JSON paths that
-// `hcsim dump-config` emits, merged leniently onto the site preset.
+// `hcsim dump-config` emits, read onto the site preset (unstated keys
+// keep the preset's values; a misspelled key fails the trial).
 
 #include <cstdio>
 

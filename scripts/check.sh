@@ -2,9 +2,10 @@
 # Release-build gate: configure + build EVERYTHING (library, tests,
 # benches, examples — a bench that fails to compile fails this script),
 # run the full test suite, then smoke-test the sweep engine, the trial
-# cache (byte-identity cold/warm), the regression oracle, the telemetry
-# layer (jobs-determinism with --telemetry on, strip-identity against
-# the telemetry-off JSONL, and gateway attribution via `trace
+# cache (byte-identity cold/warm), the strict config reader (a
+# misspelled key fails every trial by name), the regression oracle, the
+# telemetry layer (jobs-determinism with --telemetry on, strip-identity
+# against the telemetry-off JSONL, and gateway attribution via `trace
 # --internal`), the chaos layer (fault-drill run-twice byte-identity,
 # chaos-sweep jobs independence, empty-schedule zero-cost identity
 # against the plain fig2 JSONL), the probe layer (satisfied-monitor
@@ -39,6 +40,19 @@ cmp "$OUT-8.jsonl" "$OUT-1.jsonl"
 test "$(wc -l < "$OUT-8.jsonl")" -ge 24
 grep -q '"ok":true' "$OUT-8.jsonl"
 head -1 "$OUT-8.csv" | grep -q '^trial,'
+
+# Strict-config gate: a misspelled "ior" key must not run as a flat,
+# plausible curve. Every trial fails without running, its JSONL error
+# names the dotted key, and `hcsim sweep` exits 1 (every trial failed).
+sed 's/"segments": 400,/"segments": 400, "segmentz": 400,/' \
+    "$ROOT/examples/specs/fig2.json" > "$BUILD/check-fig2-typo.json"
+TYPO_RC=0
+"$BUILD/src/hcsim" sweep --spec "$BUILD/check-fig2-typo.json" --jobs 8 \
+    --out "$OUT-typo.jsonl" >/dev/null || TYPO_RC=$?
+test "$TYPO_RC" -eq 1
+test "$(wc -l < "$OUT-typo.jsonl")" -ge 24
+test "$(grep -c '"error":"ior.segmentz: unknown key"' "$OUT-typo.jsonl")" \
+    -eq "$(wc -l < "$OUT-typo.jsonl")"
 
 # Trial-cache gate: a cached sweep must emit byte-identical JSONL to the
 # uncached run above — cold (writing the cache) and warm (served from it).

@@ -13,7 +13,7 @@
 //     "name": "cnode-failover",
 //     "site": "lassen",                 // lassen|ruby|quartz|wombat
 //     "storage": "vast",                // vast|gpfs|lustre|nvme|daos
-//     "storageConfig": { ... },         // lenient overrides, as in sweep
+//     "storageConfig": { ... },         // preset overrides, as in sweep
 //     "transport": { ... },             // optional hcsim::transport endpoint
 //                                       //   overrides ({} = declared profile)
 //     "workload": {

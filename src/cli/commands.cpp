@@ -3,7 +3,9 @@
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <ostream>
+#include <stdexcept>
 
 #include "chaos/chaos_runner.hpp"
 #include "config/serialize.hpp"
@@ -227,8 +229,9 @@ int cmdIor(const ArgParser& args, std::ostream& out, std::ostream& err) {
 
   IorConfig cfg;
   if (const auto path = args.get("--config")) {
-    if (!loadConfig(*path, cfg)) {
-      err << "error: cannot load IOR config from " << *path << "\n";
+    std::string why;
+    if (!loadConfig(*path, cfg, &why)) {
+      err << "error: cannot load IOR config: " << why << "\n";
       return 2;
     }
   } else {
@@ -266,8 +269,9 @@ int cmdDlio(const ArgParser& args, std::ostream& out, std::ostream& err) {
 
   DlioConfig cfg;
   if (const auto path = args.get("--config")) {
-    if (!loadConfig(*path, cfg)) {
-      err << "error: cannot load DLIO config from " << *path << "\n";
+    std::string why;
+    if (!loadConfig(*path, cfg, &why)) {
+      err << "error: cannot load DLIO config: " << why << "\n";
       return 2;
     }
   } else {
@@ -447,6 +451,21 @@ int cmdSweep(const ArgParser& args, std::ostream& out, std::ostream& err) {
   return allFailed ? 1 : 0;
 }
 
+/// makeEnvironment for a parsed spec. A storageConfig or transport
+/// section the config reader (or the model's validate()) rejects is a
+/// spec problem like any other: one line, exit 2. A site/storage pair
+/// without a deployment still throws, as for `hcsim ior` (exit 1).
+std::optional<Environment> specEnvironment(const SpecHeader& spec, std::size_t nodes,
+                                           const std::string& what, std::ostream& err) {
+  requireSite(spec.storage, spec.site);
+  try {
+    return makeEnvironment(spec, nodes);
+  } catch (const std::invalid_argument& ex) {
+    err << "error: invalid " << what << ":\n  - " << ex.what() << "\n";
+    return std::nullopt;
+  }
+}
+
 int cmdChaos(const ArgParser& args, std::ostream& out, std::ostream& err) {
   std::string specPath = args.positionalOr(1, "");
   if (const auto opt = args.get("--spec")) specPath = *opt;
@@ -460,7 +479,10 @@ int cmdChaos(const ArgParser& args, std::ostream& out, std::ostream& err) {
     err << "error: " << parseErr << "\n";
     return 2;
   }
-  Environment env = makeEnvironment(spec, spec.workload.nodes);
+  std::optional<Environment> made =
+      specEnvironment(spec, spec.workload.nodes, "scenario " + specPath, err);
+  if (!made) return 2;
+  Environment& env = *made;
   // Validate before running so every schedule problem surfaces at once
   // with an actionable message and a distinct exit code.
   const std::vector<std::string> problems =
@@ -521,7 +543,10 @@ int cmdWorkload(const ArgParser& args, std::ostream& out, std::ostream& err) {
     for (const std::string& p : problems) err << "  - " << p << "\n";
     return 2;
   }
-  Environment env = makeEnvironment(spec, bundle.nodes);
+  std::optional<Environment> made =
+      specEnvironment(spec, bundle.nodes, "workload spec " + specPath, err);
+  if (!made) return 2;
+  Environment& env = *made;
   if (args.has("--telemetry")) env.bench->telemetry().setEnabled(true);
   chaos::ChaosLandmarks landmarks;
   try {

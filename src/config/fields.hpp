@@ -1,0 +1,219 @@
+#pragma once
+// One field list per config struct, walked by one writer and one reader.
+//
+// A serializable struct states its JSON keys exactly once:
+//
+//   template <class IO>
+//   void fields(IO& io, HddSpec& s) {
+//     io("name", s.name);
+//     io("streamBandwidth", s.streamBandwidth);
+//     io("seekTime", s.seekTime);
+//   }
+//
+// writeFields() walks that list to build the JSON object, readFields()
+// walks it to read one back, so a key can never be written but not read.
+// Member types: double, bool, std::string, unsigned integers, enums
+// (spelled by enumName) and nested structs with their own field list.
+// Two list entries carry extra behaviour:
+//   io.omitWhen(key, member, v)  — not written while member == v;
+//   io.preset(key, member, fn)   — on read, fn(value) runs before the
+//                                  keys after it are applied.
+//
+// The reader is strict at the boundary. Absent keys keep the struct's
+// current values, but an unknown key, an enum string that does not
+// parse, a value of the wrong JSON type, or a negative, non-finite or
+// out-of-range number for an unsigned field fails the read with one line
+// naming the dotted key: "ior.access: must be seq-read|... (got 'x')".
+// Fractional numbers for unsigned fields truncate toward zero.
+
+#include <algorithm>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <type_traits>
+#include <vector>
+
+#include "util/json.hpp"
+
+namespace hcsim {
+
+/// The JSON spelling of an enum value. Defaults to toString(); an enum
+/// whose display name differs declares a closer enumName overload. Both
+/// return "?" past the last enumerator, which ends the value scan.
+template <class E>
+  requires std::is_enum_v<E>
+const char* enumName(E e) {
+  return toString(e);
+}
+
+/// Every spelling of E, joined by '|': "seq-read|seq-write|...".
+template <class E>
+std::string enumChoices() {
+  std::string s;
+  for (int i = 0; std::strcmp(enumName(static_cast<E>(i)), "?") != 0; ++i) {
+    if (i > 0) s += '|';
+    s += enumName(static_cast<E>(i));
+  }
+  return s;
+}
+
+/// Parse an enum from its JSON spelling; false leaves `out` untouched.
+template <class E>
+bool parseEnum(const JsonValue& j, E& out) {
+  const std::string* s = j.str();
+  if (s == nullptr) return false;
+  for (int i = 0;; ++i) {
+    const char* name = enumName(static_cast<E>(i));
+    if (std::strcmp(name, "?") == 0) return false;
+    if (*s == name) {
+      out = static_cast<E>(i);
+      return true;
+    }
+  }
+}
+
+template <class T>
+JsonValue writeFields(const T& c);
+template <class T>
+std::string readFields(const JsonValue& j, T& out, const std::string& path);
+
+class FieldWriter {
+ public:
+  template <class T>
+  void operator()(const char* key, const T& v) {
+    obj_[key] = encode(v);
+  }
+  template <class T>
+  void omitWhen(const char* key, const T& v, const T& skip) {
+    if (!(v == skip)) (*this)(key, v);
+  }
+  template <class T, class Apply>
+  void preset(const char* key, const T& v, Apply&&) {
+    (*this)(key, v);
+  }
+  JsonObject take() { return std::move(obj_); }
+
+  template <class T>
+  static JsonValue encode(const T& v) {
+    if constexpr (std::is_same_v<T, bool> || std::is_same_v<T, double> ||
+                  std::is_same_v<T, std::string>) {
+      return JsonValue(v);
+    } else if constexpr (std::is_enum_v<T>) {
+      return JsonValue(std::string(enumName(v)));
+    } else if constexpr (std::is_unsigned_v<T>) {
+      return JsonValue(static_cast<double>(v));
+    } else {
+      return writeFields(v);
+    }
+  }
+
+ private:
+  JsonObject obj_;
+};
+
+class FieldReader {
+ public:
+  FieldReader(const JsonObject& obj, const std::string& path) : obj_(obj), path_(path) {}
+
+  template <class T>
+  void operator()(const char* key, T& v) {
+    if (const JsonValue* j = claim(key)) decode(key, *j, v);
+  }
+  template <class T>
+  void omitWhen(const char* key, T& v, const T&) {
+    (*this)(key, v);
+  }
+  template <class T, class Apply>
+  void preset(const char* key, T& v, Apply&& apply) {
+    T parsed = v;
+    if (const JsonValue* j = claim(key); j && decode(key, *j, parsed)) apply(parsed);
+  }
+
+  /// "" when every key parsed, else the first problem — an unknown key
+  /// only when every known one was fine.
+  std::string finish() {
+    if (error_.empty() && claimed_ < obj_.size()) {
+      for (const auto& kv : obj_) {
+        const auto named = [&kv](const char* k) { return kv.first == k; };
+        if (std::none_of(known_.begin(), known_.end(), named)) {
+          return dotted(kv.first.c_str()) + ": unknown key";
+        }
+      }
+    }
+    return error_;
+  }
+
+ private:
+  const JsonValue* claim(const char* key) {
+    known_.push_back(key);
+    if (!error_.empty()) return nullptr;
+    const auto it = obj_.find(key);
+    if (it == obj_.end()) return nullptr;
+    ++claimed_;
+    return &it->second;
+  }
+
+  std::string dotted(const char* key) const { return path_.empty() ? key : path_ + "." + key; }
+
+  bool fail(const char* key, const std::string& what, const JsonValue& got) {
+    error_ = dotted(key) + ": " + what + " (got " +
+             (got.isString() ? "'" + *got.str() + "'" : writeJson(got)) + ")";
+    return false;
+  }
+
+  template <class T>
+  bool decode(const char* key, const JsonValue& j, T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      if (!j.isBool()) return fail(key, "must be true or false", j);
+      v = *j.boolean();
+    } else if constexpr (std::is_same_v<T, double>) {
+      if (!j.isNumber()) return fail(key, "must be a number", j);
+      v = *j.number();
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      if (!j.isString()) return fail(key, "must be a string", j);
+      v = *j.str();
+    } else if constexpr (std::is_enum_v<T>) {
+      if (!parseEnum(j, v)) return fail(key, "must be " + enumChoices<T>(), j);
+    } else if constexpr (std::is_unsigned_v<T>) {
+      // 2^digits: the first value T cannot hold (exact as a double).
+      constexpr double kLimit =
+          2.0 * static_cast<double>(T{1} << (std::numeric_limits<T>::digits - 1));
+      const double* d = j.number();
+      if (d == nullptr || !(*d >= 0.0 && *d < kLimit)) {
+        return fail(key, "must be a non-negative integer", j);
+      }
+      v = static_cast<T>(*d);
+    } else {
+      error_ = readFields(j, v, dotted(key));
+      return error_.empty();
+    }
+    return true;
+  }
+
+  const JsonObject& obj_;
+  const std::string& path_;
+  std::vector<const char*> known_;
+  std::size_t claimed_ = 0;
+  std::string error_;
+};
+
+/// The JSON object of `c`'s field list.
+template <class T>
+JsonValue writeFields(const T& c) {
+  FieldWriter w;
+  fields(w, const_cast<T&>(c));  // field lists take T&; the writer only reads
+  return JsonValue(w.take());
+}
+
+/// Read `j` onto `out` through its field list. Returns "" on success,
+/// else one line naming the dotted key under `path`.
+template <class T>
+std::string readFields(const JsonValue& j, T& out, const std::string& path) {
+  const JsonObject* obj = j.object();
+  if (obj == nullptr) return (path.empty() ? "" : path + ": ") + "must be an object";
+  FieldReader r(*obj, path);
+  fields(r, out);
+  return r.finish();
+}
+
+}  // namespace hcsim

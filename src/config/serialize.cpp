@@ -2,607 +2,296 @@
 
 #include <fstream>
 #include <sstream>
-#include <type_traits>
+
+#include "config/fields.hpp"
 
 namespace hcsim {
 
-namespace {
-
-// Field helpers: read-if-present (lenient deserialization).
-void get(const JsonValue& j, const char* key, double& out) {
-  if (const JsonValue* v = j.find(key); v && v->isNumber()) out = *v->number();
-}
-// One overload for every unsigned integral width (size_t and uint64_t are
-// the same type on this ABI; a template avoids the redefinition).
-template <typename UInt>
-  requires std::is_unsigned_v<UInt>
-void get(const JsonValue& j, const char* key, UInt& out) {
-  if (const JsonValue* v = j.find(key); v && v->isNumber()) {
-    out = static_cast<UInt>(*v->number());
+// NFS mounts are spelled by protocol alone in configs ("tcp"); toString
+// keeps the display name ("NFS/TCP").
+const char* enumName(NfsTransport t) {
+  switch (t) {
+    case NfsTransport::Tcp: return "tcp";
+    case NfsTransport::Rdma: return "rdma";
   }
+  return "?";
 }
-void get(const JsonValue& j, const char* key, bool& out) {
-  if (const JsonValue* v = j.find(key); v && v->isBool()) out = *v->boolean();
+
+// ---- field lists: each serialized key, once ----
+
+template <class IO>
+void fields(IO& io, SsdSpec& s) {
+  io("name", s.name);
+  io("readBandwidth", s.readBandwidth);
+  io("writeBandwidth", s.writeBandwidth);
+  io("readLatency", s.readLatency);
+  io("writeLatency", s.writeLatency);
+  io("randomEfficiency", s.randomEfficiency);
 }
-void get(const JsonValue& j, const char* key, std::string& out) {
-  if (const JsonValue* v = j.find(key); v && v->isString()) out = *v->str();
+
+template <class IO>
+void fields(IO& io, HddSpec& s) {
+  io("name", s.name);
+  io("streamBandwidth", s.streamBandwidth);
+  io("seekTime", s.seekTime);
 }
-template <typename Enum>
-void getEnum(const JsonValue& j, const char* key, Enum& out) {
-  if (const JsonValue* v = j.find(key)) fromJson(*v, out);
+
+template <class IO>
+void fields(IO& io, Machine& m) {
+  io("name", m.name);
+  io("nodes", m.nodes);
+  io("coresPerNode", m.coresPerNode);
+  io("gpusPerNode", m.gpusPerNode);
+  io("ramGiB", m.ramGiB);
+  io("arch", m.arch);
+  io("network", m.network);
+  io("nodeInjection", m.nodeInjection);
+  io("nicLatency", m.nicLatency);
 }
+
+template <class IO>
+void fields(IO& io, GatewaySpec& g) {
+  io("present", g.present);
+  io("nodes", g.nodes);
+  io("linksPerNode", g.linksPerNode);
+  io("linkBandwidth", g.linkBandwidth);
+  io("latency", g.latency);
+}
+
+template <class IO>
+void fields(IO& io, VastConfig& c) {
+  io("name", c.name);
+  io("cnodes", c.cnodes);
+  io("dboxes", c.dboxes);
+  io("dnodesPerBox", c.dnodesPerBox);
+  io("qlcPerBox", c.qlcPerBox);
+  io("scmPerBox", c.scmPerBox);
+  io("qlcSpec", c.qlcSpec);
+  io("scmSpec", c.scmSpec);
+  io("qlcCapacityEach", c.qlcCapacityEach);
+  io("scmCapacityEach", c.scmCapacityEach);
+  io("cnodeReadBandwidth", c.cnodeReadBandwidth);
+  io("cnodeWriteBandwidth", c.cnodeWriteBandwidth);
+  io("fabricLinksPerBox", c.fabricLinksPerBox);
+  io("fabricLinkBandwidth", c.fabricLinkBandwidth);
+  io("fabricLatency", c.fabricLatency);
+  io("dataReductionRatio", c.dataReductionRatio);
+  io("dnodeCacheBytes", c.dnodeCacheBytes);
+  io("defaultReadCacheHitRatio", c.defaultReadCacheHitRatio);
+  io("transport", c.transport);
+  io("nconnect", c.nconnect);
+  io("multipath", c.multipath);
+  io("gateway", c.gateway);
+  io("tcpSessionCap", c.tcpSessionCap);
+  io("rdmaSessionCap", c.rdmaSessionCap);
+  io("tcpGatewayPipeCap", c.tcpGatewayPipeCap);
+  io("tcpRpcLatency", c.tcpRpcLatency);
+  io("rdmaRpcLatency", c.rdmaRpcLatency);
+  io("commitLatency", c.commitLatency);
+  io("cnodeCommitService", c.cnodeCommitService);
+  io("metadataServiceTime", c.metadataServiceTime);
+  io("metadataSharedDirPenalty", c.metadataSharedDirPenalty);
+  io("sharedFileLockLatency", c.sharedFileLockLatency);
+  io("sharedFileEfficiency", c.sharedFileEfficiency);
+}
+
+template <class IO>
+void fields(IO& io, GpfsConfig& c) {
+  io("name", c.name);
+  io("nsdServers", c.nsdServers);
+  io("serverReadBandwidth", c.serverReadBandwidth);
+  io("serverWriteBandwidth", c.serverWriteBandwidth);
+  io("hdd", c.hdd);
+  io("spindlesPerServer", c.spindlesPerServer);
+  io("raidParityOverhead", c.raidParityOverhead);
+  io("serverCacheBytes", c.serverCacheBytes);
+  io("randomCacheResidencyFactor", c.randomCacheResidencyFactor);
+  io("randomCacheDecayBytes", c.randomCacheDecayBytes);
+  io("prefetchChurnPerGiB", c.prefetchChurnPerGiB);
+  io("clientReadCap", c.clientReadCap);
+  io("clientWriteCap", c.clientWriteCap);
+  io("rpcLatency", c.rpcLatency);
+  io("commitLatency", c.commitLatency);
+  io("randomReadPenalty", c.randomReadPenalty);
+  io("metadataServiceTime", c.metadataServiceTime);
+  io("metadataSharedDirPenalty", c.metadataSharedDirPenalty);
+  io("sharedFileLockLatency", c.sharedFileLockLatency);
+  io("sharedFileEfficiency", c.sharedFileEfficiency);
+  io("capacityTotal", c.capacityTotal);
+}
+
+template <class IO>
+void fields(IO& io, LustreConfig& c) {
+  io("name", c.name);
+  io("mdsCount", c.mdsCount);
+  io("mdsLatency", c.mdsLatency);
+  io("metadataServiceTime", c.metadataServiceTime);
+  io("metadataSharedDirPenalty", c.metadataSharedDirPenalty);
+  io("sharedFileLockLatency", c.sharedFileLockLatency);
+  io("sharedFileEfficiency", c.sharedFileEfficiency);
+  io("ossCount", c.ossCount);
+  io("ossBandwidth", c.ossBandwidth);
+  io("hdd", c.hdd);
+  io("spindlesPerOss", c.spindlesPerOss);
+  io("raidz2Overhead", c.raidz2Overhead);
+  io("stripeCount", c.stripeCount);
+  io("clientCap", c.clientCap);
+  io("rpcLatency", c.rpcLatency);
+  io("commitLatency", c.commitLatency);
+  io("randomReadPenalty", c.randomReadPenalty);
+  io("capacityTotal", c.capacityTotal);
+}
+
+template <class IO>
+void fields(IO& io, NvmeLocalConfig& c) {
+  io("name", c.name);
+  io("drive", c.drive);
+  io("drivesPerNode", c.drivesPerNode);
+  io("capacityPerDrive", c.capacityPerDrive);
+  io("memoryBandwidth", c.memoryBandwidth);
+  io("dirtyLimitBytes", c.dirtyLimitBytes);
+  io("flushLatency", c.flushLatency);
+  io("syscallLatency", c.syscallLatency);
+  io("metadataServiceTime", c.metadataServiceTime);
+  io("sharedFileLockLatency", c.sharedFileLockLatency);
+  io("sharedFileEfficiency", c.sharedFileEfficiency);
+}
+
+template <class IO>
+void fields(IO& io, DaosConfig& c) {
+  io("name", c.name);
+  io("pools", c.pools);
+  io("targetsPerPool", c.targetsPerPool);
+  io("xstreamsPerTarget", c.xstreamsPerTarget);
+  io("targetBandwidth", c.targetBandwidth);
+  io("targetServiceTime", c.targetServiceTime);
+  io("randomEfficiency", c.randomEfficiency);
+  io("capacityPerTarget", c.capacityPerTarget);
+  io("redundancyGroupSize", c.redundancyGroupSize);
+  io("fsyncLatency", c.fsyncLatency);
+  io("metadataServiceTime", c.metadataServiceTime);
+  io("metadataSharedDirPenalty", c.metadataSharedDirPenalty);
+  io("sharedFileLockLatency", c.sharedFileLockLatency);
+  io("sharedFileEfficiency", c.sharedFileEfficiency);
+  io("fabric", c.fabric);
+}
+
+template <class IO>
+void fields(IO& io, UnifyFsConfig& c) {
+  io("name", c.name);
+  io("spillDevice", c.spillDevice);
+  io("spillDevicesPerNode", c.spillDevicesPerNode);
+  io("shmemBytes", c.shmemBytes);
+  io("memoryBandwidth", c.memoryBandwidth);
+  io("placement", c.placement);
+  io("serverThreadsPerNode", c.serverThreadsPerNode);
+  io("serverThreadBandwidth", c.serverThreadBandwidth);
+  io("metadataLatency", c.metadataLatency);
+  io("localRpcLatency", c.localRpcLatency);
+  io("remoteRpcLatency", c.remoteRpcLatency);
+  io("capacityPerNode", c.capacityPerNode);
+}
+
+template <class IO>
+void fields(IO& io, IorConfig& c) {
+  io("access", c.access);
+  io("blockSize", c.blockSize);
+  io("transferSize", c.transferSize);
+  io("segments", c.segments);
+  io("filePerProcess", c.filePerProcess);
+  io("fsyncPerWrite", c.fsyncPerWrite);
+  io("reorderTasks", c.reorderTasks);
+  io("stonewallSeconds", c.stonewallSeconds);
+  io("nodes", c.nodes);
+  io("procsPerNode", c.procsPerNode);
+  // Written only when aggregating, so legacy configs serialize unchanged.
+  io.omitWhen("clientsPerRank", c.clientsPerRank, std::size_t{1});
+  io("repetitions", c.repetitions);
+  io("mode", c.mode);
+  io("noiseStdDevFrac", c.noiseStdDevFrac);
+  io("seed", c.seed);
+}
+
+template <class IO>
+void fields(IO& io, DlioWorkload& w) {
+  io("name", w.name);
+  io("samples", w.samples);
+  io("sampleSize", w.sampleSize);
+  io("transferSize", w.transferSize);
+  io("batchSize", w.batchSize);
+  io("epochs", w.epochs);
+  io("ioThreads", w.ioThreads);
+  io("computeThreads", w.computeThreads);
+  io("prefetchDepth", w.prefetchDepth);
+  io("computeTimePerBatch", w.computeTimePerBatch);
+  io("scaling", w.scaling);
+  io("checkpointEvery", w.checkpointEvery);
+  io("checkpointBytes", w.checkpointBytes);
+}
+
+template <class IO>
+void fields(IO& io, DlioConfig& c) {
+  io("workload", c.workload);
+  io("nodes", c.nodes);
+  io("procsPerNode", c.procsPerNode);
+  io("seed", c.seed);
+  io("computeJitterFrac", c.computeJitterFrac);
+}
+
+template <class IO>
+void fields(IO& io, MdtestConfig& c) {
+  io("nodes", c.nodes);
+  io("procsPerNode", c.procsPerNode);
+  io("itemsPerProc", c.itemsPerProc);
+  io("uniqueDirPerTask", c.uniqueDirPerTask);
+  io("repetitions", c.repetitions);
+  io("noiseStdDevFrac", c.noiseStdDevFrac);
+  io("seed", c.seed);
+}
+
+// ---- public (de)serializers ----
+
+JsonValue toJson(AccessPattern p) { return FieldWriter::encode(p); }
+bool fromJson(const JsonValue& j, AccessPattern& out) { return parseEnum(j, out); }
+JsonValue toJson(NfsTransport t) { return FieldWriter::encode(t); }
+bool fromJson(const JsonValue& j, NfsTransport& out) { return parseEnum(j, out); }
+JsonValue toJson(ScalingMode m) { return FieldWriter::encode(m); }
+bool fromJson(const JsonValue& j, ScalingMode& out) { return parseEnum(j, out); }
+JsonValue toJson(UnifyFsPlacement p) { return FieldWriter::encode(p); }
+bool fromJson(const JsonValue& j, UnifyFsPlacement& out) { return parseEnum(j, out); }
+
+JsonValue toJson(const SsdSpec& s) { return writeFields(s); }
+bool fromJson(const JsonValue& j, SsdSpec& out) { return readFields(j, out, "").empty(); }
+JsonValue toJson(const HddSpec& s) { return writeFields(s); }
+bool fromJson(const JsonValue& j, HddSpec& out) { return readFields(j, out, "").empty(); }
+JsonValue toJson(const Machine& m) { return writeFields(m); }
+bool fromJson(const JsonValue& j, Machine& out) { return readFields(j, out, "").empty(); }
+JsonValue toJson(const GatewaySpec& g) { return writeFields(g); }
+bool fromJson(const JsonValue& j, GatewaySpec& out) { return readFields(j, out, "").empty(); }
+JsonValue toJson(const VastConfig& c) { return writeFields(c); }
+bool fromJson(const JsonValue& j, VastConfig& out) { return readFields(j, out, "").empty(); }
+JsonValue toJson(const GpfsConfig& c) { return writeFields(c); }
+bool fromJson(const JsonValue& j, GpfsConfig& out) { return readFields(j, out, "").empty(); }
+JsonValue toJson(const LustreConfig& c) { return writeFields(c); }
+bool fromJson(const JsonValue& j, LustreConfig& out) { return readFields(j, out, "").empty(); }
+JsonValue toJson(const NvmeLocalConfig& c) { return writeFields(c); }
+bool fromJson(const JsonValue& j, NvmeLocalConfig& out) { return readFields(j, out, "").empty(); }
+JsonValue toJson(const UnifyFsConfig& c) { return writeFields(c); }
+bool fromJson(const JsonValue& j, UnifyFsConfig& out) { return readFields(j, out, "").empty(); }
+JsonValue toJson(const DaosConfig& c) { return writeFields(c); }
+bool fromJson(const JsonValue& j, DaosConfig& out) { return readFields(j, out, "").empty(); }
+JsonValue toJson(const IorConfig& c) { return writeFields(c); }
+bool fromJson(const JsonValue& j, IorConfig& out) { return readFields(j, out, "").empty(); }
+JsonValue toJson(const DlioWorkload& w) { return writeFields(w); }
+bool fromJson(const JsonValue& j, DlioWorkload& out) { return readFields(j, out, "").empty(); }
+JsonValue toJson(const DlioConfig& c) { return writeFields(c); }
+bool fromJson(const JsonValue& j, DlioConfig& out) { return readFields(j, out, "").empty(); }
+JsonValue toJson(const MdtestConfig& c) { return writeFields(c); }
+bool fromJson(const JsonValue& j, MdtestConfig& out) { return readFields(j, out, "").empty(); }
+
 template <typename T>
-void getStruct(const JsonValue& j, const char* key, T& out) {
-  if (const JsonValue* v = j.find(key)) fromJson(*v, out);
-}
-
-}  // namespace
-
-// ---- enums ----
-
-JsonValue toJson(AccessPattern p) { return JsonValue(std::string(toString(p))); }
-
-bool fromJson(const JsonValue& j, AccessPattern& out) {
-  if (!j.isString()) return false;
-  const std::string& s = *j.str();
-  if (s == "seq-read") out = AccessPattern::SequentialRead;
-  else if (s == "seq-write") out = AccessPattern::SequentialWrite;
-  else if (s == "rand-read") out = AccessPattern::RandomRead;
-  else if (s == "rand-write") out = AccessPattern::RandomWrite;
-  else return false;
-  return true;
-}
-
-JsonValue toJson(NfsTransport t) {
-  return JsonValue(std::string(t == NfsTransport::Tcp ? "tcp" : "rdma"));
-}
-
-bool fromJson(const JsonValue& j, NfsTransport& out) {
-  if (!j.isString()) return false;
-  const std::string& s = *j.str();
-  if (s == "tcp") out = NfsTransport::Tcp;
-  else if (s == "rdma") out = NfsTransport::Rdma;
-  else return false;
-  return true;
-}
-
-JsonValue toJson(ScalingMode m) { return JsonValue(std::string(toString(m))); }
-
-bool fromJson(const JsonValue& j, ScalingMode& out) {
-  if (!j.isString()) return false;
-  if (*j.str() == "weak") out = ScalingMode::Weak;
-  else if (*j.str() == "strong") out = ScalingMode::Strong;
-  else return false;
-  return true;
-}
-
-JsonValue toJson(UnifyFsPlacement p) { return JsonValue(std::string(toString(p))); }
-
-bool fromJson(const JsonValue& j, UnifyFsPlacement& out) {
-  if (!j.isString()) return false;
-  if (*j.str() == "local-first") out = UnifyFsPlacement::LocalFirst;
-  else if (*j.str() == "striped") out = UnifyFsPlacement::Striped;
-  else return false;
-  return true;
-}
-
-// ---- device specs ----
-
-JsonValue toJson(const SsdSpec& s) {
-  JsonObject o;
-  o["name"] = s.name;
-  o["readBandwidth"] = s.readBandwidth;
-  o["writeBandwidth"] = s.writeBandwidth;
-  o["readLatency"] = s.readLatency;
-  o["writeLatency"] = s.writeLatency;
-  o["randomEfficiency"] = s.randomEfficiency;
-  return JsonValue(std::move(o));
-}
-
-bool fromJson(const JsonValue& j, SsdSpec& out) {
-  if (!j.isObject()) return false;
-  get(j, "name", out.name);
-  get(j, "readBandwidth", out.readBandwidth);
-  get(j, "writeBandwidth", out.writeBandwidth);
-  get(j, "readLatency", out.readLatency);
-  get(j, "writeLatency", out.writeLatency);
-  get(j, "randomEfficiency", out.randomEfficiency);
-  return true;
-}
-
-JsonValue toJson(const HddSpec& s) {
-  JsonObject o;
-  o["name"] = s.name;
-  o["streamBandwidth"] = s.streamBandwidth;
-  o["seekTime"] = s.seekTime;
-  return JsonValue(std::move(o));
-}
-
-bool fromJson(const JsonValue& j, HddSpec& out) {
-  if (!j.isObject()) return false;
-  get(j, "name", out.name);
-  get(j, "streamBandwidth", out.streamBandwidth);
-  get(j, "seekTime", out.seekTime);
-  return true;
-}
-
-// ---- machine & gateway ----
-
-JsonValue toJson(const Machine& m) {
-  JsonObject o;
-  o["name"] = m.name;
-  o["nodes"] = static_cast<double>(m.nodes);
-  o["coresPerNode"] = static_cast<double>(m.coresPerNode);
-  o["gpusPerNode"] = static_cast<double>(m.gpusPerNode);
-  o["ramGiB"] = static_cast<double>(m.ramGiB);
-  o["arch"] = m.arch;
-  o["network"] = m.network;
-  o["nodeInjection"] = m.nodeInjection;
-  o["nicLatency"] = m.nicLatency;
-  return JsonValue(std::move(o));
-}
-
-bool fromJson(const JsonValue& j, Machine& out) {
-  if (!j.isObject()) return false;
-  get(j, "name", out.name);
-  get(j, "nodes", out.nodes);
-  get(j, "coresPerNode", out.coresPerNode);
-  get(j, "gpusPerNode", out.gpusPerNode);
-  get(j, "ramGiB", out.ramGiB);
-  get(j, "arch", out.arch);
-  get(j, "network", out.network);
-  get(j, "nodeInjection", out.nodeInjection);
-  get(j, "nicLatency", out.nicLatency);
-  return true;
-}
-
-JsonValue toJson(const GatewaySpec& g) {
-  JsonObject o;
-  o["present"] = g.present;
-  o["nodes"] = static_cast<double>(g.nodes);
-  o["linksPerNode"] = static_cast<double>(g.linksPerNode);
-  o["linkBandwidth"] = g.linkBandwidth;
-  o["latency"] = g.latency;
-  return JsonValue(std::move(o));
-}
-
-bool fromJson(const JsonValue& j, GatewaySpec& out) {
-  if (!j.isObject()) return false;
-  get(j, "present", out.present);
-  get(j, "nodes", out.nodes);
-  get(j, "linksPerNode", out.linksPerNode);
-  get(j, "linkBandwidth", out.linkBandwidth);
-  get(j, "latency", out.latency);
-  return true;
-}
-
-// ---- VAST ----
-
-JsonValue toJson(const VastConfig& c) {
-  JsonObject o;
-  o["name"] = c.name;
-  o["cnodes"] = static_cast<double>(c.cnodes);
-  o["dboxes"] = static_cast<double>(c.dboxes);
-  o["dnodesPerBox"] = static_cast<double>(c.dnodesPerBox);
-  o["qlcPerBox"] = static_cast<double>(c.qlcPerBox);
-  o["scmPerBox"] = static_cast<double>(c.scmPerBox);
-  o["qlcSpec"] = toJson(c.qlcSpec);
-  o["scmSpec"] = toJson(c.scmSpec);
-  o["qlcCapacityEach"] = static_cast<double>(c.qlcCapacityEach);
-  o["scmCapacityEach"] = static_cast<double>(c.scmCapacityEach);
-  o["cnodeReadBandwidth"] = c.cnodeReadBandwidth;
-  o["cnodeWriteBandwidth"] = c.cnodeWriteBandwidth;
-  o["fabricLinksPerBox"] = static_cast<double>(c.fabricLinksPerBox);
-  o["fabricLinkBandwidth"] = c.fabricLinkBandwidth;
-  o["fabricLatency"] = c.fabricLatency;
-  o["dataReductionRatio"] = c.dataReductionRatio;
-  o["dnodeCacheBytes"] = static_cast<double>(c.dnodeCacheBytes);
-  o["defaultReadCacheHitRatio"] = c.defaultReadCacheHitRatio;
-  o["transport"] = toJson(c.transport);
-  o["nconnect"] = static_cast<double>(c.nconnect);
-  o["multipath"] = c.multipath;
-  o["gateway"] = toJson(c.gateway);
-  o["tcpSessionCap"] = c.tcpSessionCap;
-  o["rdmaSessionCap"] = c.rdmaSessionCap;
-  o["tcpGatewayPipeCap"] = c.tcpGatewayPipeCap;
-  o["tcpRpcLatency"] = c.tcpRpcLatency;
-  o["rdmaRpcLatency"] = c.rdmaRpcLatency;
-  o["commitLatency"] = c.commitLatency;
-  o["cnodeCommitService"] = c.cnodeCommitService;
-  o["metadataServiceTime"] = c.metadataServiceTime;
-  o["metadataSharedDirPenalty"] = c.metadataSharedDirPenalty;
-  o["sharedFileLockLatency"] = c.sharedFileLockLatency;
-  o["sharedFileEfficiency"] = c.sharedFileEfficiency;
-  return JsonValue(std::move(o));
-}
-
-bool fromJson(const JsonValue& j, VastConfig& out) {
-  if (!j.isObject()) return false;
-  get(j, "name", out.name);
-  get(j, "cnodes", out.cnodes);
-  get(j, "dboxes", out.dboxes);
-  get(j, "dnodesPerBox", out.dnodesPerBox);
-  get(j, "qlcPerBox", out.qlcPerBox);
-  get(j, "scmPerBox", out.scmPerBox);
-  getStruct(j, "qlcSpec", out.qlcSpec);
-  getStruct(j, "scmSpec", out.scmSpec);
-  get(j, "qlcCapacityEach", out.qlcCapacityEach);
-  get(j, "scmCapacityEach", out.scmCapacityEach);
-  get(j, "cnodeReadBandwidth", out.cnodeReadBandwidth);
-  get(j, "cnodeWriteBandwidth", out.cnodeWriteBandwidth);
-  get(j, "fabricLinksPerBox", out.fabricLinksPerBox);
-  get(j, "fabricLinkBandwidth", out.fabricLinkBandwidth);
-  get(j, "fabricLatency", out.fabricLatency);
-  get(j, "dataReductionRatio", out.dataReductionRatio);
-  get(j, "dnodeCacheBytes", out.dnodeCacheBytes);
-  get(j, "defaultReadCacheHitRatio", out.defaultReadCacheHitRatio);
-  getEnum(j, "transport", out.transport);
-  get(j, "nconnect", out.nconnect);
-  get(j, "multipath", out.multipath);
-  getStruct(j, "gateway", out.gateway);
-  get(j, "tcpSessionCap", out.tcpSessionCap);
-  get(j, "rdmaSessionCap", out.rdmaSessionCap);
-  get(j, "tcpGatewayPipeCap", out.tcpGatewayPipeCap);
-  get(j, "tcpRpcLatency", out.tcpRpcLatency);
-  get(j, "rdmaRpcLatency", out.rdmaRpcLatency);
-  get(j, "commitLatency", out.commitLatency);
-  get(j, "cnodeCommitService", out.cnodeCommitService);
-  get(j, "metadataServiceTime", out.metadataServiceTime);
-  get(j, "metadataSharedDirPenalty", out.metadataSharedDirPenalty);
-  get(j, "sharedFileLockLatency", out.sharedFileLockLatency);
-  get(j, "sharedFileEfficiency", out.sharedFileEfficiency);
-  return true;
-}
-
-// ---- GPFS ----
-
-JsonValue toJson(const GpfsConfig& c) {
-  JsonObject o;
-  o["name"] = c.name;
-  o["nsdServers"] = static_cast<double>(c.nsdServers);
-  o["serverReadBandwidth"] = c.serverReadBandwidth;
-  o["serverWriteBandwidth"] = c.serverWriteBandwidth;
-  o["hdd"] = toJson(c.hdd);
-  o["spindlesPerServer"] = static_cast<double>(c.spindlesPerServer);
-  o["raidParityOverhead"] = c.raidParityOverhead;
-  o["serverCacheBytes"] = static_cast<double>(c.serverCacheBytes);
-  o["randomCacheResidencyFactor"] = c.randomCacheResidencyFactor;
-  o["randomCacheDecayBytes"] = static_cast<double>(c.randomCacheDecayBytes);
-  o["prefetchChurnPerGiB"] = c.prefetchChurnPerGiB;
-  o["clientReadCap"] = c.clientReadCap;
-  o["clientWriteCap"] = c.clientWriteCap;
-  o["clientPagepool"] = static_cast<double>(c.clientPagepool);
-  o["rpcLatency"] = c.rpcLatency;
-  o["commitLatency"] = c.commitLatency;
-  o["randomReadPenalty"] = c.randomReadPenalty;
-  o["metadataServiceTime"] = c.metadataServiceTime;
-  o["metadataSharedDirPenalty"] = c.metadataSharedDirPenalty;
-  o["sharedFileLockLatency"] = c.sharedFileLockLatency;
-  o["sharedFileEfficiency"] = c.sharedFileEfficiency;
-  o["capacityTotal"] = static_cast<double>(c.capacityTotal);
-  return JsonValue(std::move(o));
-}
-
-bool fromJson(const JsonValue& j, GpfsConfig& out) {
-  if (!j.isObject()) return false;
-  get(j, "name", out.name);
-  get(j, "nsdServers", out.nsdServers);
-  get(j, "serverReadBandwidth", out.serverReadBandwidth);
-  get(j, "serverWriteBandwidth", out.serverWriteBandwidth);
-  getStruct(j, "hdd", out.hdd);
-  get(j, "spindlesPerServer", out.spindlesPerServer);
-  get(j, "raidParityOverhead", out.raidParityOverhead);
-  get(j, "serverCacheBytes", out.serverCacheBytes);
-  get(j, "randomCacheResidencyFactor", out.randomCacheResidencyFactor);
-  get(j, "randomCacheDecayBytes", out.randomCacheDecayBytes);
-  get(j, "prefetchChurnPerGiB", out.prefetchChurnPerGiB);
-  get(j, "clientReadCap", out.clientReadCap);
-  get(j, "clientWriteCap", out.clientWriteCap);
-  get(j, "clientPagepool", out.clientPagepool);
-  get(j, "rpcLatency", out.rpcLatency);
-  get(j, "commitLatency", out.commitLatency);
-  get(j, "randomReadPenalty", out.randomReadPenalty);
-  get(j, "metadataServiceTime", out.metadataServiceTime);
-  get(j, "metadataSharedDirPenalty", out.metadataSharedDirPenalty);
-  get(j, "sharedFileLockLatency", out.sharedFileLockLatency);
-  get(j, "sharedFileEfficiency", out.sharedFileEfficiency);
-  get(j, "capacityTotal", out.capacityTotal);
-  return true;
-}
-
-// ---- Lustre ----
-
-JsonValue toJson(const LustreConfig& c) {
-  JsonObject o;
-  o["name"] = c.name;
-  o["mdsCount"] = static_cast<double>(c.mdsCount);
-  o["mdsSsd"] = toJson(c.mdsSsd);
-  o["mdsLatency"] = c.mdsLatency;
-  o["metadataServiceTime"] = c.metadataServiceTime;
-  o["metadataSharedDirPenalty"] = c.metadataSharedDirPenalty;
-  o["sharedFileLockLatency"] = c.sharedFileLockLatency;
-  o["sharedFileEfficiency"] = c.sharedFileEfficiency;
-  o["ossCount"] = static_cast<double>(c.ossCount);
-  o["ossBandwidth"] = c.ossBandwidth;
-  o["hdd"] = toJson(c.hdd);
-  o["spindlesPerOss"] = static_cast<double>(c.spindlesPerOss);
-  o["raidz2Overhead"] = c.raidz2Overhead;
-  o["stripeCount"] = static_cast<double>(c.stripeCount);
-  o["stripeSize"] = static_cast<double>(c.stripeSize);
-  o["clientCap"] = c.clientCap;
-  o["rpcLatency"] = c.rpcLatency;
-  o["commitLatency"] = c.commitLatency;
-  o["randomReadPenalty"] = c.randomReadPenalty;
-  o["capacityTotal"] = static_cast<double>(c.capacityTotal);
-  return JsonValue(std::move(o));
-}
-
-bool fromJson(const JsonValue& j, LustreConfig& out) {
-  if (!j.isObject()) return false;
-  get(j, "name", out.name);
-  get(j, "mdsCount", out.mdsCount);
-  getStruct(j, "mdsSsd", out.mdsSsd);
-  get(j, "mdsLatency", out.mdsLatency);
-  get(j, "metadataServiceTime", out.metadataServiceTime);
-  get(j, "metadataSharedDirPenalty", out.metadataSharedDirPenalty);
-  get(j, "sharedFileLockLatency", out.sharedFileLockLatency);
-  get(j, "sharedFileEfficiency", out.sharedFileEfficiency);
-  get(j, "ossCount", out.ossCount);
-  get(j, "ossBandwidth", out.ossBandwidth);
-  getStruct(j, "hdd", out.hdd);
-  get(j, "spindlesPerOss", out.spindlesPerOss);
-  get(j, "raidz2Overhead", out.raidz2Overhead);
-  get(j, "stripeCount", out.stripeCount);
-  get(j, "stripeSize", out.stripeSize);
-  get(j, "clientCap", out.clientCap);
-  get(j, "rpcLatency", out.rpcLatency);
-  get(j, "commitLatency", out.commitLatency);
-  get(j, "randomReadPenalty", out.randomReadPenalty);
-  get(j, "capacityTotal", out.capacityTotal);
-  return true;
-}
-
-// ---- NVMe ----
-
-JsonValue toJson(const NvmeLocalConfig& c) {
-  JsonObject o;
-  o["name"] = c.name;
-  o["drive"] = toJson(c.drive);
-  o["drivesPerNode"] = static_cast<double>(c.drivesPerNode);
-  o["capacityPerDrive"] = static_cast<double>(c.capacityPerDrive);
-  o["memoryBandwidth"] = c.memoryBandwidth;
-  o["dirtyLimitBytes"] = static_cast<double>(c.dirtyLimitBytes);
-  o["flushLatency"] = c.flushLatency;
-  o["syscallLatency"] = c.syscallLatency;
-  o["metadataServiceTime"] = c.metadataServiceTime;
-  o["sharedFileLockLatency"] = c.sharedFileLockLatency;
-  o["sharedFileEfficiency"] = c.sharedFileEfficiency;
-  return JsonValue(std::move(o));
-}
-
-bool fromJson(const JsonValue& j, NvmeLocalConfig& out) {
-  if (!j.isObject()) return false;
-  get(j, "name", out.name);
-  getStruct(j, "drive", out.drive);
-  get(j, "drivesPerNode", out.drivesPerNode);
-  get(j, "capacityPerDrive", out.capacityPerDrive);
-  get(j, "memoryBandwidth", out.memoryBandwidth);
-  get(j, "dirtyLimitBytes", out.dirtyLimitBytes);
-  get(j, "flushLatency", out.flushLatency);
-  get(j, "syscallLatency", out.syscallLatency);
-  get(j, "metadataServiceTime", out.metadataServiceTime);
-  get(j, "sharedFileLockLatency", out.sharedFileLockLatency);
-  get(j, "sharedFileEfficiency", out.sharedFileEfficiency);
-  return true;
-}
-
-// ---- DAOS ----
-
-JsonValue toJson(const DaosConfig& c) {
-  JsonObject o;
-  o["name"] = c.name;
-  o["pools"] = static_cast<double>(c.pools);
-  o["targetsPerPool"] = static_cast<double>(c.targetsPerPool);
-  o["xstreamsPerTarget"] = static_cast<double>(c.xstreamsPerTarget);
-  o["targetBandwidth"] = c.targetBandwidth;
-  o["targetServiceTime"] = c.targetServiceTime;
-  o["randomEfficiency"] = c.randomEfficiency;
-  o["capacityPerTarget"] = static_cast<double>(c.capacityPerTarget);
-  o["redundancyGroupSize"] = static_cast<double>(c.redundancyGroupSize);
-  o["fsyncLatency"] = c.fsyncLatency;
-  o["metadataServiceTime"] = c.metadataServiceTime;
-  o["metadataSharedDirPenalty"] = c.metadataSharedDirPenalty;
-  o["sharedFileLockLatency"] = c.sharedFileLockLatency;
-  o["sharedFileEfficiency"] = c.sharedFileEfficiency;
-  o["fabric"] = transport::toJson(c.fabric);
-  return JsonValue(std::move(o));
-}
-
-bool fromJson(const JsonValue& j, DaosConfig& out) {
-  if (!j.isObject()) return false;
-  get(j, "name", out.name);
-  get(j, "pools", out.pools);
-  get(j, "targetsPerPool", out.targetsPerPool);
-  get(j, "xstreamsPerTarget", out.xstreamsPerTarget);
-  get(j, "targetBandwidth", out.targetBandwidth);
-  get(j, "targetServiceTime", out.targetServiceTime);
-  get(j, "randomEfficiency", out.randomEfficiency);
-  get(j, "capacityPerTarget", out.capacityPerTarget);
-  get(j, "redundancyGroupSize", out.redundancyGroupSize);
-  get(j, "fsyncLatency", out.fsyncLatency);
-  get(j, "metadataServiceTime", out.metadataServiceTime);
-  get(j, "metadataSharedDirPenalty", out.metadataSharedDirPenalty);
-  get(j, "sharedFileLockLatency", out.sharedFileLockLatency);
-  get(j, "sharedFileEfficiency", out.sharedFileEfficiency);
-  getStruct(j, "fabric", out.fabric);
-  return true;
-}
-
-// ---- UnifyFS ----
-
-JsonValue toJson(const UnifyFsConfig& c) {
-  JsonObject o;
-  o["name"] = c.name;
-  o["spillDevice"] = toJson(c.spillDevice);
-  o["spillDevicesPerNode"] = static_cast<double>(c.spillDevicesPerNode);
-  o["shmemBytes"] = static_cast<double>(c.shmemBytes);
-  o["memoryBandwidth"] = c.memoryBandwidth;
-  o["placement"] = toJson(c.placement);
-  o["serverThreadsPerNode"] = static_cast<double>(c.serverThreadsPerNode);
-  o["serverThreadBandwidth"] = c.serverThreadBandwidth;
-  o["metadataLatency"] = c.metadataLatency;
-  o["localRpcLatency"] = c.localRpcLatency;
-  o["remoteRpcLatency"] = c.remoteRpcLatency;
-  o["capacityPerNode"] = static_cast<double>(c.capacityPerNode);
-  return JsonValue(std::move(o));
-}
-
-bool fromJson(const JsonValue& j, UnifyFsConfig& out) {
-  if (!j.isObject()) return false;
-  get(j, "name", out.name);
-  getStruct(j, "spillDevice", out.spillDevice);
-  get(j, "spillDevicesPerNode", out.spillDevicesPerNode);
-  get(j, "shmemBytes", out.shmemBytes);
-  get(j, "memoryBandwidth", out.memoryBandwidth);
-  getEnum(j, "placement", out.placement);
-  get(j, "serverThreadsPerNode", out.serverThreadsPerNode);
-  get(j, "serverThreadBandwidth", out.serverThreadBandwidth);
-  get(j, "metadataLatency", out.metadataLatency);
-  get(j, "localRpcLatency", out.localRpcLatency);
-  get(j, "remoteRpcLatency", out.remoteRpcLatency);
-  get(j, "capacityPerNode", out.capacityPerNode);
-  return true;
-}
-
-// ---- IOR ----
-
-JsonValue toJson(const IorConfig& c) {
-  JsonObject o;
-  o["access"] = toJson(c.access);
-  o["blockSize"] = static_cast<double>(c.blockSize);
-  o["transferSize"] = static_cast<double>(c.transferSize);
-  o["segments"] = static_cast<double>(c.segments);
-  o["filePerProcess"] = c.filePerProcess;
-  o["fsyncPerWrite"] = c.fsyncPerWrite;
-  o["reorderTasks"] = c.reorderTasks;
-  o["stonewallSeconds"] = c.stonewallSeconds;
-  o["nodes"] = static_cast<double>(c.nodes);
-  o["procsPerNode"] = static_cast<double>(c.procsPerNode);
-  // Emitted only when aggregating, so legacy configs serialize unchanged.
-  if (c.clientsPerRank != 1) o["clientsPerRank"] = static_cast<double>(c.clientsPerRank);
-  o["repetitions"] = static_cast<double>(c.repetitions);
-  o["mode"] = std::string(c.mode == IorConfig::Mode::Coalesced ? "coalesced" : "per-op");
-  o["noiseStdDevFrac"] = c.noiseStdDevFrac;
-  o["seed"] = static_cast<double>(c.seed);
-  return JsonValue(std::move(o));
-}
-
-bool fromJson(const JsonValue& j, IorConfig& out) {
-  if (!j.isObject()) return false;
-  getEnum(j, "access", out.access);
-  get(j, "blockSize", out.blockSize);
-  get(j, "transferSize", out.transferSize);
-  get(j, "segments", out.segments);
-  get(j, "filePerProcess", out.filePerProcess);
-  get(j, "fsyncPerWrite", out.fsyncPerWrite);
-  get(j, "reorderTasks", out.reorderTasks);
-  get(j, "stonewallSeconds", out.stonewallSeconds);
-  get(j, "nodes", out.nodes);
-  get(j, "procsPerNode", out.procsPerNode);
-  get(j, "clientsPerRank", out.clientsPerRank);
-  get(j, "repetitions", out.repetitions);
-  if (const JsonValue* v = j.find("mode"); v && v->isString()) {
-    if (*v->str() == "coalesced") out.mode = IorConfig::Mode::Coalesced;
-    else if (*v->str() == "per-op") out.mode = IorConfig::Mode::PerOp;
-    else return false;
-  }
-  get(j, "noiseStdDevFrac", out.noiseStdDevFrac);
-  get(j, "seed", out.seed);
-  return true;
-}
-
-// ---- DLIO ----
-
-JsonValue toJson(const DlioWorkload& w) {
-  JsonObject o;
-  o["name"] = w.name;
-  o["samples"] = static_cast<double>(w.samples);
-  o["sampleSize"] = static_cast<double>(w.sampleSize);
-  o["transferSize"] = static_cast<double>(w.transferSize);
-  o["batchSize"] = static_cast<double>(w.batchSize);
-  o["epochs"] = static_cast<double>(w.epochs);
-  o["ioThreads"] = static_cast<double>(w.ioThreads);
-  o["computeThreads"] = static_cast<double>(w.computeThreads);
-  o["prefetchDepth"] = static_cast<double>(w.prefetchDepth);
-  o["computeTimePerBatch"] = w.computeTimePerBatch;
-  o["scaling"] = toJson(w.scaling);
-  o["checkpointEvery"] = static_cast<double>(w.checkpointEvery);
-  o["checkpointBytes"] = static_cast<double>(w.checkpointBytes);
-  return JsonValue(std::move(o));
-}
-
-bool fromJson(const JsonValue& j, DlioWorkload& out) {
-  if (!j.isObject()) return false;
-  get(j, "name", out.name);
-  get(j, "samples", out.samples);
-  get(j, "sampleSize", out.sampleSize);
-  get(j, "transferSize", out.transferSize);
-  get(j, "batchSize", out.batchSize);
-  get(j, "epochs", out.epochs);
-  get(j, "ioThreads", out.ioThreads);
-  get(j, "computeThreads", out.computeThreads);
-  get(j, "prefetchDepth", out.prefetchDepth);
-  get(j, "computeTimePerBatch", out.computeTimePerBatch);
-  getEnum(j, "scaling", out.scaling);
-  get(j, "checkpointEvery", out.checkpointEvery);
-  get(j, "checkpointBytes", out.checkpointBytes);
-  return true;
-}
-
-JsonValue toJson(const DlioConfig& c) {
-  JsonObject o;
-  o["workload"] = toJson(c.workload);
-  o["nodes"] = static_cast<double>(c.nodes);
-  o["procsPerNode"] = static_cast<double>(c.procsPerNode);
-  o["seed"] = static_cast<double>(c.seed);
-  o["computeJitterFrac"] = c.computeJitterFrac;
-  return JsonValue(std::move(o));
-}
-
-bool fromJson(const JsonValue& j, DlioConfig& out) {
-  if (!j.isObject()) return false;
-  getStruct(j, "workload", out.workload);
-  get(j, "nodes", out.nodes);
-  get(j, "procsPerNode", out.procsPerNode);
-  get(j, "seed", out.seed);
-  get(j, "computeJitterFrac", out.computeJitterFrac);
-  return true;
-}
-
-// ---- MDTest ----
-
-JsonValue toJson(const MdtestConfig& c) {
-  JsonObject o;
-  o["nodes"] = static_cast<double>(c.nodes);
-  o["procsPerNode"] = static_cast<double>(c.procsPerNode);
-  o["itemsPerProc"] = static_cast<double>(c.itemsPerProc);
-  o["uniqueDirPerTask"] = c.uniqueDirPerTask;
-  o["repetitions"] = static_cast<double>(c.repetitions);
-  o["noiseStdDevFrac"] = c.noiseStdDevFrac;
-  o["seed"] = static_cast<double>(c.seed);
-  return JsonValue(std::move(o));
-}
-
-bool fromJson(const JsonValue& j, MdtestConfig& out) {
-  if (!j.isObject()) return false;
-  get(j, "nodes", out.nodes);
-  get(j, "procsPerNode", out.procsPerNode);
-  get(j, "itemsPerProc", out.itemsPerProc);
-  get(j, "uniqueDirPerTask", out.uniqueDirPerTask);
-  get(j, "repetitions", out.repetitions);
-  get(j, "noiseStdDevFrac", out.noiseStdDevFrac);
-  get(j, "seed", out.seed);
-  return true;
+std::string readConfig(const JsonValue& j, const std::string& path, T& out) {
+  return readFields(j, out, path);
 }
 
 // ---- file helpers ----
@@ -616,38 +305,44 @@ bool saveConfig(const T& config, const std::string& path) {
 }
 
 template <typename T>
-bool loadConfig(const std::string& path, T& out) {
+bool loadConfig(const std::string& path, T& out, std::string* error) {
+  std::string problem;
   std::ifstream in(path);
-  if (!in) return false;
-  std::ostringstream buf;
-  buf << in.rdbuf();
   JsonValue root;
-  if (!parseJson(buf.str(), root)) return false;
-  return fromJson(root, out);
+  if (!in) {
+    problem = "cannot read " + path;
+  } else {
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    if (!parseJson(buf.str(), root)) {
+      problem = path + " is not valid JSON";
+    } else if (std::string e = readFields(root, out, ""); !e.empty()) {
+      problem = path + ": " + e;
+    }
+  }
+  if (error != nullptr) *error = problem;
+  return problem.empty();
 }
 
 // Explicit instantiations for every config type.
-template bool saveConfig<Machine>(const Machine&, const std::string&);
-template bool loadConfig<Machine>(const std::string&, Machine&);
-template bool saveConfig<VastConfig>(const VastConfig&, const std::string&);
-template bool loadConfig<VastConfig>(const std::string&, VastConfig&);
-template bool saveConfig<GpfsConfig>(const GpfsConfig&, const std::string&);
-template bool loadConfig<GpfsConfig>(const std::string&, GpfsConfig&);
-template bool saveConfig<LustreConfig>(const LustreConfig&, const std::string&);
-template bool loadConfig<LustreConfig>(const std::string&, LustreConfig&);
-template bool saveConfig<NvmeLocalConfig>(const NvmeLocalConfig&, const std::string&);
-template bool loadConfig<NvmeLocalConfig>(const std::string&, NvmeLocalConfig&);
-template bool saveConfig<UnifyFsConfig>(const UnifyFsConfig&, const std::string&);
-template bool loadConfig<UnifyFsConfig>(const std::string&, UnifyFsConfig&);
-template bool saveConfig<DaosConfig>(const DaosConfig&, const std::string&);
-template bool loadConfig<DaosConfig>(const std::string&, DaosConfig&);
-template bool saveConfig<IorConfig>(const IorConfig&, const std::string&);
-template bool loadConfig<IorConfig>(const std::string&, IorConfig&);
-template bool saveConfig<DlioWorkload>(const DlioWorkload&, const std::string&);
-template bool loadConfig<DlioWorkload>(const std::string&, DlioWorkload&);
-template bool saveConfig<DlioConfig>(const DlioConfig&, const std::string&);
-template bool loadConfig<DlioConfig>(const std::string&, DlioConfig&);
-template bool saveConfig<MdtestConfig>(const MdtestConfig&, const std::string&);
-template bool loadConfig<MdtestConfig>(const std::string&, MdtestConfig&);
+template std::string readConfig<transport::TransportProfile>(const JsonValue&,
+                                                             const std::string&,
+                                                             transport::TransportProfile&);
+#define HCSIM_CONFIG_IO(T)                                                         \
+  template std::string readConfig<T>(const JsonValue&, const std::string&, T&); \
+  template bool saveConfig<T>(const T&, const std::string&);                    \
+  template bool loadConfig<T>(const std::string&, T&, std::string*);
+HCSIM_CONFIG_IO(Machine)
+HCSIM_CONFIG_IO(VastConfig)
+HCSIM_CONFIG_IO(GpfsConfig)
+HCSIM_CONFIG_IO(LustreConfig)
+HCSIM_CONFIG_IO(NvmeLocalConfig)
+HCSIM_CONFIG_IO(UnifyFsConfig)
+HCSIM_CONFIG_IO(DaosConfig)
+HCSIM_CONFIG_IO(IorConfig)
+HCSIM_CONFIG_IO(DlioWorkload)
+HCSIM_CONFIG_IO(DlioConfig)
+HCSIM_CONFIG_IO(MdtestConfig)
+#undef HCSIM_CONFIG_IO
 
 }  // namespace hcsim

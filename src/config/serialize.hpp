@@ -1,8 +1,11 @@
 #pragma once
 // JSON (de)serialization for every configuration struct — the interface
 // a downstream user scripts experiments through (and what the hcsim CLI
-// consumes). Deserialization is lenient: absent keys keep the struct's
-// defaults, so a config file only states what it overrides.
+// consumes). Each struct lists its keys once (config/fields.hpp); one
+// writer and one reader walk that list. Absent keys keep the struct's
+// defaults, so a config file only states what it overrides. Unknown
+// keys, enum strings that do not parse, values of the wrong JSON type
+// and negative, non-finite or out-of-range counts fail the read.
 
 #include <string>
 
@@ -66,12 +69,22 @@ bool fromJson(const JsonValue& j, DlioConfig& out);
 JsonValue toJson(const MdtestConfig& c);
 bool fromJson(const JsonValue& j, MdtestConfig& out);
 
+/// Read a user-supplied section onto `out` (absent keys keep its
+/// values). Returns "" on success, else one line naming the dotted key
+/// under `path`: "ior.access: must be seq-read|seq-write|rand-read|
+/// rand-write (got 'seq-reed')", "storageConfig.cnodez: unknown key".
+/// Instantiated for every config type with a save/load pair below and
+/// for transport::TransportProfile.
+template <typename T>
+std::string readConfig(const JsonValue& j, const std::string& path, T& out);
+
 // ---- file helpers ----
 /// Write any serializable config to a pretty-printed JSON file.
 template <typename T>
 bool saveConfig(const T& config, const std::string& path);
-/// Load a config from a JSON file (absent keys keep defaults).
+/// Load a config from a JSON file, read as readConfig does. On failure
+/// `error` (when given) gets one line naming the file and the problem.
 template <typename T>
-bool loadConfig(const std::string& path, T& out);
+bool loadConfig(const std::string& path, T& out, std::string* error = nullptr);
 
 }  // namespace hcsim

@@ -30,8 +30,9 @@ template <auto Preset, auto Attach>
 std::unique_ptr<FileSystemModel> attachPreset(TestBench& bench, Site site,
                                               const JsonValue* overrides) {
   auto c = Preset(site);
-  if (overrides != nullptr && !fromJson(*overrides, c)) {
-    throw std::invalid_argument("makeEnvironment: 'storageConfig' overrides do not parse");
+  if (overrides != nullptr) {
+    std::string e = readConfig(*overrides, "storageConfig", c);
+    if (!e.empty()) throw std::invalid_argument(e);
   }
   return (bench.*Attach)(std::move(c));
 }

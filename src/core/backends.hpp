@@ -51,9 +51,11 @@ struct BackendInfo {
   const char* siteRule;     ///< why any other site is rejected
   /// The serialized preset deployment as reached from `site`.
   JsonValue (*preset)(Site site);
-  /// Build the site's preset, merge `overrides` onto it (lenient fromJson:
-  /// the object only states what it changes; nullptr = as-is) and attach
-  /// the model to `bench`.
+  /// Build the site's preset, read `overrides` onto it (readConfig under
+  /// "storageConfig": the object only states what it changes, and an
+  /// unknown key, bad enum or negative count throws
+  /// std::invalid_argument naming it; nullptr = as-is) and attach the
+  /// model to `bench`.
   std::unique_ptr<FileSystemModel> (*attach)(TestBench& bench, Site site,
                                              const JsonValue* overrides);
   /// Knobs whose perturbation must preserve every relation the oracle

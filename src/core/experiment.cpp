@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "config/serialize.hpp"
+
 namespace hcsim {
 
 Environment makeEnvironment(Site site, StorageKind kind, std::size_t nodes) {
@@ -26,8 +28,9 @@ Environment makeEnvironment(Site site, StorageKind kind, std::size_t nodes,
   // build without hcsim::transport (the zero-cost contract).
   if (transportSection || kind == StorageKind::Daos) {
     transport::TransportProfile profile = env.fs->declaredTransportProfile();
-    if (transportSection && !transport::fromJson(*transportSection, profile)) {
-      throw std::invalid_argument("makeEnvironment: 'transport' overrides do not parse");
+    if (transportSection != nullptr) {
+      std::string e = readConfig(*transportSection, "transport", profile);
+      if (!e.empty()) throw std::invalid_argument(e);
     }
     profile.validate();
     env.transport = std::make_unique<transport::TransportFabric>(

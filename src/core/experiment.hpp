@@ -39,10 +39,12 @@ struct Environment {
 /// not define (e.g. GPFS on Wombat).
 Environment makeEnvironment(Site site, StorageKind kind, std::size_t nodes);
 
-/// As above, with optional JSON overrides merged onto the site preset's
-/// storage config (lenient fromJson: the object only states what it
-/// changes). nullptr = preset as-is. Shared by sweep trials and chaos
-/// scenarios so a "storageConfig" section means the same everywhere.
+/// As above, with optional JSON overrides read onto the site preset's
+/// storage config (readConfig: the object only states what it changes;
+/// an unknown key, bad enum or negative count throws
+/// std::invalid_argument naming "storageConfig.<key>"). nullptr = preset
+/// as-is. Shared by sweep trials and chaos scenarios so a
+/// "storageConfig" section means the same everywhere.
 Environment makeEnvironment(Site site, StorageKind kind, std::size_t nodes,
                             const JsonValue* storageOverrides);
 

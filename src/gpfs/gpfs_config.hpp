@@ -45,9 +45,6 @@ struct GpfsConfig {
   /// measures ~14.5 GB/s per node for sequential reads.
   Bandwidth clientReadCap = units::gbs(15.0);
   Bandwidth clientWriteCap = units::gbs(3.1);
-  /// Client pagepool (only effective when the reader wrote the data —
-  /// the paper's tests deliberately defeat it).
-  Bytes clientPagepool = units::GiB * 16;
 
   // ---- Latencies ----
   Seconds rpcLatency = units::usec(200);

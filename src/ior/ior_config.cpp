@@ -5,6 +5,14 @@
 
 namespace hcsim {
 
+const char* toString(IorConfig::Mode m) {
+  switch (m) {
+    case IorConfig::Mode::Coalesced: return "coalesced";
+    case IorConfig::Mode::PerOp: return "per-op";
+  }
+  return "?";
+}
+
 void IorConfig::validate() const {
   if (blockSize == 0 || transferSize == 0 || segments == 0) {
     throw std::invalid_argument("IorConfig: geometry must be non-zero");

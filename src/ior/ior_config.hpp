@@ -15,7 +15,6 @@
 namespace hcsim {
 
 struct IorConfig {
-  enum class Api { Posix };
   /// How the runner drives the simulation:
   ///  * Coalesced — one flow per process for the whole phase (exact for
   ///    the flow-level model; used for the scalability tests, DESIGN §5);
@@ -23,7 +22,6 @@ struct IorConfig {
   ///    fsync single-node tests where commit queueing matters).
   enum class Mode { Coalesced, PerOp };
 
-  Api api = Api::Posix;
   AccessPattern access = AccessPattern::SequentialWrite;
   Bytes blockSize = units::MiB;     ///< -b
   Bytes transferSize = units::MiB;  ///< -t
@@ -72,5 +70,7 @@ struct IorConfig {
   /// 1-32 processes, a smaller per-process volume (256 MiB).
   static IorConfig singleNodeFsync(AccessPattern access, std::size_t procs);
 };
+
+const char* toString(IorConfig::Mode m);
 
 }  // namespace hcsim

@@ -9,7 +9,6 @@ void LustreConfig::validate() const {
   if (ossCount == 0) throw std::invalid_argument("LustreConfig: ossCount must be > 0");
   if (spindlesPerOss == 0) throw std::invalid_argument("LustreConfig: spindlesPerOss must be > 0");
   if (stripeCount == 0) throw std::invalid_argument("LustreConfig: stripeCount must be > 0");
-  if (stripeSize == 0) throw std::invalid_argument("LustreConfig: stripeSize must be > 0");
   if (ossBandwidth <= 0.0 || clientCap <= 0.0) {
     throw std::invalid_argument("LustreConfig: bandwidths must be > 0");
   }

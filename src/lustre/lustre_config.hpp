@@ -7,7 +7,6 @@
 #include <string>
 
 #include "device/hdd_raid.hpp"
-#include "device/ssd.hpp"
 #include "util/units.hpp"
 
 namespace hcsim {
@@ -17,7 +16,6 @@ struct LustreConfig {
 
   // ---- Metadata path ----
   std::size_t mdsCount = 16;
-  SsdSpec mdsSsd = SsdSpec::sasSsd();
   Seconds mdsLatency = units::usec(250);
   /// Per-op service at an MDS (SAS-SSD ZFS mirrors: fast lookups).
   Seconds metadataServiceTime = units::usec(180);
@@ -35,8 +33,7 @@ struct LustreConfig {
   double raidz2Overhead = 0.25;
 
   // ---- Striping ----
-  std::size_t stripeCount = 1;        ///< OSTs per file (default PFL off)
-  Bytes stripeSize = units::MiB;
+  std::size_t stripeCount = 1;  ///< OSTs per file (default PFL off)
 
   // ---- Client ----
   /// Omni-Path: 100 Gb/s per compute node.

@@ -94,11 +94,9 @@ bool loadGoldenCells(const std::string& path, std::map<std::string, GoldenCell>&
     if (!parseJson(line, j)) return false;
     const JsonValue* params = j.find("params");
     const JsonValue* metrics = j.find("metrics");
-    if (!params || !metrics) return false;
-    GoldenCell cell;
-    cell.ok = metrics->boolOr("ok", false);
-    cell.meanGBs = metrics->numberOr("meanGBs", 0.0);
-    out[writeJson(*params)] = cell;
+    sweep::TrialMetrics m;
+    if (!params || !metrics || !sweep::metricsFromJson(*metrics, m)) return false;
+    out[writeJson(*params)] = {m.ok, m.meanGBs};
   }
   return true;
 }

@@ -1,5 +1,6 @@
 #include "sweep/result_sink.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -27,89 +28,154 @@ std::string csvField(const JsonValue& v) {
   return writeJson(v);
 }
 
-std::string formatDouble(double d) {
-  return writeJson(JsonValue(d));  // same formatting as the JSONL output
+using M = TrialMetrics;
+
+/// One metric column: its key in the JSONL metrics object (inside its
+/// block's sub-object, if any), its CSV header, and the TrialMetrics
+/// member behind it — a number, or for dominantStage a string.
+struct Column {
+  const char* key;
+  const char* csv;
+  double M::*number;
+  std::string M::*text = nullptr;
+};
+
+/// An optional group of columns. `shown` puts the block's sub-object in
+/// the JSONL and its columns in the CSV; `filled` says the values exist.
+/// A shown but unfilled block is JSON null and blank CSV cells.
+struct Block {
+  const char* key;
+  bool M::*shown;
+  bool M::*filled;
+  std::vector<Column> columns;
+};
+
+/// Every successful trial carries these, at the top level of its
+/// metrics object.
+const Column kBase[] = {
+    {"meanGBs", "meanGBs", &M::meanGBs},
+    {"minGBs", "minGBs", &M::minGBs},
+    {"maxGBs", "maxGBs", &M::maxGBs},
+    {"elapsedSec", "elapsedSec", &M::elapsedSec},
+    {"bytes", "bytes", &M::bytesMoved},
+};
+
+/// In CSV column order. A block a run does not use leaves the line and
+/// the header byte-identical to a build without that feature, and each
+/// block follows every older one, so older headers stay byte-prefixes.
+const Block kBlocks[] = {
+    // Latency-capable trials (ior, workload) always carry the key: null
+    // states "this run had no per-op operations" (e.g. IOR Coalesced
+    // mode), which a zero-filled summary would silently misreport.
+    {"opLatency", &M::latencyCapable, &M::hasOpLatency,
+     {{"count", "opCount", &M::opCount},
+      {"p50", "opP50", &M::opP50},
+      {"p95", "opP95", &M::opP95},
+      {"p99", "opP99", &M::opP99}}},
+    {"telemetry", &M::hasTelemetry, &M::hasTelemetry,
+     {{"rerates", "rerates", &M::rerates},
+      {"eventsScheduled", "eventsScheduled", &M::eventsScheduled},
+      {"eventsCancelled", "eventsCancelled", &M::eventsCancelled},
+      {"eventsAdjusted", "eventsAdjusted", &M::eventsAdjusted},
+      {"eventsDispatched", "eventsDispatched", &M::eventsDispatched},
+      {"dominantStage", "dominantStage", nullptr, &M::dominantStage},
+      {"dominantSharePct", "dominantSharePct", &M::dominantSharePct}}},
+    {"probe", &M::hasMonitors, &M::hasMonitors,
+     {{"monitors", "monitors", &M::monitors}, {"breaches", "breaches", &M::breaches}}},
+    {"self", &M::hasSelf, &M::hasSelf,
+     {{"dispatchSec", "selfDispatchSec", &M::selfDispatchSec},
+      {"callbackSec", "selfCallbackSec", &M::selfCallbackSec},
+      {"solveSec", "selfSolveSec", &M::selfSolveSec},
+      {"telemetrySec", "selfTelemetrySec", &M::selfTelemetrySec},
+      {"sinkSec", "selfSinkSec", &M::selfSinkSec}}},
+    // NIC/transport endpoint counters: present only when the trial ran
+    // with a fabric attached.
+    {"transport", &M::hasTransport, &M::hasTransport,
+     {{"ops", "transportOps", &M::transportOps},
+      {"bytes", "transportBytes", &M::transportBytes},
+      {"throttleSec", "transportThrottleSec", &M::transportThrottleSec},
+      {"connSetups", "transportConnSetups", &M::transportConnSetups},
+      {"sqWaits", "transportSqWaits", &M::transportSqWaits},
+      {"doorbells", "transportDoorbells", &M::transportDoorbells}}},
+};
+
+JsonValue cell(const Column& c, const M& m) {
+  return c.text != nullptr ? JsonValue(m.*c.text) : JsonValue(m.*c.number);
+}
+
+/// Read column `c` from `obj` into `m`; false when absent or mistyped.
+bool readCell(const Column& c, const JsonValue& obj, M& m) {
+  const JsonValue* v = obj.find(c.key);
+  if (v == nullptr) return false;
+  if (c.text != nullptr) {
+    if (!v->isString()) return false;
+    m.*c.text = *v->str();
+  } else {
+    if (!v->isNumber()) return false;
+    m.*c.number = *v->number();
+  }
+  return true;
 }
 
 }  // namespace
 
 std::string paramsKey(const Trial& trial) { return writeJson(paramsObject(trial)); }
 
+JsonValue metricsToJson(const TrialMetrics& m) {
+  JsonObject o;
+  o["ok"] = m.ok;
+  if (!m.ok) {
+    o["error"] = m.error;
+    return JsonValue(std::move(o));
+  }
+  for (const Column& c : kBase) o[c.key] = cell(c, m);
+  for (const Block& b : kBlocks) {
+    if (!(m.*b.shown)) continue;
+    if (!(m.*b.filled)) {
+      o[b.key] = JsonValue();  // null, not zeros
+      continue;
+    }
+    JsonObject sub;
+    for (const Column& c : b.columns) sub[c.key] = cell(c, m);
+    o[b.key] = JsonValue(std::move(sub));
+  }
+  return JsonValue(std::move(o));
+}
+
+bool metricsFromJson(const JsonValue& j, TrialMetrics& out) {
+  const JsonValue* ok = j.find("ok");
+  if (ok == nullptr || !ok->isBool()) return false;
+  TrialMetrics m;
+  m.ok = *ok->boolean();
+  if (!m.ok) {
+    const JsonValue* e = j.find("error");
+    if (e == nullptr || !e->isString()) return false;
+    m.error = *e->str();
+    out = std::move(m);
+    return true;
+  }
+  for (const Column& c : kBase) {
+    if (!readCell(c, j, m)) return false;
+  }
+  for (const Block& b : kBlocks) {
+    const JsonValue* v = j.find(b.key);
+    if (v == nullptr) continue;
+    m.*b.shown = true;
+    if (v->isNull() && b.shown != b.filled) continue;  // shown without values
+    m.*b.filled = true;
+    for (const Column& c : b.columns) {
+      if (!readCell(c, *v, m)) return false;
+    }
+  }
+  out = std::move(m);
+  return true;
+}
+
 std::string toJsonlLine(const TrialResult& r) {
   JsonObject o;
   o["trial"] = static_cast<double>(r.trial.index);
   o["params"] = paramsObject(r.trial);
-  JsonObject m;
-  m["ok"] = r.metrics.ok;
-  if (r.metrics.ok) {
-    m["meanGBs"] = r.metrics.meanGBs;
-    m["minGBs"] = r.metrics.minGBs;
-    m["maxGBs"] = r.metrics.maxGBs;
-    m["elapsedSec"] = r.metrics.elapsedSec;
-    m["bytes"] = r.metrics.bytesMoved;
-    // Latency-capable trials always carry the key: null states "this
-    // run had no per-op operations" (e.g. IOR Coalesced mode), which a
-    // zero-filled summary would silently misreport.
-    if (r.metrics.latencyCapable) {
-      if (r.metrics.hasOpLatency) {
-        JsonObject lat;
-        lat["count"] = r.metrics.opCount;
-        lat["p50"] = r.metrics.opP50;
-        lat["p95"] = r.metrics.opP95;
-        lat["p99"] = r.metrics.opP99;
-        m["opLatency"] = JsonValue(std::move(lat));
-      } else {
-        m["opLatency"] = JsonValue();  // null, not zeros
-      }
-    }
-    // Telemetry lives in its own sub-object so a telemetry-off run and
-    // the simulation columns of a telemetry-on run stay byte-identical.
-    if (r.metrics.hasTelemetry) {
-      JsonObject t;
-      t["rerates"] = r.metrics.rerates;
-      t["eventsScheduled"] = r.metrics.eventsScheduled;
-      t["eventsCancelled"] = r.metrics.eventsCancelled;
-      t["eventsAdjusted"] = r.metrics.eventsAdjusted;
-      t["eventsDispatched"] = r.metrics.eventsDispatched;
-      t["dominantStage"] = r.metrics.dominantStage;
-      t["dominantSharePct"] = r.metrics.dominantSharePct;
-      m["telemetry"] = JsonValue(std::move(t));
-    }
-    // Watchdog and self-profile live in their own sub-objects for the
-    // same reason as telemetry: absent features leave the line
-    // byte-identical to a build without them.
-    if (r.metrics.hasMonitors) {
-      JsonObject p;
-      p["monitors"] = r.metrics.monitors;
-      p["breaches"] = r.metrics.breaches;
-      m["probe"] = JsonValue(std::move(p));
-    }
-    if (r.metrics.hasSelf) {
-      JsonObject sp;
-      sp["dispatchSec"] = r.metrics.selfDispatchSec;
-      sp["callbackSec"] = r.metrics.selfCallbackSec;
-      sp["solveSec"] = r.metrics.selfSolveSec;
-      sp["telemetrySec"] = r.metrics.selfTelemetrySec;
-      sp["sinkSec"] = r.metrics.selfSinkSec;
-      m["self"] = JsonValue(std::move(sp));
-    }
-    // NIC/transport endpoint counters — present only when the trial ran
-    // with a fabric attached, and LAST so every older header/line shape
-    // stays a byte-prefix of the new one.
-    if (r.metrics.hasTransport) {
-      JsonObject tr;
-      tr["ops"] = r.metrics.transportOps;
-      tr["bytes"] = r.metrics.transportBytes;
-      tr["throttleSec"] = r.metrics.transportThrottleSec;
-      tr["connSetups"] = r.metrics.transportConnSetups;
-      tr["sqWaits"] = r.metrics.transportSqWaits;
-      tr["doorbells"] = r.metrics.transportDoorbells;
-      m["transport"] = JsonValue(std::move(tr));
-    }
-  } else {
-    m["error"] = r.metrics.error;
-  }
-  o["metrics"] = JsonValue(std::move(m));
+  o["metrics"] = metricsToJson(r.metrics);
   return writeJson(JsonValue(std::move(o)));
 }
 
@@ -121,19 +187,13 @@ bool writeJsonl(const SweepOutcome& out, const std::string& path) {
 }
 
 std::string toCsv(const SweepOutcome& out) {
-  // Telemetry columns appear only when some trial carried telemetry, so
-  // a telemetry-off CSV is byte-identical to the pre-telemetry format.
-  bool anyTelemetry = false;
-  bool anyLatency = false;
-  bool anyMonitors = false;
-  bool anySelf = false;
-  bool anyTransport = false;
-  for (const TrialResult& r : out.results) {
-    anyTelemetry |= r.metrics.hasTelemetry;
-    anyLatency |= r.metrics.latencyCapable;
-    anyMonitors |= r.metrics.hasMonitors;
-    anySelf |= r.metrics.hasSelf;
-    anyTransport |= r.metrics.hasTransport;
+  // A block's columns appear only when some trial shows it.
+  std::vector<const Block*> blocks;
+  for (const Block& b : kBlocks) {
+    if (std::any_of(out.results.begin(), out.results.end(),
+                    [&b](const TrialResult& r) { return r.metrics.*b.shown; })) {
+      blocks.push_back(&b);
+    }
   }
   std::ostringstream os;
   os << "trial";
@@ -143,88 +203,27 @@ std::string toCsv(const SweepOutcome& out) {
       os << "," << path;
     }
   }
-  os << ",ok,meanGBs,minGBs,maxGBs,elapsedSec,bytes,error";
-  // Latency columns stay empty — not zero — for trials that collected
-  // no per-op distribution (the CSV face of the null contract). They
-  // precede the telemetry block so a telemetry-off header stays a
-  // prefix of the telemetry-on one.
-  if (anyLatency) os << ",opCount,opP50,opP95,opP99";
-  if (anyTelemetry) {
-    os << ",rerates,eventsScheduled,eventsCancelled,eventsAdjusted,eventsDispatched"
-          ",dominantStage,dominantSharePct";
-  }
-  if (anyMonitors) os << ",monitors,breaches";
-  if (anySelf) os << ",selfDispatchSec,selfCallbackSec,selfSolveSec,selfTelemetrySec,selfSinkSec";
-  // Transport columns come last of all, keeping every fabric-off header
-  // a byte-prefix of the fabric-on one.
-  if (anyTransport) {
-    os << ",transportOps,transportBytes,transportThrottleSec,transportConnSetups"
-          ",transportSqWaits,transportDoorbells";
+  os << ",ok";
+  for (const Column& c : kBase) os << "," << c.csv;
+  os << ",error";
+  for (const Block* b : blocks) {
+    for (const Column& c : b->columns) os << "," << c.csv;
   }
   os << "\n";
   for (const TrialResult& r : out.results) {
+    const TrialMetrics& m = r.metrics;
     os << r.trial.index;
     for (const auto& [path, v] : r.trial.params) {
       (void)path;
       os << "," << csvField(v);
     }
-    if (r.metrics.ok) {
-      os << ",1," << formatDouble(r.metrics.meanGBs) << "," << formatDouble(r.metrics.minGBs)
-         << "," << formatDouble(r.metrics.maxGBs) << "," << formatDouble(r.metrics.elapsedSec)
-         << "," << formatDouble(r.metrics.bytesMoved) << ",";
-    } else {
-      os << ",0,,,,,," << csvField(JsonValue(r.metrics.error));
-    }
-    if (anyLatency) {
-      if (r.metrics.hasOpLatency) {
-        os << "," << formatDouble(r.metrics.opCount) << "," << formatDouble(r.metrics.opP50)
-           << "," << formatDouble(r.metrics.opP95) << "," << formatDouble(r.metrics.opP99);
-      } else {
-        os << ",,,,";
-      }
-    }
-    if (anyTelemetry) {
-      if (r.metrics.hasTelemetry) {
-        os << "," << formatDouble(r.metrics.rerates) << ","
-           << formatDouble(r.metrics.eventsScheduled) << ","
-           << formatDouble(r.metrics.eventsCancelled) << ","
-           << formatDouble(r.metrics.eventsAdjusted) << ","
-           << formatDouble(r.metrics.eventsDispatched) << ","
-           << csvField(JsonValue(r.metrics.dominantStage)) << ","
-           << formatDouble(r.metrics.dominantSharePct);
-      } else {
-        os << ",,,,,,,";
-      }
-    }
-    if (anyMonitors) {
-      if (r.metrics.hasMonitors) {
-        os << "," << formatDouble(r.metrics.monitors) << "," << formatDouble(r.metrics.breaches);
-      } else {
-        os << ",,";
-      }
-    }
-    if (anySelf) {
-      if (r.metrics.hasSelf) {
-        os << "," << formatDouble(r.metrics.selfDispatchSec) << ","
-           << formatDouble(r.metrics.selfCallbackSec) << ","
-           << formatDouble(r.metrics.selfSolveSec) << ","
-           << formatDouble(r.metrics.selfTelemetrySec) << ","
-           << formatDouble(r.metrics.selfSinkSec);
-      } else {
-        os << ",,,,,";
-      }
-    }
-    if (anyTransport) {
-      if (r.metrics.hasTransport) {
-        os << "," << formatDouble(r.metrics.transportOps) << ","
-           << formatDouble(r.metrics.transportBytes) << ","
-           << formatDouble(r.metrics.transportThrottleSec) << ","
-           << formatDouble(r.metrics.transportConnSetups) << ","
-           << formatDouble(r.metrics.transportSqWaits) << ","
-           << formatDouble(r.metrics.transportDoorbells);
-      } else {
-        os << ",,,,,,";
-      }
+    os << (m.ok ? ",1" : ",0");
+    for (const Column& c : kBase) os << "," << (m.ok ? csvField(cell(c, m)) : "");
+    os << "," << (m.ok ? "" : csvField(JsonValue(m.error)));
+    // Empty — not zero — where a trial has no values for a shown block
+    // (the CSV face of the opLatency null contract).
+    for (const Block* b : blocks) {
+      for (const Column& c : b->columns) os << "," << (m.*b->filled ? csvField(cell(c, m)) : "");
     }
     os << "\n";
   }
@@ -248,9 +247,9 @@ bool loadBaseline(const std::string& path, std::map<std::string, double>& out) {
     if (!parseJson(line, j)) return false;
     const JsonValue* params = j.find("params");
     const JsonValue* metrics = j.find("metrics");
-    if (!params || !metrics) return false;
-    if (!metrics->boolOr("ok", false)) continue;
-    out[writeJson(*params)] = metrics->numberOr("meanGBs", 0.0);
+    TrialMetrics m;
+    if (!params || !metrics || !metricsFromJson(*metrics, m)) return false;
+    if (m.ok) out[writeJson(*params)] = m.meanGBs;
   }
   return true;
 }

@@ -17,6 +17,16 @@ namespace hcsim::sweep {
 /// the key survives axis reordering between spec revisions.
 std::string paramsKey(const Trial& trial);
 
+/// The "metrics" object of a JSONL record: ok plus every base column
+/// and each block the trial shows (opLatency, telemetry, probe, self,
+/// transport), or ok:false plus error. One column table drives this,
+/// its reader and the CSV; the trial cache stores this same object.
+JsonValue metricsToJson(const TrialMetrics& m);
+/// Read a metrics object back. False when it is not one: no boolean ok,
+/// a failed trial without its error, or a successful one missing (or
+/// mistyping) any base column or any column of a block it names.
+bool metricsFromJson(const JsonValue& j, TrialMetrics& out);
+
 /// One JSONL record: {"trial":i,"params":{...},"metrics":{...}}.
 std::string toJsonlLine(const TrialResult& r);
 bool writeJsonl(const SweepOutcome& out, const std::string& path);

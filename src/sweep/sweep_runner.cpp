@@ -64,7 +64,7 @@ TrialMetrics runIorTrial(const JsonValue& config, Site site, StorageKind kind,
                          const TrialOptions& opts) {
   IorConfig cfg;
   if (const JsonValue* j = config.find("ior")) {
-    if (!fromJson(*j, cfg)) throw std::invalid_argument("sweep: 'ior' section does not parse");
+    if (std::string e = readConfig(*j, "ior", cfg); !e.empty()) throw std::invalid_argument(e);
   }
   cfg.validate();
   Environment env = makeEnvironment(site, kind, cfg.nodes, config.find("storageConfig"),
@@ -159,7 +159,7 @@ TrialMetrics runDlioTrial(const JsonValue& config, Site site, StorageKind kind,
                           const TrialOptions& opts) {
   DlioConfig cfg;
   if (const JsonValue* j = config.find("dlio")) {
-    if (!fromJson(*j, cfg)) throw std::invalid_argument("sweep: 'dlio' section does not parse");
+    if (std::string e = readConfig(*j, "dlio", cfg); !e.empty()) throw std::invalid_argument(e);
   }
   Environment env = makeEnvironment(site, kind, cfg.nodes, config.find("storageConfig"),
                                     config.find("transport"));

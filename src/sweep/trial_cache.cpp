@@ -5,6 +5,7 @@
 #include <sstream>
 #include <vector>
 
+#include "sweep/result_sink.hpp"
 #include "util/json.hpp"
 
 namespace hcsim::sweep {
@@ -55,94 +56,6 @@ void TrialCache::resetCounters() {
   hits_ = 0;
   misses_ = 0;
 }
-
-namespace {
-
-JsonValue metricsToJson(const TrialMetrics& m) {
-  JsonObject o;
-  o["ok"] = m.ok;
-  if (!m.ok) o["error"] = m.error;
-  o["meanGBs"] = m.meanGBs;
-  o["minGBs"] = m.minGBs;
-  o["maxGBs"] = m.maxGBs;
-  o["elapsedSec"] = m.elapsedSec;
-  o["bytesMoved"] = m.bytesMoved;
-  if (m.latencyCapable) {
-    o["latencyCapable"] = true;
-    if (m.hasOpLatency) {
-      o["hasOpLatency"] = true;
-      o["opCount"] = m.opCount;
-      o["opP50"] = m.opP50;
-      o["opP95"] = m.opP95;
-      o["opP99"] = m.opP99;
-    }
-  }
-  if (m.hasTelemetry) {
-    o["hasTelemetry"] = true;
-    o["rerates"] = m.rerates;
-    o["eventsScheduled"] = m.eventsScheduled;
-    o["eventsCancelled"] = m.eventsCancelled;
-    o["eventsAdjusted"] = m.eventsAdjusted;
-    o["eventsDispatched"] = m.eventsDispatched;
-    o["dominantStage"] = m.dominantStage;
-    o["dominantSharePct"] = m.dominantSharePct;
-  }
-  if (m.hasMonitors) {
-    o["hasMonitors"] = true;
-    o["monitors"] = m.monitors;
-    o["breaches"] = m.breaches;
-  }
-  if (m.hasTransport) {
-    o["hasTransport"] = true;
-    o["transportOps"] = m.transportOps;
-    o["transportBytes"] = m.transportBytes;
-    o["transportThrottleSec"] = m.transportThrottleSec;
-    o["transportConnSetups"] = m.transportConnSetups;
-    o["transportSqWaits"] = m.transportSqWaits;
-    o["transportDoorbells"] = m.transportDoorbells;
-  }
-  // hasSelf is deliberately absent: self-profiled trials bypass the
-  // cache entirely (host wall-clock is not reproducible).
-  return JsonValue(std::move(o));
-}
-
-bool metricsFromJson(const JsonValue& j, TrialMetrics& m) {
-  if (!j.isObject()) return false;
-  m.ok = j.boolOr("ok", false);
-  m.error = j.stringOr("error", "");
-  m.meanGBs = j.numberOr("meanGBs", 0.0);
-  m.minGBs = j.numberOr("minGBs", 0.0);
-  m.maxGBs = j.numberOr("maxGBs", 0.0);
-  m.elapsedSec = j.numberOr("elapsedSec", 0.0);
-  m.bytesMoved = j.numberOr("bytesMoved", 0.0);
-  m.latencyCapable = j.boolOr("latencyCapable", false);
-  m.hasOpLatency = j.boolOr("hasOpLatency", false);
-  m.opCount = j.numberOr("opCount", 0.0);
-  m.opP50 = j.numberOr("opP50", 0.0);
-  m.opP95 = j.numberOr("opP95", 0.0);
-  m.opP99 = j.numberOr("opP99", 0.0);
-  m.hasTelemetry = j.boolOr("hasTelemetry", false);
-  m.rerates = j.numberOr("rerates", 0.0);
-  m.eventsScheduled = j.numberOr("eventsScheduled", 0.0);
-  m.eventsCancelled = j.numberOr("eventsCancelled", 0.0);
-  m.eventsAdjusted = j.numberOr("eventsAdjusted", 0.0);
-  m.eventsDispatched = j.numberOr("eventsDispatched", 0.0);
-  m.dominantStage = j.stringOr("dominantStage", "");
-  m.dominantSharePct = j.numberOr("dominantSharePct", 0.0);
-  m.hasMonitors = j.boolOr("hasMonitors", false);
-  m.monitors = j.numberOr("monitors", 0.0);
-  m.breaches = j.numberOr("breaches", 0.0);
-  m.hasTransport = j.boolOr("hasTransport", false);
-  m.transportOps = j.numberOr("transportOps", 0.0);
-  m.transportBytes = j.numberOr("transportBytes", 0.0);
-  m.transportThrottleSec = j.numberOr("transportThrottleSec", 0.0);
-  m.transportConnSetups = j.numberOr("transportConnSetups", 0.0);
-  m.transportSqWaits = j.numberOr("transportSqWaits", 0.0);
-  m.transportDoorbells = j.numberOr("transportDoorbells", 0.0);
-  return true;
-}
-
-}  // namespace
 
 bool TrialCache::loadFile(const std::string& path) {
   std::ifstream in(path);

@@ -15,6 +15,13 @@
 // entry as an integrity check (the in-memory map is keyed by the full
 // string, so hash collisions can never alias two configs).
 //
+// Record format, one JSON object per line, sorted by key:
+//   {"fnv":"<hex>","key":"<experiment>\n<config>","metrics":{...}}
+// where "metrics" is exactly the trial's JSONL metrics object
+// (sweep::metricsToJson). A line whose metrics object does not read back
+// — e.g. a successful trial without every base column, as in the flat
+// format older builds wrote — fails the whole load.
+//
 // Invalidation: the key covers the entire config, so any config change
 // misses naturally. What the key can NOT see is a change to the
 // simulation code itself — persisted caches are only valid for the

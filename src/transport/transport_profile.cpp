@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "config/fields.hpp"
+
 namespace hcsim::transport {
 
 const char* toString(FabricKind k) {
@@ -69,60 +71,10 @@ TransportProfile TransportProfile::rdma() {
   return p;
 }
 
-JsonValue toJson(const TransportProfile& p) {
-  JsonObject o;
-  o["kind"] = std::string(toString(p.kind));
-  o["opRate"] = p.opRate;
-  o["burstOps"] = p.burstOps;
-  o["perOpCost"] = p.perOpCost;
-  o["perByteCost"] = p.perByteCost;
-  o["doorbellCost"] = p.doorbellCost;
-  o["doorbellBatch"] = p.doorbellBatch;
-  o["descCost"] = p.descCost;
-  o["sqDepth"] = static_cast<double>(p.sqDepth);
-  o["lanes"] = static_cast<double>(p.lanes);
-  o["connectionSetup"] = p.connectionSetup;
-  o["idleTimeout"] = p.idleTimeout;
-  o["baseRtt"] = p.baseRtt;
-  return JsonValue(std::move(o));
-}
-
-namespace {
-void get(const JsonValue& j, const char* key, double& out) {
-  if (const JsonValue* v = j.find(key); v && v->isNumber()) out = *v->number();
-}
-void get(const JsonValue& j, const char* key, std::size_t& out) {
-  if (const JsonValue* v = j.find(key); v && v->isNumber()) {
-    out = static_cast<std::size_t>(*v->number());
-  }
-}
-}  // namespace
+JsonValue toJson(const TransportProfile& p) { return writeFields(p); }
 
 bool fromJson(const JsonValue& j, TransportProfile& out) {
-  if (!j.isObject()) return false;
-  // "kind" selects the whole preset as the new baseline — so a section
-  // of just {"kind": "tcp"} compares complete endpoint classes, not a
-  // relabeled hybrid. The remaining keys then override individual knobs.
-  if (const JsonValue* v = j.find("kind")) {
-    if (!v->isString()) return false;
-    const std::string& s = *v->str();
-    if (s == "tcp") out = TransportProfile::tcp();
-    else if (s == "rdma") out = TransportProfile::rdma();
-    else return false;
-  }
-  get(j, "opRate", out.opRate);
-  get(j, "burstOps", out.burstOps);
-  get(j, "perOpCost", out.perOpCost);
-  get(j, "perByteCost", out.perByteCost);
-  get(j, "doorbellCost", out.doorbellCost);
-  get(j, "doorbellBatch", out.doorbellBatch);
-  get(j, "descCost", out.descCost);
-  get(j, "sqDepth", out.sqDepth);
-  get(j, "lanes", out.lanes);
-  get(j, "connectionSetup", out.connectionSetup);
-  get(j, "idleTimeout", out.idleTimeout);
-  get(j, "baseRtt", out.baseRtt);
-  return true;
+  return readFields(j, out, "").empty();
 }
 
 }  // namespace hcsim::transport

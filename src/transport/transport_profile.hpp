@@ -10,8 +10,8 @@
 // nconnect scaling curve then *emerge* from TransportFabric's queueing
 // over these numbers rather than being configured directly.
 //
-// Every field lives in the config-path system (toJson/fromJson below),
-// so each knob is a sweepable axis ("transport.perOpCost", ...).
+// Every field lives in the config-path system (the field list below), so
+// each knob is a sweepable axis ("transport.perOpCost", ...).
 
 #include <string>
 
@@ -83,14 +83,34 @@ struct TransportProfile {
   static TransportProfile rdma();
 };
 
+/// The serialized field list (config/fields.hpp). Absent keys keep the
+/// profile's current values, so a "transport" spec section only states
+/// what it overrides on the model's declared profile. A stated "kind"
+/// resets the profile to that preset first — comparing tcp vs rdma
+/// means comparing whole endpoint classes — then the remaining keys
+/// override individual knobs.
+template <class IO>
+void fields(IO& io, TransportProfile& p) {
+  io.preset("kind", p.kind, [&p](FabricKind k) {
+    p = k == FabricKind::Rdma ? TransportProfile::rdma() : TransportProfile::tcp();
+  });
+  io("opRate", p.opRate);
+  io("burstOps", p.burstOps);
+  io("perOpCost", p.perOpCost);
+  io("perByteCost", p.perByteCost);
+  io("doorbellCost", p.doorbellCost);
+  io("doorbellBatch", p.doorbellBatch);
+  io("descCost", p.descCost);
+  io("sqDepth", p.sqDepth);
+  io("lanes", p.lanes);
+  io("connectionSetup", p.connectionSetup);
+  io("idleTimeout", p.idleTimeout);
+  io("baseRtt", p.baseRtt);
+}
+
 JsonValue toJson(const TransportProfile& p);
-/// Lenient: absent keys keep `out`'s current values, so a "transport"
-/// spec section only states what it overrides on the model's declared
-/// profile. Exception: a stated "kind" resets `out` to that preset
-/// first (comparing tcp vs rdma means comparing whole endpoint
-/// classes), then the remaining keys override individual knobs.
-/// Returns false when `j` is not an object or a stated enum value does
-/// not parse.
+/// False when `j` is not an object or any key fails the field list's
+/// strict read (hcsim::readConfig names the failing key).
 bool fromJson(const JsonValue& j, TransportProfile& out);
 
 }  // namespace hcsim::transport

@@ -43,12 +43,21 @@ class OwningReplaySource : public WorkloadSource {
 
 std::string prefix(const std::string& key) { return std::string(kWhere) + "." + key + ": "; }
 
+/// Read an IOR/DLIO generator section as that config: the section's
+/// "generator" key names the generator, every other key is a config key.
+template <class Config>
+bool readGeneratorConfig(const JsonValue& w, Config& cfg, std::vector<std::string>& problems) {
+  JsonObject knobs = *w.object();
+  knobs.erase("generator");
+  std::string e = readConfig(JsonValue(std::move(knobs)), kWhere, cfg);
+  if (e.empty()) return true;
+  problems.push_back(std::move(e));
+  return false;
+}
+
 SourceBundle makeIor(const JsonValue& w, std::vector<std::string>& problems) {
   IorConfig cfg;
-  if (!fromJson(w, cfg)) {
-    problems.push_back(std::string(kWhere) + ": the IOR section does not parse");
-    return {};
-  }
+  if (!readGeneratorConfig(w, cfg, problems)) return {};
   try {
     cfg.validate();
   } catch (const std::exception& ex) {
@@ -60,10 +69,7 @@ SourceBundle makeIor(const JsonValue& w, std::vector<std::string>& problems) {
 
 SourceBundle makeDlio(const JsonValue& w, std::vector<std::string>& problems) {
   DlioConfig cfg;
-  if (!fromJson(w, cfg)) {
-    problems.push_back(std::string(kWhere) + ": the DLIO section does not parse");
-    return {};
-  }
+  if (!readGeneratorConfig(w, cfg, problems)) return {};
   try {
     cfg.validate();
   } catch (const std::exception& ex) {

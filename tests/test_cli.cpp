@@ -10,6 +10,7 @@
 #include <tuple>
 
 #include "config/serialize.hpp"
+#include "sweep/trial_cache.hpp"
 
 namespace hcsim {
 namespace {
@@ -293,6 +294,14 @@ TEST(Cli, NonsenseSpecValuesExitTwoWithOneLine) {
        "retry.maxRetries: must be a non-negative"},
       {"workload", "{" + ior + R"(, "chaos": {)" + badEvent + "}}",
        "events[0]: 'index' must be a non-negative integer"},
+      // Config sections go through the one strict field reader.
+      {"workload", R"({"workload": {"generator": "ior", "access": "seq-reed"}})",
+       "workload.access: must be seq-read|seq-write|rand-read|rand-write (got 'seq-reed')"},
+      {"workload", "{" + ior + R"(, "storageConfig": {"cnodez": 4}})",
+       "storageConfig.cnodez: unknown key"},
+      {"workload", R"({"workload": {"generator": "ior", "nodes": -3}})",
+       "workload.nodes: must be a non-negative integer (got -3)"},
+      {"chaos", R"({"transport": {"lanez": 2}})", "transport.lanez: unknown key"},
   };
   for (const Case& c : cases) {
     const std::string path = writeTempSpec("nonsense", c.spec);
@@ -309,6 +318,36 @@ TEST(Cli, HelpMentionsChaos) {
   std::string out;
   EXPECT_EQ(runCli({"help"}, &out), 0);
   EXPECT_NE(out.find("chaos"), std::string::npos);
+}
+
+TEST(Cli, ConfigFileWithUnknownKeyExitsTwoNamingIt) {
+  const std::string path = writeTempSpec("ior_typo", R"({"segmentz": 4})");
+  std::string err;
+  EXPECT_EQ(runCli({"ior", "--site", "wombat", "--storage", "vast", "--config", path}, nullptr,
+                   &err),
+            2);
+  std::remove(path.c_str());
+  EXPECT_NE(err.find(path + ": segmentz: unknown key"), std::string::npos) << err;
+}
+
+TEST(Cli, StaleTrialCacheFailsLoudly) {
+  // A record in the flat format older builds wrote: its hash is valid,
+  // but its metrics lack the JSONL "bytes" column.
+  std::ostringstream fnv;
+  fnv << std::hex << sweep::fnv1a64("ior");
+  const std::string cachePath = writeTempSpec(
+      "stale_cache", R"({"fnv":")" + fnv.str() +
+                         R"(","key":"ior","metrics":{"bytesMoved":1,"elapsedSec":1,)"
+                         R"("maxGBs":1,"meanGBs":1,"minGBs":1,"ok":true}})"
+                         "\n");
+  const std::string specPath = writeTempSpec("stale_cache_spec", R"({"experiment": "ior",
+    "base": {"site": "wombat", "storage": "vast", "ior": {"segments": 4}},
+    "axes": [{"path": "ior.nodes", "values": [1]}]})");
+  std::string err;
+  EXPECT_EQ(runCli({"sweep", "--spec", specPath, "--cache", cachePath}, nullptr, &err), 2);
+  std::remove(cachePath.c_str());
+  std::remove(specPath.c_str());
+  EXPECT_NE(err.find("malformed (delete it to rebuild)"), std::string::npos) << err;
 }
 
 TEST(Cli, IorLoadsConfigFile) {

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 
 #include "cluster/deployments.hpp"
+#include "config/paths.hpp"
+#include "core/backends.hpp"
+#include "sweep/sweep_spec.hpp"
 
 namespace hcsim {
 namespace {
@@ -127,7 +131,7 @@ TEST(ConfigSerialize, MdtestRoundTrip) {
 
 TEST(ConfigSerialize, PartialJsonKeepsDefaults) {
   JsonValue j;
-  ASSERT_TRUE(parseJson(R"({"cnodes": 4, "transport": "tcp",
+  ASSERT_TRUE(parseJson(R"({"cnodes": 4, "transport": "tcp", "dnodeCacheBytes": 1500000000.75,
                             "gateway": {"present": true, "linkBandwidth": 1e9}})", j));
   VastConfig out = VastConfig::wombatInstance();  // defaults to overwrite
   ASSERT_TRUE(fromJson(j, out));
@@ -135,9 +139,109 @@ TEST(ConfigSerialize, PartialJsonKeepsDefaults) {
   EXPECT_EQ(out.transport, NfsTransport::Tcp);
   EXPECT_TRUE(out.gateway.present);
   EXPECT_DOUBLE_EQ(out.gateway.linkBandwidth, 1e9);
+  // Fractional counts truncate: the oracle scales byte counts by factors.
+  EXPECT_EQ(out.dnodeCacheBytes, 1500000000u);
   // Untouched keys keep the preset's values.
   EXPECT_EQ(out.nconnect, 16u);
   EXPECT_EQ(out.dboxes, 4u);
+}
+
+TEST(ConfigSerialize, StrictReaderNamesTheDottedKey) {
+  struct Case {
+    const char* json;
+    const char* error;
+  };
+  const Case vast[] = {
+      {R"({"cnodez": 4})", "storageConfig.cnodez: unknown key"},
+      {R"({"gateway": {"latencyz": 1}})", "storageConfig.gateway.latencyz: unknown key"},
+      {R"({"transport": "udp"})", "storageConfig.transport: must be tcp|rdma (got 'udp')"},
+      {R"({"cnodes": -3})", "storageConfig.cnodes: must be a non-negative integer (got -3)"},
+      {R"({"cnodes": "4"})", "storageConfig.cnodes: must be a non-negative integer (got '4')"},
+      {R"({"cnodes": 1e30})", "storageConfig.cnodes: must be a non-negative integer (got 1"},
+      {R"({"multipath": 1})", "storageConfig.multipath: must be true or false (got 1)"},
+      {R"({"fabricLatency": null})", "storageConfig.fabricLatency: must be a number (got null)"},
+      {R"({"qlcSpec": 3})", "storageConfig.qlcSpec: must be an object"},
+  };
+  for (const Case& c : vast) {
+    JsonValue j;
+    ASSERT_TRUE(parseJson(c.json, j));
+    VastConfig cfg = vastOnLassen();
+    const std::string err = readConfig(j, "storageConfig", cfg);
+    EXPECT_EQ(err.rfind(c.error, 0), 0u) << c.json << " -> " << err;
+    EXPECT_EQ(err.find('\n'), std::string::npos) << err;
+    EXPECT_FALSE(fromJson(j, cfg)) << c.json;
+  }
+  JsonValue j;
+  ASSERT_TRUE(parseJson(R"({"access": "seq-reed"})", j));
+  IorConfig ior;
+  EXPECT_EQ(readConfig(j, "ior", ior),
+            "ior.access: must be seq-read|seq-write|rand-read|rand-write (got 'seq-reed')");
+  ASSERT_TRUE(parseJson(R"({"mode": "bulk"})", j));
+  EXPECT_EQ(readConfig(j, "ior", ior), "ior.mode: must be coalesced|per-op (got 'bulk')");
+  ASSERT_TRUE(parseJson(R"({"workload": {"epochz": 2}})", j));
+  DlioConfig dlio;
+  EXPECT_EQ(readConfig(j, "dlio", dlio), "dlio.workload.epochz: unknown key");
+  ASSERT_TRUE(parseJson(R"({"kind": "ib"})", j));
+  transport::TransportProfile fabric;
+  EXPECT_EQ(readConfig(j, "transport", fabric), "transport.kind: must be tcp|rdma (got 'ib')");
+}
+
+/// Every numeric leaf of `written` moved off its value (to floor(v) + 1,
+/// which stays a valid unsigned count) and every boolean flipped.
+JsonValue editEveryLeaf(const JsonValue& written) {
+  JsonValue edited = sweep::deepCopy(written);
+  for (const JsonPathInfo& leaf : enumerateJsonPaths(written)) {
+    const JsonValue* v = sweep::jsonPathGet(written, leaf.path);
+    if (leaf.kind == JsonPathInfo::Kind::Number) {
+      sweep::jsonPathSet(edited, leaf.path, JsonValue(std::floor(*v->number()) + 1.0));
+    } else if (leaf.kind == JsonPathInfo::Kind::Boolean) {
+      sweep::jsonPathSet(edited, leaf.path, JsonValue(!*v->boolean()));
+    }
+  }
+  return edited;
+}
+
+/// Read the edited bytes back and write them again: a key that is
+/// written but not read comes back at its default and fails the match.
+template <typename T>
+void expectEveryFieldRoundTrips(const JsonValue& written, const std::string& what) {
+  const JsonValue edited = editEveryLeaf(written);
+  ASSERT_NE(writeJson(edited), writeJson(written)) << what;
+  T cfg{};
+  ASSERT_TRUE(fromJson(edited, cfg)) << what;
+  EXPECT_EQ(writeJson(toJson(cfg)), writeJson(edited)) << what;
+}
+
+TEST(ConfigSerialize, EveryWrittenFieldIsRead) {
+  for (const BackendInfo& row : backendTable()) {
+    for (Site site : row.sites) {
+      const JsonValue preset = row.preset(site);
+      const std::string what = std::string(row.name) + "@" + toString(site);
+      switch (row.kind) {
+        case StorageKind::Vast: expectEveryFieldRoundTrips<VastConfig>(preset, what); break;
+        case StorageKind::Gpfs: expectEveryFieldRoundTrips<GpfsConfig>(preset, what); break;
+        case StorageKind::Lustre: expectEveryFieldRoundTrips<LustreConfig>(preset, what); break;
+        case StorageKind::NvmeLocal:
+          expectEveryFieldRoundTrips<NvmeLocalConfig>(preset, what);
+          break;
+        case StorageKind::Daos: expectEveryFieldRoundTrips<DaosConfig>(preset, what); break;
+      }
+    }
+  }
+  for (const SiteInfo& s : siteTable()) {
+    expectEveryFieldRoundTrips<Machine>(toJson(s.machine()), s.name);
+  }
+  IorConfig ior = IorConfig::singleNodeFsync(AccessPattern::RandomRead, 4);
+  ior.clientsPerRank = 8;  // written only when not 1
+  expectEveryFieldRoundTrips<IorConfig>(toJson(ior), "ior");
+  DlioConfig dlio;
+  dlio.workload = DlioWorkload::unet3d();
+  expectEveryFieldRoundTrips<DlioConfig>(toJson(dlio), "dlio");
+  expectEveryFieldRoundTrips<MdtestConfig>(toJson(MdtestConfig{}), "mdtest");
+  expectEveryFieldRoundTrips<transport::TransportProfile>(
+      transport::toJson(transport::TransportProfile::tcp()), "transport tcp");
+  expectEveryFieldRoundTrips<transport::TransportProfile>(
+      transport::toJson(transport::TransportProfile::rdma()), "transport rdma");
 }
 
 TEST(ConfigSerialize, WrongShapeRejected) {

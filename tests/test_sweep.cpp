@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <sstream>
 
 #include "sweep/result_sink.hpp"
 #include "sweep/sweep_runner.hpp"
@@ -186,6 +187,39 @@ TEST(SweepRun, StorageConfigOverridesChangeTheOutcome) {
   EXPECT_GT(out.results[1].metrics.meanGBs, out.results[0].metrics.meanGBs * 1.2);
 }
 
+TEST(SweepRun, NonsenseSectionsFailEveryTrialWithTheKey) {
+  // A misspelled axis must not draw a flat, plausible curve: every trial
+  // fails without running, and its JSONL error names the dotted key.
+  struct Case {
+    const char* path;
+    JsonValue value;
+    const char* error;
+  };
+  const Case cases[] = {
+      {"ior.segmentz", JsonValue(4), "ior.segmentz: unknown key"},
+      {"ior.access", JsonValue("seq-reed"),
+       "ior.access: must be seq-read|seq-write|rand-read|rand-write (got 'seq-reed')"},
+      {"ior.nodes", JsonValue(-3), "ior.nodes: must be a non-negative integer (got -3)"},
+      {"storageConfig.cnodez", JsonValue(4), "storageConfig.cnodez: unknown key"},
+      {"transport.lanez", JsonValue(2), "transport.lanez: unknown key"},
+  };
+  for (const Case& c : cases) {
+    SweepSpec spec = smallIorSpec();
+    spec.axes.resize(1);
+    spec.axes[0].values = {JsonValue("vast")};
+    ASSERT_TRUE(jsonPathSet(spec.base, c.path, deepCopy(c.value)));
+    const SweepOutcome out = runSweep(spec, 1);
+    ASSERT_EQ(out.results.size(), 1u);
+    EXPECT_EQ(out.failures, 1u);
+    const TrialMetrics& m = out.results[0].metrics;
+    EXPECT_FALSE(m.ok);
+    EXPECT_EQ(m.error, c.error);
+    const std::string line = toJsonlLine(out.results[0]);
+    EXPECT_NE(line.find(R"("ok":false)"), std::string::npos) << line;
+    EXPECT_NE(line.find(c.path), std::string::npos) << line;
+  }
+}
+
 TEST(SweepSink, CsvHasHeaderAxisColumnsAndRows) {
   SweepSpec spec = smallIorSpec();
   spec.axes.resize(1);  // storage only -> 2 trials
@@ -321,5 +355,28 @@ TEST(TrialCache, MissingFileIsColdCacheButCorruptFileFails) {
     out << "not json at all\n";
   }
   EXPECT_FALSE(cache.loadFile(path));
+  {
+    // The flat record older builds wrote: a valid hash, but its metrics
+    // lack the JSONL "bytes" column, so they must not load as zeros.
+    const std::string key = "ior\n{}";
+    std::ostringstream fnv;
+    fnv << std::hex << fnv1a64(key);
+    JsonObject flat;
+    flat["ok"] = true;
+    flat["meanGBs"] = 1.5;
+    flat["minGBs"] = 1.5;
+    flat["maxGBs"] = 1.5;
+    flat["elapsedSec"] = 2.0;
+    flat["bytesMoved"] = 3e9;
+    flat["latencyCapable"] = true;
+    JsonObject rec;
+    rec["fnv"] = fnv.str();
+    rec["key"] = key;
+    rec["metrics"] = JsonValue(std::move(flat));
+    std::ofstream out(path);
+    out << writeJson(JsonValue(std::move(rec))) << "\n";
+  }
+  EXPECT_FALSE(cache.loadFile(path));
+  EXPECT_EQ(cache.size(), 0u);
   std::remove(path.c_str());
 }

@@ -394,7 +394,37 @@ TEST(TelemetryCache, MetricsRoundTripAndKeySeparation) {
   m.eventsDispatched = 97.0;
   m.dominantStage = "gw";
   m.dominantSharePct = 81.25;
+  m.latencyCapable = true;  // ... but no per-op distribution: opLatency null
   cache.insert("k", m);
+
+  // Every other block, with a latency distribution this time.
+  sweep::TrialMetrics full;
+  full.ok = true;
+  full.meanGBs = 2.5;
+  full.minGBs = 2.25;
+  full.maxGBs = 2.75;
+  full.elapsedSec = 0.125;
+  full.bytesMoved = 3e9;
+  full.latencyCapable = true;
+  full.hasOpLatency = true;
+  full.opCount = 4096.0;
+  full.opP50 = 1.5e-4;
+  full.opP95 = 2.5e-4;
+  full.opP99 = 1.0 / 3.0;
+  full.hasMonitors = true;
+  full.monitors = 3.0;
+  full.breaches = 1.0;
+  full.hasTransport = true;
+  full.transportOps = 512.0;
+  full.transportBytes = 5.5e8;
+  full.transportThrottleSec = 0.01;
+  full.transportConnSetups = 16.0;
+  full.transportSqWaits = 7.0;
+  full.transportDoorbells = 40.0;
+  cache.insert("k-full", full);
+  sweep::TrialMetrics failed;
+  failed.error = "storageConfig.cnodez: unknown key";
+  cache.insert("k-failed", failed);
 
   const std::string path = ::testing::TempDir() + "telemetry-cache.jsonl";
   ASSERT_TRUE(cache.saveFile(path));
@@ -410,6 +440,33 @@ TEST(TelemetryCache, MetricsRoundTripAndKeySeparation) {
   EXPECT_DOUBLE_EQ(hit->eventsDispatched, 97.0);
   EXPECT_EQ(hit->dominantStage, "gw");
   EXPECT_DOUBLE_EQ(hit->dominantSharePct, 81.25);
+  EXPECT_TRUE(hit->latencyCapable);
+  EXPECT_FALSE(hit->hasOpLatency);
+  EXPECT_FALSE(hit->hasMonitors);
+  EXPECT_FALSE(hit->hasTransport);
+
+  const auto hitFull = loaded.lookup("k-full");
+  ASSERT_TRUE(hitFull.has_value());
+  EXPECT_FALSE(hitFull->hasTelemetry);
+  EXPECT_TRUE(hitFull->hasOpLatency);
+  EXPECT_EQ(hitFull->opP99, full.opP99);  // bit-exact, not just close
+  EXPECT_TRUE(hitFull->hasMonitors);
+  EXPECT_DOUBLE_EQ(hitFull->breaches, 1.0);
+  EXPECT_TRUE(hitFull->hasTransport);
+  EXPECT_DOUBLE_EQ(hitFull->transportDoorbells, 40.0);
+  const auto hitFailed = loaded.lookup("k-failed");
+  ASSERT_TRUE(hitFailed.has_value());
+  EXPECT_FALSE(hitFailed->ok);
+  EXPECT_EQ(hitFailed->error, failed.error);
+  // Every column of every block: the reloaded metrics serialize to the
+  // same JSONL metrics object as the originals.
+  const std::pair<const char*, sweep::TrialMetrics> stored[] = {
+      {"k", m}, {"k-full", full}, {"k-failed", failed}};
+  for (const auto& [key, original] : stored) {
+    EXPECT_EQ(writeJson(sweep::metricsToJson(*loaded.lookup(key))),
+              writeJson(sweep::metricsToJson(original)))
+        << key;
+  }
   std::remove(path.c_str());
 
   // A telemetry run memoizes under a distinct key, so a warm plain
