@@ -3,7 +3,8 @@
 # benches, examples — a bench that fails to compile fails this script),
 # run the full test suite, then smoke-test the sweep engine, the trial
 # cache (byte-identity cold/warm), the strict config reader (a
-# misspelled key fails every trial by name), the regression oracle, the
+# misspelled key or an out-of-range knob fails every trial by name, a
+# spec nested past the JSON depth limit exits 2), the regression oracle, the
 # telemetry layer (jobs-determinism with --telemetry on, strip-identity
 # against the telemetry-off JSONL, and gateway attribution via `trace
 # --internal`), the chaos layer (fault-drill run-twice byte-identity,
@@ -53,6 +54,24 @@ test "$TYPO_RC" -eq 1
 test "$(wc -l < "$OUT-typo.jsonl")" -ge 24
 test "$(grep -c '"error":"ior.segmentz: unknown key"' "$OUT-typo.jsonl")" \
     -eq "$(wc -l < "$OUT-typo.jsonl")"
+
+# Range gate: a knob outside its field-list range fails every trial by
+# name instead of running ("nconnect": 0 must not run as nconnect 1).
+sed 's/"storageConfig": {/"storageConfig": { "nconnect": 0,/' \
+    "$ROOT/examples/specs/chaos_sweep.json" > "$BUILD/check-chaos-nconnect0.json"
+RANGE_RC=0
+"$BUILD/src/hcsim" sweep --spec "$BUILD/check-chaos-nconnect0.json" --jobs 8 \
+    --out "$OUT-nconnect0.jsonl" >/dev/null || RANGE_RC=$?
+test "$RANGE_RC" -eq 1
+test "$(wc -l < "$OUT-nconnect0.jsonl")" -eq 4
+test "$(grep -c '"error":"storageConfig.nconnect: ' "$OUT-nconnect0.jsonl")" -eq 4
+
+# Depth gate: a spec of 200k nested '[' is malformed JSON (exit 2), not a
+# stack overflow.
+head -c 200000 /dev/zero | tr '\0' '[' > "$BUILD/check-deep.json"
+DEEP_RC=0
+"$BUILD/src/hcsim" sweep --spec "$BUILD/check-deep.json" >/dev/null 2>&1 || DEEP_RC=$?
+test "$DEEP_RC" -eq 2
 
 # Trial-cache gate: a cached sweep must emit byte-identical JSONL to the
 # uncached run above — cold (writing the cache) and warm (served from it).

@@ -6,7 +6,7 @@
 #include <map>
 #include <sstream>
 
-#include "config/serialize.hpp"
+#include "config/fields.hpp"
 #include "net/topology.hpp"
 
 namespace hcsim::chaos {
@@ -89,17 +89,8 @@ bool parseChaosSpec(const JsonValue& json, ChaosSpec& out, std::string& error) {
   parseSpecHeader(json, out, problems);
 
   if (const JsonValue* w = json.find("workload")) {
-    ChaosWorkload& cw = out.workload;
-    if (!w->isObject()) {
-      problems.push_back("workload: must be an object");
-    } else {
-      positiveInt(*w, "nodes", 4.0, cw.nodes, problems);
-      positiveInt(*w, "procsPerNode", 8.0, cw.procsPerNode, problems);
-      if (const JsonValue* a = w->find("access"); a != nullptr && !fromJson(*a, cw.access)) {
-        problems.push_back("workload.access: must be seq-read|seq-write|rand-read|rand-write");
-      }
-      positiveBytes(*w, "requestBytes", 16.0 * 1024 * 1024, cw.requestBytes, problems);
-      positiveInt(*w, "clientsPerProc", 1.0, cw.clientsPerProc, problems);
+    if (std::string e = readFields(*w, out.workload, "workload"); !e.empty()) {
+      problems.push_back(std::move(e));
     }
   }
 

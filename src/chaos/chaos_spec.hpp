@@ -47,6 +47,7 @@
 #include <string>
 #include <vector>
 
+#include "config/range.hpp"
 #include "core/experiment.hpp"
 #include "fs/fault.hpp"
 #include "util/json.hpp"
@@ -71,6 +72,15 @@ struct ChaosWorkload {
   /// one-client-per-session drill, byte-identical to before the knob.
   std::size_t clientsPerProc = 1;
 };
+
+template <class IO>
+void fields(IO& io, ChaosWorkload& w) {
+  io("nodes", w.nodes, kCount);
+  io("procsPerNode", w.procsPerNode, kCount);
+  io("access", w.access);
+  io("requestBytes", w.requestBytes, kPositive);
+  io("clientsPerProc", w.clientsPerProc, kCount);
+}
 
 /// A full parsed scenario: the shared spec header (name, site, storage,
 /// storageConfig, transport, retry, monitors — core/experiment.hpp) plus

@@ -1,5 +1,6 @@
 #include "cli/commands.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <functional>
 #include <memory>
@@ -8,6 +9,7 @@
 #include <stdexcept>
 
 #include "chaos/chaos_runner.hpp"
+#include "config/fields.hpp"
 #include "config/serialize.hpp"
 #include "core/calibration.hpp"
 #include "core/experiment.hpp"
@@ -631,26 +633,25 @@ int cmdScale(const ArgParser& args, std::ostream& out, std::ostream& err) {
     err << "error: --storage must be one of " << storageNames() << "\n";
     return 2;
   }
-  const std::size_t clients = args.sizeOr("--clients", 1000000);
-  const std::size_t classes = args.sizeOr("--classes", 256);
-  if (clients == 0 || classes == 0) {
-    err << "error: --clients and --classes must be > 0\n";
-    return 2;
-  }
-
+  // The flags are keys of an open-loop section, read through
+  // OpenLoopConfig's field list: a value outside its key's range fails
+  // naming the key ("requestBytes: must be > 0 (got 0)").
   workload::OpenLoopConfig cfg;
-  cfg.clients = classes;
-  cfg.clientsPerRank = (clients + classes - 1) / classes;  // ceil: at least `clients`
-  cfg.clientsPerNode = args.sizeOr("--classes-per-node", 8);
-  cfg.ratePerClientHz = args.numberOr("--rate", 5.0);
-  cfg.horizonSec = args.numberOr("--horizon", 5.0);
-  cfg.demandSigma = args.numberOr("--demand-sigma", 0.0);
-  cfg.requestBytes = static_cast<Bytes>(args.numberOr("--request", 128.0 * 1024.0));
-  cfg.readFraction = args.numberOr("--read-fraction", 0.9);
-  cfg.objects = args.sizeOr("--objects", cfg.objects);
-  cfg.seed = static_cast<std::uint64_t>(args.numberOr("--seed", static_cast<double>(cfg.seed)));
-  if (cfg.ratePerClientHz <= 0.0 || cfg.horizonSec <= 0.0) {
-    err << "error: --rate and --horizon must be > 0\n";
+  const double classes = args.numberOr("--classes", 256);
+  JsonObject section;
+  section["clients"] = classes;
+  // ceil: at least --clients in all
+  section["clientsPerRank"] = std::ceil(args.numberOr("--clients", 1e6) / classes);
+  section["clientsPerNode"] = args.numberOr("--classes-per-node", 8);
+  section["ratePerClientHz"] = args.numberOr("--rate", 5.0);
+  section["horizonSec"] = args.numberOr("--horizon", 5.0);
+  section["demandSigma"] = args.numberOr("--demand-sigma", 0.0);
+  section["requestBytes"] = args.numberOr("--request", 128.0 * 1024.0);
+  section["readFraction"] = args.numberOr("--read-fraction", 0.9);
+  section["objects"] = args.numberOr("--objects", static_cast<double>(cfg.objects));
+  section["seed"] = args.numberOr("--seed", static_cast<double>(cfg.seed));
+  if (std::string e = readFields(JsonValue(std::move(section)), cfg, ""); !e.empty()) {
+    err << "error: " << e << "\n";
     return 2;
   }
 

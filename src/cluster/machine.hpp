@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <string>
 
+#include "config/range.hpp"
 #include "util/units.hpp"
 
 namespace hcsim {
@@ -29,5 +30,18 @@ struct Machine {
   static Machine quartz();  ///< 3018 nodes, 36 cores, Xeon, Omni-Path
   static Machine wombat();  ///< 8 nodes, 48 cores, A64fx, IB EDR
 };
+
+template <class IO>
+void fields(IO& io, Machine& m) {
+  io("name", m.name);
+  io("nodes", m.nodes, kCount);
+  io("coresPerNode", m.coresPerNode, kCount);
+  io("gpusPerNode", m.gpusPerNode, kWhole);
+  io("ramGiB", m.ramGiB, kWhole);
+  io("arch", m.arch);
+  io("network", m.network);
+  io("nodeInjection", m.nodeInjection, kPositive);
+  io("nicLatency", m.nicLatency, kNonNegative);
+}
 
 }  // namespace hcsim

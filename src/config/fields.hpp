@@ -1,17 +1,22 @@
 #pragma once
-// One field list per config struct, walked by one writer and one reader.
+// One field list per config struct, walked by one writer, one reader and
+// one checker.
 //
-// A serializable struct states its JSON keys exactly once:
+// A serializable struct states its JSON keys exactly once, next to the
+// struct, each numeric key with the range of values it accepts
+// (config/range.hpp):
 //
 //   template <class IO>
 //   void fields(IO& io, HddSpec& s) {
 //     io("name", s.name);
-//     io("streamBandwidth", s.streamBandwidth);
-//     io("seekTime", s.seekTime);
+//     io("streamBandwidth", s.streamBandwidth, kPositive);
+//     io("seekTime", s.seekTime, kNonNegative);
 //   }
 //
 // writeFields() walks that list to build the JSON object, readFields()
 // walks it to read one back, so a key can never be written but not read.
+// requireFields() walks it over a struct built in code: each validate()
+// calls it and keeps only its cross-field rules.
 // Member types: double, bool, std::string, unsigned integers, enums
 // (spelled by enumName) and nested structs with their own field list.
 // Two list entries carry extra behaviour:
@@ -21,18 +26,26 @@
 //
 // The reader is strict at the boundary. Absent keys keep the struct's
 // current values, but an unknown key, an enum string that does not
-// parse, a value of the wrong JSON type, or a negative, non-finite or
-// out-of-range number for an unsigned field fails the read with one line
-// naming the dotted key: "ior.access: must be seq-read|... (got 'x')".
-// Fractional numbers for unsigned fields truncate toward zero.
+// parse, a value of the wrong JSON type, a number outside the field's
+// range, or a negative, non-finite or too-large number for an unsigned
+// field fails the read with one line naming the dotted key:
+// "ior.access: must be seq-read|... (got 'x')", "storageConfig.cnodes:
+// must be a positive integer (got 0)". An unsigned field truncates a
+// fraction toward zero, and its range must hold before and after (count
+// ranges reject fractions). The checker fails in the same words, and
+// builds no string while every field holds.
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <vector>
 
+#include "config/range.hpp"
 #include "util/json.hpp"
 
 namespace hcsim {
@@ -75,16 +88,24 @@ bool parseEnum(const JsonValue& j, E& out) {
 template <class T>
 JsonValue writeFields(const T& c);
 template <class T>
-std::string readFields(const JsonValue& j, T& out, const std::string& path);
+std::string readFields(const JsonValue& j, T& out, const std::string& path,
+                       std::initializer_list<const char*> others = {});
+
+/// "<dotted>: <rule> (got <value>)", the one shape of every field error.
+inline std::string fieldError(const std::string& dotted, const std::string& rule,
+                              const JsonValue& got) {
+  return dotted + ": " + rule + " (got " +
+         (got.isString() ? "'" + *got.str() + "'" : writeJson(got)) + ")";
+}
 
 class FieldWriter {
  public:
   template <class T>
-  void operator()(const char* key, const T& v) {
+  void operator()(const char* key, const T& v, const Range& = {}) {
     obj_[key] = encode(v);
   }
   template <class T>
-  void omitWhen(const char* key, const T& v, const T& skip) {
+  void omitWhen(const char* key, const T& v, const T& skip, const Range& = {}) {
     if (!(v == skip)) (*this)(key, v);
   }
   template <class T, class Apply>
@@ -113,20 +134,24 @@ class FieldWriter {
 
 class FieldReader {
  public:
-  FieldReader(const JsonObject& obj, const std::string& path) : obj_(obj), path_(path) {}
+  FieldReader(const JsonObject& obj, const std::string& path,
+              std::initializer_list<const char*> others)
+      : obj_(obj), path_(path) {
+    for (const char* key : others) claim(key);
+  }
 
   template <class T>
-  void operator()(const char* key, T& v) {
-    if (const JsonValue* j = claim(key)) decode(key, *j, v);
+  void operator()(const char* key, T& v, const Range& r = {}) {
+    if (const JsonValue* j = claim(key)) decode(key, *j, v, r);
   }
   template <class T>
-  void omitWhen(const char* key, T& v, const T&) {
-    (*this)(key, v);
+  void omitWhen(const char* key, T& v, const T&, const Range& r = {}) {
+    (*this)(key, v, r);
   }
   template <class T, class Apply>
   void preset(const char* key, T& v, Apply&& apply) {
     T parsed = v;
-    if (const JsonValue* j = claim(key); j && decode(key, *j, parsed)) apply(parsed);
+    if (const JsonValue* j = claim(key); j && decode(key, *j, parsed, {})) apply(parsed);
   }
 
   /// "" when every key parsed, else the first problem — an unknown key
@@ -155,14 +180,19 @@ class FieldReader {
 
   std::string dotted(const char* key) const { return path_.empty() ? key : path_ + "." + key; }
 
-  bool fail(const char* key, const std::string& what, const JsonValue& got) {
-    error_ = dotted(key) + ": " + what + " (got " +
-             (got.isString() ? "'" + *got.str() + "'" : writeJson(got)) + ")";
+  bool fail(const char* key, const std::string& rule, const JsonValue& got) {
+    error_ = fieldError(dotted(key), rule, got);
     return false;
   }
 
   template <class T>
-  bool decode(const char* key, const JsonValue& j, T& v) {
+  bool decode(const char* key, const JsonValue& j, T& v, const Range& r) {
+    // An unsigned field truncates a fraction, so the range must hold
+    // for the value as written and for the value the member will hold.
+    if (const double* d = j.number();
+        d != nullptr && !(r.holds(*d) && (!std::is_unsigned_v<T> || r.holds(std::trunc(*d))))) {
+      return fail(key, r.rule, j);
+    }
     if constexpr (std::is_same_v<T, bool>) {
       if (!j.isBool()) return fail(key, "must be true or false", j);
       v = *j.boolean();
@@ -197,6 +227,32 @@ class FieldReader {
   std::string error_;
 };
 
+/// Walks a field list over a struct built in code. `error` names the
+/// first field outside its range; a nested struct's error gets its key
+/// prefixed on the way out, so no string is built while fields hold.
+struct FieldChecker {
+  template <class T>
+  void operator()(const char* key, const T& v, const Range& r = {}) {
+    if (!error.empty()) return;
+    if constexpr (std::is_arithmetic_v<T> && !std::is_same_v<T, bool>) {
+      const double d = static_cast<double>(v);
+      if (!r.holds(d)) error = fieldError(key, r.rule, JsonValue(d));
+    } else if constexpr (std::is_class_v<T> && !std::is_same_v<T, std::string>) {
+      FieldChecker nested;
+      fields(nested, const_cast<T&>(v));  // field lists take T&; the checker only reads
+      if (!nested.error.empty()) error = key + ("." + nested.error);
+    }
+  }
+  template <class T>
+  void omitWhen(const char* key, const T& v, const T&, const Range& r = {}) {
+    (*this)(key, v, r);
+  }
+  template <class T, class Apply>
+  void preset(const char*, const T&, Apply&&) {}
+
+  std::string error;
+};
+
 /// The JSON object of `c`'s field list.
 template <class T>
 JsonValue writeFields(const T& c) {
@@ -205,15 +261,28 @@ JsonValue writeFields(const T& c) {
   return JsonValue(w.take());
 }
 
-/// Read `j` onto `out` through its field list. Returns "" on success,
-/// else one line naming the dotted key under `path`.
+/// Read `j` onto `out` through its field list. `others` names keys the
+/// caller reads itself (a generator section's "generator"): the reader
+/// neither applies nor rejects them. Returns "" on success, else one
+/// line naming the dotted key under `path`.
 template <class T>
-std::string readFields(const JsonValue& j, T& out, const std::string& path) {
+std::string readFields(const JsonValue& j, T& out, const std::string& path,
+                       std::initializer_list<const char*> others) {
   const JsonObject* obj = j.object();
   if (obj == nullptr) return (path.empty() ? "" : path + ": ") + "must be an object";
-  FieldReader r(*obj, path);
+  FieldReader r(*obj, path, others);
   fields(r, out);
   return r.finish();
+}
+
+/// Check every field of `c` against its range. Throws
+/// std::invalid_argument naming the first field outside it, dotted under
+/// `root`: "DaosConfig.fabric.lanes: must be a positive integer (got 0)".
+template <class T>
+void requireFields(const T& c, const char* root) {
+  FieldChecker checker;
+  checker(root, c);
+  if (!checker.error.empty()) throw std::invalid_argument(checker.error);
 }
 
 }  // namespace hcsim

@@ -1,11 +1,13 @@
 #pragma once
 // JSON (de)serialization for every configuration struct — the interface
 // a downstream user scripts experiments through (and what the hcsim CLI
-// consumes). Each struct lists its keys once (config/fields.hpp); one
-// writer and one reader walk that list. Absent keys keep the struct's
-// defaults, so a config file only states what it overrides. Unknown
-// keys, enum strings that do not parse, values of the wrong JSON type
-// and negative, non-finite or out-of-range counts fail the read.
+// consumes). Each struct lists its keys once, next to the struct, each
+// numeric key with its range (config/fields.hpp, config/range.hpp); one
+// writer and one reader walk that list, and each struct's validate()
+// walks it with the checker before its cross-field rules. Absent keys
+// keep the struct's defaults, so a config file only states what it
+// overrides. Unknown keys, enum strings that do not parse, values of the
+// wrong JSON type and numbers outside the key's range fail the read.
 
 #include <string>
 
@@ -69,21 +71,13 @@ bool fromJson(const JsonValue& j, DlioConfig& out);
 JsonValue toJson(const MdtestConfig& c);
 bool fromJson(const JsonValue& j, MdtestConfig& out);
 
-/// Read a user-supplied section onto `out` (absent keys keep its
-/// values). Returns "" on success, else one line naming the dotted key
-/// under `path`: "ior.access: must be seq-read|seq-write|rand-read|
-/// rand-write (got 'seq-reed')", "storageConfig.cnodez: unknown key".
-/// Instantiated for every config type with a save/load pair below and
-/// for transport::TransportProfile.
-template <typename T>
-std::string readConfig(const JsonValue& j, const std::string& path, T& out);
-
 // ---- file helpers ----
 /// Write any serializable config to a pretty-printed JSON file.
 template <typename T>
 bool saveConfig(const T& config, const std::string& path);
-/// Load a config from a JSON file, read as readConfig does. On failure
-/// `error` (when given) gets one line naming the file and the problem.
+/// Load a config from a JSON file, read strictly (readFields,
+/// config/fields.hpp). On failure `error` (when given) gets one line
+/// naming the file and the problem.
 template <typename T>
 bool loadConfig(const std::string& path, T& out, std::string* error = nullptr);
 

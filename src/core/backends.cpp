@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "cluster/deployments.hpp"
+#include "config/fields.hpp"
 #include "config/serialize.hpp"
 
 namespace hcsim {
@@ -31,7 +32,7 @@ std::unique_ptr<FileSystemModel> attachPreset(TestBench& bench, Site site,
                                               const JsonValue* overrides) {
   auto c = Preset(site);
   if (overrides != nullptr) {
-    std::string e = readConfig(*overrides, "storageConfig", c);
+    std::string e = readFields(*overrides, c, "storageConfig");
     if (!e.empty()) throw std::invalid_argument(e);
   }
   return (bench.*Attach)(std::move(c));

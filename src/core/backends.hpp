@@ -51,7 +51,7 @@ struct BackendInfo {
   const char* siteRule;     ///< why any other site is rejected
   /// The serialized preset deployment as reached from `site`.
   JsonValue (*preset)(Site site);
-  /// Build the site's preset, read `overrides` onto it (readConfig under
+  /// Build the site's preset, read `overrides` onto it (readFields under
   /// "storageConfig": the object only states what it changes, and an
   /// unknown key, bad enum or negative count throws
   /// std::invalid_argument naming it; nullptr = as-is) and attach the

@@ -1,9 +1,8 @@
 #include "core/experiment.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
-#include "config/serialize.hpp"
+#include "config/fields.hpp"
 
 namespace hcsim {
 
@@ -29,7 +28,7 @@ Environment makeEnvironment(Site site, StorageKind kind, std::size_t nodes,
   if (transportSection || kind == StorageKind::Daos) {
     transport::TransportProfile profile = env.fs->declaredTransportProfile();
     if (transportSection != nullptr) {
-      std::string e = readConfig(*transportSection, "transport", profile);
+      std::string e = readFields(*transportSection, profile, "transport");
       if (!e.empty()) throw std::invalid_argument(e);
     }
     profile.validate();
@@ -69,50 +68,18 @@ void parseSpecHeader(const JsonValue& doc, SpecHeader& out, std::vector<std::str
   section("transport", "endpoint-profile", out.transport);
 
   if (const JsonValue* r = doc.find("retry")) {
-    RetryPolicy& p = out.retry;
     if (r->isBool()) {
       out.retryEnabled = *r->boolean();
     } else if (r->isObject()) {
       out.retryEnabled = true;
-      p.timeout = r->numberOr("timeoutSec", p.timeout);
-      if (!(p.timeout > 0.0)) problems.push_back("retry.timeoutSec: must be > 0 seconds");
-      const double retries = r->numberOr("maxRetries", static_cast<double>(p.maxRetries));
-      if (!(retries >= 0.0 && retries < 1e9 && retries == std::floor(retries))) {
-        problems.push_back("retry.maxRetries: must be a non-negative integer");
-      } else {
-        p.maxRetries = static_cast<std::size_t>(retries);
+      if (std::string e = readFields(*r, out.retry, "retry"); !e.empty()) {
+        problems.push_back(std::move(e));
       }
-      p.backoffBase = r->numberOr("backoffBaseSec", p.backoffBase);
-      if (!(p.backoffBase >= 0.0)) problems.push_back("retry.backoffBaseSec: must be >= 0 seconds");
-      p.backoffMultiplier = r->numberOr("backoffMultiplier", p.backoffMultiplier);
-      if (!(p.backoffMultiplier >= 1.0)) problems.push_back("retry.backoffMultiplier: must be >= 1");
     } else {
       problems.push_back("retry: must be a boolean or an object");
     }
   }
   probe::parseMonitors(doc, out.monitors, problems);
-}
-
-bool positiveInt(const JsonValue& section, const char* key, double fallback, std::size_t& out,
-                 std::vector<std::string>& problems) {
-  const double v = section.numberOr(key, fallback);
-  if (!(v >= 1.0 && v < 1e15 && v == std::floor(v))) {
-    problems.push_back(std::string("workload.") + key + ": must be a positive integer");
-    return false;
-  }
-  out = static_cast<std::size_t>(v);
-  return true;
-}
-
-bool positiveBytes(const JsonValue& section, const char* key, double fallback, Bytes& out,
-                   std::vector<std::string>& problems) {
-  const double v = section.numberOr(key, fallback);
-  if (!(v > 0.0 && v < 1e18)) {
-    problems.push_back(std::string("workload.") + key + ": must be > 0 bytes");
-    return false;
-  }
-  out = static_cast<Bytes>(v);
-  return true;
 }
 
 namespace {

@@ -40,7 +40,7 @@ struct Environment {
 Environment makeEnvironment(Site site, StorageKind kind, std::size_t nodes);
 
 /// As above, with optional JSON overrides read onto the site preset's
-/// storage config (readConfig: the object only states what it changes;
+/// storage config (readFields: the object only states what it changes;
 /// an unknown key, bad enum or negative count throws
 /// std::invalid_argument naming "storageConfig.<key>"). nullptr = preset
 /// as-is. Shared by sweep trials and chaos scenarios so a
@@ -80,14 +80,6 @@ void parseSpecHeader(const JsonValue& doc, SpecHeader& out, std::vector<std::str
 
 /// makeEnvironment for a parsed header.
 Environment makeEnvironment(const SpecHeader& spec, std::size_t nodes);
-
-/// Validators for keys of a spec's "workload" section: read `key` (or
-/// `fallback` when absent) into `out`, or append
-/// "workload.<key>: must be ..." to `problems` and return false.
-bool positiveInt(const JsonValue& section, const char* key, double fallback, std::size_t& out,
-                 std::vector<std::string>& problems);
-bool positiveBytes(const JsonValue& section, const char* key, double fallback, Bytes& out,
-                   std::vector<std::string>& problems);
 
 /// One point of a bandwidth series.
 struct BandwidthPoint {

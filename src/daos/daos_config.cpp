@@ -2,34 +2,15 @@
 
 #include <stdexcept>
 
+#include "config/fields.hpp"
+
 namespace hcsim {
 
 void DaosConfig::validate() const {
-  if (pools == 0) throw std::invalid_argument("DaosConfig: pools must be > 0");
-  if (targetsPerPool == 0) {
-    throw std::invalid_argument("DaosConfig: targetsPerPool must be > 0");
+  requireFields(*this, "DaosConfig");
+  if (redundancyGroupSize > totalTargets()) {
+    throw std::invalid_argument("DaosConfig: redundancyGroupSize must be <= totalTargets()");
   }
-  if (xstreamsPerTarget == 0) {
-    throw std::invalid_argument("DaosConfig: xstreamsPerTarget must be > 0");
-  }
-  if (targetBandwidth <= 0.0) {
-    throw std::invalid_argument("DaosConfig: targetBandwidth must be > 0");
-  }
-  if (targetServiceTime < 0.0 || fsyncLatency < 0.0 || metadataServiceTime < 0.0 ||
-      sharedFileLockLatency < 0.0) {
-    throw std::invalid_argument("DaosConfig: latencies must be >= 0");
-  }
-  if (randomEfficiency <= 0.0 || randomEfficiency > 1.0) {
-    throw std::invalid_argument("DaosConfig: randomEfficiency must be in (0,1]");
-  }
-  if (redundancyGroupSize == 0 || redundancyGroupSize > totalTargets()) {
-    throw std::invalid_argument(
-        "DaosConfig: redundancyGroupSize must be in [1, totalTargets()]");
-  }
-  if (sharedFileEfficiency <= 0.0 || sharedFileEfficiency > 1.0) {
-    throw std::invalid_argument("DaosConfig: sharedFileEfficiency must be in (0,1]");
-  }
-  fabric.validate();
 }
 
 DaosConfig DaosConfig::instance() { return DaosConfig{}; }

@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <string>
 
+#include "config/range.hpp"
 #include "transport/transport_profile.hpp"
 #include "util/units.hpp"
 
@@ -63,12 +64,33 @@ struct DaosConfig {
     return static_cast<Bytes>(totalTargets()) * capacityPerTarget;
   }
 
-  /// Throws std::invalid_argument when structurally inconsistent.
+  /// Throws std::invalid_argument naming the first field outside its
+  /// range (the fabric's included), or a group wider than the pool.
   void validate() const;
 
   /// A small all-flash instance reachable from any machine: 1 pool x 8
   /// targets, RF-2, RDMA endpoint.
   static DaosConfig instance();
 };
+
+/// The transport profile sits under "fabric" with its own field list.
+template <class IO>
+void fields(IO& io, DaosConfig& c) {
+  io("name", c.name);
+  io("pools", c.pools, kCount);
+  io("targetsPerPool", c.targetsPerPool, kCount);
+  io("xstreamsPerTarget", c.xstreamsPerTarget, kCount);
+  io("targetBandwidth", c.targetBandwidth, kPositive);
+  io("targetServiceTime", c.targetServiceTime, kNonNegative);
+  io("randomEfficiency", c.randomEfficiency, kEfficiency);
+  io("capacityPerTarget", c.capacityPerTarget, kPositive);
+  io("redundancyGroupSize", c.redundancyGroupSize, kCount);
+  io("fsyncLatency", c.fsyncLatency, kNonNegative);
+  io("metadataServiceTime", c.metadataServiceTime, kNonNegative);
+  io("metadataSharedDirPenalty", c.metadataSharedDirPenalty, kAtLeastOne);
+  io("sharedFileLockLatency", c.sharedFileLockLatency, kNonNegative);
+  io("sharedFileEfficiency", c.sharedFileEfficiency, kEfficiency);
+  io("fabric", c.fabric);
+}
 
 }  // namespace hcsim

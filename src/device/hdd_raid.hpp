@@ -26,6 +26,13 @@ struct HddSpec {
   static HddSpec nearlineSas();
 };
 
+template <class IO>
+void fields(IO& io, HddSpec& s) {
+  io("name", s.name);
+  io("streamBandwidth", s.streamBandwidth, kPositive);
+  io("seekTime", s.seekTime, kNonNegative);
+}
+
 /// A RAID group of `spindles` identical drives. `parityOverhead` derates
 /// writes (RAID6/raidz2 read-modify-write); reads are served from data
 /// disks at full aggregate streaming rate.

@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <string>
 
+#include "config/range.hpp"
 #include "util/units.hpp"
 
 namespace hcsim {
@@ -56,6 +57,16 @@ struct SsdSpec {
   /// SAS SSD used in Lustre MDS ZFS mirrors.
   static SsdSpec sasSsd();
 };
+
+template <class IO>
+void fields(IO& io, SsdSpec& s) {
+  io("name", s.name);
+  io("readBandwidth", s.readBandwidth, kPositive);
+  io("writeBandwidth", s.writeBandwidth, kPositive);
+  io("readLatency", s.readLatency, kNonNegative);
+  io("writeLatency", s.writeLatency, kNonNegative);
+  io("randomEfficiency", s.randomEfficiency, kEfficiency);
+}
 
 /// N identical SSDs treated as one pool. Effective pool bandwidth for a
 /// phase = N * per-device streaming bandwidth, derated by the random

@@ -1,7 +1,8 @@
 #include "dlio/dlio_config.hpp"
 
 #include <algorithm>
-#include <stdexcept>
+
+#include "config/fields.hpp"
 
 namespace hcsim {
 
@@ -75,22 +76,6 @@ Bytes DlioConfig::datasetBytes() const {
   return static_cast<Bytes>(total) * workload.sampleSize;
 }
 
-void DlioConfig::validate() const {
-  if (workload.samples == 0 || workload.sampleSize == 0 || workload.transferSize == 0) {
-    throw std::invalid_argument("DlioConfig: workload geometry must be non-zero");
-  }
-  if (workload.batchSize == 0 || workload.epochs == 0 || workload.ioThreads == 0) {
-    throw std::invalid_argument("DlioConfig: batchSize/epochs/ioThreads must be > 0");
-  }
-  if (workload.prefetchDepth == 0) {
-    throw std::invalid_argument("DlioConfig: prefetchDepth must be > 0");
-  }
-  if (nodes == 0 || procsPerNode == 0) {
-    throw std::invalid_argument("DlioConfig: nodes and procsPerNode must be > 0");
-  }
-  if (workload.computeTimePerBatch < 0.0) {
-    throw std::invalid_argument("DlioConfig: computeTimePerBatch must be >= 0");
-  }
-}
+void DlioConfig::validate() const { requireFields(*this, "DlioConfig"); }
 
 }  // namespace hcsim

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <string>
 
+#include "config/range.hpp"
 #include "util/units.hpp"
 
 namespace hcsim {
@@ -61,6 +62,23 @@ struct DlioWorkload {
   static DlioWorkload unet3d();
 };
 
+template <class IO>
+void fields(IO& io, DlioWorkload& w) {
+  io("name", w.name);
+  io("samples", w.samples, kCount);
+  io("sampleSize", w.sampleSize, kPositive);
+  io("transferSize", w.transferSize, kPositive);
+  io("batchSize", w.batchSize, kCount);
+  io("epochs", w.epochs, kCount);
+  io("ioThreads", w.ioThreads, kCount);
+  io("computeThreads", w.computeThreads, kCount);
+  io("prefetchDepth", w.prefetchDepth, kCount);
+  io("computeTimePerBatch", w.computeTimePerBatch, kNonNegative);
+  io("scaling", w.scaling);
+  io("checkpointEvery", w.checkpointEvery, kWhole);
+  io("checkpointBytes", w.checkpointBytes);  // 0 with checkpointEvery 0
+}
+
 struct DlioConfig {
   DlioWorkload workload;
   std::size_t nodes = 1;
@@ -79,5 +97,14 @@ struct DlioConfig {
 
   void validate() const;
 };
+
+template <class IO>
+void fields(IO& io, DlioConfig& c) {
+  io("workload", c.workload);
+  io("nodes", c.nodes, kCount);
+  io("procsPerNode", c.procsPerNode, kCount);
+  io("seed", c.seed);
+  io("computeJitterFrac", c.computeJitterFrac, kNonNegative);
+}
 
 }  // namespace hcsim

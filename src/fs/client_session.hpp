@@ -25,6 +25,7 @@
 #include <functional>
 #include <memory>
 
+#include "config/range.hpp"
 #include "fs/file_system_model.hpp"
 
 namespace hcsim {
@@ -36,6 +37,15 @@ struct RetryPolicy {
   Seconds backoffBase = 0.25;      ///< wait before the first retry
   double backoffMultiplier = 2.0;  ///< backoffBase * mult^(retry-1)
 };
+
+/// A spec's "retry" object.
+template <class IO>
+void fields(IO& io, RetryPolicy& p) {
+  io("timeoutSec", p.timeout, kPositive);
+  io("maxRetries", p.maxRetries, kWhole);
+  io("backoffBaseSec", p.backoffBase, kNonNegative);
+  io("backoffMultiplier", p.backoffMultiplier, kAtLeastOne);
+}
 
 class ClientSession {
  public:

@@ -1,24 +1,10 @@
 #include "gpfs/gpfs_config.hpp"
 
-#include <stdexcept>
+#include "config/fields.hpp"
 
 namespace hcsim {
 
-void GpfsConfig::validate() const {
-  if (nsdServers == 0) throw std::invalid_argument("GpfsConfig: nsdServers must be > 0");
-  if (spindlesPerServer == 0) {
-    throw std::invalid_argument("GpfsConfig: spindlesPerServer must be > 0");
-  }
-  if (serverReadBandwidth <= 0.0 || serverWriteBandwidth <= 0.0) {
-    throw std::invalid_argument("GpfsConfig: server bandwidths must be > 0");
-  }
-  if (clientReadCap <= 0.0 || clientWriteCap <= 0.0) {
-    throw std::invalid_argument("GpfsConfig: client caps must be > 0");
-  }
-  if (raidParityOverhead < 0.0 || raidParityOverhead >= 1.0) {
-    throw std::invalid_argument("GpfsConfig: raidParityOverhead must be in [0,1)");
-  }
-}
+void GpfsConfig::validate() const { requireFields(*this, "GpfsConfig"); }
 
 GpfsConfig GpfsConfig::lassen() {
   return GpfsConfig{};  // defaults describe the Lassen instance

@@ -7,6 +7,7 @@
 #include <cstddef>
 #include <string>
 
+#include "config/range.hpp"
 #include "device/hdd_raid.hpp"
 #include "util/units.hpp"
 
@@ -79,5 +80,30 @@ struct GpfsConfig {
   /// The Lassen instance as described in the paper.
   static GpfsConfig lassen();
 };
+
+template <class IO>
+void fields(IO& io, GpfsConfig& c) {
+  io("name", c.name);
+  io("nsdServers", c.nsdServers, kCount);
+  io("serverReadBandwidth", c.serverReadBandwidth, kPositive);
+  io("serverWriteBandwidth", c.serverWriteBandwidth, kPositive);
+  io("hdd", c.hdd);
+  io("spindlesPerServer", c.spindlesPerServer, kCount);
+  io("raidParityOverhead", c.raidParityOverhead, kProperFraction);
+  io("serverCacheBytes", c.serverCacheBytes, kPositive);
+  io("randomCacheResidencyFactor", c.randomCacheResidencyFactor, kFraction);
+  io("randomCacheDecayBytes", c.randomCacheDecayBytes, kPositive);
+  io("prefetchChurnPerGiB", c.prefetchChurnPerGiB, kNonNegative);
+  io("clientReadCap", c.clientReadCap, kPositive);
+  io("clientWriteCap", c.clientWriteCap, kPositive);
+  io("rpcLatency", c.rpcLatency, kNonNegative);
+  io("commitLatency", c.commitLatency, kNonNegative);
+  io("randomReadPenalty", c.randomReadPenalty, kNonNegative);
+  io("metadataServiceTime", c.metadataServiceTime, kNonNegative);
+  io("metadataSharedDirPenalty", c.metadataSharedDirPenalty, kAtLeastOne);
+  io("sharedFileLockLatency", c.sharedFileLockLatency, kNonNegative);
+  io("sharedFileEfficiency", c.sharedFileEfficiency, kEfficiency);
+  io("capacityTotal", c.capacityTotal, kPositive);
+}
 
 }  // namespace hcsim

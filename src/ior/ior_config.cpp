@@ -3,6 +3,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "config/fields.hpp"
+
 namespace hcsim {
 
 const char* toString(IorConfig::Mode m) {
@@ -14,27 +16,12 @@ const char* toString(IorConfig::Mode m) {
 }
 
 void IorConfig::validate() const {
-  if (blockSize == 0 || transferSize == 0 || segments == 0) {
-    throw std::invalid_argument("IorConfig: geometry must be non-zero");
-  }
+  requireFields(*this, "IorConfig");
   if (blockSize % transferSize != 0) {
     throw std::invalid_argument("IorConfig: blockSize must be a multiple of transferSize");
   }
-  if (nodes == 0 || procsPerNode == 0) {
-    throw std::invalid_argument("IorConfig: nodes and procsPerNode must be > 0");
-  }
-  if (clientsPerRank == 0) throw std::invalid_argument("IorConfig: clientsPerRank must be > 0");
-  if (repetitions == 0) throw std::invalid_argument("IorConfig: repetitions must be > 0");
-  if (noiseStdDevFrac < 0.0) throw std::invalid_argument("IorConfig: noise must be >= 0");
-  if (stonewallSeconds < 0.0) {
-    throw std::invalid_argument("IorConfig: stonewallSeconds must be >= 0");
-  }
   if (stonewallSeconds > 0.0 && mode != Mode::PerOp) {
     throw std::invalid_argument("IorConfig: stonewalling requires Mode::PerOp");
-  }
-  if (fsyncPerWrite && !isRead(access) && mode == Mode::Coalesced && transfersPerProc() > 1) {
-    // Allowed, but the per-op path is the accurate one; callers that care
-    // use singleNodeFsync(). No throw — documented approximation.
   }
 }
 

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <string>
 
+#include "config/range.hpp"
 #include "device/ssd.hpp"  // AccessPattern
 #include "util/units.hpp"
 
@@ -54,7 +55,9 @@ struct IorConfig {
     return static_cast<std::uint64_t>(segments) * (blockSize / transferSize);
   }
 
-  /// Throws std::invalid_argument on inconsistent geometry.
+  /// Throws std::invalid_argument naming the first field outside its
+  /// range, a block that is not whole transfers, or stonewalling
+  /// without Mode::PerOp.
   void validate() const;
 
   std::string describe() const;
@@ -72,5 +75,25 @@ struct IorConfig {
 };
 
 const char* toString(IorConfig::Mode m);
+
+template <class IO>
+void fields(IO& io, IorConfig& c) {
+  io("access", c.access);
+  io("blockSize", c.blockSize, kPositive);
+  io("transferSize", c.transferSize, kPositive);
+  io("segments", c.segments, kCount);
+  io("filePerProcess", c.filePerProcess);
+  io("fsyncPerWrite", c.fsyncPerWrite);
+  io("reorderTasks", c.reorderTasks);
+  io("stonewallSeconds", c.stonewallSeconds, kNonNegative);
+  io("nodes", c.nodes, kCount);
+  io("procsPerNode", c.procsPerNode, kCount);
+  // Written only when aggregating, so legacy configs serialize unchanged.
+  io.omitWhen("clientsPerRank", c.clientsPerRank, std::size_t{1}, kCount);
+  io("repetitions", c.repetitions, kCount);
+  io("mode", c.mode);
+  io("noiseStdDevFrac", c.noiseStdDevFrac, kNonNegative);
+  io("seed", c.seed);
+}
 
 }  // namespace hcsim

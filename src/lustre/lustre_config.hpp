@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <string>
 
+#include "config/range.hpp"
 #include "device/hdd_raid.hpp"
 #include "util/units.hpp"
 
@@ -53,5 +54,27 @@ struct LustreConfig {
   /// The LC instance serving Quartz and Ruby.
   static LustreConfig lcInstance();
 };
+
+template <class IO>
+void fields(IO& io, LustreConfig& c) {
+  io("name", c.name);
+  io("mdsCount", c.mdsCount, kCount);
+  io("mdsLatency", c.mdsLatency, kNonNegative);
+  io("metadataServiceTime", c.metadataServiceTime, kNonNegative);
+  io("metadataSharedDirPenalty", c.metadataSharedDirPenalty, kAtLeastOne);
+  io("sharedFileLockLatency", c.sharedFileLockLatency, kNonNegative);
+  io("sharedFileEfficiency", c.sharedFileEfficiency, kEfficiency);
+  io("ossCount", c.ossCount, kCount);
+  io("ossBandwidth", c.ossBandwidth, kPositive);
+  io("hdd", c.hdd);
+  io("spindlesPerOss", c.spindlesPerOss, kCount);
+  io("raidz2Overhead", c.raidz2Overhead, kProperFraction);
+  io("stripeCount", c.stripeCount, kCount);
+  io("clientCap", c.clientCap, kPositive);
+  io("rpcLatency", c.rpcLatency, kNonNegative);
+  io("commitLatency", c.commitLatency, kNonNegative);
+  io("randomReadPenalty", c.randomReadPenalty, kNonNegative);
+  io("capacityTotal", c.capacityTotal, kPositive);
+}
 
 }  // namespace hcsim

@@ -3,17 +3,12 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "config/fields.hpp"
 #include "util/random.hpp"
 
 namespace hcsim {
 
-void MdtestConfig::validate() const {
-  if (nodes == 0 || procsPerNode == 0) {
-    throw std::invalid_argument("MdtestConfig: nodes and procsPerNode must be > 0");
-  }
-  if (itemsPerProc == 0) throw std::invalid_argument("MdtestConfig: itemsPerProc must be > 0");
-  if (repetitions == 0) throw std::invalid_argument("MdtestConfig: repetitions must be > 0");
-}
+void MdtestConfig::validate() const { requireFields(*this, "MdtestConfig"); }
 
 Seconds MdtestRunner::runPhase(const MdtestConfig& cfg, MetaOp op) {
   Simulator& sim = bench_.sim();

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "cluster/deployments.hpp"
+#include "config/range.hpp"
 #include "fs/file_system_model.hpp"
 #include "util/stats.hpp"
 
@@ -28,6 +29,17 @@ struct MdtestConfig {
 
   void validate() const;
 };
+
+template <class IO>
+void fields(IO& io, MdtestConfig& c) {
+  io("nodes", c.nodes, kCount);
+  io("procsPerNode", c.procsPerNode, kCount);
+  io("itemsPerProc", c.itemsPerProc, kCount);
+  io("uniqueDirPerTask", c.uniqueDirPerTask);
+  io("repetitions", c.repetitions, kCount);
+  io("noiseStdDevFrac", c.noiseStdDevFrac, kNonNegative);
+  io("seed", c.seed);
+}
 
 struct MdtestResult {
   Summary createOpsPerSec;

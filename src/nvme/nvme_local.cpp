@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "config/fields.hpp"
 #include "telemetry/metrics_registry.hpp"
 
 namespace hcsim {
@@ -12,13 +13,7 @@ namespace {
 constexpr Bandwidth kUncapped = std::numeric_limits<Bandwidth>::infinity();
 }
 
-void NvmeLocalConfig::validate() const {
-  if (drivesPerNode == 0) throw std::invalid_argument("NvmeLocalConfig: drivesPerNode must be > 0");
-  if (memoryBandwidth <= 0.0) {
-    throw std::invalid_argument("NvmeLocalConfig: memoryBandwidth must be > 0");
-  }
-  if (flushLatency < 0.0) throw std::invalid_argument("NvmeLocalConfig: flushLatency must be >= 0");
-}
+void NvmeLocalConfig::validate() const { requireFields(*this, "NvmeLocalConfig"); }
 
 NvmeLocalConfig NvmeLocalConfig::wombatInstance() {
   return NvmeLocalConfig{};  // defaults describe Wombat's 3x 970 PRO nodes

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "cache/writeback_buffer.hpp"
+#include "config/range.hpp"
 #include "device/ssd.hpp"
 #include "fs/storage_base.hpp"
 
@@ -49,6 +50,21 @@ struct NvmeLocalConfig {
   /// Wombat's node-local storage as described in the paper.
   static NvmeLocalConfig wombatInstance();
 };
+
+template <class IO>
+void fields(IO& io, NvmeLocalConfig& c) {
+  io("name", c.name);
+  io("drive", c.drive);
+  io("drivesPerNode", c.drivesPerNode, kCount);
+  io("capacityPerDrive", c.capacityPerDrive, kPositive);
+  io("memoryBandwidth", c.memoryBandwidth, kPositive);
+  io("dirtyLimitBytes", c.dirtyLimitBytes, kPositive);
+  io("flushLatency", c.flushLatency, kNonNegative);
+  io("syscallLatency", c.syscallLatency, kNonNegative);
+  io("metadataServiceTime", c.metadataServiceTime, kNonNegative);
+  io("sharedFileLockLatency", c.sharedFileLockLatency, kNonNegative);
+  io("sharedFileEfficiency", c.sharedFileEfficiency, kEfficiency);
+}
 
 class NvmeLocalModel final : public StorageModelBase {
  public:

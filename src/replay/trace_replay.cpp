@@ -1,15 +1,13 @@
 #include "replay/trace_replay.hpp"
 
-#include <stdexcept>
-
+#include "config/fields.hpp"
 #include "workload/replay_source.hpp"
 #include "workload/workload_runner.hpp"
 
 namespace hcsim {
 
 ReplayResult TraceReplayer::replay(const TraceLog& input, const ReplayConfig& cfg) {
-  if (cfg.pidsPerNode == 0) throw std::invalid_argument("ReplayConfig: pidsPerNode must be > 0");
-  if (cfg.transferSize == 0) throw std::invalid_argument("ReplayConfig: transferSize must be > 0");
+  requireFields(cfg, "ReplayConfig");
 
   ReplayResult result;
   result.originalIoTime = input.totalDuration(TraceEventKind::Read) +

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "cluster/deployments.hpp"
+#include "config/range.hpp"
 #include "fs/file_system_model.hpp"
 #include "trace/overlap_analysis.hpp"
 #include "trace/trace_log.hpp"
@@ -26,6 +27,14 @@ struct ReplayConfig {
   /// (false: I/O back-to-back — a pure storage stress replay).
   bool replayCompute = true;
 };
+
+/// The "replay" generator section (its "trace" path is read beside it).
+template <class IO>
+void fields(IO& io, ReplayConfig& c) {
+  io("pidsPerNode", c.pidsPerNode, kCount);
+  io("transferSize", c.transferSize, kPositive);
+  io("replayCompute", c.replayCompute);
+}
 
 struct ReplayResult {
   TraceLog trace;              ///< the as-replayed timeline
@@ -48,7 +57,8 @@ class TraceReplayer {
 
   /// Replay `input` to completion. Per pid, events execute in start-time
   /// order: I/O is re-issued against the model (its duration becomes
-  /// whatever the model says); compute is a fixed delay.
+  /// whatever the model says); compute is a fixed delay. Throws
+  /// std::invalid_argument naming a `cfg` field outside its range.
   ReplayResult replay(const TraceLog& input, const ReplayConfig& cfg = {});
 
  private:

@@ -8,7 +8,7 @@
 #include <thread>
 
 #include "chaos/chaos_runner.hpp"
-#include "config/serialize.hpp"
+#include "config/fields.hpp"
 #include "core/experiment.hpp"
 #include "net/topology.hpp"
 #include "probe/self_profiler.hpp"
@@ -64,7 +64,7 @@ TrialMetrics runIorTrial(const JsonValue& config, Site site, StorageKind kind,
                          const TrialOptions& opts) {
   IorConfig cfg;
   if (const JsonValue* j = config.find("ior")) {
-    if (std::string e = readConfig(*j, "ior", cfg); !e.empty()) throw std::invalid_argument(e);
+    if (std::string e = readFields(*j, cfg, "ior"); !e.empty()) throw std::invalid_argument(e);
   }
   cfg.validate();
   Environment env = makeEnvironment(site, kind, cfg.nodes, config.find("storageConfig"),
@@ -159,7 +159,7 @@ TrialMetrics runDlioTrial(const JsonValue& config, Site site, StorageKind kind,
                           const TrialOptions& opts) {
   DlioConfig cfg;
   if (const JsonValue* j = config.find("dlio")) {
-    if (std::string e = readConfig(*j, "dlio", cfg); !e.empty()) throw std::invalid_argument(e);
+    if (std::string e = readFields(*j, cfg, "dlio"); !e.empty()) throw std::invalid_argument(e);
   }
   Environment env = makeEnvironment(site, kind, cfg.nodes, config.find("storageConfig"),
                                     config.find("transport"));

@@ -1,7 +1,5 @@
 #include "transport/transport_profile.hpp"
 
-#include <stdexcept>
-
 #include "config/fields.hpp"
 
 namespace hcsim::transport {
@@ -14,21 +12,7 @@ const char* toString(FabricKind k) {
   return "?";
 }
 
-void TransportProfile::validate() const {
-  if (opRate <= 0.0) throw std::invalid_argument("TransportProfile: opRate must be > 0");
-  if (burstOps < 1.0) throw std::invalid_argument("TransportProfile: burstOps must be >= 1");
-  if (perOpCost < 0.0 || perByteCost < 0.0 || doorbellCost < 0.0 || descCost < 0.0) {
-    throw std::invalid_argument("TransportProfile: costs must be >= 0");
-  }
-  if (doorbellBatch < 1.0) {
-    throw std::invalid_argument("TransportProfile: doorbellBatch must be >= 1");
-  }
-  if (sqDepth == 0) throw std::invalid_argument("TransportProfile: sqDepth must be >= 1");
-  if (lanes == 0) throw std::invalid_argument("TransportProfile: lanes must be >= 1");
-  if (connectionSetup < 0.0 || idleTimeout < 0.0 || baseRtt < 0.0) {
-    throw std::invalid_argument("TransportProfile: times must be >= 0");
-  }
-}
+void TransportProfile::validate() const { requireFields(*this, "TransportProfile"); }
 
 TransportProfile TransportProfile::tcp() {
   TransportProfile p;

@@ -15,6 +15,7 @@
 
 #include <string>
 
+#include "config/range.hpp"
 #include "util/json.hpp"
 #include "util/units.hpp"
 
@@ -71,7 +72,8 @@ struct TransportProfile {
   /// Base round-trip: bounds in-flight window rate to sqDepth*opBytes/rtt.
   Seconds baseRtt = units::usec(250);
 
-  /// Throws std::invalid_argument when structurally inconsistent.
+  /// Throws std::invalid_argument naming the first field outside its
+  /// range.
   void validate() const;
 
   /// Kernel NFS/TCP endpoint: ~1.15 GB/s per lane at 1 MiB ops, one
@@ -94,23 +96,23 @@ void fields(IO& io, TransportProfile& p) {
   io.preset("kind", p.kind, [&p](FabricKind k) {
     p = k == FabricKind::Rdma ? TransportProfile::rdma() : TransportProfile::tcp();
   });
-  io("opRate", p.opRate);
-  io("burstOps", p.burstOps);
-  io("perOpCost", p.perOpCost);
-  io("perByteCost", p.perByteCost);
-  io("doorbellCost", p.doorbellCost);
-  io("doorbellBatch", p.doorbellBatch);
-  io("descCost", p.descCost);
-  io("sqDepth", p.sqDepth);
-  io("lanes", p.lanes);
-  io("connectionSetup", p.connectionSetup);
-  io("idleTimeout", p.idleTimeout);
-  io("baseRtt", p.baseRtt);
+  io("opRate", p.opRate, kPositive);
+  io("burstOps", p.burstOps, kAtLeastOne);
+  io("perOpCost", p.perOpCost, kNonNegative);
+  io("perByteCost", p.perByteCost, kNonNegative);
+  io("doorbellCost", p.doorbellCost, kNonNegative);
+  io("doorbellBatch", p.doorbellBatch, kAtLeastOne);
+  io("descCost", p.descCost, kNonNegative);
+  io("sqDepth", p.sqDepth, kCount);
+  io("lanes", p.lanes, kCount);
+  io("connectionSetup", p.connectionSetup, kNonNegative);
+  io("idleTimeout", p.idleTimeout, kNonNegative);
+  io("baseRtt", p.baseRtt, kNonNegative);
 }
 
 JsonValue toJson(const TransportProfile& p);
 /// False when `j` is not an object or any key fails the field list's
-/// strict read (hcsim::readConfig names the failing key).
+/// strict read (hcsim::readFields names the failing key).
 bool fromJson(const JsonValue& j, TransportProfile& out);
 
 }  // namespace hcsim::transport

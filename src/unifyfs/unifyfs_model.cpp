@@ -1,8 +1,8 @@
 #include "unifyfs/unifyfs_model.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
+#include "config/fields.hpp"
 #include "fs/model_support.hpp"
 
 namespace hcsim {
@@ -19,17 +19,7 @@ const char* toString(UnifyFsPlacement p) {
   return "?";
 }
 
-void UnifyFsConfig::validate() const {
-  if (spillDevicesPerNode == 0) {
-    throw std::invalid_argument("UnifyFsConfig: spillDevicesPerNode must be > 0");
-  }
-  if (memoryBandwidth <= 0.0) {
-    throw std::invalid_argument("UnifyFsConfig: memoryBandwidth must be > 0");
-  }
-  if (serverThreadsPerNode == 0) {
-    throw std::invalid_argument("UnifyFsConfig: serverThreadsPerNode must be > 0");
-  }
-}
+void UnifyFsConfig::validate() const { requireFields(*this, "UnifyFsConfig"); }
 
 UnifyFsModel::UnifyFsModel(Simulator& sim, Topology& topo, UnifyFsConfig config,
                            std::vector<LinkId> clientNics, std::uint64_t rngSeed)

@@ -23,6 +23,7 @@
 #include <unordered_map>
 
 #include "cache/writeback_buffer.hpp"
+#include "config/range.hpp"
 #include "device/ssd.hpp"
 #include "fs/storage_base.hpp"
 
@@ -55,6 +56,22 @@ struct UnifyFsConfig {
 
   void validate() const;
 };
+
+template <class IO>
+void fields(IO& io, UnifyFsConfig& c) {
+  io("name", c.name);
+  io("spillDevice", c.spillDevice);
+  io("spillDevicesPerNode", c.spillDevicesPerNode, kCount);
+  io("shmemBytes", c.shmemBytes, kPositive);
+  io("memoryBandwidth", c.memoryBandwidth, kPositive);
+  io("placement", c.placement);
+  io("serverThreadsPerNode", c.serverThreadsPerNode, kCount);
+  io("serverThreadBandwidth", c.serverThreadBandwidth, kPositive);
+  io("metadataLatency", c.metadataLatency, kNonNegative);
+  io("localRpcLatency", c.localRpcLatency, kNonNegative);
+  io("remoteRpcLatency", c.remoteRpcLatency, kNonNegative);
+  io("capacityPerNode", c.capacityPerNode, kPositive);
+}
 
 class UnifyFsModel final : public StorageModelBase {
  public:

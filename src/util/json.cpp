@@ -67,8 +67,14 @@ class Parser {
     skipWs();
     if (pos_ >= s_.size()) return false;
     switch (s_[pos_]) {
-      case '{': return object(out);
-      case '[': return array(out);
+      case '{':
+      case '[': {
+        if (depth_ == kMaxDepth) return false;
+        ++depth_;
+        const bool ok = s_[pos_] == '{' ? object(out) : array(out);
+        --depth_;
+        return ok;
+      }
       case '"': {
         std::string str;
         if (!string(str)) return false;
@@ -213,8 +219,12 @@ class Parser {
     return true;
   }
 
+  /// Deeper nesting fails the parse instead of exhausting the stack.
+  static constexpr std::size_t kMaxDepth = 256;
+
   const std::string& s_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 void writeValue(const JsonValue& v, std::ostringstream& os, int indent, int depth) {

@@ -72,7 +72,8 @@ class JsonValue {
       v_ = nullptr;
 };
 
-/// Parse a complete JSON document. Returns false on malformed input.
+/// Parse a complete JSON document. Returns false on malformed input,
+/// including arrays and objects nested more than 256 deep.
 bool parseJson(const std::string& text, JsonValue& out);
 
 /// Serialize (compact; `indent` > 0 pretty-prints).

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "config/fields.hpp"
+
 namespace hcsim {
 
 const char* toString(NfsTransport t) {
@@ -12,18 +14,16 @@ const char* toString(NfsTransport t) {
   return "?";
 }
 
+const char* enumName(NfsTransport t) {
+  switch (t) {
+    case NfsTransport::Tcp: return "tcp";
+    case NfsTransport::Rdma: return "rdma";
+  }
+  return "?";
+}
+
 void VastConfig::validate() const {
-  if (cnodes == 0) throw std::invalid_argument("VastConfig: cnodes must be > 0");
-  if (dboxes == 0) throw std::invalid_argument("VastConfig: dboxes must be > 0");
-  if (dnodesPerBox == 0) throw std::invalid_argument("VastConfig: dnodesPerBox must be > 0");
-  if (qlcPerBox == 0) throw std::invalid_argument("VastConfig: qlcPerBox must be > 0");
-  if (scmPerBox == 0) throw std::invalid_argument("VastConfig: scmPerBox must be > 0");
-  if (dataReductionRatio < 0.0 || dataReductionRatio >= 1.0) {
-    throw std::invalid_argument("VastConfig: dataReductionRatio must be in [0,1)");
-  }
-  if (defaultReadCacheHitRatio < 0.0 || defaultReadCacheHitRatio > 1.0) {
-    throw std::invalid_argument("VastConfig: defaultReadCacheHitRatio must be in [0,1]");
-  }
+  requireFields(*this, "VastConfig");
   if (transport == NfsTransport::Tcp && !gateway.present) {
     throw std::invalid_argument("VastConfig: TCP transport requires a gateway pool");
   }
@@ -31,7 +31,7 @@ void VastConfig::validate() const {
                           gateway.linkBandwidth <= 0.0)) {
     throw std::invalid_argument("VastConfig: gateway pool is present but unsized");
   }
-  if (sessionCap() <= 0.0) throw std::invalid_argument("VastConfig: session cap must be > 0");
+  if (!(sessionCap() > 0.0)) throw std::invalid_argument("VastConfig: session cap must be > 0");
 }
 
 VastConfig VastConfig::lcInstance() {

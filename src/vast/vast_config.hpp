@@ -8,6 +8,7 @@
 #include <cstddef>
 #include <string>
 
+#include "config/range.hpp"
 #include "device/ssd.hpp"
 #include "util/units.hpp"
 
@@ -20,6 +21,9 @@ enum class NfsTransport {
 };
 
 const char* toString(NfsTransport t);
+/// The config spelling, by protocol alone ("tcp"); toString keeps the
+/// display name ("NFS/TCP").
+const char* enumName(NfsTransport t);
 
 /// Ethernet gateway pool between the cluster fabric and VAST's network.
 /// On Lassen: 1 node x 2x100Gb; Ruby: 8 x 1x40Gb; Quartz: 32 x 2x1Gb.
@@ -33,6 +37,16 @@ struct GatewaySpec {
   std::size_t totalLinks() const { return nodes * linksPerNode; }
   Bandwidth totalBandwidth() const { return static_cast<double>(totalLinks()) * linkBandwidth; }
 };
+
+/// An absent pool may be unsized; VastConfig::validate() sizes a present one.
+template <class IO>
+void fields(IO& io, GatewaySpec& g) {
+  io("present", g.present);
+  io("nodes", g.nodes);
+  io("linksPerNode", g.linksPerNode);
+  io("linkBandwidth", g.linkBandwidth, kNonNegative);
+  io("latency", g.latency, kNonNegative);
+}
 
 struct VastConfig {
   std::string name = "VAST";
@@ -115,7 +129,7 @@ struct VastConfig {
   Bytes totalScmBytes() const {
     return static_cast<Bytes>(dboxes) * scmPerBox * scmCapacityEach;
   }
-  std::size_t sessionsPerClient() const { return nconnect == 0 ? 1 : nconnect; }
+  std::size_t sessionsPerClient() const { return nconnect; }
   Bandwidth sessionCap() const {
     return transport == NfsTransport::Tcp ? tcpSessionCap : rdmaSessionCap;
   }
@@ -123,7 +137,8 @@ struct VastConfig {
     return transport == NfsTransport::Tcp ? tcpRpcLatency : rdmaRpcLatency;
   }
 
-  /// Throws std::invalid_argument when structurally inconsistent.
+  /// Throws std::invalid_argument naming the first field outside its
+  /// range, or a broken cross-field rule.
   void validate() const;
 
   // ---- Presets matching the paper's two instances ----
@@ -138,5 +153,44 @@ struct VastConfig {
   /// and multipathing, no gateway hop.
   static VastConfig wombatInstance();
 };
+
+/// The session caps are unranged: only the one the transport picks must
+/// be > 0, which validate() checks.
+template <class IO>
+void fields(IO& io, VastConfig& c) {
+  io("name", c.name);
+  io("cnodes", c.cnodes, kCount);
+  io("dboxes", c.dboxes, kCount);
+  io("dnodesPerBox", c.dnodesPerBox, kCount);
+  io("qlcPerBox", c.qlcPerBox, kCount);
+  io("scmPerBox", c.scmPerBox, kCount);
+  io("qlcSpec", c.qlcSpec);
+  io("scmSpec", c.scmSpec);
+  io("qlcCapacityEach", c.qlcCapacityEach, kPositive);
+  io("scmCapacityEach", c.scmCapacityEach, kPositive);
+  io("cnodeReadBandwidth", c.cnodeReadBandwidth, kPositive);
+  io("cnodeWriteBandwidth", c.cnodeWriteBandwidth, kPositive);
+  io("fabricLinksPerBox", c.fabricLinksPerBox, kCount);
+  io("fabricLinkBandwidth", c.fabricLinkBandwidth, kPositive);
+  io("fabricLatency", c.fabricLatency, kNonNegative);
+  io("dataReductionRatio", c.dataReductionRatio, kProperFraction);
+  io("dnodeCacheBytes", c.dnodeCacheBytes);  // 0 = no DNode cache
+  io("defaultReadCacheHitRatio", c.defaultReadCacheHitRatio, kFraction);
+  io("transport", c.transport);
+  io("nconnect", c.nconnect, kCount);
+  io("multipath", c.multipath);
+  io("gateway", c.gateway);
+  io("tcpSessionCap", c.tcpSessionCap);
+  io("rdmaSessionCap", c.rdmaSessionCap);
+  io("tcpGatewayPipeCap", c.tcpGatewayPipeCap, kPositive);
+  io("tcpRpcLatency", c.tcpRpcLatency, kNonNegative);
+  io("rdmaRpcLatency", c.rdmaRpcLatency, kNonNegative);
+  io("commitLatency", c.commitLatency, kNonNegative);
+  io("cnodeCommitService", c.cnodeCommitService, kNonNegative);
+  io("metadataServiceTime", c.metadataServiceTime, kNonNegative);
+  io("metadataSharedDirPenalty", c.metadataSharedDirPenalty, kAtLeastOne);
+  io("sharedFileLockLatency", c.sharedFileLockLatency, kNonNegative);
+  io("sharedFileEfficiency", c.sharedFileEfficiency, kEfficiency);
+}
 
 }  // namespace hcsim

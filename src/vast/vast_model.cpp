@@ -417,7 +417,7 @@ transport::TransportProfile VastModel::declaredTransportProfile() const {
   transport::TransportProfile p = cfg_.transport == NfsTransport::Rdma
                                       ? transport::TransportProfile::rdma()
                                       : transport::TransportProfile::tcp();
-  p.lanes = std::max<std::size_t>(1, cfg_.sessionsPerClient());
+  p.lanes = cfg_.sessionsPerClient();
   p.baseRtt = cfg_.rpcLatency();
   return p;
 }

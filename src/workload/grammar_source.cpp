@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <set>
 
+#include "config/fields.hpp"
+
 namespace hcsim::workload {
 
 namespace {
@@ -152,36 +154,27 @@ struct Expander {
 
 bool parseGrammarSpec(const JsonValue& workload, const std::string& where, GrammarSpec& out,
                       std::vector<std::string>& problems) {
-  const std::size_t before = problems.size();
   out = GrammarSpec{};
-  const double nodes = workload.numberOr("nodes", 1.0);
-  const double ppn = workload.numberOr("procsPerNode", 1.0);
-  if (nodes < 1.0) problems.push_back(where + ".nodes: must be >= 1");
-  if (ppn < 1.0) problems.push_back(where + ".procsPerNode: must be >= 1");
-  out.nodes = static_cast<std::size_t>(nodes);
-  out.procsPerNode = static_cast<std::size_t>(ppn);
-  out.seed = static_cast<std::uint64_t>(workload.numberOr("seed", 0x6ea33a7));
-  const double fileBytes =
-      workload.numberOr("fileBytes", static_cast<double>(64 * units::MiB));
-  if (fileBytes <= 0.0) problems.push_back(where + ".fileBytes: must be > 0");
-  out.fileBytes = static_cast<Bytes>(fileBytes);
-
+  if (std::string e = readFields(workload, out, where, {"generator", "rules"}); !e.empty()) {
+    problems.push_back(std::move(e));
+    return false;
+  }
   const JsonValue* rules = workload.find("rules");
   if (rules == nullptr || rules->object() == nullptr) {
     problems.push_back(where + ".rules: required object mapping rule names to productions");
     return false;
   }
-  const std::string start = workload.stringOr("start", "main");
   Expander ex;
   ex.rules = rules->object();
   ex.out = &out;
   ex.problems = &problems;
   ex.where = where;
-  if (!ex.expandRule(start)) return false;
+  if (!ex.expandRule(out.start)) return false;
   if (out.ops.empty()) {
     problems.push_back(where + ".rules: the grammar expands to zero ops");
+    return false;
   }
-  return problems.size() == before;
+  return true;
 }
 
 WorkloadPlan GrammarSource::load(const WorkloadContext& ctx) {

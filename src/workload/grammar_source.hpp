@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "config/range.hpp"
 #include "util/json.hpp"
 #include "util/random.hpp"
 #include "workload/workload_source.hpp"
@@ -50,14 +51,26 @@ struct GrammarSpec {
   std::uint64_t seed = 0x6ea33a7ull;
   /// Per-rank file extent random offsets are drawn inside.
   Bytes fileBytes = 64 * units::MiB;
+  std::string start = "main";  ///< the rule expansion starts at
   std::vector<GrammarOp> ops;  ///< the expanded template, shared by ranks
 
   std::size_t totalRanks() const { return nodes * procsPerNode; }
 };
 
-/// Parse and expand the "workload" section of a grammar spec. On
-/// failure, appends one actionable line per problem to `problems` and
-/// returns false. `where` prefixes the messages (e.g. "workload").
+/// The grammar section's scalar keys; its "rules" go to the expander.
+template <class IO>
+void fields(IO& io, GrammarSpec& s) {
+  io("nodes", s.nodes, kCount);
+  io("procsPerNode", s.procsPerNode, kCount);
+  io("seed", s.seed);
+  io("fileBytes", s.fileBytes, kPositive);
+  io("start", s.start);
+}
+
+/// Parse and expand the "workload" section of a grammar spec (its
+/// "generator" key is the caller's). On failure, appends one actionable
+/// line per problem to `problems` and returns false. `where` prefixes
+/// the messages (e.g. "workload").
 bool parseGrammarSpec(const JsonValue& workload, const std::string& where, GrammarSpec& out,
                       std::vector<std::string>& problems);
 

@@ -20,6 +20,7 @@
 
 #include <vector>
 
+#include "config/range.hpp"
 #include "util/random.hpp"
 #include "workload/workload_source.hpp"
 
@@ -41,6 +42,20 @@ struct Io500Config {
 
   std::size_t totalRanks() const { return nodes * procsPerNode; }
 };
+
+/// The "io500" generator section.
+template <class IO>
+void fields(IO& io, Io500Config& c) {
+  io("nodes", c.nodes, kCount);
+  io("procsPerNode", c.procsPerNode, kCount);
+  io("scale", c.scale, kPositive);
+  io("seed", c.seed);
+  io("easyTransfer", c.easyTransfer, kPositive);
+  io("hardTransfer", c.hardTransfer, kPositive);
+  io("easyOpsMedian", c.easyOpsMedian, kCount);
+  io("hardOpsMedian", c.hardOpsMedian, kCount);
+  io("volumeSigma", c.volumeSigma, kNonNegative);
+}
 
 class Io500Source : public WorkloadSource {
  public:

@@ -12,6 +12,7 @@
 #include <memory>
 #include <vector>
 
+#include "config/range.hpp"
 #include "util/random.hpp"
 #include "workload/workload_source.hpp"
 #include "workload/zipf.hpp"
@@ -53,6 +54,26 @@ struct OpenLoopConfig {
   }
   std::size_t totalClients() const { return clients * std::max<std::size_t>(1, clientsPerRank); }
 };
+
+/// The "openloop" generator section. requestBytes <= objectBytes is the
+/// one cross-field rule, checked by the workload-spec reader.
+template <class IO>
+void fields(IO& io, OpenLoopConfig& c) {
+  io("clients", c.clients, kCount);
+  io("clientsPerNode", c.clientsPerNode, kCount);
+  io("ratePerClientHz", c.ratePerClientHz, kPositive);
+  io("horizonSec", c.horizonSec, kPositive);
+  io("objects", c.objects, kCount);
+  io("zipfTheta", c.zipfTheta, kNonNegative);
+  io("objectBytes", c.objectBytes, kPositive);
+  io("requestBytes", c.requestBytes, kPositive);
+  io("readFraction", c.readFraction, kFraction);
+  io("seed", c.seed);
+  io("sampleIntervalSec", c.sampleIntervalSec, kNonNegative);  // 0 = horizon/20
+  io("clientsPerRank", c.clientsPerRank, kCount);
+  io("sharedStream", c.sharedStream);
+  io("demandSigma", c.demandSigma, kNonNegative);
+}
 
 class OpenLoopSource : public WorkloadSource {
  public:

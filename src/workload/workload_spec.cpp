@@ -1,11 +1,12 @@
 #include "workload/workload_spec.hpp"
 
 #include <algorithm>
+#include <initializer_list>
 #include <map>
 #include <set>
 #include <stdexcept>
 
-#include "config/serialize.hpp"
+#include "config/fields.hpp"
 #include "trace/trace_import.hpp"
 #include "util/stats.hpp"
 #include "workload/dlio_source.hpp"
@@ -43,39 +44,40 @@ class OwningReplaySource : public WorkloadSource {
 
 std::string prefix(const std::string& key) { return std::string(kWhere) + "." + key + ": "; }
 
-/// Read an IOR/DLIO generator section as that config: the section's
-/// "generator" key names the generator, every other key is a config key.
+/// Read a generator section onto `cfg` through its field list: every
+/// key but `others` (the ones the maker reads itself) is a field of
+/// Config.
 template <class Config>
-bool readGeneratorConfig(const JsonValue& w, Config& cfg, std::vector<std::string>& problems) {
-  JsonObject knobs = *w.object();
-  knobs.erase("generator");
-  std::string e = readConfig(JsonValue(std::move(knobs)), kWhere, cfg);
+bool readSection(const JsonValue& w, Config& cfg, std::vector<std::string>& problems,
+                 std::initializer_list<const char*> others = {"generator"}) {
+  std::string e = readFields(w, cfg, kWhere, others);
   if (e.empty()) return true;
   problems.push_back(std::move(e));
   return false;
 }
 
-SourceBundle makeIor(const JsonValue& w, std::vector<std::string>& problems) {
-  IorConfig cfg;
-  if (!readGeneratorConfig(w, cfg, problems)) return {};
+/// readSection, then the config's cross-field rules.
+template <class Config>
+bool readValidated(const JsonValue& w, Config& cfg, std::vector<std::string>& problems) {
+  if (!readSection(w, cfg, problems)) return false;
   try {
     cfg.validate();
   } catch (const std::exception& ex) {
     problems.push_back(std::string(kWhere) + ": " + ex.what());
-    return {};
+    return false;
   }
+  return true;
+}
+
+SourceBundle makeIor(const JsonValue& w, std::vector<std::string>& problems) {
+  IorConfig cfg;
+  if (!readValidated(w, cfg, problems)) return {};
   return {std::make_unique<IorSource>(cfg), cfg.nodes};
 }
 
 SourceBundle makeDlio(const JsonValue& w, std::vector<std::string>& problems) {
   DlioConfig cfg;
-  if (!readGeneratorConfig(w, cfg, problems)) return {};
-  try {
-    cfg.validate();
-  } catch (const std::exception& ex) {
-    problems.push_back(std::string(kWhere) + ": " + ex.what());
-    return {};
-  }
+  if (!readValidated(w, cfg, problems)) return {};
   return {std::make_unique<DlioSource>(cfg), cfg.nodes};
 }
 
@@ -86,15 +88,7 @@ SourceBundle makeReplay(const JsonValue& w, std::vector<std::string>& problems) 
     return {};
   }
   ReplayConfig cfg;
-  if (!positiveInt(w, "pidsPerNode", static_cast<double>(cfg.pidsPerNode), cfg.pidsPerNode,
-                   problems)) {
-    return {};
-  }
-  if (!positiveBytes(w, "transferSize", static_cast<double>(cfg.transferSize), cfg.transferSize,
-                     problems)) {
-    return {};
-  }
-  cfg.replayCompute = w.boolOr("replayCompute", cfg.replayCompute);
+  if (!readSection(w, cfg, problems, {"generator", "trace"})) return {};
   TraceLog log;
   if (!readChromeTrace(*trace->str(), log, nullptr)) {
     problems.push_back(prefix("trace") + "cannot import '" + *trace->str() +
@@ -110,27 +104,7 @@ SourceBundle makeReplay(const JsonValue& w, std::vector<std::string>& problems) 
 
 SourceBundle makeIo500(const JsonValue& w, std::vector<std::string>& problems) {
   Io500Config cfg;
-  const std::size_t before = problems.size();
-  positiveInt(w, "nodes", static_cast<double>(cfg.nodes), cfg.nodes, problems);
-  positiveInt(w, "procsPerNode", static_cast<double>(cfg.procsPerNode), cfg.procsPerNode,
-              problems);
-  cfg.scale = w.numberOr("scale", cfg.scale);
-  if (cfg.scale <= 0.0) problems.push_back(prefix("scale") + "must be > 0");
-  cfg.seed = static_cast<std::uint64_t>(w.numberOr("seed", static_cast<double>(cfg.seed)));
-  positiveBytes(w, "easyTransfer", static_cast<double>(cfg.easyTransfer), cfg.easyTransfer,
-                problems);
-  positiveBytes(w, "hardTransfer", static_cast<double>(cfg.hardTransfer), cfg.hardTransfer,
-                problems);
-  std::size_t median = 0;
-  if (positiveInt(w, "easyOpsMedian", static_cast<double>(cfg.easyOpsMedian), median, problems)) {
-    cfg.easyOpsMedian = median;
-  }
-  if (positiveInt(w, "hardOpsMedian", static_cast<double>(cfg.hardOpsMedian), median, problems)) {
-    cfg.hardOpsMedian = median;
-  }
-  cfg.volumeSigma = w.numberOr("volumeSigma", cfg.volumeSigma);
-  if (cfg.volumeSigma < 0.0) problems.push_back(prefix("volumeSigma") + "must be >= 0");
-  if (problems.size() != before) return {};
+  if (!readSection(w, cfg, problems)) return {};
   return {std::make_unique<Io500Source>(cfg), cfg.nodes};
 }
 
@@ -143,39 +117,11 @@ SourceBundle makeGrammar(const JsonValue& w, std::vector<std::string>& problems)
 
 SourceBundle makeOpenLoop(const JsonValue& w, std::vector<std::string>& problems) {
   OpenLoopConfig cfg;
-  const std::size_t before = problems.size();
-  positiveInt(w, "clients", static_cast<double>(cfg.clients), cfg.clients, problems);
-  positiveInt(w, "clientsPerNode", static_cast<double>(cfg.clientsPerNode), cfg.clientsPerNode,
-              problems);
-  cfg.ratePerClientHz = w.numberOr("ratePerClientHz", cfg.ratePerClientHz);
-  if (cfg.ratePerClientHz <= 0.0) problems.push_back(prefix("ratePerClientHz") + "must be > 0");
-  cfg.horizonSec = w.numberOr("horizonSec", cfg.horizonSec);
-  if (cfg.horizonSec <= 0.0) problems.push_back(prefix("horizonSec") + "must be > 0 seconds");
-  positiveInt(w, "objects", static_cast<double>(cfg.objects), cfg.objects, problems);
-  cfg.zipfTheta = w.numberOr("zipfTheta", cfg.zipfTheta);
-  if (cfg.zipfTheta < 0.0) problems.push_back(prefix("zipfTheta") + "must be >= 0");
-  positiveBytes(w, "objectBytes", static_cast<double>(cfg.objectBytes), cfg.objectBytes,
-                problems);
-  positiveBytes(w, "requestBytes", static_cast<double>(cfg.requestBytes), cfg.requestBytes,
-                problems);
+  if (!readSection(w, cfg, problems)) return {};
   if (cfg.requestBytes > cfg.objectBytes) {
     problems.push_back(prefix("requestBytes") + "must be <= objectBytes");
+    return {};
   }
-  cfg.readFraction = w.numberOr("readFraction", cfg.readFraction);
-  if (cfg.readFraction < 0.0 || cfg.readFraction > 1.0) {
-    problems.push_back(prefix("readFraction") + "must be in [0, 1]");
-  }
-  cfg.seed = static_cast<std::uint64_t>(w.numberOr("seed", static_cast<double>(cfg.seed)));
-  cfg.sampleIntervalSec = w.numberOr("sampleIntervalSec", cfg.sampleIntervalSec);
-  if (cfg.sampleIntervalSec < 0.0) {
-    problems.push_back(prefix("sampleIntervalSec") + "must be >= 0 (0 = horizon/20)");
-  }
-  positiveInt(w, "clientsPerRank", static_cast<double>(cfg.clientsPerRank), cfg.clientsPerRank,
-              problems);
-  cfg.sharedStream = w.boolOr("sharedStream", cfg.sharedStream);
-  cfg.demandSigma = w.numberOr("demandSigma", cfg.demandSigma);
-  if (cfg.demandSigma < 0.0) problems.push_back(prefix("demandSigma") + "must be >= 0");
-  if (problems.size() != before) return {};
   return {std::make_unique<OpenLoopSource>(cfg), cfg.nodes()};
 }
 

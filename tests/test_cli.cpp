@@ -300,8 +300,25 @@ TEST(Cli, NonsenseSpecValuesExitTwoWithOneLine) {
       {"workload", "{" + ior + R"(, "storageConfig": {"cnodez": 4}})",
        "storageConfig.cnodez: unknown key"},
       {"workload", R"({"workload": {"generator": "ior", "nodes": -3}})",
-       "workload.nodes: must be a non-negative integer (got -3)"},
+       "workload.nodes: must be a positive integer (got -3)"},
       {"chaos", R"({"transport": {"lanez": 2}})", "transport.lanez: unknown key"},
+      // The retry object, the drill workload and the generator sections
+      // go through their field lists too.
+      {"chaos", R"({"retry": {"timeoutSek": 5}})", "retry.timeoutSek: unknown key"},
+      {"chaos", R"({"workload": {"requestBytez": 5}})", "workload.requestBytez: unknown key"},
+      {"workload", R"({"workload": {"generator": "io500", "scael": 2}})",
+       "workload.scael: unknown key"},
+      {"workload", R"({"workload": {"generator": "openloop", "ratePerClinetHz": 5}})",
+       "workload.ratePerClinetHz: unknown key"},
+      {"workload", R"({"workload": {"generator": "openloop", "horizonSec": "1"}})",
+       "workload.horizonSec: must be a number (got '1')"},
+      {"workload",
+       R"({"workload": {"generator": "grammar", "fileBytez": 4096,
+                        "rules": {"main": [{"op": "read", "bytes": 4096}]}}})",
+       "workload.fileBytez: unknown key"},
+      // Nesting past the JSON parser's depth limit is malformed JSON,
+      // not a stack overflow.
+      {"workload", std::string(200000, '['), "is not valid JSON"},
   };
   for (const Case& c : cases) {
     const std::string path = writeTempSpec("nonsense", c.spec);
@@ -311,6 +328,31 @@ TEST(Cli, NonsenseSpecValuesExitTwoWithOneLine) {
     EXPECT_NE(err.find(c.problem), std::string::npos) << c.spec << "\n" << err;
     const std::size_t lines = static_cast<std::size_t>(std::count(err.begin(), err.end(), '\n'));
     EXPECT_LE(lines, 2u) << err;  // "error: <spec>:" plus at most one problem line
+  }
+}
+
+// Each flag of `hcsim scale` is a key of the open-loop section and is
+// checked against that key's range before anything runs.
+TEST(Cli, ScaleFlagsOutsideTheirRangeExitTwoNamingTheKey) {
+  struct Case {
+    const char* flag;
+    const char* value;
+    const char* problem;
+  };
+  const Case cases[] = {
+      {"--request", "0", "requestBytes: must be > 0 (got 0)"},
+      {"--classes-per-node", "0", "clientsPerNode: must be a positive integer (got 0)"},
+      {"--read-fraction", "2", "readFraction: must be in [0, 1] (got 2)"},
+      {"--demand-sigma", "-1", "demandSigma: must be >= 0 (got -1)"},
+      {"--objects", "0", "objects: must be a positive integer (got 0)"},
+      {"--classes", "0", "clients: must be a positive integer (got 0)"},
+      {"--rate", "0", "ratePerClientHz: must be > 0 (got 0)"},
+  };
+  for (const Case& c : cases) {
+    std::string out, err;
+    EXPECT_EQ(runCli({"scale", c.flag, c.value}, &out, &err), 2) << c.flag;
+    EXPECT_EQ(err, std::string("error: ") + c.problem + "\n");
+    EXPECT_EQ(out, "");
   }
 }
 

@@ -4,8 +4,10 @@
 
 #include <cmath>
 #include <cstdio>
+#include <stdexcept>
 
 #include "cluster/deployments.hpp"
+#include "config/fields.hpp"
 #include "config/paths.hpp"
 #include "core/backends.hpp"
 #include "sweep/sweep_spec.hpp"
@@ -155,18 +157,22 @@ TEST(ConfigSerialize, StrictReaderNamesTheDottedKey) {
       {R"({"cnodez": 4})", "storageConfig.cnodez: unknown key"},
       {R"({"gateway": {"latencyz": 1}})", "storageConfig.gateway.latencyz: unknown key"},
       {R"({"transport": "udp"})", "storageConfig.transport: must be tcp|rdma (got 'udp')"},
-      {R"({"cnodes": -3})", "storageConfig.cnodes: must be a non-negative integer (got -3)"},
+      {R"({"cnodes": -3})", "storageConfig.cnodes: must be a positive integer (got -3)"},
       {R"({"cnodes": "4"})", "storageConfig.cnodes: must be a non-negative integer (got '4')"},
       {R"({"cnodes": 1e30})", "storageConfig.cnodes: must be a non-negative integer (got 1"},
       {R"({"multipath": 1})", "storageConfig.multipath: must be true or false (got 1)"},
       {R"({"fabricLatency": null})", "storageConfig.fabricLatency: must be a number (got null)"},
       {R"({"qlcSpec": 3})", "storageConfig.qlcSpec: must be an object"},
+      {R"({"nconnect": 0})", "storageConfig.nconnect: must be a positive integer (got 0)"},
+      {R"({"fabricLinkBandwidth": 0})", "storageConfig.fabricLinkBandwidth: must be > 0 (got 0)"},
+      {R"({"fabricLinkBandwidth": -5})",
+       "storageConfig.fabricLinkBandwidth: must be > 0 (got -5)"},
   };
   for (const Case& c : vast) {
     JsonValue j;
     ASSERT_TRUE(parseJson(c.json, j));
     VastConfig cfg = vastOnLassen();
-    const std::string err = readConfig(j, "storageConfig", cfg);
+    const std::string err = readFields(j, cfg, "storageConfig");
     EXPECT_EQ(err.rfind(c.error, 0), 0u) << c.json << " -> " << err;
     EXPECT_EQ(err.find('\n'), std::string::npos) << err;
     EXPECT_FALSE(fromJson(j, cfg)) << c.json;
@@ -174,26 +180,67 @@ TEST(ConfigSerialize, StrictReaderNamesTheDottedKey) {
   JsonValue j;
   ASSERT_TRUE(parseJson(R"({"access": "seq-reed"})", j));
   IorConfig ior;
-  EXPECT_EQ(readConfig(j, "ior", ior),
+  EXPECT_EQ(readFields(j, ior, "ior"),
             "ior.access: must be seq-read|seq-write|rand-read|rand-write (got 'seq-reed')");
   ASSERT_TRUE(parseJson(R"({"mode": "bulk"})", j));
-  EXPECT_EQ(readConfig(j, "ior", ior), "ior.mode: must be coalesced|per-op (got 'bulk')");
+  EXPECT_EQ(readFields(j, ior, "ior"), "ior.mode: must be coalesced|per-op (got 'bulk')");
   ASSERT_TRUE(parseJson(R"({"workload": {"epochz": 2}})", j));
   DlioConfig dlio;
-  EXPECT_EQ(readConfig(j, "dlio", dlio), "dlio.workload.epochz: unknown key");
+  EXPECT_EQ(readFields(j, dlio, "dlio"), "dlio.workload.epochz: unknown key");
   ASSERT_TRUE(parseJson(R"({"kind": "ib"})", j));
   transport::TransportProfile fabric;
-  EXPECT_EQ(readConfig(j, "transport", fabric), "transport.kind: must be tcp|rdma (got 'ib')");
+  EXPECT_EQ(readFields(j, fabric, "transport"), "transport.kind: must be tcp|rdma (got 'ib')");
 }
 
-/// Every numeric leaf of `written` moved off its value (to floor(v) + 1,
-/// which stays a valid unsigned count) and every boolean flipped.
+/// validate() walks the same field list over a config built in code and
+/// names the first field outside its range, nested keys dotted.
+TEST(ConfigSerialize, ValidateNamesTheFieldOutsideItsRange) {
+  const auto whyInvalid = [](const auto& cfg) -> std::string {
+    try {
+      cfg.validate();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  VastConfig vast = vastOnLassen();
+  EXPECT_EQ(whyInvalid(vast), "");
+  vast.nconnect = 0;
+  EXPECT_EQ(whyInvalid(vast), "VastConfig.nconnect: must be a positive integer (got 0)");
+  vast = vastOnLassen();
+  vast.qlcSpec.randomEfficiency = 0.0;
+  EXPECT_EQ(whyInvalid(vast), "VastConfig.qlcSpec.randomEfficiency: must be in (0, 1] (got 0)");
+
+  DaosConfig daos = DaosConfig::instance();
+  EXPECT_EQ(whyInvalid(daos), "");
+  daos.fabric.lanes = 0;
+  EXPECT_EQ(whyInvalid(daos), "DaosConfig.fabric.lanes: must be a positive integer (got 0)");
+
+  GpfsConfig gpfs = gpfsOnLassen();
+  gpfs.raidParityOverhead = 1.0;
+  EXPECT_EQ(whyInvalid(gpfs), "GpfsConfig.raidParityOverhead: must be in [0, 1) (got 1)");
+
+  IorConfig ior;
+  ior.transferSize = 0;
+  EXPECT_EQ(whyInvalid(ior), "IorConfig.transferSize: must be > 0 (got 0)");
+}
+
+/// Every numeric leaf of `written` moved off its value and every boolean
+/// flipped, each edit inside the field's range: a number moves to
+/// floor(v) + 1 (a count, size or time), or to v / 2 when T's reader
+/// rejects that (a share already at 1, or one that must stay below 1).
+template <typename T>
 JsonValue editEveryLeaf(const JsonValue& written) {
   JsonValue edited = sweep::deepCopy(written);
   for (const JsonPathInfo& leaf : enumerateJsonPaths(written)) {
     const JsonValue* v = sweep::jsonPathGet(written, leaf.path);
     if (leaf.kind == JsonPathInfo::Kind::Number) {
-      sweep::jsonPathSet(edited, leaf.path, JsonValue(std::floor(*v->number()) + 1.0));
+      const double d = *v->number();
+      JsonValue up = sweep::deepCopy(written);
+      sweep::jsonPathSet(up, leaf.path, JsonValue(std::floor(d) + 1.0));
+      T probe{};
+      sweep::jsonPathSet(edited, leaf.path,
+                         JsonValue(fromJson(up, probe) ? std::floor(d) + 1.0 : d / 2));
     } else if (leaf.kind == JsonPathInfo::Kind::Boolean) {
       sweep::jsonPathSet(edited, leaf.path, JsonValue(!*v->boolean()));
     }
@@ -205,7 +252,7 @@ JsonValue editEveryLeaf(const JsonValue& written) {
 /// written but not read comes back at its default and fails the match.
 template <typename T>
 void expectEveryFieldRoundTrips(const JsonValue& written, const std::string& what) {
-  const JsonValue edited = editEveryLeaf(written);
+  const JsonValue edited = editEveryLeaf<T>(written);
   ASSERT_NE(writeJson(edited), writeJson(written)) << what;
   T cfg{};
   ASSERT_TRUE(fromJson(edited, cfg)) << what;

@@ -43,6 +43,17 @@ TEST(Json, RejectsMalformed) {
   }
 }
 
+TEST(Json, RejectsNestingPastTheDepthLimit) {
+  JsonValue v;
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_TRUE(parseJson(nested(256), v));
+  EXPECT_FALSE(parseJson(nested(257), v));
+  EXPECT_FALSE(parseJson(std::string(200000, '['), v));
+  EXPECT_FALSE(parseJson(std::string(100000, '{') + "}", v));
+}
+
 TEST(Json, StringEscapes) {
   const JsonValue v = parse(R"("a\"b\\c\nd\teA")");
   EXPECT_EQ(*v.str(), "a\"b\\c\nd\teA");

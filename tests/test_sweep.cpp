@@ -199,7 +199,7 @@ TEST(SweepRun, NonsenseSectionsFailEveryTrialWithTheKey) {
       {"ior.segmentz", JsonValue(4), "ior.segmentz: unknown key"},
       {"ior.access", JsonValue("seq-reed"),
        "ior.access: must be seq-read|seq-write|rand-read|rand-write (got 'seq-reed')"},
-      {"ior.nodes", JsonValue(-3), "ior.nodes: must be a non-negative integer (got -3)"},
+      {"ior.nodes", JsonValue(-3), "ior.nodes: must be a positive integer (got -3)"},
       {"storageConfig.cnodez", JsonValue(4), "storageConfig.cnodez: unknown key"},
       {"transport.lanez", JsonValue(2), "transport.lanez: unknown key"},
   };

@@ -74,7 +74,12 @@ TEST(VastConfig, SessionHelpers) {
   VastConfig c = VastConfig::wombatInstance();
   EXPECT_EQ(c.sessionsPerClient(), 16u);
   c.nconnect = 0;
-  EXPECT_EQ(c.sessionsPerClient(), 1u);
+  try {
+    c.validate();
+    ADD_FAILURE() << "nconnect 0 validated";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("nconnect"), std::string::npos) << e.what();
+  }
   EXPECT_DOUBLE_EQ(c.sessionCap(), c.rdmaSessionCap);
   c.transport = NfsTransport::Tcp;
   EXPECT_DOUBLE_EQ(c.sessionCap(), c.tcpSessionCap);
