@@ -39,7 +39,6 @@
 #include "oracle/golden.hpp"
 #include "sim/simulator.hpp"
 #include "sweep/sweep_runner.hpp"
-#include "sweep/sweep_spec.hpp"
 #include "sweep/trial_cache.hpp"
 #include "util/json.hpp"
 #include "util/random.hpp"
@@ -160,36 +159,6 @@ BENCHMARK(BM_RngNormal);
 // ---------------------------------------------------------------------------
 // Machine-readable throughput mode (check.sh perf smoke).
 
-/// The fixed sweep behind the trials/sec scenarios: 12 IOR cells on Lassen.
-sweep::SweepSpec benchSweepSpec() {
-  sweep::SweepSpec spec;
-  spec.name = "bench-engine";
-  spec.experiment = "ior";
-  JsonObject ior;
-  ior["segments"] = 200.0;
-  ior["procsPerNode"] = 4.0;
-  ior["repetitions"] = 1.0;
-  JsonObject base;
-  base["site"] = "lassen";
-  base["ior"] = JsonValue(std::move(ior));
-  spec.base = JsonValue(std::move(base));
-  spec.axes.push_back({"storage", {JsonValue("gpfs"), JsonValue("vast")}});
-  spec.axes.push_back(
-      {"ior.access", {JsonValue("seq-write"), JsonValue("seq-read"), JsonValue("rand-read")}});
-  spec.axes.push_back({"ior.nodes", {JsonValue(1.0), JsonValue(4.0)}});
-  return spec;
-}
-
-benchscn::ScenarioResult runSweepTrials(sweep::TrialCache* cache, std::size_t reps = 3) {
-  const sweep::SweepSpec spec = benchSweepSpec();
-  benchscn::ScenarioResult res;
-  res.name = cache != nullptr ? "sweep_trials_cached" : "sweep_trials";
-  res.workUnits = static_cast<double>(spec.trialCount());
-  res.seconds =
-      benchscn::detail::bestOf(reps, [&spec, cache] { sweep::runSweep(spec, /*jobs=*/1, cache); });
-  return res;
-}
-
 JsonValue scenarioJson(const benchscn::ScenarioResult& r, const char* perSecKey) {
   JsonObject o;
   o["work_units"] = r.workUnits;
@@ -222,10 +191,12 @@ int runMachineMode(const MachineOptions& opt) {
   scenarios["cancel_heavy"] = scenarioJson(benchscn::runCancelHeavy(), "events_per_sec");
   scenarios["rebalance_heavy"] = scenarioJson(benchscn::runRebalanceHeavy(), "events_per_sec");
 
-  scenarios["sweep_trials"] = scenarioJson(runSweepTrials(nullptr), "trials_per_sec");
+  scenarios["sweep_trials"] =
+      scenarioJson(benchscn::runSweepTrials(nullptr, benchscn::kSweepPasses), "trials_per_sec");
   sweep::TrialCache warmCache;
-  sweep::runSweep(benchSweepSpec(), 1, &warmCache);  // fill, untimed
-  scenarios["sweep_trials_cached"] = scenarioJson(runSweepTrials(&warmCache), "trials_per_sec");
+  sweep::runSweep(benchscn::benchSweepSpec(), 1, &warmCache);  // fill, untimed
+  scenarios["sweep_trials_cached"] = scenarioJson(
+      benchscn::runSweepTrials(&warmCache, benchscn::kCachedSweepPasses), "trials_per_sec");
 
   if (!opt.goldenDir.empty()) {
     std::ifstream probe(oracle::goldenPath(opt.goldenDir, "fig2a"));

@@ -1,19 +1,23 @@
-// Probe overhead benchmarks: prices the always-on flight-recorder hooks
-// and the SLO watchdog evaluation path.
+// Probe overhead benchmarks: prices the always-on flight-recorder hooks,
+// building the recorder's ring, and the SLO watchdog evaluation path.
 //
 // Two modes:
 //   (default)              google-benchmark BM_* suite
 //   --hcsim_json OUT       machine-readable mode: runs each engine
 //                          scenario from engine_scenarios.hpp twice —
 //                          recorder detached and recorder attached —
-//                          plus a watchdog-evaluation scenario, writes
-//                          one JSON document to OUT, and FAILS (exit 1)
-//                          when the worst recorder overhead exceeds the
-//                          budget. docs/PROBE.md pins the budget.
+//                          prices one default-capacity recorder build
+//                          (recorder_build) against one bench_engine
+//                          sweep trial, runs a watchdog-evaluation
+//                          scenario, writes one JSON document to OUT,
+//                          and FAILS (exit 1) when the worst recorder
+//                          overhead or build share exceeds the budget.
+//                          docs/PROBE.md pins the budget.
 //     --hcsim_compare REF.json    fail (exit 1) when any per-sec
 //                          scenario regresses vs REF beyond tolerance
 //     --hcsim_max_regress 0.30    regression tolerance (default 0.30)
-//     --hcsim_max_overhead 0.03   recorder-on vs recorder-off budget
+//     --hcsim_max_overhead 0.03   recorder-on vs recorder-off budget,
+//                          and recorder-build vs sweep-trial budget
 //                          (fraction, default 0.03)
 //
 // BENCH_probe.json at the repo root is the committed reference the
@@ -131,6 +135,26 @@ OverheadPair runPair(const char* name, std::size_t reps) {
   return p;
 }
 
+/// Recorder construction: N default-capacity FlightRecorders, each
+/// built, fed 32 records (about what one sweep trial writes) and
+/// destroyed. Work unit = one build. Every TestBench builds one, so a
+/// sweep pays this once per trial.
+benchscn::ScenarioResult runRecorderBuild(std::size_t builds = 200000, std::size_t reps = 3) {
+  benchscn::ScenarioResult res;
+  res.name = "recorder_build";
+  res.workUnits = static_cast<double>(builds);
+  res.seconds = benchscn::detail::bestOf(reps, [builds] {
+    for (std::size_t i = 0; i < builds; ++i) {
+      probe::FlightRecorder rec;
+      for (std::uint32_t k = 0; k < 32; ++k) {
+        rec.record(1e-3 * k, probe::RecordKind::NetRebalance, k, 1.0);
+      }
+      benchmark::DoNotOptimize(rec);
+    }
+  });
+  return res;
+}
+
 /// Watchdog evaluation throughput: N timeline slices through a two-
 /// monitor set (trailing-window goodput floor + stall ceiling), with a
 /// p99 monitor fed one op latency per slice. Work unit = one slice.
@@ -194,6 +218,19 @@ int runMachineMode(const MachineOptions& opt) {
       worstName = name;
     }
   }
+  // Building the ring is a per-trial cost the hooks above never see:
+  // price one build against one trial of bench_engine's sweep.
+  const benchscn::ScenarioResult build = runRecorderBuild();
+  const benchscn::ScenarioResult trials = benchscn::runSweepTrials(nullptr, benchscn::kSweepPasses);
+  const double buildShare =
+      (build.seconds / build.workUnits) / (trials.seconds / trials.workUnits);
+  scenarios["recorder_build"] = scenarioJson(build, "builds_per_sec");
+  scenarios["sweep_trials"] = scenarioJson(trials, "trials_per_sec");
+  overheads["recorder_build"] = buildShare;
+  if (buildShare > worst) {
+    worst = buildShare;
+    worstName = "recorder_build";
+  }
   scenarios["watchdog_eval"] = scenarioJson(runWatchdogEval(), "slices_per_sec");
 
   const bool overheadPass = worst <= opt.maxOverhead;
@@ -221,7 +258,8 @@ int runMachineMode(const MachineOptions& opt) {
   const JsonValue* sc = out.find("scenarios");
   for (const auto& [name, v] : *sc->object()) {
     std::cout << name << ":";
-    for (const char* key : {"events_per_sec", "slices_per_sec"}) {
+    for (const char* key : {"events_per_sec", "slices_per_sec", "builds_per_sec",
+                            "trials_per_sec"}) {
       if (const JsonValue* p = v.find(key)) std::cout << " " << key << "=" << *p->number();
     }
     std::cout << "\n";

@@ -1,9 +1,10 @@
 #pragma once
-// Fixed engine-throughput scenarios shared by bench_engine's
-// machine-readable mode and the check.sh perf smoke. Each scenario is a
-// deterministic workload with a nominal work count that depends only on
-// the scenario parameters — never on engine internals — so events/sec
-// ratios between two engine builds equal their wall-time ratios.
+// Fixed engine-throughput scenarios shared by bench_engine's and
+// bench_probe's machine-readable modes and the check.sh perf smoke. Each
+// scenario is a deterministic workload with a nominal work count that
+// depends only on the scenario parameters — never on engine internals —
+// so events/sec ratios between two engine builds equal their wall-time
+// ratios.
 
 #include <chrono>
 #include <cstddef>
@@ -14,6 +15,10 @@
 #include "net/flow_network.hpp"
 #include "probe/flight_recorder.hpp"
 #include "sim/simulator.hpp"
+#include "sweep/sweep_runner.hpp"
+#include "sweep/sweep_spec.hpp"
+#include "sweep/trial_cache.hpp"
+#include "util/json.hpp"
 #include "util/random.hpp"
 
 namespace hcsim::benchscn {
@@ -117,6 +122,49 @@ inline ScenarioResult runRebalanceHeavy(std::size_t flows = 600, std::size_t rep
     }
     sim.run();
     if (done != flows) throw std::runtime_error("rebalance_heavy: lost flows");
+  });
+  return res;
+}
+
+/// The fixed sweep behind the trials/sec scenarios: 12 IOR cells on Lassen.
+inline sweep::SweepSpec benchSweepSpec() {
+  sweep::SweepSpec spec;
+  spec.name = "bench-engine";
+  spec.experiment = "ior";
+  JsonObject ior;
+  ior["segments"] = 200.0;
+  ior["procsPerNode"] = 4.0;
+  ior["repetitions"] = 1.0;
+  JsonObject base;
+  base["site"] = "lassen";
+  base["ior"] = JsonValue(std::move(ior));
+  spec.base = JsonValue(std::move(base));
+  spec.axes.push_back({"storage", {JsonValue("gpfs"), JsonValue("vast")}});
+  spec.axes.push_back(
+      {"ior.access", {JsonValue("seq-write"), JsonValue("seq-read"), JsonValue("rand-read")}});
+  spec.axes.push_back({"ior.nodes", {JsonValue(1.0), JsonValue(4.0)}});
+  return spec;
+}
+
+/// Passes of benchSweepSpec() per timed repetition, sized so that one
+/// repetition lasts at least ~50 ms on a 4-vCPU VM (a single 12-trial
+/// pass takes ~0.2 ms simulated and ~50 µs served from the cache, too
+/// short to time against the host clock).
+inline constexpr std::size_t kSweepPasses = 300;
+inline constexpr std::size_t kCachedSweepPasses = 2000;
+
+/// Sweep trials/sec: `passes` back-to-back single-job runs of
+/// benchSweepSpec() per repetition. Work unit = one trial run, so
+/// trials/sec does not depend on the pass count. With `cache`, every
+/// trial is served from it (fill it first).
+inline ScenarioResult runSweepTrials(sweep::TrialCache* cache, std::size_t passes,
+                                     std::size_t reps = 3) {
+  const sweep::SweepSpec spec = benchSweepSpec();
+  ScenarioResult res;
+  res.name = cache != nullptr ? "sweep_trials_cached" : "sweep_trials";
+  res.workUnits = static_cast<double>(passes * spec.trialCount());
+  res.seconds = detail::bestOf(reps, [&spec, cache, passes] {
+    for (std::size_t p = 0; p < passes; ++p) sweep::runSweep(spec, /*jobs=*/1, cache);
   });
   return res;
 }

@@ -10,7 +10,8 @@
 # --internal`), the chaos layer (fault-drill run-twice byte-identity,
 # chaos-sweep jobs independence, empty-schedule zero-cost identity
 # against the plain fig2 JSONL), the probe layer (satisfied-monitor
-# byte-identity, breach exit + table, flight-recorder dump determinism),
+# byte-identity, breach exit + table, flight-recorder dump determinism
+# for a wrapped ring and for one that never fills),
 # the transport/DAOS layer (calibrated endpoint sweeps, run-twice and
 # jobs-count byte-identity), and the perf floors
 # (bench_engine/workload/scale/probe/transport vs their
@@ -234,6 +235,20 @@ grep -q 'recovery-deadline' "$BUILD/check-probe-tight.txt"
     --dump-on-exit "$BUILD/check-probe-dump-b" >/dev/null
 cmp "$BUILD/check-probe-dump-a.jsonl" "$BUILD/check-probe-dump-b.jsonl"
 cmp "$BUILD/check-probe-dump-a.trace.json" "$BUILD/check-probe-dump-b.trace.json"
+# The drill above fills and wraps the whole ring; grammar_burst writes
+# ~1.2k records, so its ring keeps slots that were never written (the
+# ring is not zeroed). A dump that read one would differ between runs or
+# carry a record of no known kind.
+"$BUILD/src/hcsim" workload "$ROOT/examples/specs/grammar_burst.json" \
+    --dump-on-exit "$BUILD/check-probe-partial-a" >/dev/null
+"$BUILD/src/hcsim" workload "$ROOT/examples/specs/grammar_burst.json" \
+    --dump-on-exit "$BUILD/check-probe-partial-b" >/dev/null
+cmp "$BUILD/check-probe-partial-a.jsonl" "$BUILD/check-probe-partial-b.jsonl"
+cmp "$BUILD/check-probe-partial-a.trace.json" "$BUILD/check-probe-partial-b.trace.json"
+if grep -q '"kind":"unknown"' "$BUILD/check-probe-partial-a.jsonl"; then
+  echo "check.sh: flight-recorder dump read an unwritten ring slot" >&2
+  exit 1
+fi
 
 # Perf smoke: every engine-throughput bench must stay within tolerance
 # of its committed reference. Telemetry and the watchdog are off in the

@@ -35,9 +35,9 @@ std::size_t roundUpPow2(std::size_t n) {
 
 }  // namespace
 
-FlightRecorder::FlightRecorder(std::size_t capacity) : ring_(roundUpPow2(capacity)) {
-  mask_ = ring_.size() - 1;
-}
+FlightRecorder::FlightRecorder(std::size_t capacity)
+    : mask_(roundUpPow2(capacity) - 1),
+      ring_(std::make_unique_for_overwrite<Record[]>(mask_ + 1)) {}
 
 void FlightRecorder::clear() {
   head_ = 0;
@@ -49,7 +49,7 @@ std::vector<Record> FlightRecorder::snapshot() const {
   std::vector<Record> out;
   out.reserve(size_);
   // Oldest record sits at head_ once the ring has wrapped, at 0 before.
-  const std::size_t start = size_ == ring_.size() ? head_ : 0;
+  const std::size_t start = size_ == capacity() ? head_ : 0;
   for (std::size_t i = 0; i < size_; ++i) out.push_back(ring_[(start + i) & mask_]);
   return out;
 }

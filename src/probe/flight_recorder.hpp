@@ -5,10 +5,12 @@
 // value) fed by cheap hooks in the Simulator dispatch loop, the
 // FlowNetwork re-rate path, the ClientSession retry layer and the chaos
 // fault injector. Recording is allocation-free after construction: the
-// ring is sized once (rounded up to a power of two) and a record is a
-// plain 24-byte store plus an index mask, so the hooks are safe to leave
-// enabled in every run — docs/PROBE.md pins the overhead budget and
-// bench_probe enforces it.
+// ring is reserved once (rounded up to a power of two) and never zeroed,
+// and a record is a plain 24-byte store of every field plus an index
+// mask. Only written slots are ever read, so a run pays for the records
+// it writes, not for the capacity it reserves. The hooks are safe to
+// leave enabled in every run — docs/PROBE.md pins the overhead budget
+// and bench_probe enforces it, ring construction included.
 //
 // Determinism contract (the telemetry contract, extended): records
 // *observe* the simulation — they never schedule events, never touch
@@ -22,6 +24,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <vector>
 
 #include "util/units.hpp"
@@ -48,12 +51,14 @@ enum class RecordKind : std::uint16_t {
 
 const char* toString(RecordKind kind);
 
+/// No default member initializers: the ring's slots stay uninitialized
+/// until record() writes every field of one.
 struct Record {
-  double time = 0.0;  ///< simulated seconds
-  RecordKind kind = RecordKind::EngineHeartbeat;
-  std::uint16_t reserved = 0;
-  std::uint32_t subject = 0;
-  double value = 0.0;
+  double time;  ///< simulated seconds
+  RecordKind kind;
+  std::uint16_t reserved;  ///< always 0
+  std::uint32_t subject;
+  double value;
 };
 
 /// Pack a (node, proc) client id into a record subject.
@@ -69,19 +74,17 @@ class FlightRecorder {
   /// path wraps with a mask instead of a modulo.
   explicit FlightRecorder(std::size_t capacity = kDefaultCapacity);
 
-  /// The hot path: one store into the pre-sized ring. Never allocates.
+  /// The hot path: one store of a whole record (every field, so the
+  /// uninitialized ring never leaks into a snapshot) into the pre-sized
+  /// ring. Never allocates.
   void record(double time, RecordKind kind, std::uint32_t subject, double value) {
-    Record& r = ring_[head_];
-    r.time = time;
-    r.kind = kind;
-    r.subject = subject;
-    r.value = value;
+    ring_[head_] = Record{time, kind, 0, subject, value};
     head_ = (head_ + 1) & mask_;
-    if (size_ < ring_.size()) ++size_;
+    if (size_ < capacity()) ++size_;
     ++total_;
   }
 
-  std::size_t capacity() const { return ring_.size(); }
+  std::size_t capacity() const { return mask_ + 1; }
   std::size_t size() const { return size_; }          ///< records currently held
   std::uint64_t totalRecorded() const { return total_; }  ///< lifetime, including overwritten
   bool empty() const { return size_ == 0; }
@@ -99,9 +102,9 @@ class FlightRecorder {
   void dumpChromeTrace(std::ostream& out) const;
 
  private:
-  std::vector<Record> ring_;
-  std::size_t mask_ = 0;
-  std::size_t head_ = 0;   ///< next write position
+  std::size_t mask_;                ///< capacity - 1
+  std::unique_ptr<Record[]> ring_;  ///< capacity slots, uninitialized until written
+  std::size_t head_ = 0;            ///< next write position
   std::size_t size_ = 0;
   std::uint64_t total_ = 0;
 };

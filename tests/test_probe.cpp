@@ -23,6 +23,7 @@
 #include "sweep/sweep_runner.hpp"
 #include "telemetry/metrics_registry.hpp"
 #include "util/json.hpp"
+#include "util/random.hpp"
 #include "workload/workload_spec.hpp"
 
 namespace hcsim {
@@ -114,6 +115,136 @@ TEST(FlightRecorder, ChromeTraceDumpIsValidJson) {
   JsonValue doc;
   ASSERT_TRUE(parseJson(os.str(), doc)) << os.str();
   ASSERT_NE(doc.find("traceEvents"), nullptr);
+}
+
+/// The std::vector-backed ring FlightRecorder kept before its slots were
+/// left uninitialized: every slot zeroed at construction, four fields
+/// written per record. The differential test holds the recorder to it.
+class ReferenceRing {
+ public:
+  explicit ReferenceRing(std::size_t capacity) {
+    std::size_t p = 16;
+    while (p < capacity) p <<= 1;
+    ring_.resize(p);
+    mask_ = p - 1;
+  }
+
+  void record(double time, RecordKind kind, std::uint32_t subject, double value) {
+    probe::Record& r = ring_[head_];
+    r.time = time;
+    r.kind = kind;
+    r.subject = subject;
+    r.value = value;
+    head_ = (head_ + 1) & mask_;
+    if (size_ < ring_.size()) ++size_;
+    ++total_;
+  }
+
+  void clear() {
+    head_ = 0;
+    size_ = 0;
+    total_ = 0;
+  }
+
+  std::size_t size() const { return size_; }
+  std::uint64_t totalRecorded() const { return total_; }
+
+  std::vector<probe::Record> snapshot() const {
+    std::vector<probe::Record> out;
+    const std::size_t start = size_ == ring_.size() ? head_ : 0;
+    for (std::size_t i = 0; i < size_; ++i) out.push_back(ring_[(start + i) & mask_]);
+    return out;
+  }
+
+  std::string jsonl() const {
+    std::ostringstream out;
+    for (const probe::Record& r : snapshot()) {
+      out << "{\"t\":" << jsonNumber(r.time) << ",\"kind\":\"" << probe::toString(r.kind)
+          << "\",\"subject\":" << jsonNumber(static_cast<double>(r.subject))
+          << ",\"value\":" << jsonNumber(r.value) << "}\n";
+    }
+    return out.str();
+  }
+
+  std::string chromeTrace() const {
+    std::ostringstream out;
+    out << "{\"traceEvents\":[";
+    bool first = true;
+    for (const probe::Record& r : snapshot()) {
+      if (!first) out << ",";
+      first = false;
+      out << "{\"name\":\"" << probe::toString(r.kind)
+          << "\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":" << static_cast<unsigned>(r.kind)
+          << ",\"ts\":" << jsonNumber(r.time * 1e6)
+          << ",\"args\":{\"subject\":" << jsonNumber(static_cast<double>(r.subject))
+          << ",\"value\":" << jsonNumber(r.value) << "}}";
+    }
+    out << "],\"displayTimeUnit\":\"ms\"}\n";
+    return out.str();
+  }
+
+ private:
+  std::vector<probe::Record> ring_;
+  std::size_t mask_ = 0;
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
+  std::uint64_t total_ = 0;
+};
+
+void recordRandom(Rng& rng, std::size_t n, FlightRecorder& rec, ReferenceRing& ref) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const double time = rng.uniform(0.0, 1e3);
+    const auto kind = static_cast<RecordKind>(1 + rng.uniformInt(13));
+    const auto subject = static_cast<std::uint32_t>(rng.next());
+    const double value = rng.uniform(-1e6, 1e6);
+    rec.record(time, kind, subject, value);
+    ref.record(time, kind, subject, value);
+  }
+}
+
+void expectSameAsReference(const FlightRecorder& rec, const ReferenceRing& ref) {
+  EXPECT_EQ(rec.size(), ref.size());
+  EXPECT_EQ(rec.totalRecorded(), ref.totalRecorded());
+  const std::vector<probe::Record> got = rec.snapshot();
+  const std::vector<probe::Record> want = ref.snapshot();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].time, want[i].time) << "record " << i;
+    EXPECT_EQ(got[i].kind, want[i].kind) << "record " << i;
+    EXPECT_EQ(got[i].subject, want[i].subject) << "record " << i;
+    EXPECT_EQ(got[i].value, want[i].value) << "record " << i;
+    EXPECT_EQ(got[i].reserved, 0u) << "record " << i;
+  }
+  std::ostringstream jsonl, trace;
+  rec.dumpJsonl(jsonl);
+  rec.dumpChromeTrace(trace);
+  EXPECT_EQ(jsonl.str(), ref.jsonl());
+  EXPECT_EQ(trace.str(), ref.chromeTrace());
+}
+
+TEST(FlightRecorder, MatchesTheVectorBackedReferenceRing) {
+  Rng rng(16);
+  for (const std::size_t cap : {16u, 64u, 1024u}) {
+    const std::size_t counts[] = {0, 1, cap - 1, cap, cap + 1, 3 * cap + 5};
+    for (const std::size_t fill : counts) {
+      // Each fill is followed by a clear() and a refill of every count,
+      // so a refill shorter than the fill must not read the fill's slots.
+      for (const std::size_t refill : counts) {
+        SCOPED_TRACE("capacity " + std::to_string(cap) + ", fill " + std::to_string(fill) +
+                     ", refill " + std::to_string(refill));
+        FlightRecorder rec(cap);
+        ReferenceRing ref(cap);
+        ASSERT_EQ(rec.capacity(), cap);
+        recordRandom(rng, fill, rec, ref);
+        expectSameAsReference(rec, ref);
+        rec.clear();
+        ref.clear();
+        expectSameAsReference(rec, ref);
+        recordRandom(rng, refill, rec, ref);
+        expectSameAsReference(rec, ref);
+      }
+    }
+  }
 }
 
 // ---------- monitor parsing ----------
