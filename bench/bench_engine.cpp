@@ -6,7 +6,8 @@
 //   (default)              google-benchmark BM_* suite
 //   --hcsim_json OUT       machine-readable throughput mode: runs the
 //                          fixed scenarios from engine_scenarios.hpp
-//                          (schedule/cancel/rebalance-heavy events/sec,
+//                          (schedule/cancel/rebalance-heavy and
+//                          fan-out-burst events/sec,
 //                          sweep trials/sec plain and cache-served, and
 //                          — when --hcsim_golden_dir is given — an
 //                          in-process oracle-check cold/warm timing)
@@ -190,6 +191,7 @@ int runMachineMode(const MachineOptions& opt) {
   scenarios["schedule_heavy"] = scenarioJson(benchscn::runScheduleHeavy(), "events_per_sec");
   scenarios["cancel_heavy"] = scenarioJson(benchscn::runCancelHeavy(), "events_per_sec");
   scenarios["rebalance_heavy"] = scenarioJson(benchscn::runRebalanceHeavy(), "events_per_sec");
+  scenarios["fanout_burst"] = scenarioJson(benchscn::runFanoutBurst(), "events_per_sec");
 
   scenarios["sweep_trials"] =
       scenarioJson(benchscn::runSweepTrials(nullptr, benchscn::kSweepPasses), "trials_per_sec");

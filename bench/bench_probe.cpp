@@ -117,6 +117,9 @@ struct OverheadPair {
 benchscn::ScenarioResult runScenarioOnce(const char* name, probe::FlightRecorder* rec) {
   if (std::strcmp(name, "schedule_heavy") == 0) return benchscn::runScheduleHeavy(400000, 1, rec);
   if (std::strcmp(name, "cancel_heavy") == 0) return benchscn::runCancelHeavy(4096, 200000, 1, rec);
+  if (std::strcmp(name, "fanout_burst") == 0) {
+    return benchscn::runFanoutBurst(benchscn::kFanoutRounds, 1, rec);
+  }
   return benchscn::runRebalanceHeavy(600, 1, rec);
 }
 
@@ -196,7 +199,8 @@ struct MachineOptions {
 };
 
 int runMachineMode(const MachineOptions& opt) {
-  const char* const kPairs[] = {"schedule_heavy", "cancel_heavy", "rebalance_heavy"};
+  const char* const kPairs[] = {"schedule_heavy", "cancel_heavy", "rebalance_heavy",
+                                "fanout_burst"};
 
   benchscn::runScheduleHeavy(400000, 1);  // warmup: page in allocator + code
 

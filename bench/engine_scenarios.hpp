@@ -9,6 +9,8 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -93,35 +95,101 @@ inline ScenarioResult runCancelHeavy(std::size_t window = 4096, std::size_t chur
   return res;
 }
 
+/// Runs of the rebalance-heavy script per timed repetition. One run of
+/// the 600-flow script takes ~0.25 ms, too short to time against the
+/// host clock; 250 make a repetition of ~60 ms on a 4-vCPU VM.
+inline constexpr std::size_t kRebalanceRuns = 250;
+
 /// Rebalance-heavy: F equal flows over one shared link, arrivals
 /// staggered so every arrival and every completion rebalances a large
-/// active set. Nominal work = sum over arrivals and completions of the
+/// active set; one repetition replays that script kRebalanceRuns times.
+/// Nominal work per run = sum over arrivals and completions of the
 /// active-set size ≈ F*(F+2) (what a per-flow solver re-rates), a pure
-/// function of F.
+/// function of F, so events/sec does not depend on the run count.
 inline ScenarioResult runRebalanceHeavy(std::size_t flows = 600, std::size_t reps = 3,
                                         probe::FlightRecorder* rec = nullptr) {
   ScenarioResult res;
   res.name = "rebalance_heavy";
   // Arrival i re-rates i+1 active flows; completion leaving k flows
   // re-rates k. Both sums are F*(F+1)/2 over the run.
-  res.workUnits = static_cast<double>(flows) * (static_cast<double>(flows) + 1.0);
+  res.workUnits = static_cast<double>(kRebalanceRuns) * static_cast<double>(flows) *
+                  (static_cast<double>(flows) + 1.0);
   res.seconds = detail::bestOf(reps, [flows, rec] {
+    for (std::size_t run = 0; run < kRebalanceRuns; ++run) {
+      Simulator sim;
+      sim.setRecorder(rec);
+      FlowNetwork net(sim);
+      const LinkId shared = net.addLink("shared", 1e9);
+      std::size_t done = 0;
+      for (std::size_t i = 0; i < flows; ++i) {
+        FlowSpec spec;
+        spec.bytes = 50'000'000;
+        spec.route = {shared};
+        // Stagger arrivals so each start lands while earlier flows are
+        // still active and forces a rebalance.
+        spec.startupLatency = 1e-6 * static_cast<double>(i);
+        net.startFlow(spec, [&done](const FlowCompletion&) { ++done; });
+      }
+      sim.run();
+      if (done != flows) throw std::runtime_error("rebalance_heavy: lost flows");
+    }
+  });
+  return res;
+}
+
+/// Write rounds per client in one fan-out-burst repetition, sized so that
+/// a repetition lasts at least ~50 ms on a 4-vCPU VM.
+inline constexpr std::size_t kFanoutRounds = 9000;
+
+/// Fan-out bursts in the DAOS write shape: each of 8 clients writes one
+/// 8 MiB request at a time and replicates it from the client to three of
+/// 16 targets. A round starts three flows on three routes that share the
+/// client's link, with one startup latency, so their activations land at
+/// one instant; the client's next round starts when its last replica
+/// lands. Work unit = one flow.
+inline ScenarioResult runFanoutBurst(std::size_t rounds = kFanoutRounds, std::size_t reps = 3,
+                                     probe::FlightRecorder* rec = nullptr) {
+  constexpr std::size_t kClients = 8;
+  constexpr std::size_t kTargets = 16;
+  constexpr std::size_t kReplicas = 3;
+  ScenarioResult res;
+  res.name = "fanout_burst";
+  res.workUnits = static_cast<double>(kClients * rounds * kReplicas);
+  res.seconds = detail::bestOf(reps, [rounds, rec] {
     Simulator sim;
     sim.setRecorder(rec);
     FlowNetwork net(sim);
-    const LinkId shared = net.addLink("shared", 1e9);
-    std::size_t done = 0;
-    for (std::size_t i = 0; i < flows; ++i) {
-      FlowSpec spec;
-      spec.bytes = 50'000'000;
-      spec.route = {shared};
-      // Stagger arrivals so each start lands while earlier flows are
-      // still active and forces a rebalance.
-      spec.startupLatency = 1e-6 * static_cast<double>(i);
-      net.startFlow(spec, [&done](const FlowCompletion&) { ++done; });
+    std::vector<LinkId> clients;
+    std::vector<LinkId> targets;
+    for (std::size_t c = 0; c < kClients; ++c) {
+      clients.push_back(net.addLink("client" + std::to_string(c), 12.5e9));
     }
+    for (std::size_t t = 0; t < kTargets; ++t) {
+      targets.push_back(net.addLink("target" + std::to_string(t), 3e9));
+    }
+    std::vector<std::size_t> issued(kClients, 0);
+    std::vector<std::size_t> inFlight(kClients, 0);
+    std::size_t done = 0;
+    std::function<void(std::size_t)> issue = [&](std::size_t c) {
+      if (issued[c] == rounds) return;
+      const std::size_t first = c * 5 + issued[c]++ * 3;  // three distinct targets
+      inFlight[c] = kReplicas;
+      for (std::size_t k = 0; k < kReplicas; ++k) {
+        FlowSpec spec;
+        spec.bytes = 8u << 20;
+        spec.route = {clients[c], targets[(first + k) % kTargets]};
+        spec.startupLatency = 2e-6;
+        net.startFlow(spec, [&, c](const FlowCompletion&) {
+          ++done;
+          if (--inFlight[c] == 0) issue(c);
+        });
+      }
+    };
+    for (std::size_t c = 0; c < kClients; ++c) issue(c);
     sim.run();
-    if (done != flows) throw std::runtime_error("rebalance_heavy: lost flows");
+    if (done != kClients * rounds * kReplicas) {
+      throw std::runtime_error("fanout_burst: lost flows");
+    }
   });
   return res;
 }

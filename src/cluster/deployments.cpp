@@ -87,7 +87,7 @@ TestBench::TestBench(Machine machine, std::size_t nodesUsed)
   }
 }
 
-void TestBench::collectMetrics(telemetry::MetricsRegistry& reg, const FileSystemModel* fs) const {
+void TestBench::collectMetrics(telemetry::MetricsRegistry& reg, const FileSystemModel* fs) {
   reg.counter("engine.events.dispatched", static_cast<double>(sim_.eventsDispatched()));
   reg.counter("engine.events.scheduled", static_cast<double>(sim_.eventsScheduled()));
   reg.counter("engine.events.cancelled", static_cast<double>(sim_.eventsCancelled()));

@@ -88,8 +88,7 @@ class TestBench {
   /// Snapshot the whole stack into `reg`: engine counters ("engine.*"),
   /// network state ("net.*"), span metrics ("telemetry.*"), and — when
   /// `fs` is given — the model's own "<model>.*" metrics.
-  void collectMetrics(telemetry::MetricsRegistry& reg,
-                      const FileSystemModel* fs = nullptr) const;
+  void collectMetrics(telemetry::MetricsRegistry& reg, const FileSystemModel* fs = nullptr);
 
   // Attach storage models (each call creates an independent instance).
   std::unique_ptr<VastModel> attachVast(VastConfig cfg);

@@ -356,6 +356,14 @@ void FlowNetwork::computeMaxMinRates() {
 }
 
 void FlowNetwork::rebalance() {
+  if (solvePending_) return;
+  solvePending_ = true;
+  sim_.defer([this] { settle(); });
+}
+
+void FlowNetwork::settle() {
+  if (!solvePending_) return;
+  solvePending_ = false;
   {
     probe::SelfProfiler::Scope scope(sim_.profiler(), probe::SelfProfiler::Bucket::Solve);
     computeMaxMinRates();
@@ -369,7 +377,7 @@ void FlowNetwork::rebalance() {
     Group& g = groups_[slot];
     if (g.rate <= 0.0) {
       // Stalled group (zero-capacity path): leave it unscheduled; a later
-      // rebalance schedules the completion once capacity appears.
+      // solve schedules the completion once capacity appears.
       if (g.completionEvent.valid()) {
         sim_.cancel(g.completionEvent);
         g.completionEvent = EventId{};
@@ -409,7 +417,7 @@ void FlowNetwork::completeHead(std::uint32_t slot) {
   g.completionEvent = EventId{};  // this event just fired
   if (g.heap.front().target - g.served > 1.0) {
     // Defensive: floating-point drift left real bytes outstanding; let
-    // rebalance() schedule a fresh event.
+    // the next solve schedule a fresh event.
     rebalance();
     return;
   }
@@ -430,7 +438,8 @@ void FlowNetwork::completeHead(std::uint32_t slot) {
   if (f.onComplete) f.onComplete(done);
 }
 
-Bandwidth FlowNetwork::flowRate(FlowId id) const {
+Bandwidth FlowNetwork::flowRate(FlowId id) {
+  settle();
   for (std::uint32_t slot : live_) {
     const Group& g = groups_[slot];
     for (const Flow& f : g.heap) {
@@ -446,7 +455,8 @@ std::uint64_t FlowNetwork::activeMembers() const {
   return total;
 }
 
-std::vector<LinkStats> FlowNetwork::linkStats() const {
+std::vector<LinkStats> FlowNetwork::linkStats() {
+  settle();
   std::vector<LinkStats> out;
   out.reserve(links_.size());
   std::vector<Bandwidth> alloc(links_.size(), 0.0);

@@ -8,6 +8,8 @@
 // session serialization, and device ceilings). Whenever a flow starts or
 // finishes, the allocation is recomputed and completion events are
 // re-timed — the standard flow-level network simulation technique.
+// Changes at one simulated instant share one recomputation (see the
+// epoch re-rating protocol below).
 //
 // ## Signature groups
 //
@@ -27,10 +29,20 @@
 // Progressive filling runs over the live groups in creation order, each
 // weighted by `weight x total members`, with no sort and with scratch
 // buffers owned by the network, so a solve costs O(groups + links they
-// touch) and allocates nothing once warm. Same-timestamp completions
-// fire in group creation order.
+// touch) and allocates nothing once warm. Completions that one solve
+// times for the same instant fire in group creation order.
 //
 // ## Epoch re-rating protocol
+//
+// Every change (arrival, departure, capacity or health change, reroute)
+// credits progress and then *requests* a solve: the allocation is marked
+// stale and the solve is deferred to the end of the current instant
+// (Simulator::defer), so any number of requests at one timestamp
+// coalesce into one solve, run before the clock advances. Progress is
+// credited at the old rates only over time that has already passed, so
+// a stale allocation is never used to move bytes. Outside event dispatch
+// a request solves at once. Readers of the allocation — flowRate() and
+// linkStats() — settle a pending solve before they read.
 //
 // A group's completion event is scheduled when the group first gets a
 // positive rate, and later rebalances re-time it in place with
@@ -162,17 +174,18 @@ class FlowNetwork {
 
   /// Current aggregate max-min rate of an active flow — per-member rate
   /// x members (0 if unknown/finished). Equals the per-member rate for
-  /// singleton flows.
-  Bandwidth flowRate(FlowId id) const;
+  /// singleton flows. Settles a pending solve first.
+  Bandwidth flowRate(FlowId id);
 
   /// Completion re-timings performed since construction: fresh schedules
   /// plus in-place adjust-key updates of group completion events. A
-  /// rebalance adds at most G, the number of live signature groups;
-  /// hysteresis-skipped groups add nothing.
+  /// solve adds at most G, the number of live signature groups;
+  /// hysteresis-skipped groups add nothing. A solve still pending in the
+  /// current instant is not counted yet.
   std::uint64_t rerates() const { return rerates_; }
 
-  /// Utilization snapshot of every link.
-  std::vector<LinkStats> linkStats() const;
+  /// Utilization snapshot of every link. Settles a pending solve first.
+  std::vector<LinkStats> linkStats();
 
   /// Attach (or detach with nullptr) a telemetry sink. Spans are only
   /// opened while the sink is attached *and* enabled; flows launched
@@ -224,8 +237,13 @@ class FlowNetwork {
   /// time since the last credit.
   void advanceProgress();
 
-  /// Recompute the max-min fair allocation and (re)schedule completions.
+  /// Request a solve at the end of the current instant (at once outside
+  /// event dispatch); requests made while one is pending are absorbed.
   void rebalance();
+
+  /// Run the pending solve, if any: recompute the max-min fair
+  /// allocation and (re)schedule completions.
+  void settle();
 
   /// Weighted progressive filling over the live groups; fills each
   /// group's per-member `rate` and `bottleneck`.
@@ -253,6 +271,7 @@ class FlowNetwork {
   std::uint64_t rerates_ = 0;
   std::size_t activeFlows_ = 0;
   SimTime lastAdvance_ = 0.0;  // when advanceProgress last credited the groups
+  bool solvePending_ = false;  // a deferred settle() is queued on sim_
   telemetry::Telemetry* tel_ = nullptr;
   std::vector<Group> groups_;              // slots; retired ones keep route/heap storage
   std::vector<std::uint32_t> freeGroups_;  // retired slots, reused first

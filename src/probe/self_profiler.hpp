@@ -10,8 +10,9 @@
 //
 // Caveats (see docs/PROBE.md): timings are *inclusive* — the dispatch
 // bucket does not include model callbacks (they are scoped separately),
-// but a solve triggered from inside a callback is charged to both
-// `solve` and `callback`; buckets therefore do not sum to wall time.
+// and a solve runs after the instant's callbacks, except when a reader
+// inside a callback settles a pending one, which is then charged to
+// both `solve` and `callback`; buckets do not sum to wall time.
 // Values are wall-clock and thus NOT deterministic: sweep trials that
 // collect `self.*` bypass the trial cache, and no identity gate ever
 // compares them.

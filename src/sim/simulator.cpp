@@ -12,6 +12,22 @@ namespace {
 // 4-ary heap: shallower than binary for the same size, and the four
 // children share a cache line of slot indices.
 constexpr std::uint32_t kArity = 4;
+
+/// Holds the simulator in dispatch mode while one callback runs, and
+/// restores the previous mode however the callback exits.
+class DispatchScope {
+ public:
+  explicit DispatchScope(bool& dispatching) : flag_(dispatching), saved_(dispatching) {
+    flag_ = true;
+  }
+  ~DispatchScope() { flag_ = saved_; }
+  DispatchScope(const DispatchScope&) = delete;
+  DispatchScope& operator=(const DispatchScope&) = delete;
+
+ private:
+  bool& flag_;
+  bool saved_;
+};
 }  // namespace
 
 std::uint32_t Simulator::allocSlot() {
@@ -149,21 +165,50 @@ void Simulator::dispatchRoot() {
                       static_cast<std::uint32_t>(heap_.size()),
                       static_cast<double>(dispatched_));
   }
-  probe::SelfProfiler::Scope scope(profiler_, probe::SelfProfiler::Bucket::Callback);
-  fn();
+  {
+    probe::SelfProfiler::Scope scope(profiler_, probe::SelfProfiler::Bucket::Callback);
+    DispatchScope inCallback(dispatching_);
+    fn();
+  }
+  endInstantIfOver();
 }
 
+void Simulator::defer(EventFn fn) {
+  if (!dispatching_) {
+    fn();
+    return;
+  }
+  deferred_.push_back(std::move(fn));
+}
+
+void Simulator::endInstantIfOver() {
+  if (deferred_.empty() || (!heap_.empty() && slots_[heap_[0]].time <= now_)) return;
+  // Each entry leaves the queue before it runs, so one that throws is
+  // dropped and the rest stay queued for the next call.
+  while (!deferred_.empty()) {
+    EventFn fn = std::move(deferred_.front());
+    deferred_.erase(deferred_.begin());
+    fn();
+  }
+}
+
+// Each entry point first ends an instant left open by its previous call —
+// a callback threw, or the event that kept the instant open was cancelled
+// since — so the clock never advances past pending deferred work.
 bool Simulator::step() {
+  endInstantIfOver();
   if (heap_.empty()) return false;
   dispatchRoot();
   return true;
 }
 
 void Simulator::run() {
+  endInstantIfOver();
   while (!heap_.empty()) dispatchRoot();
 }
 
 void Simulator::runUntil(SimTime t) {
+  endInstantIfOver();
   while (!heap_.empty() && slots_[heap_[0]].time <= t) dispatchRoot();
   if (now_ < t) now_ = t;
 }

@@ -20,6 +20,14 @@
 // scheduleAt pair would have produced. Nothing in the engine may reorder
 // equal-(time, seq) events or dispatch a cancelled one.
 //
+// Deferred work (defer()) sits outside that order: it takes no sequence
+// number and is never dispatched as an event. It runs once the current
+// *instant* is over — after every event at now(), including events
+// scheduled at now() while the instant ran — and before the clock
+// advances to the next event. Events it schedules at now() open the
+// instant again. run(), runUntil() and step() never return with deferred
+// work pending while the next event is later than now().
+//
 // ## Implementation
 //
 // The queue is an indexed 4-ary heap over a slab of event slots:
@@ -98,6 +106,15 @@ class Simulator {
   /// event already queued for that instant. Returns false (and does
   /// nothing) when the id is no longer pending.
   bool adjustKey(EventId id, SimTime t);
+
+  /// Run `fn` once the current instant is over (see the dispatch
+  /// invariant above): FlowNetwork defers its max-min solve this way, so
+  /// that several changes at one timestamp cost one solve. Outside event
+  /// dispatch — setup code, or a caller between run() calls — `fn` runs
+  /// at once. Work queued by a callback that throws stays queued and runs
+  /// before the clock next advances. `fn` must stay valid until it runs:
+  /// a capture of `this` needs its object to outlive the instant.
+  void defer(EventFn fn);
 
   /// Dispatch events until the queue is empty.
   void run();
@@ -185,7 +202,12 @@ class Simulator {
   /// Pop the heap root and invoke its callback (queue must be non-empty).
   void dispatchRoot();
 
+  /// Run the deferred work if no event remains at now().
+  void endInstantIfOver();
+
   SimTime now_ = 0.0;
+  bool dispatching_ = false;  // an event callback is running
+  std::vector<EventFn> deferred_;
   std::uint64_t nextSeq_ = 1;
   std::size_t peakPending_ = 0;
   std::uint64_t dispatched_ = 0;

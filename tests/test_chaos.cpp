@@ -486,7 +486,7 @@ TEST(ChaosRunner, TimelineIsDeterministic) {
 // scenario and a DAOS target drill in the benchmark's shape. Any change
 // to the drill's issue loop, sampler or availability math shows up here
 // byte-for-byte, not just within the dip-shape tolerances above.
-constexpr const char* kCnodeFailoverJsonl = R"({"scenario":"cnode-failover","site":"Lassen","storage":"VAST","summary":{"degradedSec":30,"failedOps":0,"finalGBs":7.9658221567999998,"foregroundBytes":657129996288,"healthyGBs":7.9456894976000001,"lateCompletions":0,"maxGBs":8.0530636799999993,"meanGBs":7.3014444032000005,"minGBs":5.8586038271999996,"rebuildBytes":68719476736,"rebuildCompletedAtSec":60.584080783012446,"retries":0,"timeToRecoverSec":5}}
+constexpr const char* kCnodeFailoverJsonl = R"({"scenario":"cnode-failover","site":"Lassen","storage":"VAST","summary":{"degradedSec":30,"failedOps":0,"finalGBs":7.9725330431999994,"foregroundBytes":657129996288,"healthyGBs":7.9456894976000001,"lateCompletions":0,"maxGBs":8.0530636799999993,"meanGBs":7.3014444031999988,"minGBs":5.8518929408,"rebuildBytes":68719476736,"rebuildCompletedAtSec":60.584149348322896,"retries":0,"timeToRecoverSec":5}}
 {"GBs":7.8383153152,"activeFaults":0,"degraded":false,"endSec":5,"interval":0,"retries":0,"startSec":0}
 {"GBs":8.0530636799999993,"activeFaults":0,"degraded":false,"endSec":10,"interval":1,"retries":0,"startSec":5}
 {"GBs":7.8383153152,"activeFaults":0,"degraded":false,"endSec":15,"interval":2,"retries":0,"startSec":10}
@@ -496,28 +496,28 @@ constexpr const char* kCnodeFailoverJsonl = R"({"scenario":"cnode-failover","sit
 {"GBs":5.9861106688000003,"activeFaults":2,"degraded":true,"endSec":35,"interval":6,"retries":0,"startSec":30}
 {"GBs":5.9055800319999996,"activeFaults":2,"degraded":true,"endSec":40,"interval":7,"retries":0,"startSec":35}
 {"GBs":6.0934848511999995,"activeFaults":2,"degraded":true,"endSec":45,"interval":8,"retries":0,"startSec":40}
-{"GBs":5.8586038271999996,"activeFaults":2,"degraded":true,"endSec":50,"interval":9,"retries":0,"startSec":45}
-{"GBs":6.0599304191999996,"activeFaults":2,"degraded":true,"endSec":55,"interval":10,"retries":0,"startSec":50}
+{"GBs":5.8518929408,"activeFaults":2,"degraded":true,"endSec":50,"interval":9,"retries":0,"startSec":45}
+{"GBs":6.0666413056000001,"activeFaults":2,"degraded":true,"endSec":55,"interval":10,"retries":0,"startSec":50}
 {"GBs":6.0397977599999999,"activeFaults":2,"degraded":true,"endSec":60,"interval":11,"retries":0,"startSec":55}
 {"GBs":7.8651588608000003,"activeFaults":0,"degraded":false,"endSec":65,"interval":12,"retries":0,"startSec":60}
-{"GBs":8.026220134399999,"activeFaults":0,"degraded":false,"endSec":70,"interval":13,"retries":0,"startSec":65}
-{"GBs":7.9993765888000006,"activeFaults":0,"degraded":false,"endSec":75,"interval":14,"retries":0,"startSec":70}
-{"GBs":7.9524003839999997,"activeFaults":0,"degraded":false,"endSec":80,"interval":15,"retries":0,"startSec":75}
+{"GBs":7.9993765888000006,"activeFaults":0,"degraded":false,"endSec":70,"interval":13,"retries":0,"startSec":65}
+{"GBs":8.0530636799999993,"activeFaults":0,"degraded":false,"endSec":75,"interval":14,"retries":0,"startSec":70}
+{"GBs":7.9188459519999999,"activeFaults":0,"degraded":false,"endSec":80,"interval":15,"retries":0,"startSec":75}
 {"GBs":7.9993765888000006,"activeFaults":0,"degraded":false,"endSec":85,"interval":16,"retries":0,"startSec":80}
-{"GBs":7.9658221567999998,"activeFaults":0,"degraded":false,"endSec":90,"interval":17,"retries":0,"startSec":85}
+{"GBs":7.9725330431999994,"activeFaults":0,"degraded":false,"endSec":90,"interval":17,"retries":0,"startSec":85}
 )";
 
-constexpr const char* kDaosTargetDrillJsonl = R"({"scenario":"daos-target-drill","site":"Lassen","storage":"DAOS","summary":{"degradedSec":8,"failedOps":0,"finalGBs":21.93620992,"foregroundBytes":410160988160,"healthyGBs":21.550333951999999,"lateCompletions":10,"maxGBs":21.93620992,"meanGBs":20.508049407999998,"minGBs":17.767071743999999,"rebuildBytes":0,"rebuildCompletedAtSec":-1,"retries":10,"timeToRecoverSec":2}}
+constexpr const char* kDaosTargetDrillJsonl = R"({"scenario":"daos-target-drill","site":"Lassen","storage":"DAOS","summary":{"degradedSec":8,"failedOps":0,"finalGBs":21.940404224000002,"foregroundBytes":409942884352,"healthyGBs":21.550333951999999,"lateCompletions":10,"maxGBs":21.940404224000002,"meanGBs":20.497144217599995,"minGBs":17.767071743999999,"rebuildBytes":0,"rebuildCompletedAtSec":-1,"retries":10,"timeToRecoverSec":2}}
 {"GBs":21.550333951999999,"activeFaults":0,"degraded":false,"endSec":2,"interval":0,"retries":0,"startSec":0}
 {"GBs":17.800626176000002,"activeFaults":1,"degraded":true,"endSec":4,"interval":1,"retries":0,"startSec":2}
 {"GBs":17.767071743999999,"activeFaults":1,"degraded":true,"endSec":6,"interval":2,"retries":0,"startSec":4}
 {"GBs":18.543017983999999,"activeFaults":1,"degraded":true,"endSec":8,"interval":3,"retries":10,"startSec":6}
 {"GBs":19.998441472,"activeFaults":1,"degraded":true,"endSec":10,"interval":4,"retries":0,"startSec":8}
-{"GBs":21.793603584,"activeFaults":0,"degraded":false,"endSec":12,"interval":5,"retries":0,"startSec":10}
-{"GBs":21.906849791999999,"activeFaults":0,"degraded":false,"endSec":14,"interval":6,"retries":0,"startSec":12}
-{"GBs":21.911044096000001,"activeFaults":0,"degraded":false,"endSec":16,"interval":7,"retries":0,"startSec":14}
-{"GBs":21.87329536,"activeFaults":0,"degraded":false,"endSec":18,"interval":8,"retries":0,"startSec":16}
-{"GBs":21.93620992,"activeFaults":0,"degraded":false,"endSec":20,"interval":9,"retries":0,"startSec":18}
+{"GBs":21.692940287999999,"activeFaults":0,"degraded":false,"endSec":12,"interval":5,"retries":0,"startSec":10}
+{"GBs":21.877489663999999,"activeFaults":0,"degraded":false,"endSec":14,"interval":6,"retries":0,"startSec":12}
+{"GBs":21.9152384,"activeFaults":0,"degraded":false,"endSec":16,"interval":7,"retries":0,"startSec":14}
+{"GBs":21.885878271999999,"activeFaults":0,"degraded":false,"endSec":18,"interval":8,"retries":0,"startSec":16}
+{"GBs":21.940404224000002,"activeFaults":0,"degraded":false,"endSec":20,"interval":9,"retries":0,"startSec":18}
 )";
 
 TEST(ChaosRunner, DrillOutputBytesArePinned) {

@@ -5,9 +5,11 @@
 // completion event per flow). Both replay the same seeded script: random
 // topologies, rate caps, weights and member counts from 1 to 10^4,
 // bursts of same-signature flows joining at staggered times, and mid-run
-// setLinkHealth, setLinkCapacity and replaceLinkInFlows. Every per-flow
-// rate sampled along the way, every completion time and every link's
-// carried bytes must agree within 1e-9 relative.
+// setLinkHealth, setLinkCapacity and replaceLinkInFlows. A second seed
+// set replays each script snapped to a time grid, so that several steps
+// share one instant and probes read rates in the middle of it. Every
+// per-flow rate sampled along the way, every completion time and every
+// link's carried bytes must agree within 1e-9 relative.
 
 #include <gtest/gtest.h>
 
@@ -212,17 +214,40 @@ Script randomScript(std::uint64_t seed) {
   return sc;
 }
 
-class FlowDifferential : public ::testing::TestWithParam<std::uint64_t> {};
+/// The same script with every step on a 0.25 s grid and every non-zero
+/// startup latency at 0.05 s, so that arrivals, activations, link changes
+/// and probes share instants, and probes read rates mid-instant.
+Script onGrid(Script sc) {
+  for (Step& s : sc.steps) {
+    s.at = 0.25 * std::round(s.at / 0.25);
+    if (s.spec.startupLatency > 0.0) s.spec.startupLatency = 0.05;
+  }
+  return sc;
+}
 
-TEST_P(FlowDifferential, GroupsMatchPerFlowReference) {
-  const Script script = randomScript(GetParam());
+void expectMatchesReference(const Script& script) {
   const Outcome want = replay<reference::FlowNetwork>(script);
   const Outcome got = replay<FlowNetwork>(script);
   ASSERT_FALSE(want.done.empty());
   expectAgree(got, want);
 }
 
+class FlowDifferential : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(FlowDifferential, GroupsMatchPerFlowReference) {
+  expectMatchesReference(randomScript(GetParam()));
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, FlowDifferential, ::testing::Range<std::uint64_t>(1, 41));
+
+class FlowDifferentialSameInstant : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(FlowDifferentialSameInstant, GroupsMatchPerFlowReference) {
+  expectMatchesReference(onGrid(randomScript(GetParam())));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FlowDifferentialSameInstant,
+                         ::testing::Range<std::uint64_t>(1, 201));
 
 FlowSpec onRoute(Route route, Bytes bytes) {
   FlowSpec s;

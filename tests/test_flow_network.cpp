@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
+
+#include "probe/self_profiler.hpp"
 
 namespace hcsim {
 namespace {
@@ -375,6 +378,61 @@ TEST(FlowNetwork, SameSignatureFlowsShareOneCompletionEvent) {
   h.sim.run();
   EXPECT_EQ(completed, kFlows);
   EXPECT_EQ(h.sim.eventsDispatched(), static_cast<std::uint64_t>(kFlows));
+}
+
+// The DAOS write shape: a client replicates one write to three targets,
+// so three flows on three routes that share the client link activate at
+// one instant. Changes at one instant share one solve, and the equal-rate
+// replicas then finish together at another instant and another solve.
+TEST(FlowNetwork, SameInstantActivationsCostOneSolve) {
+  Harness h;
+  probe::SelfProfiler prof;
+  prof.setEnabled(true);
+  h.sim.setProfiler(&prof);
+  const LinkId client = h.net.addLink("client", 300.0);
+  std::vector<SimTime> ends;
+  for (int i = 0; i < 3; ++i) {
+    const LinkId target = h.net.addLink("target" + std::to_string(i), 1000.0);
+    FlowSpec spec{600, {client, target}};
+    spec.startupLatency = 0.5;
+    h.net.startFlow(spec, [&](const FlowCompletion& c) { ends.push_back(c.endTime); });
+  }
+  const auto solves = [&] { return prof.count(probe::SelfProfiler::Bucket::Solve); };
+  h.sim.runUntil(0.5);
+  EXPECT_EQ(solves(), 1u);
+  h.sim.run();
+  EXPECT_EQ(solves(), 2u);
+  // 600 B at a third of the client link each, after 0.5 s of startup.
+  EXPECT_EQ(ends, (std::vector<SimTime>{6.5, 6.5, 6.5}));
+  // Three activations plus three completions: deferral adds no event.
+  EXPECT_EQ(h.sim.eventsDispatched(), 6u);
+}
+
+// A reader inside an instant sees the max-min rates of the flows active
+// at that moment, not the allocation of the previous solve.
+TEST(FlowNetwork, FlowRateMidInstantIsTheSettledMaxMinRate) {
+  Harness h;
+  const LinkId client = h.net.addLink("client", 300.0);
+  std::vector<FlowId> ids;
+  const auto start = [&](int i) {
+    const LinkId target = h.net.addLink("target" + std::to_string(i), 1000.0);
+    FlowSpec spec{600, {client, target}};
+    spec.startupLatency = 0.5;
+    ids.push_back(h.net.startFlow(spec, nullptr));
+  };
+  std::vector<Bandwidth> seen;
+  start(0);
+  start(1);
+  // Dispatched at 0.5 between the second and the third activation.
+  h.sim.scheduleAt(0.5, [&] {
+    for (FlowId id : ids) seen.push_back(h.net.flowRate(id));
+  });
+  start(2);
+  h.sim.runUntil(0.5);
+  EXPECT_EQ(seen, (std::vector<Bandwidth>{150.0, 150.0, 0.0}));
+  for (FlowId id : ids) EXPECT_EQ(h.net.flowRate(id), 100.0);
+  h.sim.run();
+  EXPECT_EQ(h.net.activeFlows(), 0u);
 }
 
 TEST_P(MaxMinPropertyTest, NoLinkOversubscribedAndWorkConserving) {

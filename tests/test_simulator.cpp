@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace hcsim {
@@ -316,6 +318,91 @@ TEST(Simulator, ZeroDelaySelfReschedulingIsFifoFair) {
   // Each reschedule goes to the back of the same-timestamp queue.
   EXPECT_EQ(order, (std::vector<int>{0, 1, 0, 1, 0, 1}));
   EXPECT_EQ(sim.now(), 0.0);
+}
+
+// ---- Deferred work: once per instant, before the clock advances ----
+
+TEST(SimulatorDefer, RunsOnceAfterEveryEventOfTheInstant) {
+  Simulator sim;
+  std::vector<std::string> order;
+  SimTime ranAt = -1.0;
+  sim.schedule(1.0, [&] {
+    order.push_back("a");
+    sim.defer([&] {
+      order.push_back("deferred");
+      ranAt = sim.now();
+    });
+    // Scheduled at now() during the instant: still part of it.
+    sim.schedule(0.0, [&] { order.push_back("a+0"); });
+  });
+  sim.schedule(1.0, [&] { order.push_back("b"); });
+  sim.schedule(2.0, [&] { order.push_back("later"); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"a", "b", "a+0", "deferred", "later"}));
+  EXPECT_EQ(ranAt, 1.0);
+  // Deferred work is not an event: nothing extra was dispatched.
+  EXPECT_EQ(sim.eventsDispatched(), 4u);
+}
+
+TEST(SimulatorDefer, RunsAtOnceOutsideDispatch) {
+  Simulator sim;
+  int ran = 0;
+  sim.defer([&] { ++ran; });
+  EXPECT_EQ(ran, 1);
+  sim.schedule(1.0, [] {});
+  sim.run();
+  sim.defer([&] { ++ran; });
+  EXPECT_EQ(ran, 2);
+}
+
+TEST(SimulatorDefer, EntryPointsNeverLeaveWorkPendingBeforeALaterEvent) {
+  Simulator sim;
+  std::vector<SimTime> ranAt;
+  const auto deferOne = [&] { sim.defer([&] { ranAt.push_back(sim.now()); }); };
+
+  // runUntil: the instant at 1 ends before the call returns.
+  sim.schedule(1.0, deferOne);
+  sim.schedule(2.0, [] {});
+  sim.runUntil(1.5);
+  EXPECT_EQ(ranAt, (std::vector<SimTime>{1.0}));
+
+  // step: pending while the next event shares the instant, settled by
+  // the step that ends it.
+  sim.schedule(1.0, deferOne);  // t = 2.5
+  sim.schedule(1.0, [] {});
+  EXPECT_TRUE(sim.step());  // the event at 2
+  EXPECT_TRUE(sim.step());  // first event at 2.5
+  EXPECT_EQ(ranAt.size(), 1u);
+  EXPECT_TRUE(sim.step());  // last event at 2.5
+  EXPECT_EQ(ranAt, (std::vector<SimTime>{1.0, 2.5}));
+
+  // Cancelling the event that kept the instant open: the next call ends
+  // the instant before it advances the clock.
+  sim.schedule(1.0, deferOne);  // t = 3.5
+  const EventId sameInstant = sim.schedule(1.0, [] {});
+  sim.schedule(2.0, [&] { ranAt.push_back(-sim.now()); });  // negated: an event, not deferred
+  EXPECT_TRUE(sim.step());
+  EXPECT_TRUE(sim.cancel(sameInstant));
+  sim.run();
+  EXPECT_EQ(ranAt, (std::vector<SimTime>{1.0, 2.5, 3.5, -4.5}));
+}
+
+TEST(SimulatorDefer, ThrowingCallbackLeavesDispatchAndKeepsQueuedWork) {
+  Simulator sim;
+  std::vector<std::string> order;
+  sim.schedule(1.0, [&] {
+    sim.defer([&] { order.push_back("queued@" + std::to_string(sim.now())); });
+    throw std::runtime_error("model bug");
+  });
+  sim.schedule(2.0, [&] { order.push_back("later"); });
+  EXPECT_THROW(sim.run(), std::runtime_error);
+  // Out of dispatch mode: new work runs at once...
+  sim.defer([&] { order.push_back("immediate"); });
+  EXPECT_EQ(order, (std::vector<std::string>{"immediate"}));
+  // ...and the work queued in the failed instant is run, not dropped,
+  // before the clock leaves that instant.
+  sim.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"immediate", "queued@1.000000", "later"}));
 }
 
 TEST(InlineFunction, SmallCapturesStoreInline) {
