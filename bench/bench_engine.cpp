@@ -313,6 +313,9 @@ int main(int argc, char** argv) {
     } else if (takeValue("--hcsim_golden_dir", opt.goldenDir)) {
     } else if (takeValue("--hcsim_max_regress", tol)) {
       opt.maxRegress = std::stod(tol);
+    } else if (std::strncmp(argv[i], "--hcsim_", 8) == 0) {
+      std::cerr << "bench_engine: unknown option " << argv[i] << "\n";
+      return 2;
     }
   }
   if (machine) return runMachineMode(opt);

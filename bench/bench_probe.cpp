@@ -346,6 +346,9 @@ int main(int argc, char** argv) {
       opt.maxRegress = std::stod(num);
     } else if (takeValue("--hcsim_max_overhead", num)) {
       opt.maxOverhead = std::stod(num);
+    } else if (std::strncmp(argv[i], "--hcsim_", 8) == 0) {
+      std::cerr << "bench_probe: unknown option " << argv[i] << "\n";
+      return 2;
     }
   }
   if (machine) return runMachineMode(opt);

@@ -12,6 +12,7 @@
 //       [--hcsim_max_regress 0.30]    wall class-ops/sec drops below
 //                                     REF * (1 - tolerance)
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <fstream>
@@ -117,22 +118,25 @@ int compareAgainst(const std::vector<ScaleResult>& results, const std::string& r
     return 2;
   }
   int failures = 0;
-  for (const ScaleResult& r : results) {
-    const JsonValue* entry = scens->find(r.scenario.name);
-    const JsonValue* rate = entry != nullptr ? entry->find("wall_class_ops_per_sec") : nullptr;
-    if (rate == nullptr || rate->number() == nullptr) {
-      std::cout << "perf skip " << r.scenario.name << ": no reference rate\n";
+  for (const auto& [name, entry] : *scens->object()) {
+    const JsonValue* rate = entry.find("wall_class_ops_per_sec");
+    if (rate == nullptr || rate->number() == nullptr) continue;
+    const auto r = std::find_if(results.begin(), results.end(),
+                                [&](const ScaleResult& x) { return x.scenario.name == name; });
+    if (r == results.end()) {
+      std::cerr << "PERF FAIL " << name << ": scenario missing from current run\n";
+      ++failures;
       continue;
     }
     const double floor = *rate->number() * (1.0 - maxRegress);
-    if (r.wallClassOpsPerSec() < floor) {
-      std::cerr << "PERF FAIL " << r.scenario.name << ": wall_class_ops_per_sec "
-                << r.wallClassOpsPerSec() << " < floor " << floor << " (ref " << *rate->number()
-                << ", tolerance " << maxRegress * 100.0 << "%)\n";
+    if (r->wallClassOpsPerSec() < floor) {
+      std::cerr << "PERF FAIL " << name << ": wall_class_ops_per_sec " << r->wallClassOpsPerSec()
+                << " < floor " << floor << " (ref " << *rate->number() << ", tolerance "
+                << maxRegress * 100.0 << "%)\n";
       ++failures;
     } else {
-      std::cout << "perf ok " << r.scenario.name << ": wall_class_ops_per_sec "
-                << r.wallClassOpsPerSec() << " vs ref " << *rate->number() << "\n";
+      std::cout << "perf ok " << name << ": wall_class_ops_per_sec " << r->wallClassOpsPerSec()
+                << " vs ref " << *rate->number() << "\n";
     }
   }
   return failures == 0 ? 0 : 1;

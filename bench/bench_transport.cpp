@@ -12,6 +12,7 @@
 //       [--hcsim_max_regress 0.30]        scenario's wall ops/sec drops
 //                                         below REF * (1 - tolerance)
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -122,21 +123,24 @@ int compareAgainst(const std::vector<ScenarioResult>& results, const std::string
     return 2;
   }
   int failures = 0;
-  for (const ScenarioResult& r : results) {
-    const JsonValue* entry = scens->find(r.scenario);
-    const JsonValue* rate = entry != nullptr ? entry->find("wall_ops_per_sec") : nullptr;
-    if (rate == nullptr || rate->number() == nullptr) {
-      std::cout << "perf skip " << r.scenario << ": no reference rate\n";
+  for (const auto& [name, entry] : *scens->object()) {
+    const JsonValue* rate = entry.find("wall_ops_per_sec");
+    if (rate == nullptr || rate->number() == nullptr) continue;
+    const auto r = std::find_if(results.begin(), results.end(),
+                                [&](const ScenarioResult& x) { return x.scenario == name; });
+    if (r == results.end()) {
+      std::cerr << "PERF FAIL " << name << ": scenario missing from current run\n";
+      ++failures;
       continue;
     }
     const double floor = *rate->number() * (1.0 - maxRegress);
-    if (r.wallOpsPerSec() < floor) {
-      std::cerr << "PERF FAIL " << r.scenario << ": wall_ops_per_sec " << r.wallOpsPerSec()
+    if (r->wallOpsPerSec() < floor) {
+      std::cerr << "PERF FAIL " << name << ": wall_ops_per_sec " << r->wallOpsPerSec()
                 << " < floor " << floor << " (ref " << *rate->number() << ", tolerance "
                 << maxRegress * 100.0 << "%)\n";
       ++failures;
     } else {
-      std::cout << "perf ok " << r.scenario << ": wall_ops_per_sec " << r.wallOpsPerSec()
+      std::cout << "perf ok " << name << ": wall_ops_per_sec " << r->wallOpsPerSec()
                 << " vs ref " << *rate->number() << "\n";
     }
   }

@@ -10,6 +10,7 @@
 //       [--hcsim_max_regress 0.30]       generator's wall ops/sec drops
 //                                        below REF * (1 - tolerance)
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -158,21 +159,24 @@ int compareAgainst(const std::vector<GenResult>& results, const std::string& ref
     return 2;
   }
   int failures = 0;
-  for (const GenResult& r : results) {
-    const JsonValue* entry = gens->find(r.generator);
-    const JsonValue* rate = entry != nullptr ? entry->find("wall_ops_per_sec") : nullptr;
-    if (rate == nullptr || rate->number() == nullptr) {
-      std::cout << "perf skip " << r.generator << ": no reference rate\n";
+  for (const auto& [name, entry] : *gens->object()) {
+    const JsonValue* rate = entry.find("wall_ops_per_sec");
+    if (rate == nullptr || rate->number() == nullptr) continue;
+    const auto r = std::find_if(results.begin(), results.end(),
+                                [&](const GenResult& x) { return x.generator == name; });
+    if (r == results.end()) {
+      std::cerr << "PERF FAIL " << name << ": generator missing from current run\n";
+      ++failures;
       continue;
     }
     const double floor = *rate->number() * (1.0 - maxRegress);
-    if (r.wallOpsPerSec() < floor) {
-      std::cerr << "PERF FAIL " << r.generator << ": wall_ops_per_sec " << r.wallOpsPerSec()
+    if (r->wallOpsPerSec() < floor) {
+      std::cerr << "PERF FAIL " << name << ": wall_ops_per_sec " << r->wallOpsPerSec()
                 << " < floor " << floor << " (ref " << *rate->number() << ", tolerance "
                 << maxRegress * 100.0 << "%)\n";
       ++failures;
     } else {
-      std::cout << "perf ok " << r.generator << ": wall_ops_per_sec " << r.wallOpsPerSec()
+      std::cout << "perf ok " << name << ": wall_ops_per_sec " << r->wallOpsPerSec()
                 << " vs ref " << *rate->number() << "\n";
     }
   }

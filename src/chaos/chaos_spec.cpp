@@ -94,9 +94,14 @@ bool parseChaosSpec(const JsonValue& json, ChaosSpec& out, std::string& error) {
     }
   }
 
-  out.horizon = json.numberOr("horizonSec", 90.0);
-  out.interval = json.numberOr("intervalSec", 5.0);
-  out.degradedTolerance = json.numberOr("degradedTolerance", 0.02);
+  // The header keys, the drill workload and the events are read above
+  // and below; any other top-level key is a typo.
+  if (std::string e = readFields(json, out, "",
+                                 {"name", "site", "storage", "storageConfig", "transport", "retry",
+                                  "monitors", "workload", "events"});
+      !e.empty()) {
+    problems.push_back(std::move(e));
+  }
 
   if (const JsonValue* ev = json.find("events")) {
     const JsonArray* arr = ev->array();

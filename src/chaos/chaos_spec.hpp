@@ -8,7 +8,8 @@
 // the simulation clock, drives the workload with client-side retry/backoff,
 // and reports a time-sliced bandwidth/availability timeline.
 //
-// Spec shape (all keys optional unless noted):
+// Spec shape (all keys optional unless noted; an unknown key or a value of
+// the wrong type fails the parse, naming the key):
 //   {
 //     "name": "cnode-failover",
 //     "site": "lassen",                 // lassen|ruby|quartz|wombat
@@ -98,6 +99,15 @@ struct ChaosSpec : SpecHeader {
   double degradedTolerance = 0.02;
   std::vector<ChaosEvent> events;
 };
+
+/// The scenario's own top-level numbers. Their ranges are checked
+/// against the deployment by validateSchedule().
+template <class IO>
+void fields(IO& io, ChaosSpec& s) {
+  io("horizonSec", s.horizon);
+  io("intervalSec", s.interval);
+  io("degradedTolerance", s.degradedTolerance);
+}
 
 /// Parse a scenario from JSON. On failure returns false and sets `error`
 /// to an actionable message ("events[2]: 'severity' must be a number...").

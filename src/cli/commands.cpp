@@ -371,8 +371,9 @@ int cmdSweep(const ArgParser& args, std::ostream& out, std::ostream& err) {
     return 2;
   }
   sweep::SweepSpec spec;
-  if (!sweep::loadSpec(*specPath, spec)) {
-    err << "error: cannot load sweep spec from " << *specPath << "\n";
+  std::string problem;
+  if (!sweep::loadSpec(*specPath, spec, &problem)) {
+    err << "error: " << *specPath << ": " << problem << "\n";
     return 2;
   }
   std::size_t jobs = args.sizeOr("--jobs", sweep::defaultJobs());

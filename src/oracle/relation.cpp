@@ -46,23 +46,37 @@ std::uint64_t caseSeed(const std::string& relationName, std::uint64_t suiteSeed,
   return s + index * 0x9e3779b97f4a7c15ull;
 }
 
-/// Shrink a failed monotonic case: find the first adjacent violating
-/// pair, then bisect that axis interval with fresh trials.
+/// Does the relation's own verdict fail on the two-variant case of `c`
+/// with the axis at lo and then hi?
+bool pairFails(const MetamorphicRelation& rel, const RelationCase& c, double lo, double hi,
+               JsonValue cfgLo, JsonValue cfgHi, const sweep::TrialMetrics& mLo,
+               const sweep::TrialMetrics& mHi) {
+  if (!mLo.ok || !mHi.ok) return false;
+  RelationCase pair;
+  pair.base = c.base;
+  pair.axis = c.axis;
+  pair.axisValues = {lo, hi};
+  pair.variants = {std::move(cfgLo), std::move(cfgHi)};
+  return !rel.verdict(pair, {mLo, mHi}).pass;
+}
+
+/// Shrink a failed monotonic case: find the first adjacent pair the
+/// verdict rejects, then bisect that axis interval with fresh trials.
 void shrinkMonotonic(const MetamorphicRelation& rel, const RelationCase& c,
                      const std::vector<sweep::TrialMetrics>& metrics, CaseFailure& failure,
                      std::size_t& trialsSpent) {
   std::size_t bad = c.axisValues.size();
   for (std::size_t i = 0; i + 1 < c.axisValues.size(); ++i) {
-    if (!metrics[i].ok || !metrics[i + 1].ok) continue;
-    if (metrics[i + 1].meanGBs < metrics[i].meanGBs * (1.0 - rel.slack)) {
+    if (pairFails(rel, c, c.axisValues[i], c.axisValues[i + 1], c.variants[i],
+                  c.variants[i + 1], metrics[i], metrics[i + 1])) {
       bad = i;
       break;
     }
   }
-  if (bad == c.axisValues.size()) return;  // failure was not an adjacent drop
+  if (bad == c.axisValues.size()) return;  // no adjacent pair fails on its own
 
   std::size_t probesSpent = 0;
-  const auto pairFails = [&](double lo, double hi) {
+  const auto probe = [&](double lo, double hi) {
     JsonValue cfgLo = sweep::deepCopy(c.base);
     JsonValue cfgHi = sweep::deepCopy(c.base);
     sweep::jsonPathSet(cfgLo, c.axis, JsonValue(lo));
@@ -70,10 +84,10 @@ void shrinkMonotonic(const MetamorphicRelation& rel, const RelationCase& c,
     const sweep::TrialMetrics mLo = sweep::runTrial(rel.experiment, cfgLo);
     const sweep::TrialMetrics mHi = sweep::runTrial(rel.experiment, cfgHi);
     probesSpent += 2;
-    return mLo.ok && mHi.ok && mHi.meanGBs < mLo.meanGBs * (1.0 - rel.slack);
+    return pairFails(rel, c, lo, hi, std::move(cfgLo), std::move(cfgHi), mLo, mHi);
   };
   const ShrinkResult s = bisectAxis(c.base, c.axis, c.axisValues[bad], c.axisValues[bad + 1],
-                                    rel.integerAxis, pairFails);
+                                    rel.integerAxis, probe);
   trialsSpent += probesSpent;
   failure.minimalConfig = s.minimalConfig;
   failure.shrinkSummary = s.summary;

@@ -8,7 +8,8 @@
 // executed through hcsim::sweep's parallel trial batch, so a suite run
 // is deterministic in its seed whatever the job count. Monotonic
 // relations that fail are shrunk: the offending axis interval is
-// bisected down to the minimal failing config (oracle/shrink.hpp).
+// bisected down to the minimal failing config (oracle/shrink.hpp), and
+// each probe pair is judged by the relation's own verdict.
 
 #include <cstddef>
 #include <cstdint>
@@ -54,7 +55,6 @@ struct MetamorphicRelation {
   RelationKind kind = RelationKind::Monotonic;
   std::string axis;        ///< dotted config path varied between variants ("" if n/a)
   bool integerAxis = false;
-  double slack = 0.02;     ///< tolerated fractional violation (monotone checks)
   std::string claim;       ///< the paper claim this relation encodes
   std::function<RelationCase(std::uint64_t caseSeed)> generate;
   std::function<CaseVerdict(const RelationCase&, const std::vector<sweep::TrialMetrics>&)> verdict;

@@ -1,5 +1,6 @@
 #include "oracle/shrink.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -14,10 +15,10 @@ ShrinkResult bisectAxis(const JsonValue& base, const std::string& axis, double l
   r.lo = lo;
   r.hi = hi;
   for (std::size_t step = 0; step < maxSteps; ++step) {
-    if (integerAxis && r.hi - r.lo <= 1.0) break;
+    if (integerAxis && std::abs(r.hi - r.lo) <= 1.0) break;
     double mid = (r.lo + r.hi) / 2.0;
     if (integerAxis) mid = std::floor(mid);
-    if (mid <= r.lo || mid >= r.hi) break;
+    if (!(std::min(r.lo, r.hi) < mid && mid < std::max(r.lo, r.hi))) break;
     ++r.probes;
     if (pairFails(r.lo, mid)) {
       r.hi = mid;

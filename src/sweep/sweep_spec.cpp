@@ -4,6 +4,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "config/fields.hpp"
 #include "util/random.hpp"
 
 namespace hcsim::sweep {
@@ -44,49 +45,66 @@ JsonValue toJson(const SweepSpec& spec) {
   return JsonValue(std::move(o));
 }
 
-bool fromJson(const JsonValue& j, SweepSpec& out) {
-  if (!j.isObject()) return false;
-  out.name = j.stringOr("name", out.name);
-  out.experiment = j.stringOr("experiment", out.experiment);
+const char* toString(Sampling::Mode m) {
+  switch (m) {
+    case Sampling::Mode::Grid: return "grid";
+    case Sampling::Mode::Random: return "random";
+  }
+  return "?";
+}
+
+namespace {
+
+/// "" when `j` is a valid spec (read onto `out`), else the problem.
+std::string readSpec(const JsonValue& j, SweepSpec& out) {
+  if (!j.isObject()) return "a sweep spec must be a JSON object";
+  if (std::string e = readFields(j, out, "", {"base", "axes"}); !e.empty()) return e;
   if (const JsonValue* b = j.find("base")) {
-    if (!b->isObject()) return false;
+    if (!b->isObject()) return "base: must be an object";
     out.base = deepCopy(*b);
   }
   out.axes.clear();
   if (const JsonValue* ax = j.find("axes")) {
     const JsonArray* arr = ax->array();
-    if (!arr) return false;
-    for (const JsonValue& e : *arr) {
+    if (arr == nullptr) return "axes: must be an array";
+    for (std::size_t i = 0; i < arr->size(); ++i) {
+      const std::string where = "axes[" + std::to_string(i) + "]";
       Axis a;
-      a.path = e.stringOr("path", "");
-      const JsonValue* vals = e.find("values");
+      if (std::string e = readFields((*arr)[i], a, where, {"values"}); !e.empty()) return e;
+      const JsonValue* vals = (*arr)[i].find("values");
       const JsonArray* varr = vals ? vals->array() : nullptr;
-      if (a.path.empty() || !varr || varr->empty()) return false;
+      if (a.path.empty() || !varr || varr->empty()) {
+        return where + ": needs a 'path' and a non-empty 'values' array";
+      }
       a.values.reserve(varr->size());
       for (const JsonValue& v : *varr) a.values.push_back(deepCopy(v));
       out.axes.push_back(std::move(a));
     }
   }
-  if (const JsonValue* s = j.find("sampling")) {
-    const std::string mode = s->stringOr("mode", "grid");
-    if (mode == "grid") out.sampling.mode = Sampling::Mode::Grid;
-    else if (mode == "random") out.sampling.mode = Sampling::Mode::Random;
-    else return false;
-    out.sampling.samples = static_cast<std::size_t>(s->numberOr("samples", 0.0));
-    out.sampling.seed = static_cast<std::uint64_t>(s->numberOr("seed", 1.0));
-    if (out.sampling.mode == Sampling::Mode::Random && out.sampling.samples == 0) return false;
+  if (out.sampling.mode == Sampling::Mode::Random && out.sampling.samples == 0) {
+    return "sampling.samples: random sampling needs samples > 0";
   }
-  return true;
+  return "";
 }
 
-bool loadSpec(const std::string& path, SweepSpec& out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::stringstream ss;
-  ss << in.rdbuf();
-  JsonValue j;
-  if (!parseJson(ss.str(), j)) return false;
-  return fromJson(j, out);
+}  // namespace
+
+bool fromJson(const JsonValue& j, SweepSpec& out, std::string* error) {
+  std::string e = readSpec(j, out);
+  if (error != nullptr) *error = e;
+  return e.empty();
+}
+
+bool loadSpec(const std::string& path, SweepSpec& out, std::string* error) {
+  std::string e = "cannot open file";
+  if (std::ifstream in(path); in) {
+    std::stringstream ss;
+    ss << in.rdbuf();
+    JsonValue j;
+    e = parseJson(ss.str(), j) ? readSpec(j, out) : "not valid JSON";
+  }
+  if (error != nullptr) *error = e;
+  return e.empty();
 }
 
 JsonValue deepCopy(const JsonValue& v) {

@@ -7,7 +7,8 @@
 // the dotted JSON path the config/serialize layer emits — e.g.
 // "ior.segments", "storageConfig.gateway.latency" — and lists the values
 // to try. The spec expands to independent trials: the full cartesian
-// grid, or a seeded random sample of it.
+// grid, or a seeded random sample of it. A spec is read strictly: an
+// unknown key or a value of the wrong type fails, naming the key.
 
 #include <cstddef>
 #include <cstdint>
@@ -26,12 +27,26 @@ struct Axis {
   std::vector<JsonValue> values;
 };
 
+template <class IO>
+void fields(IO& io, Axis& a) {
+  io("path", a.path);  // "values" is read by fromJson
+}
+
 struct Sampling {
   enum class Mode { Grid, Random };
   Mode mode = Mode::Grid;
   std::size_t samples = 0;  ///< Random only: how many trials to draw.
   std::uint64_t seed = 1;   ///< Random only: sampler seed.
 };
+
+const char* toString(Sampling::Mode m);
+
+template <class IO>
+void fields(IO& io, Sampling& s) {
+  io("mode", s.mode);
+  io("samples", s.samples);
+  io("seed", s.seed);
+}
 
 struct SweepSpec {
   std::string name = "sweep";
@@ -46,10 +61,19 @@ struct SweepSpec {
   std::size_t trialCount() const;
 };
 
+template <class IO>
+void fields(IO& io, SweepSpec& s) {
+  io("name", s.name);
+  io("experiment", s.experiment);
+  io("sampling", s.sampling);  // "base" and "axes" are read by fromJson
+}
+
 JsonValue toJson(const SweepSpec& spec);
-bool fromJson(const JsonValue& j, SweepSpec& out);
-/// Load a spec from a JSON file.
-bool loadSpec(const std::string& path, SweepSpec& out);
+/// Read a spec. On failure returns false and, when `error` is given,
+/// sets it to one line naming the key ("axes[0].pathh: unknown key").
+bool fromJson(const JsonValue& j, SweepSpec& out, std::string* error = nullptr);
+/// Load a spec from a JSON file; `error` as for fromJson.
+bool loadSpec(const std::string& path, SweepSpec& out, std::string* error = nullptr);
 
 /// Deep copy a JSON tree. JsonValue's copy constructor shares arrays and
 /// objects (shared_ptr); trials handed to worker threads need their own.

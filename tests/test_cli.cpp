@@ -302,6 +302,9 @@ TEST(Cli, NonsenseSpecValuesExitTwoWithOneLine) {
       {"workload", R"({"workload": {"generator": "ior", "nodes": -3}})",
        "workload.nodes: must be a positive integer (got -3)"},
       {"chaos", R"({"transport": {"lanez": 2}})", "transport.lanez: unknown key"},
+      // The scenario's own top-level keys are a field list too.
+      {"chaos", R"({"horizonSec": "4"})", "horizonSec: must be a number (got '4')"},
+      {"chaos", R"({"horizonn": 4})", "horizonn: unknown key"},
       // The retry object, the drill workload and the generator sections
       // go through their field lists too.
       {"chaos", R"({"retry": {"timeoutSek": 5}})", "retry.timeoutSek: unknown key"},

@@ -99,6 +99,37 @@ TEST(RelationRegistry, BuiltinCatalogCoversAllFiveModels) {
   EXPECT_EQ(kinds.size(), 5u) << "all five relation kinds must be exercised";
 }
 
+/// `m` with every headline metric multiplied by `factor`.
+sweep::TrialMetrics scaledMetrics(sweep::TrialMetrics m, double factor) {
+  for (double* v : {&m.meanGBs, &m.minGBs, &m.maxGBs, &m.elapsedSec, &m.bytesMoved, &m.opCount,
+                    &m.opP50, &m.opP95, &m.opP99}) {
+    *v *= factor;
+  }
+  return m;
+}
+
+TEST(RelationRegistry, EveryVerdictPassesOnRealMetricsAndFailsWhenTheyMove) {
+  // A verdict that always passes, or a relation given the wrong shape,
+  // would let every other test pass. Each built-in verdict must accept
+  // the model's own metrics and reject them once the last variant is
+  // scaled two orders of magnitude off.
+  for (const oracle::MetamorphicRelation& rel : RelationRegistry::builtin().all()) {
+    const oracle::RelationCase c = rel.generate(0);
+    const std::vector<sweep::TrialMetrics> m =
+        sweep::runTrialBatch(rel.experiment, c.variants, 2);
+    for (const sweep::TrialMetrics& t : m) ASSERT_TRUE(t.ok) << rel.name << ": " << t.error;
+    const oracle::CaseVerdict real = rel.verdict(c, m);
+    EXPECT_TRUE(real.pass) << rel.name << ": " << real.detail;
+    bool bites = false;
+    for (double factor : {0.01, 100.0}) {
+      std::vector<sweep::TrialMetrics> moved = m;
+      moved.back() = scaledMetrics(moved.back(), factor);
+      bites = bites || !rel.verdict(c, moved).pass;
+    }
+    EXPECT_TRUE(bites) << rel.name << " passes with its last variant scaled by 0.01 and by 100";
+  }
+}
+
 TEST(RelationRegistry, FindAndDuplicateRejection) {
   const RelationRegistry& reg = RelationRegistry::builtin();
   EXPECT_NE(reg.find("lustre.read-monotone-in-stripe-count"), nullptr);
@@ -138,6 +169,16 @@ TEST(Shrink, ReportsSpanningViolations) {
   EXPECT_TRUE(s.spanning);
   EXPECT_DOUBLE_EQ(s.lo, 1.0);
   EXPECT_DOUBLE_EQ(s.hi, 64.0);
+}
+
+TEST(Shrink, BisectsADescendingAxis) {
+  // The same cliff walked from 64 down to 1: lo and hi stay in axis order.
+  JsonValue base(JsonObject{});
+  const auto pairFails = [](double lo, double hi) { return lo >= 7.0 && hi <= 6.0; };
+  const oracle::ShrinkResult s = oracle::bisectAxis(base, "x", 64, 1, true, pairFails);
+  EXPECT_DOUBLE_EQ(s.lo, 7.0);
+  EXPECT_DOUBLE_EQ(s.hi, 6.0);
+  EXPECT_FALSE(s.spanning);
 }
 
 TEST(Shrink, RealAxisStopsAfterMaxSteps) {
@@ -240,6 +281,37 @@ TEST(RunRelation, MonotonicFailureShrinksAndNamesTheAxis) {
   EXPECT_GT(rep.trials, 4u) << "shrink probes must be accounted";
 }
 
+TEST(RunRelation, ShrinkerAsksTheRelationsOwnVerdict) {
+  // openloop-rate-monotone judges completed bytes, not GB/s. Re-aimed at
+  // a shrinking horizon its bytes fall while GB/s may rise, so a shrinker
+  // with its own bandwidth check would find no pair to bisect.
+  const auto* builtin = RelationRegistry::builtin().find("workload.openloop-rate-monotone");
+  ASSERT_NE(builtin, nullptr);
+  oracle::MetamorphicRelation reaimed = *builtin;
+  reaimed.axis = "workload.horizonSec";
+  const auto inner = builtin->generate;
+  reaimed.generate = [inner](std::uint64_t seed) {
+    oracle::RelationCase c = inner(seed);
+    c.axis = "workload.horizonSec";
+    c.axisValues = {4.0, 1.0};
+    c.variants.clear();
+    for (double v : c.axisValues) {
+      JsonValue cfg = sweep::deepCopy(c.base);
+      sweep::jsonPathSet(cfg, c.axis, JsonValue(v));
+      c.variants.push_back(std::move(cfg));
+    }
+    return c;
+  };
+  const oracle::RelationReport rep = oracle::runRelation(reaimed, fastOptions(2));
+  EXPECT_EQ(rep.failures, 2u);
+  ASSERT_FALSE(rep.failureDetails.empty());
+  for (const oracle::CaseFailure& f : rep.failureDetails) {
+    EXPECT_NE(f.shrinkSummary.find("workload.horizonSec"), std::string::npos)
+        << "case " << f.caseIndex << ": " << f.detail;
+  }
+  EXPECT_GT(rep.trials, 4u) << "shrink probes must be accounted";
+}
+
 TEST(SuiteReport, MarkdownIsDeterministicAndNamesEveryRelation) {
   const RelationRegistry& reg = RelationRegistry::builtin();
   oracle::SuiteOptions o = fastOptions(2);
@@ -298,8 +370,18 @@ void scaleGolden(const std::string& path, double factor) {
   for (const auto& l : lines) out << l << "\n";
 }
 
+/// A snapshot directory of the running test's own: ctest runs each test
+/// in its own process, in parallel, and tests that rewrite one shared
+/// snapshot file race on it.
+std::string ownGoldenDir() {
+  const std::string dir = ::testing::TempDir() + "golden-" +
+                          ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
 TEST(Golden, RecordCheckRoundTrip) {
-  const std::string dir = ::testing::TempDir();
+  const std::string dir = ownGoldenDir();
   const oracle::GoldenFigure fig = tinyFigure();
   std::string error;
   ASSERT_TRUE(oracle::recordFigure(fig, dir, 2, error)) << error;
@@ -310,7 +392,7 @@ TEST(Golden, RecordCheckRoundTrip) {
 }
 
 TEST(Golden, ToleranceBoundaryMath) {
-  const std::string dir = ::testing::TempDir();
+  const std::string dir = ownGoldenDir();
   const oracle::GoldenFigure fig = tinyFigure();
   std::string error;
   ASSERT_TRUE(oracle::recordFigure(fig, dir, 2, error)) << error;
@@ -328,7 +410,7 @@ TEST(Golden, ToleranceBoundaryMath) {
 }
 
 TEST(Golden, PerturbedModelConstantFailsWithNamedCell) {
-  const std::string dir = ::testing::TempDir();
+  const std::string dir = ownGoldenDir();
   const oracle::GoldenFigure fig = tinyFigure();
   std::string error;
   ASSERT_TRUE(oracle::recordFigure(fig, dir, 2, error)) << error;

@@ -74,6 +74,29 @@ TEST(SweepSpec, RejectsMalformedAxes) {
   o["axes"] = JsonValue(JsonArray{JsonValue(std::move(ax))});
   SweepSpec out;
   EXPECT_FALSE(fromJson(JsonValue(std::move(o)), out));
+
+  // A misspelled or wrong-typed key fails with one line naming it
+  // instead of running a smaller sweep.
+  const struct {
+    const char* spec;
+    const char* problem;
+  } cases[] = {
+      {R"({"axis": [{"path": "ior.nodes", "values": [1, 2]}]})", "axis: unknown key"},
+      {R"({"axes": [{"pathh": "ior.nodes", "values": [1]}]})", "axes[0].pathh: unknown key"},
+      {R"({"sampling": {"mode": "random", "sampels": 4}})", "sampling.sampels: unknown key"},
+      {R"({"name": 3})", "name: must be a string (got 3)"},
+      {R"({"experiment": ["ior"]})", "experiment: must be a string"},
+      {R"({"sampling": {"mode": "random", "samples": "4"}})", "sampling.samples: must be a"},
+      {R"({"sampling": {"mode": "random", "samples": 4, "seed": -1}})", "sampling.seed: must be a"},
+  };
+  for (const auto& c : cases) {
+    JsonValue j;
+    ASSERT_TRUE(parseJson(c.spec, j)) << c.spec;
+    std::string error;
+    SweepSpec spec;
+    EXPECT_FALSE(fromJson(j, spec, &error)) << c.spec;
+    EXPECT_EQ(error.find(c.problem), 0u) << c.spec << " -> " << error;
+  }
 }
 
 TEST(SweepSpec, JsonPathSetCreatesIntermediates) {
