@@ -4,32 +4,23 @@
 //
 // Two modes:
 //   (default)              google-benchmark BM_* suite
-//   --hcsim_json OUT       machine-readable throughput mode: runs the
-//                          fixed scenarios from engine_scenarios.hpp
+//   --hcsim_json OUT and/or --hcsim_compare REF.json
+//                          the perf gate (perf_harness.hpp): the fixed
+//                          scenarios from engine_scenarios.hpp
 //                          (schedule/cancel/rebalance-heavy and
-//                          fan-out-burst events/sec,
-//                          sweep trials/sec plain and cache-served, and
-//                          — when --hcsim_golden_dir is given — an
-//                          in-process oracle-check cold/warm timing)
-//                          and writes one JSON document to OUT.
-//     --hcsim_compare REF.json    fail (exit 1) when any per-sec
-//                          scenario regresses vs REF beyond tolerance
-//     --hcsim_max_regress 0.30    the tolerance (fraction, default 0.30)
-//     --hcsim_golden_dir DIR      golden snapshots for the oracle timing
-//                          (skipped when absent)
+//                          fan-out-burst events, sweep trials plain and
+//                          cache-served), each judged as a ratio to the
+//                          calibration kernel, and — when
+//                          --hcsim_golden_dir is given — an in-process
+//                          oracle-check cold/warm timing.
 //
 // BENCH_engine.json at the repo root is the committed reference the
-// check.sh perf smoke compares against; see docs/ENGINE.md for the
-// re-record policy.
+// check.sh perf gate compares against; see docs/ENGINE.md.
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -158,51 +149,29 @@ void BM_RngNormal(benchmark::State& state) {
 BENCHMARK(BM_RngNormal);
 
 // ---------------------------------------------------------------------------
-// Machine-readable throughput mode (check.sh perf smoke).
-
-JsonValue scenarioJson(const benchscn::ScenarioResult& r, const char* perSecKey) {
-  JsonObject o;
-  o["work_units"] = r.workUnits;
-  o["seconds"] = r.seconds;
-  o[perSecKey] = r.perSec();
-  return JsonValue(std::move(o));
-}
+// Perf gate (perf_harness.hpp).
 
 /// Wall-time one full oracle golden check (all figures) against `dir`.
 double timeOracleCheck(const std::string& dir, sweep::TrialCache& cache, bool& pass) {
-  const auto t0 = std::chrono::steady_clock::now();
+  const perf::Stopwatch sw;
   for (const oracle::GoldenFigure& fig : oracle::builtinFigures()) {
     const oracle::FigureCheck check = oracle::checkFigure(fig, dir, 1, 2.0, &cache);
     pass = pass && check.pass();
   }
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(t1 - t0).count();
+  return sw.seconds();
 }
 
-struct MachineOptions {
-  std::string jsonOut;
-  std::string compareRef;
-  std::string goldenDir;
-  double maxRegress = 0.30;
-};
-
-int runMachineMode(const MachineOptions& opt) {
-  JsonObject scenarios;
-  scenarios["schedule_heavy"] = scenarioJson(benchscn::runScheduleHeavy(), "events_per_sec");
-  scenarios["cancel_heavy"] = scenarioJson(benchscn::runCancelHeavy(), "events_per_sec");
-  scenarios["rebalance_heavy"] = scenarioJson(benchscn::runRebalanceHeavy(), "events_per_sec");
-  scenarios["fanout_burst"] = scenarioJson(benchscn::runFanoutBurst(), "events_per_sec");
-
-  scenarios["sweep_trials"] =
-      scenarioJson(benchscn::runSweepTrials(nullptr, benchscn::kSweepPasses), "trials_per_sec");
+int runGate(const perf::Options& opt) {
   sweep::TrialCache warmCache;
   sweep::runSweep(benchscn::benchSweepSpec(), 1, &warmCache);  // fill, untimed
-  scenarios["sweep_trials_cached"] = scenarioJson(
-      benchscn::runSweepTrials(&warmCache, benchscn::kCachedSweepPasses), "trials_per_sec");
+  const std::vector<perf::Measured> measured = perf::runRounds(
+      {benchscn::scheduleHeavy(), benchscn::cancelHeavy(), benchscn::rebalanceHeavy(),
+       benchscn::fanoutBurst(), benchscn::sweepTrials(nullptr), benchscn::sweepTrials(&warmCache)});
 
+  // The cold/warm oracle check is reported, not gated.
+  JsonObject extra;
   if (!opt.goldenDir.empty()) {
-    std::ifstream probe(oracle::goldenPath(opt.goldenDir, "fig2a"));
-    if (probe) {
+    if (std::ifstream(oracle::goldenPath(opt.goldenDir, "fig2a"))) {
       sweep::TrialCache cache;
       bool pass = true;
       const double coldSec = timeOracleCheck(opt.goldenDir, cache, pass);
@@ -212,113 +181,20 @@ int runMachineMode(const MachineOptions& opt) {
       o["warm_seconds"] = warmSec;
       o["speedup"] = warmSec > 0.0 ? coldSec / warmSec : 0.0;
       o["pass"] = pass;
-      scenarios["oracle_check"] = JsonValue(std::move(o));
+      extra["oracle_check"] = JsonValue(std::move(o));
     } else {
       std::cerr << "bench_engine: no golden snapshots under " << opt.goldenDir
-                << ", skipping oracle_check scenario\n";
+                << ", skipping oracle_check\n";
     }
   }
-
-  JsonObject doc;
-  doc["schema"] = "hcsim-bench-engine-v1";
-  doc["scenarios"] = JsonValue(std::move(scenarios));
-  const JsonValue out(std::move(doc));
-
-  {
-    std::ofstream f(opt.jsonOut);
-    if (!f) {
-      std::cerr << "bench_engine: cannot write " << opt.jsonOut << "\n";
-      return 2;
-    }
-    f << writeJson(out) << "\n";
-  }
-
-  // Human-readable recap on stdout.
-  const JsonValue* sc = out.find("scenarios");
-  for (const auto& [name, v] : *sc->object()) {
-    std::cout << name << ":";
-    for (const char* key : {"events_per_sec", "trials_per_sec", "speedup"}) {
-      if (const JsonValue* p = v.find(key)) {
-        std::cout << " " << key << "=" << *p->number();
-      }
-    }
-    std::cout << "\n";
-  }
-
-  if (opt.compareRef.empty()) return 0;
-
-  std::ifstream refFile(opt.compareRef);
-  if (!refFile) {
-    std::cerr << "bench_engine: cannot read reference " << opt.compareRef << "\n";
-    return 2;
-  }
-  std::stringstream buf;
-  buf << refFile.rdbuf();
-  JsonValue ref;
-  if (!parseJson(buf.str(), ref)) {
-    std::cerr << "bench_engine: reference " << opt.compareRef << " is not valid JSON\n";
-    return 2;
-  }
-  const JsonValue* refScen = ref.find("scenarios");
-  if (refScen == nullptr || refScen->object() == nullptr) {
-    std::cerr << "bench_engine: reference has no scenarios object\n";
-    return 2;
-  }
-  int failures = 0;
-  for (const auto& [name, refV] : *refScen->object()) {
-    for (const char* key : {"events_per_sec", "trials_per_sec"}) {
-      const JsonValue* refRate = refV.find(key);
-      if (refRate == nullptr || refRate->number() == nullptr) continue;
-      const JsonValue* curScen = sc->find(name);
-      const JsonValue* curRate = curScen != nullptr ? curScen->find(key) : nullptr;
-      if (curRate == nullptr || curRate->number() == nullptr) {
-        std::cerr << "PERF FAIL " << name << ": scenario missing from current run\n";
-        ++failures;
-        continue;
-      }
-      const double floor = *refRate->number() * (1.0 - opt.maxRegress);
-      if (*curRate->number() < floor) {
-        std::cerr << "PERF FAIL " << name << ": " << key << " " << *curRate->number()
-                  << " < floor " << floor << " (ref " << *refRate->number() << ", tolerance "
-                  << opt.maxRegress * 100.0 << "%)\n";
-        ++failures;
-      } else {
-        std::cout << "perf ok " << name << ": " << key << " " << *curRate->number() << " vs ref "
-                  << *refRate->number() << "\n";
-      }
-    }
-  }
-  return failures == 0 ? 0 : 1;
+  return perf::finish(opt, measured, std::move(extra));
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  MachineOptions opt;
-  bool machine = false;
-  for (int i = 1; i < argc; ++i) {
-    const auto takeValue = [&](const char* flag, std::string& dst) {
-      if (std::strcmp(argv[i], flag) != 0) return false;
-      if (i + 1 >= argc) {
-        std::cerr << "bench_engine: " << flag << " needs a value\n";
-        std::exit(2);
-      }
-      dst = argv[++i];
-      return true;
-    };
-    std::string tol;
-    if (takeValue("--hcsim_json", opt.jsonOut)) {
-      machine = true;
-    } else if (takeValue("--hcsim_compare", opt.compareRef)) {
-    } else if (takeValue("--hcsim_golden_dir", opt.goldenDir)) {
-    } else if (takeValue("--hcsim_max_regress", tol)) {
-      opt.maxRegress = std::stod(tol);
-    } else if (std::strncmp(argv[i], "--hcsim_", 8) == 0) {
-      std::cerr << "bench_engine: unknown option " << argv[i] << "\n";
-      return 2;
-    }
-  }
-  if (machine) return runMachineMode(opt);
+  const perf::Options opt = perf::parseFlags("bench_engine", argc, argv, /*keepOthers=*/true);
+  if (opt.gate()) return runGate(opt);
 
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

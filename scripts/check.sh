@@ -13,9 +13,12 @@
 # byte-identity, breach exit + table, flight-recorder dump determinism
 # for a wrapped ring and for one that never fills),
 # the transport/DAOS layer (calibrated endpoint sweeps, run-twice and
-# jobs-count byte-identity), and the perf floors
-# (bench_engine/workload/scale/probe/transport vs their
-# committed BENCH_*.json; HCSIM_CHECK_PERF=0 to skip,
+# jobs-count byte-identity), and the perf gate: bench_engine, workload,
+# scale, probe and transport run through bench/perf_harness.hpp, which
+# times each scenario in 10 rounds against a calibration kernel run
+# between its calls, and fails when the median scenario/kernel ratio
+# falls more than 30% below the one committed in BENCH_*.json, or when
+# the flight recorder costs more than 3% (HCSIM_CHECK_PERF=0 to skip,
 # HCSIM_PERF_MAX_REGRESS to widen). A second profile repeats the
 # tests and an oracle smoke run under ASan+UBSan with sanitizers fatal;
 # export HCSIM_CHECK_SANITIZE=0 to skip it. HCSIM_CHECK_TSAN=1 adds a
@@ -250,13 +253,16 @@ if grep -q '"kind":"unknown"' "$BUILD/check-probe-partial-a.jsonl"; then
   exit 1
 fi
 
-# Perf smoke: every engine-throughput bench must stay within tolerance
-# of its committed reference. Telemetry and the watchdog are off in the
-# engine scenarios, so bench_engine doubles as the zero-cost floor for
-# those hooks, and bench_probe prices the always-on flight recorder
-# (recorder-on vs recorder-off budget enforced in-binary). Export
-# HCSIM_CHECK_PERF=0 to skip (e.g. on loaded CI machines), or widen the
-# tolerance with HCSIM_PERF_MAX_REGRESS (fraction, default 0.30).
+# Perf gate: every scenario's rate, as a ratio to the calibration kernel
+# timed in the same rounds, must stay within tolerance of the ratio
+# committed in its BENCH_*.json (docs/ENGINE.md). The ratios are
+# Release ratios: a reference from another build type exits 2.
+# Telemetry and the watchdog are off in the engine scenarios, so
+# bench_engine doubles as the zero-cost floor for those hooks, and
+# bench_probe prices the always-on flight recorder (recorder-on vs
+# recorder-off budget enforced in-binary). Export HCSIM_CHECK_PERF=0 to
+# skip, or widen the tolerance with HCSIM_PERF_MAX_REGRESS (fraction,
+# default 0.30).
 run_perf_gate() {
   local bench="$1" baseline="$2"
   shift 2

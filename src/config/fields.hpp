@@ -19,10 +19,11 @@
 // calls it and keeps only its cross-field rules.
 // Member types: double, bool, std::string, unsigned integers, enums
 // (spelled by enumName) and nested structs with their own field list.
-// Two list entries carry extra behaviour:
+// Three list entries carry extra behaviour:
 //   io.omitWhen(key, member, v)  — not written while member == v;
 //   io.preset(key, member, fn)   — on read, fn(value) runs before the
-//                                  keys after it are applied.
+//                                  keys after it are applied;
+//   io.oneOf(key, member, names) — a string that must be one of names.
 //
 // The reader is strict at the boundary. Absent keys keep the struct's
 // current values, but an unknown key, an enum string that does not
@@ -70,6 +71,20 @@ std::string enumChoices() {
   return s;
 }
 
+/// The names a oneOf string accepts, joined by '|'.
+inline std::string oneOfChoices(std::initializer_list<const char*> names) {
+  std::string s;
+  for (const char* n : names) {
+    if (!s.empty()) s += '|';
+    s += n;
+  }
+  return s;
+}
+
+inline bool isOneOf(const std::string& v, std::initializer_list<const char*> names) {
+  return std::find(names.begin(), names.end(), v) != names.end();
+}
+
 /// Parse an enum from its JSON spelling; false leaves `out` untouched.
 template <class E>
 bool parseEnum(const JsonValue& j, E& out) {
@@ -112,6 +127,9 @@ class FieldWriter {
   void preset(const char* key, const T& v, Apply&&) {
     (*this)(key, v);
   }
+  void oneOf(const char* key, const std::string& v, std::initializer_list<const char*>) {
+    (*this)(key, v);
+  }
   JsonObject take() { return std::move(obj_); }
 
   template <class T>
@@ -152,6 +170,16 @@ class FieldReader {
   void preset(const char* key, T& v, Apply&& apply) {
     T parsed = v;
     if (const JsonValue* j = claim(key); j && decode(key, *j, parsed, {})) apply(parsed);
+  }
+  void oneOf(const char* key, std::string& v, std::initializer_list<const char*> names) {
+    std::string parsed;
+    const JsonValue* j = claim(key);
+    if (j == nullptr || !decode(key, *j, parsed, {})) return;
+    if (!isOneOf(parsed, names)) {
+      fail(key, "must be " + oneOfChoices(names), *j);
+      return;
+    }
+    v = parsed;
   }
 
   /// "" when every key parsed, else the first problem — an unknown key
@@ -249,6 +277,11 @@ struct FieldChecker {
   }
   template <class T, class Apply>
   void preset(const char*, const T&, Apply&&) {}
+  void oneOf(const char* key, const std::string& v, std::initializer_list<const char*> names) {
+    if (error.empty() && !isOneOf(v, names)) {
+      error = fieldError(key, "must be " + oneOfChoices(names), JsonValue(v));
+    }
+  }
 
   std::string error;
 };

@@ -100,7 +100,6 @@ RelationReport runRelation(const MetamorphicRelation& rel, const SuiteOptions& o
   report.relation = rel.name;
   report.storage = rel.storage;
   report.kind = rel.kind;
-  report.axis = rel.axis;
   report.cases = options.casesPerRelation;
 
   // Expand every case up front (deterministic, cheap), flatten the

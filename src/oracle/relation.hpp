@@ -53,7 +53,6 @@ struct MetamorphicRelation {
   std::string storage;     ///< vast | gpfs | lustre | nvme
   std::string experiment = "ior";
   RelationKind kind = RelationKind::Monotonic;
-  std::string axis;        ///< dotted config path varied between variants ("" if n/a)
   bool integerAxis = false;
   std::string claim;       ///< the paper claim this relation encodes
   std::function<RelationCase(std::uint64_t caseSeed)> generate;
@@ -84,7 +83,6 @@ struct RelationReport {
   std::string relation;
   std::string storage;
   RelationKind kind = RelationKind::Monotonic;
-  std::string axis;
   std::size_t cases = 0;
   std::size_t failures = 0;
   std::size_t trials = 0;    ///< simulator trials spent (incl. shrinking)

@@ -77,7 +77,6 @@ MetamorphicRelation compile(Row row) {
   r.storage = row.base(0).stringOr("storage", "");
   r.experiment = std::move(row.experiment);
   r.kind = row.kind;
-  r.axis = row.variants.axis;
   r.integerAxis = row.variants.integer;
   r.claim = std::move(row.claim);
   // An axis row is one edit set per value, and only its cases name the axis.
@@ -517,6 +516,10 @@ std::vector<Row> rows() {
        ior(lassenGpfs, AccessPattern::SequentialWrite), {},
        {.edits = {{}, {{"ior.segments", {}, doubledSegments}}}},
        ratio(0.9, 1.1, "seq-write bandwidth at 2x segments")},
+      {"gpfs.determinism", "ior", RelationKind::Determinism,
+       "identical configs reproduce bit-identically",
+       ior(lassenGpfs, AccessPattern::SequentialRead), {}, {.edits = {{}, {}}},
+       identical({kBandwidth, kElapsed, kBytes}, "two runs of the identical config disagree")},
       // ---- Lustre ----
       {"lustre.read-monotone-in-stripe-count", "ior", RelationKind::Monotonic,
        "Fig 3b/3c: striping over more OSTs never reduces bandwidth",
@@ -531,6 +534,10 @@ std::vector<Row> rows() {
       {"lustre.bytes-conserved", "ior", RelationKind::Conservation,
        "every configured byte is moved exactly once: segments x block x ranks",
        ior(quartzLustre, AccessPattern::SequentialWrite), {}, {.edits = {{}}}, bytesConserved},
+      {"lustre.determinism", "ior", RelationKind::Determinism,
+       "identical configs reproduce bit-identically",
+       ior(quartzLustre, AccessPattern::SequentialRead), {}, {.edits = {{}, {}}},
+       identical({kBandwidth, kElapsed, kBytes}, "two runs of the identical config disagree")},
       // ---- node-local NVMe ----
       {"nvme.read-monotone-in-queue-depth", "ior", RelationKind::Monotonic,
        "more concurrent readers never reduce aggregate local bandwidth",
@@ -546,6 +553,10 @@ std::vector<Row> rows() {
        ior(wombatNvme, AccessPattern::SequentialRead), {{"ior.nodes", 1}},
        {.edits = {{}, {{"ior.nodes", 4}}}},
        ratio(3.8, 4.2, "bandwidth at 4 nodes vs 1 node (4x is flat per node)")},
+      {"nvme.determinism", "ior", RelationKind::Determinism,
+       "identical configs reproduce bit-identically",
+       ior(wombatNvme, AccessPattern::SequentialRead), {}, {.edits = {{}, {}}},
+       identical({kBandwidth, kElapsed, kBytes}, "two runs of the identical config disagree")},
       // ---- chaos (fault scenarios on VAST) ----
       {"chaos.empty-schedule-steady", "chaos", RelationKind::Determinism,
        "an empty fault schedule is a no-op: two identical event-free scenario runs agree "
@@ -583,7 +594,7 @@ std::vector<Row> rows() {
        "io500 'scale' grows per-rank op counts without changing per-op geometry, so "
        "steady-state bandwidth is scale-invariant: doubling the working set leaves GB/s "
        "within a tight band",
-       io500Base, {}, {.axis = "workload.scale", .edits = {{}, {{"workload.scale", 2.0}}}},
+       io500Base, {}, {.edits = {{}, {{"workload.scale", 2.0}}}},
        ratio(0.7, 1.4, "io500 bandwidth at scale 2 vs scale 1")},
       // ---- flow-class scale ----
       {"scale.class-partition-invariance", "workload", RelationKind::Determinism,

@@ -50,7 +50,7 @@ void fields(IO& io, Sampling& s) {
 
 struct SweepSpec {
   std::string name = "sweep";
-  std::string experiment = "ior";  ///< "ior" or "dlio"
+  std::string experiment = "ior";  ///< "ior", "dlio", "chaos" or "workload"
   JsonValue base;                  ///< config object every trial starts from
   std::vector<Axis> axes;
   Sampling sampling;
@@ -64,7 +64,7 @@ struct SweepSpec {
 template <class IO>
 void fields(IO& io, SweepSpec& s) {
   io("name", s.name);
-  io("experiment", s.experiment);
+  io.oneOf("experiment", s.experiment, {"ior", "dlio", "chaos", "workload"});
   io("sampling", s.sampling);  // "base" and "axes" are read by fromJson
 }
 

@@ -242,7 +242,6 @@ TEST(RunRelation, MonotonicFailureShrinksAndNamesTheAxis) {
   wrong.name = "test.gpfs-rand-monotone-in-segments";
   wrong.storage = "gpfs";
   wrong.kind = oracle::RelationKind::Monotonic;
-  wrong.axis = "ior.segments";
   wrong.integerAxis = true;
   wrong.claim = "deliberately false: random reads speed up with volume";
   wrong.generate = [gen](std::uint64_t seed) {
@@ -288,7 +287,6 @@ TEST(RunRelation, ShrinkerAsksTheRelationsOwnVerdict) {
   const auto* builtin = RelationRegistry::builtin().find("workload.openloop-rate-monotone");
   ASSERT_NE(builtin, nullptr);
   oracle::MetamorphicRelation reaimed = *builtin;
-  reaimed.axis = "workload.horizonSec";
   const auto inner = builtin->generate;
   reaimed.generate = [inner](std::uint64_t seed) {
     oracle::RelationCase c = inner(seed);

@@ -86,6 +86,7 @@ TEST(SweepSpec, RejectsMalformedAxes) {
       {R"({"sampling": {"mode": "random", "sampels": 4}})", "sampling.sampels: unknown key"},
       {R"({"name": 3})", "name: must be a string (got 3)"},
       {R"({"experiment": ["ior"]})", "experiment: must be a string"},
+      {R"({"experiment": "iorr"})", "experiment: must be ior|dlio|chaos|workload (got 'iorr')"},
       {R"({"sampling": {"mode": "random", "samples": "4"}})", "sampling.samples: must be a"},
       {R"({"sampling": {"mode": "random", "samples": 4, "seed": -1}})", "sampling.seed: must be a"},
   };
