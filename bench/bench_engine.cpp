@@ -152,9 +152,10 @@ BENCHMARK(BM_RngNormal);
 // Perf gate (perf_harness.hpp).
 
 /// Wall-time one full oracle golden check (all figures) against `dir`.
-double timeOracleCheck(const std::string& dir, sweep::TrialCache& cache, bool& pass) {
+double timeOracleCheck(const std::vector<oracle::GoldenFigure>& figures, const std::string& dir,
+                       sweep::TrialCache& cache, bool& pass) {
   const perf::Stopwatch sw;
-  for (const oracle::GoldenFigure& fig : oracle::builtinFigures()) {
+  for (const oracle::GoldenFigure& fig : figures) {
     const oracle::FigureCheck check = oracle::checkFigure(fig, dir, 1, 2.0, &cache);
     pass = pass && check.pass();
   }
@@ -171,11 +172,13 @@ int runGate(const perf::Options& opt) {
   // The cold/warm oracle check is reported, not gated.
   JsonObject extra;
   if (!opt.goldenDir.empty()) {
-    if (std::ifstream(oracle::goldenPath(opt.goldenDir, "fig2a"))) {
+    std::vector<oracle::GoldenFigure> figures;
+    std::string error;
+    if (oracle::loadFigures(opt.goldenDir, figures, error)) {
       sweep::TrialCache cache;
       bool pass = true;
-      const double coldSec = timeOracleCheck(opt.goldenDir, cache, pass);
-      const double warmSec = timeOracleCheck(opt.goldenDir, cache, pass);
+      const double coldSec = timeOracleCheck(figures, opt.goldenDir, cache, pass);
+      const double warmSec = timeOracleCheck(figures, opt.goldenDir, cache, pass);
       JsonObject o;
       o["cold_seconds"] = coldSec;
       o["warm_seconds"] = warmSec;
@@ -183,8 +186,7 @@ int runGate(const perf::Options& opt) {
       o["pass"] = pass;
       extra["oracle_check"] = JsonValue(std::move(o));
     } else {
-      std::cerr << "bench_engine: no golden snapshots under " << opt.goldenDir
-                << ", skipping oracle_check\n";
+      std::cerr << "bench_engine: " << error << ", skipping oracle_check\n";
     }
   }
   return perf::finish(opt, measured, std::move(extra));

@@ -1,12 +1,13 @@
 // compare_storage — the paper's methodology as a 5-minute survey: for
-// every site, run the three IOR workload classes (scientific writes,
-// data-analytics sequential reads, ML random reads) against every storage
+// every site, sweep the three IOR workload classes (scientific writes,
+// data-analytics sequential reads, ML random reads) over every storage
 // system the paper pairs with that site, and print one comparison table.
 
 #include <cstdio>
 #include <vector>
 
-#include "core/experiment.hpp"
+#include "core/backends.hpp"
+#include "sweep/sweep_runner.hpp"
 #include "util/table.hpp"
 
 using namespace hcsim;
@@ -15,32 +16,38 @@ int main() {
   const struct {
     Site site;
     std::vector<StorageKind> kinds;
-    std::size_t ppn;
+    double ppn;
   } plans[] = {
       {Site::Lassen, {StorageKind::Vast, StorageKind::Gpfs}, 44},
       {Site::Ruby, {StorageKind::Vast, StorageKind::Lustre}, 56},
       {Site::Quartz, {StorageKind::Vast, StorageKind::Lustre}, 36},
       {Site::Wombat, {StorageKind::Vast, StorageKind::NvmeLocal}, 48},
   };
-  const struct {
-    const char* label;
-    AccessPattern pattern;
-  } workloads[] = {
-      {"scientific (seq write)", AccessPattern::SequentialWrite},
-      {"analytics (seq read)", AccessPattern::SequentialRead},
-      {"ML (random read)", AccessPattern::RandomRead},
-  };
 
   ResultTable t("Cross-site storage comparison (4 nodes, full-node IOR, GB/s)");
   t.setHeader({"site", "storage", "seq write", "seq read", "random read"});
   for (const auto& plan : plans) {
-    const std::size_t nodes = plan.site == Site::Wombat ? 4 : 4;
-    for (StorageKind kind : plan.kinds) {
-      std::vector<Cell> row{std::string(toString(plan.site)), std::string(toString(kind))};
-      for (const auto& w : workloads) {
-        const auto pts = runIorNodeSweep(plan.site, kind, w.pattern, {nodes}, plan.ppn);
-        row.emplace_back(pts.front().meanGBs);
-      }
+    // One sweep per site: storage x access at 4 full nodes.
+    sweep::SweepSpec spec;
+    JsonObject ior;
+    ior["nodes"] = 4.0;
+    ior["procsPerNode"] = plan.ppn;
+    JsonObject base;
+    base["site"] = siteInfo(plan.site).name;
+    base["ior"] = JsonValue(std::move(ior));
+    spec.base = JsonValue(std::move(base));
+    sweep::Axis storage{"storage", {}};
+    for (StorageKind kind : plan.kinds) storage.values.emplace_back(backendInfo(kind).name);
+    spec.axes.push_back(std::move(storage));
+    spec.axes.push_back({"ior.access",
+                         {JsonValue("seq-write"), JsonValue("seq-read"), JsonValue("rand-read")}});
+    const sweep::SweepOutcome out = sweep::runSweep(spec, 0);
+
+    // Grid order puts the last axis fastest: one row of three per storage.
+    for (std::size_t k = 0; k < plan.kinds.size(); ++k) {
+      std::vector<Cell> row{std::string(toString(plan.site)),
+                            std::string(toString(plan.kinds[k]))};
+      for (std::size_t a = 0; a < 3; ++a) row.emplace_back(out.results[k * 3 + a].metrics.meanGBs);
       t.addRow(std::move(row));
     }
   }

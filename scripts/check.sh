@@ -90,20 +90,21 @@ cmp "$OUT-8.jsonl" "$OUT-cache-warm.jsonl"
 grep -q 'hit rate 100%' "$BUILD/check-sweep-warm.txt"
 
 # Oracle gates: the metamorphic catalog must hold at full depth, and the
-# golden-figure check must pass against the committed snapshots AND be
+# check of the paper's artifacts (every spec under examples/specs/paper
+# against its snapshot, plus the takeaways' paper bands) must pass AND be
 # byte-identical whatever the job count — and whether or not a trial
 # cache (cold or warm) served the sweeps.
 "$BUILD/src/hcsim" oracle relations --cases 50 >/dev/null
-"$BUILD/src/hcsim" oracle check --dir "$ROOT/tests/golden" --jobs 8 \
+"$BUILD/src/hcsim" oracle check --dir "$ROOT/examples/specs/paper" --jobs 8 \
     > "$BUILD/check-oracle-8.txt"
-"$BUILD/src/hcsim" oracle check --dir "$ROOT/tests/golden" --jobs 1 \
+"$BUILD/src/hcsim" oracle check --dir "$ROOT/examples/specs/paper" --jobs 1 \
     > "$BUILD/check-oracle-1.txt"
 cmp "$BUILD/check-oracle-8.txt" "$BUILD/check-oracle-1.txt"
 OCACHE="$BUILD/check-oracle-cache.jsonl"
 rm -f "$OCACHE"
-"$BUILD/src/hcsim" oracle check --dir "$ROOT/tests/golden" --jobs 8 \
+"$BUILD/src/hcsim" oracle check --dir "$ROOT/examples/specs/paper" --jobs 8 \
     --cache "$OCACHE" > "$BUILD/check-oracle-cold.txt"
-"$BUILD/src/hcsim" oracle check --dir "$ROOT/tests/golden" --jobs 1 \
+"$BUILD/src/hcsim" oracle check --dir "$ROOT/examples/specs/paper" --jobs 1 \
     --cache "$OCACHE" > "$BUILD/check-oracle-warm.txt"
 cmp "$BUILD/check-oracle-8.txt" "$BUILD/check-oracle-cold.txt"
 cmp "$BUILD/check-oracle-8.txt" "$BUILD/check-oracle-warm.txt"
@@ -123,7 +124,7 @@ grep -q '"telemetry":' "$OUT-tel-8.jsonl"
 head -1 "$OUT-tel-8.csv" | grep -q ',dominantStage,'
 sed 's/,"telemetry":{[^}]*}//' "$OUT-tel-8.jsonl" > "$OUT-tel-stripped.jsonl"
 cmp "$OUT-8.jsonl" "$OUT-tel-stripped.jsonl"
-"$BUILD/src/hcsim" oracle check --dir "$ROOT/tests/golden" --jobs 8 \
+"$BUILD/src/hcsim" oracle check --dir "$ROOT/examples/specs/paper" --jobs 8 \
     --telemetry > "$BUILD/check-oracle-tel.txt"
 cmp "$BUILD/check-oracle-8.txt" "$BUILD/check-oracle-tel.txt"
 "$BUILD/src/hcsim" trace --site lassen --storage vast --access seq-read \
@@ -273,7 +274,7 @@ run_perf_gate() {
 }
 if [ "${HCSIM_CHECK_PERF:-1}" != "0" ]; then
   run_perf_gate bench_engine "$ROOT/BENCH_engine.json" \
-      --hcsim_golden_dir "$ROOT/tests/golden"
+      --hcsim_golden_dir "$ROOT/examples/specs/paper"
   run_perf_gate bench_workload "$ROOT/BENCH_workload.json"
   run_perf_gate bench_scale "$ROOT/BENCH_scale.json"
   run_perf_gate bench_probe "$ROOT/BENCH_probe.json"
@@ -292,7 +293,7 @@ if [ "${HCSIM_CHECK_SANITIZE:-1}" != "0" ]; then
   export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
   ctest --test-dir "$SAN_BUILD" --output-on-failure -j"$JOBS"
   "$SAN_BUILD/src/hcsim" oracle relations --cases 5 >/dev/null
-  "$SAN_BUILD/src/hcsim" oracle check --dir "$ROOT/tests/golden" >/dev/null
+  "$SAN_BUILD/src/hcsim" oracle check --dir "$ROOT/examples/specs/paper" >/dev/null
 fi
 
 # TSan profile (opt-in: HCSIM_CHECK_TSAN=1): rebuild with ThreadSanitizer

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Build everything, run the full test suite, then regenerate every table
-# and figure of the paper (plus the extension benches), teeing the
-# outputs the repo's docs reference.
+# Build everything, run the full test suite, then regenerate every figure
+# of the paper from its sweep spec (examples/specs/paper/*.json), the
+# section-VII takeaways over fig2a/fig2b, and the remaining table,
+# ablation and extension benches, teeing the outputs the repo's docs
+# reference. Each figure's CSV lands in build/paper/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -10,7 +12,17 @@ cmake --build build
 
 ctest --test-dir build --timeout 300 2>&1 | tee test_output.txt
 
+mkdir -p build/paper
 {
+  for spec in examples/specs/paper/*.json; do
+    name="$(basename "$spec" .json)"
+    echo "===== $name ====="
+    build/src/hcsim sweep --spec "$spec" --csv "build/paper/$name.csv"
+    echo
+  done
+  echo "===== takeaways ====="
+  build/src/hcsim takeaways
+  echo
   for b in build/bench/*; do
     if [ -f "$b" ] && [ -x "$b" ]; then
       echo "===== $(basename "$b") ====="
@@ -20,4 +32,4 @@ ctest --test-dir build --timeout 300 2>&1 | tee test_output.txt
   done
 } 2>&1 | tee bench_output.txt
 
-echo "done: test_output.txt, bench_output.txt"
+echo "done: test_output.txt, bench_output.txt, build/paper/*.csv"

@@ -1,7 +1,6 @@
 #include "chaos/chaos_spec.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -13,35 +12,26 @@ namespace hcsim::chaos {
 
 namespace {
 
-bool parseAction(const std::string& s, FaultAction& out) {
-  if (s == "fail") out = FaultAction::Fail;
-  else if (s == "fail-slow") out = FaultAction::FailSlow;
-  else if (s == "restore") out = FaultAction::Restore;
-  else return false;
-  return true;
-}
-
 bool parseEvent(const JsonValue& j, std::size_t idx, ChaosEvent& out, std::string& error) {
-  const auto at = [idx](const std::string& what) {
-    return "events[" + std::to_string(idx) + "]: " + what;
-  };
+  const std::string where = "events[" + std::to_string(idx) + "]";
+  const auto at = [&where](const std::string& what) { return where + ": " + what; };
   if (!j.isObject()) {
     error = at("must be an object");
     return false;
   }
-  const JsonValue* t = j.find("atSec");
-  if (t == nullptr || !t->isNumber() || *t->number() < 0.0) {
+  // The required keys; the field list then reads every key.
+  if (j.find("atSec") == nullptr) {
     error = at("'atSec' must be a non-negative number");
     return false;
   }
-  out.at = *t->number();
-  const std::string action = j.stringOr("action", "");
-  if (!parseAction(action, out.fault.action)) {
-    error = at("'action' must be fail|fail-slow|restore (got '" + action + "')");
+  if (j.find("action") == nullptr) {
+    error = at("'action' must be fail|fail-slow|restore (got '')");
     return false;
   }
-  out.fault.component = j.stringOr("component", "");
-  out.fault.link = j.stringOr("link", "");
+  if (std::string e = readFields(j, out, where); !e.empty()) {
+    error = std::move(e);
+    return false;
+  }
   if (!out.fault.link.empty()) out.fault.component = "link";
   if (out.fault.component.empty()) {
     error = at(
@@ -50,24 +40,6 @@ bool parseEvent(const JsonValue& j, std::size_t idx, ChaosEvent& out, std::strin
   }
   if (out.fault.component == "link" && out.fault.link.empty()) {
     error = at("component 'link' needs the 'link' key naming a topology link");
-    return false;
-  }
-  const double index = j.numberOr("index", 0.0);
-  if (!(index >= 0.0 && index < 1e15 && index == std::floor(index))) {
-    error = at("'index' must be a non-negative integer");
-    return false;
-  }
-  out.fault.index = static_cast<std::size_t>(index);
-  if (const JsonValue* sv = j.find("severity")) {
-    if (!sv->isNumber()) {
-      error = at("'severity' must be a number in (0, 1)");
-      return false;
-    }
-    out.fault.severity = *sv->number();
-  }
-  out.rebuildGiB = j.numberOr("rebuildGiB", 0.0);
-  if (out.rebuildGiB < 0.0) {
-    error = at("'rebuildGiB' must be >= 0");
     return false;
   }
   if (out.rebuildGiB > 0.0 && out.fault.action != FaultAction::Restore) {

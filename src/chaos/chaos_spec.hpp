@@ -62,6 +62,20 @@ struct ChaosEvent {
   double rebuildGiB = 0.0; ///< restore only: background resync traffic
 };
 
+/// An events[i] entry's keys. parseChaosSpec adds what a list cannot
+/// say: "atSec" and "action" are required, an entry names a "component"
+/// kind or a "link", and only a restore rebuilds.
+template <class IO>
+void fields(IO& io, ChaosEvent& e) {
+  io("atSec", e.at, kNonNegative);
+  io("action", e.fault.action);
+  io("component", e.fault.component);
+  io("link", e.fault.link);
+  io("index", e.fault.index, kWhole);
+  io("severity", e.fault.severity);
+  io("rebuildGiB", e.rebuildGiB, kNonNegative);
+}
+
 /// The steady foreground workload the faults disturb.
 struct ChaosWorkload {
   std::size_t nodes = 4;

@@ -1,6 +1,6 @@
 #include "cli/args.hpp"
 
-#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 
 namespace hcsim {
@@ -20,6 +20,14 @@ bool isBareFlag(const std::string& name) {
     if (name == flag) return true;
   }
   return false;
+}
+
+/// The whole value as a finite number, else nullopt.
+std::optional<double> toNumber(const std::string& v) {
+  char* end = nullptr;
+  const double d = std::strtod(v.c_str(), &end);
+  if (v.empty() || *end != '\0' || !std::isfinite(d)) return std::nullopt;
+  return d;
 }
 
 }  // namespace
@@ -55,7 +63,13 @@ std::string ArgParser::positionalOr(std::size_t index, const std::string& fallba
   return index < positionals_.size() ? positionals_[index] : fallback;
 }
 
+bool ArgParser::has(const std::string& key) const {
+  read_.insert(key);
+  return options_.count(key) > 0;
+}
+
 std::optional<std::string> ArgParser::get(const std::string& key) const {
+  read_.insert(key);
   const auto it = options_.find(key);
   if (it == options_.end()) return std::nullopt;
   return it->second;
@@ -68,24 +82,27 @@ std::string ArgParser::getOr(const std::string& key, const std::string& fallback
 
 double ArgParser::numberOr(const std::string& key, double fallback) const {
   const auto v = get(key);
-  if (!v || v->empty()) return fallback;
-  char* end = nullptr;
-  const double d = std::strtod(v->c_str(), &end);
-  return end && *end == '\0' ? d : fallback;
+  if (!v) return fallback;
+  if (const auto d = toNumber(*v)) return *d;
+  if (badNumber_.empty()) badNumber_ = key + ": must be a number (got '" + *v + "')";
+  return fallback;
 }
 
 std::size_t ArgParser::sizeOr(const std::string& key, std::size_t fallback) const {
-  const double d = numberOr(key, -1.0);
-  return d >= 0.0 ? static_cast<std::size_t>(d) : fallback;
+  const auto v = get(key);
+  if (!v) return fallback;
+  if (const auto d = toNumber(*v); d && *d >= 0.0 && *d < 1e15 && *d == std::floor(*d)) {
+    return static_cast<std::size_t>(*d);
+  }
+  if (badNumber_.empty()) badNumber_ = key + ": must be a non-negative integer (got '" + *v + "')";
+  return fallback;
 }
 
-std::vector<std::string> ArgParser::unknownOptions(
-    const std::vector<std::string>& known) const {
-  std::vector<std::string> out;
+std::string ArgParser::problem() const {
   for (const auto& [key, value] : options_) {
-    if (std::find(known.begin(), known.end(), key) == known.end()) out.push_back(key);
+    if (read_.count(key) == 0) return key + ": unknown option";
   }
-  return out;
+  return badNumber_;
 }
 
 }  // namespace hcsim

@@ -4,6 +4,7 @@
 
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -23,20 +24,28 @@ class ArgParser {
   const std::vector<std::string>& positionals() const { return positionals_; }
   std::string positionalOr(std::size_t index, const std::string& fallback) const;
 
-  bool has(const std::string& key) const { return options_.count(key) > 0; }
+  // Every accessor records the key as read by the running command.
+  bool has(const std::string& key) const;
   std::optional<std::string> get(const std::string& key) const;
   std::string getOr(const std::string& key, const std::string& fallback) const;
+  /// A value that is not a number returns `fallback` and is a problem().
   double numberOr(const std::string& key, double fallback) const;
+  /// As numberOr, for a non-negative integer.
   std::size_t sizeOr(const std::string& key, std::size_t fallback) const;
 
-  /// Options that were never queried (typo detection).
-  std::vector<std::string> unknownOptions(const std::vector<std::string>& known) const;
+  /// One line naming the first option no accessor has read
+  /// ("--acess: unknown option"), else the first numeric option whose
+  /// value did not parse; "" when neither. A command asks once it has
+  /// read every option it takes, before it runs.
+  std::string problem() const;
 
  private:
   void parse(const std::vector<std::string>& args);
 
   std::vector<std::string> positionals_;
   std::map<std::string, std::string> options_;  // flag -> "" for bare flags
+  mutable std::set<std::string> read_;
+  mutable std::string badNumber_;
 };
 
 }  // namespace hcsim

@@ -1,5 +1,6 @@
 #include "cli/commands.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <functional>
@@ -14,7 +15,6 @@
 #include "core/calibration.hpp"
 #include "core/experiment.hpp"
 #include "core/planner.hpp"
-#include "core/takeaways.hpp"
 #include "mdtest/mdtest.hpp"
 #include "oracle/golden.hpp"
 #include "oracle/relation.hpp"
@@ -36,6 +36,24 @@ namespace {
 
 bool parsePattern(const std::string& s, AccessPattern& out) {
   return fromJson(JsonValue(s), out);
+}
+
+bool parseDlioWorkload(const std::string& s, DlioWorkload& out) {
+  if (s == "resnet50") out = DlioWorkload::resnet50();
+  else if (s == "cosmoflow") out = DlioWorkload::cosmoflow();
+  else if (s == "unet3d") out = DlioWorkload::unet3d();
+  else return false;
+  return true;
+}
+
+/// Call once a command has read every option it takes, before it runs:
+/// an option it did not read, or a number that did not parse, is one
+/// line and exit 2.
+bool optionsOk(const ArgParser& args, std::ostream& err) {
+  const std::string problem = args.problem();
+  if (problem.empty()) return true;
+  err << "error: " << problem << "\n";
+  return false;
 }
 
 bool parseTarget(const ArgParser& args, std::ostream& err, Site& site, StorageKind& kind) {
@@ -110,6 +128,21 @@ bool dumpRecorder(const probe::FlightRecorder& rec, const std::string& prefix,
   return true;
 }
 
+/// The output options `hcsim chaos` and `hcsim workload` share, read
+/// before the run.
+struct RunOutputs {
+  bool telemetry = false;
+  std::optional<std::string> jsonl;       ///< --out
+  std::optional<std::string> csv;         ///< --csv
+  std::optional<std::string> dumpPrefix;  ///< --dump-on-exit
+
+  explicit RunOutputs(const ArgParser& args)
+      : telemetry(args.has("--telemetry")),
+        jsonl(args.get("--out")),
+        csv(args.get("--csv")),
+        dumpPrefix(args.get("--dump-on-exit")) {}
+};
+
 /// What a finished chaos or workload run hands the shared output tail.
 struct RunReport {
   std::size_t monitors = 0;
@@ -122,14 +155,14 @@ struct RunReport {
 /// The tail `hcsim chaos` and `hcsim workload` share: the breach table,
 /// the --telemetry registry and attribution table, --out, --csv,
 /// --dump-on-exit, and exit 3 when a monitor breached.
-int finishRun(const ArgParser& args, const Environment& env, const RunReport& run,
+int finishRun(const RunOutputs& opts, const Environment& env, const RunReport& run,
               std::ostream& out, std::ostream& err) {
   if (run.monitors > 0) {
     out << "monitors: " << run.monitors << " evaluated, " << run.breaches.size()
         << " breach(es)\n";
     out << probe::renderBreachTable(run.breaches);
   }
-  if (args.has("--telemetry")) {
+  if (opts.telemetry) {
     telemetry::MetricsRegistry reg;
     env.bench->collectMetrics(reg, env.fs.get());
     if (env.transport) env.transport->exportMetrics(reg);
@@ -138,8 +171,7 @@ int finishRun(const ArgParser& args, const Environment& env, const RunReport& ru
     const telemetry::AttributionReport rep = env.bench->telemetry().attribution();
     if (rep.spans > 0) out << rep.renderTable();
   }
-  for (const auto& [flag, text] : {std::pair{"--out", &run.jsonl}, std::pair{"--csv", &run.csv}}) {
-    const auto path = args.get(flag);
+  for (const auto& [path, text] : {std::pair{opts.jsonl, &run.jsonl}, std::pair{opts.csv, &run.csv}}) {
     if (!path) continue;
     std::ofstream f(*path, std::ios::binary | std::ios::trunc);
     if (!f) {
@@ -149,8 +181,8 @@ int finishRun(const ArgParser& args, const Environment& env, const RunReport& ru
     f << *text;
     out << "wrote " << *path << "\n";
   }
-  if (const auto prefix = args.get("--dump-on-exit")) {
-    if (!dumpRecorder(env.bench->recorder(), *prefix, out, err)) return 1;
+  if (opts.dumpPrefix && !dumpRecorder(env.bench->recorder(), *opts.dumpPrefix, out, err)) {
+    return 1;
   }
   return run.breaches.empty() ? 0 : 3;
 }
@@ -168,7 +200,9 @@ int cmdHelp(std::ostream& out) {
          "              [--nodes N] [--ppn P] [--config F.json]\n"
          "  mdtest      --site S --storage K [--procs P] [--items N] [--unique-dir]\n"
          "  plan        --machine M --pattern A --min-gbs G [--nodes N] [--ppn P]\n"
-         "  takeaways   run the paper's section-VII checks\n"
+         "  takeaways   [--dir D]   (the paper's section-VII checks over the\n"
+         "               fig2a and fig2b sweeps in D; D defaults to the source\n"
+         "               tree's examples/specs/paper, as for oracle)\n"
          "  sweep       --spec F.json [--jobs N] [--out results.jsonl] [--csv results.csv]\n"
          "              [--baseline prior.jsonl] [--cache trials.jsonl] [--telemetry]\n"
          "              [--self-profile]\n"
@@ -202,14 +236,20 @@ int cmdHelp(std::ostream& out) {
          "               classes of N/C members each; prints aggregate goodput,\n"
          "               demuxed per-client latency percentiles and the engine's\n"
          "               peak event footprint)\n"
-         "  oracle      list | relations | record | check   (regression harness)\n"
+         "  oracle      list | relations | record | check   (regression harness;\n"
+         "               a figure is D/NAME.json, a sweep spec, pinned by D/NAME.jsonl;\n"
+         "               D defaults to the source tree's examples/specs/paper)\n"
+         "              list      [--dir D]\n"
          "              relations [--cases N] [--seed S] [--jobs J] [--relation NAME]\n"
          "                        [--no-shrink] [--cache F]  (metamorphic relations)\n"
-         "              record    [--dir tests/golden] [--jobs J] [--figure F] [--cache F]\n"
-         "              check     [--dir tests/golden] [--jobs J] [--figure F]\n"
+         "              record    [--dir D] [--jobs J] [--figure F]\n"
+         "                        [--cache F]\n"
+         "              check     [--dir D] [--jobs J] [--figure F]\n"
          "                        [--tolerance PCT] [--full] [--cache F] [--telemetry]\n"
-         "                        (golden-figure drift; output is byte-identical\n"
-         "                         with or without --cache or --telemetry)\n"
+         "                        (golden-figure drift, plus the takeaways' paper\n"
+         "                         bands when fig2a and fig2b are checked; output\n"
+         "                         is byte-identical with or without --cache or\n"
+         "                         --telemetry)\n"
          "  trace       --site S --storage K [--workload ior|resnet50|cosmoflow|unet3d]\n"
          "              [--access A] [--nodes N] [--ppn P] [--segments S]\n"
          "              [--internal] [--out trace.json]\n"
@@ -251,6 +291,7 @@ int cmdIor(const ArgParser& args, std::ostream& out, std::ostream& err) {
     cfg.noiseStdDevFrac = args.numberOr("--noise", 0.03);
     cfg.stonewallSeconds = args.numberOr("--stonewall", 0.0);
   }
+  if (!optionsOk(args, err)) return 2;
 
   Environment env = makeEnvironment(site, kind, cfg.nodes);
   IorRunner runner(*env.bench, *env.fs);
@@ -277,17 +318,14 @@ int cmdDlio(const ArgParser& args, std::ostream& out, std::ostream& err) {
       return 2;
     }
   } else {
-    const std::string w = args.getOr("--workload", "resnet50");
-    if (w == "resnet50") cfg.workload = DlioWorkload::resnet50();
-    else if (w == "cosmoflow") cfg.workload = DlioWorkload::cosmoflow();
-    else if (w == "unet3d") cfg.workload = DlioWorkload::unet3d();
-    else {
+    if (!parseDlioWorkload(args.getOr("--workload", "resnet50"), cfg.workload)) {
       err << "error: --workload must be resnet50|cosmoflow|unet3d\n";
       return 2;
     }
     cfg.nodes = args.sizeOr("--nodes", 4);
     cfg.procsPerNode = args.sizeOr("--ppn", 4);
   }
+  if (!optionsOk(args, err)) return 2;
 
   const DlioResult r = runDlio(site, kind, cfg);
   out << cfg.workload.name << " on " << toString(kind) << "@" << toString(site) << " ("
@@ -315,6 +353,7 @@ int cmdMdtest(const ArgParser& args, std::ostream& out, std::ostream& err) {
   cfg.uniqueDirPerTask = args.has("--unique-dir");
   cfg.repetitions = args.sizeOr("--reps", 3);
   cfg.noiseStdDevFrac = args.numberOr("--noise", 0.03);
+  if (!optionsOk(args, err)) return 2;
 
   Environment env = makeEnvironment(site, kind, cfg.nodes);
   MdtestRunner runner(*env.bench, *env.fs);
@@ -343,6 +382,7 @@ int cmdPlan(const ArgParser& args, std::ostream& out, std::ostream& err) {
   goal.minGBsPerNode = args.numberOr("--min-gbs", 1.0);
   goal.nodes = args.sizeOr("--nodes", 8);
   goal.procsPerNode = args.sizeOr("--ppn", 16);
+  if (!optionsOk(args, err)) return 2;
 
   const auto candidates = planVastDeployment(machine, goal);
   ResultTable t("deployment candidates (sorted: goal-meeting first, cheapest first)");
@@ -355,13 +395,30 @@ int cmdPlan(const ArgParser& args, std::ostream& out, std::ostream& err) {
   return candidates.empty() || !candidates.front().meetsGoal ? 1 : 0;
 }
 
-int cmdTakeaways(const ArgParser&, std::ostream& out, std::ostream&) {
-  const auto checks = runAllChecks();
-  out << calibration::toMarkdown(checks);
-  for (const auto& c : checks) {
-    if (!c.pass()) return 1;
+int cmdTakeaways(const ArgParser& args, std::ostream& out, std::ostream& err) {
+  const std::string dir = args.getOr("--dir", oracle::kPaperDir);
+  if (!optionsOk(args, err)) return 2;
+  // The takeaways read fig2a and fig2b cells, fresh from the model.
+  oracle::Cells cells[2];
+  std::string error;
+  for (int i = 0; i < 2; ++i) {
+    const std::string path = dir + (i == 0 ? "/fig2a.json" : "/fig2b.json");
+    sweep::SweepSpec spec;
+    if (!sweep::loadSpec(path, spec, &error)) {
+      err << "error: " << path << ": " << error << "\n";
+      return 2;
+    }
+    cells[i] = oracle::cellsOf(sweep::runSweep(spec, 0));
   }
-  return 0;
+  const auto checks = oracle::takeawayChecks(cells[0], cells[1], error);
+  if (checks.empty()) {
+    err << "error: " << error << "\n";
+    return 2;
+  }
+  out << calibration::toMarkdown(checks);
+  const bool pass = std::all_of(checks.begin(), checks.end(),
+                                [](const calibration::Check& c) { return c.pass(); });
+  return pass ? 0 : 1;
 }
 
 int cmdSweep(const ArgParser& args, std::ostream& out, std::ostream& err) {
@@ -378,11 +435,14 @@ int cmdSweep(const ArgParser& args, std::ostream& out, std::ostream& err) {
   }
   std::size_t jobs = args.sizeOr("--jobs", sweep::defaultJobs());
   if (jobs == 0) jobs = sweep::defaultJobs();
-  CacheSession cache;
-  if (!cache.open(args, err)) return 2;
   sweep::TrialOptions opts;
   opts.telemetry = args.has("--telemetry");
   opts.selfProfile = args.has("--self-profile");
+  const auto outPath = args.get("--out");
+  const auto csvPath = args.get("--csv");
+  const auto basePath = args.get("--baseline");
+  CacheSession cache;
+  if (!cache.open(args, err) || !optionsOk(args, err)) return 2;
   const sweep::SweepOutcome result = sweep::runSweep(spec, jobs, cache.get(), opts);
 
   ResultTable t("sweep '" + spec.name + "': " + std::to_string(result.results.size()) +
@@ -416,21 +476,21 @@ int cmdSweep(const ArgParser& args, std::ostream& out, std::ostream& err) {
         << "%, " << cache.get()->size() << " entries\n";
   }
 
-  if (const auto outPath = args.get("--out")) {
+  if (outPath) {
     if (!sweep::writeJsonl(result, *outPath)) {
       err << "error: cannot write " << *outPath << "\n";
       return 1;
     }
     out << "wrote " << *outPath << "\n";
   }
-  if (const auto csvPath = args.get("--csv")) {
+  if (csvPath) {
     if (!sweep::writeCsv(result, *csvPath)) {
       err << "error: cannot write " << *csvPath << "\n";
       return 1;
     }
     out << "wrote " << *csvPath << "\n";
   }
-  if (const auto basePath = args.get("--baseline")) {
+  if (basePath) {
     std::map<std::string, double> baseline;
     if (!sweep::loadBaseline(*basePath, baseline)) {
       err << "error: cannot load baseline from " << *basePath << "\n";
@@ -476,6 +536,8 @@ int cmdChaos(const ArgParser& args, std::ostream& out, std::ostream& err) {
     err << "error: chaos requires a scenario file (hcsim chaos <spec.json>)\n";
     return 2;
   }
+  const RunOutputs outputs(args);
+  if (!optionsOk(args, err)) return 2;
   chaos::ChaosSpec spec;
   std::string parseErr;
   if (!chaos::loadChaosSpec(specPath, spec, parseErr)) {
@@ -495,7 +557,7 @@ int cmdChaos(const ArgParser& args, std::ostream& out, std::ostream& err) {
     for (const std::string& p : problems) err << "  - " << p << "\n";
     return 2;
   }
-  if (args.has("--telemetry")) env.bench->telemetry().setEnabled(true);
+  if (outputs.telemetry) env.bench->telemetry().setEnabled(true);
   const chaos::ChaosOutcome result = chaos::runChaosOn(env, spec);
 
   ResultTable t = chaos::renderTimeline(result);
@@ -510,7 +572,7 @@ int cmdChaos(const ArgParser& args, std::ostream& out, std::ostream& err) {
     out << "rebuild: " << formatBytes(result.rebuildBytes) << " drained at t="
         << result.rebuildCompletedAt << " s\n";
   }
-  return finishRun(args, env,
+  return finishRun(outputs, env,
                    {result.monitors, result.breaches, chaos::toJsonl(result), t.toCsv(),
                     [&result](telemetry::MetricsRegistry& reg) { chaos::exportTo(result, reg); }},
                    out, err);
@@ -523,6 +585,8 @@ int cmdWorkload(const ArgParser& args, std::ostream& out, std::ostream& err) {
     err << "error: workload requires a spec file (hcsim workload <spec.json>)\n";
     return 2;
   }
+  const RunOutputs outputs(args);
+  if (!optionsOk(args, err)) return 2;
   std::ifstream f(specPath);
   if (!f) {
     err << "error: cannot read " << specPath << "\n";
@@ -550,7 +614,7 @@ int cmdWorkload(const ArgParser& args, std::ostream& out, std::ostream& err) {
       specEnvironment(spec, bundle.nodes, "workload spec " + specPath, err);
   if (!made) return 2;
   Environment& env = *made;
-  if (args.has("--telemetry")) env.bench->telemetry().setEnabled(true);
+  if (outputs.telemetry) env.bench->telemetry().setEnabled(true);
   chaos::ChaosLandmarks landmarks;
   try {
     landmarks = workload::injectWorkloadChaos(spec, env);
@@ -587,7 +651,7 @@ int cmdWorkload(const ArgParser& args, std::ostream& out, std::ostream& err) {
     }
     out << t.toString();
   }
-  return finishRun(args, env,
+  return finishRun(outputs, env,
                    {r.monitors, r.breaches, workload::toJsonl(r), workload::toCsv(r),
                     [&r](telemetry::MetricsRegistry& reg) { workload::exportTo(r, reg); }},
                    out, err);
@@ -651,13 +715,15 @@ int cmdScale(const ArgParser& args, std::ostream& out, std::ostream& err) {
   section["readFraction"] = args.numberOr("--read-fraction", 0.9);
   section["objects"] = args.numberOr("--objects", static_cast<double>(cfg.objects));
   section["seed"] = args.numberOr("--seed", static_cast<double>(cfg.seed));
+  const bool telemetryOn = args.has("--telemetry");
+  const auto outPath = args.get("--out");
+  if (!optionsOk(args, err)) return 2;
   if (std::string e = readFields(JsonValue(std::move(section)), cfg, ""); !e.empty()) {
     err << "error: " << e << "\n";
     return 2;
   }
 
   Environment env = makeEnvironment(site, kind, cfg.nodes(), nullptr);
-  const bool telemetryOn = args.has("--telemetry");
   if (telemetryOn) env.bench->telemetry().setEnabled(true);
   workload::OpenLoopSource source(cfg);
   workload::WorkloadRunner runner(*env.bench, *env.fs);
@@ -691,7 +757,7 @@ int cmdScale(const ArgParser& args, std::ostream& out, std::ostream& err) {
     workload::exportTo(r, reg);
     out << reg.renderTable();
   }
-  if (const auto outPath = args.get("--out")) {
+  if (outPath) {
     std::ofstream of(*outPath, std::ios::binary | std::ios::trunc);
     if (!of) {
       err << "error: cannot write " << *outPath << "\n";
@@ -705,16 +771,24 @@ int cmdScale(const ArgParser& args, std::ostream& out, std::ostream& err) {
 
 namespace {
 
-int oracleList(std::ostream& out) {
+int oracleList(const ArgParser& args, std::ostream& out, std::ostream& err) {
+  const std::string dir = args.getOr("--dir", oracle::kPaperDir);
+  if (!optionsOk(args, err)) return 2;
+  std::vector<oracle::GoldenFigure> figures;
+  std::string error;
+  if (!oracle::loadFigures(dir, figures, error)) {
+    err << "error: " << error << "\n";
+    return 2;
+  }
   const auto& registry = oracle::RelationRegistry::builtin();
   out << "metamorphic relations (" << registry.all().size() << "):\n";
   for (const auto& r : registry.all()) {
     out << "  " << r.name << "  [" << r.storage << ", " << oracle::toString(r.kind) << "]\n"
         << "      " << r.claim << "\n";
   }
-  out << "golden figures (" << oracle::builtinFigures().size() << "):\n";
-  for (const auto& f : oracle::builtinFigures()) {
-    out << "  " << f.name << "  (" << f.spec.trialCount() << " cells)  " << f.title << "\n";
+  out << "golden figures (" << figures.size() << "):\n";
+  for (const auto& f : figures) {
+    out << "  " << f.name << "  (" << f.spec.trialCount() << " cells)  " << f.spec.name << "\n";
   }
   return 0;
 }
@@ -725,13 +799,14 @@ int oracleRelations(const ArgParser& args, std::ostream& out, std::ostream& err)
   options.seed = static_cast<std::uint64_t>(args.numberOr("--seed", 1.0));
   options.jobs = args.sizeOr("--jobs", 0);
   options.shrink = !args.has("--no-shrink");
+  const auto name = args.get("--relation");
   CacheSession cache;
-  if (!cache.open(args, err)) return 2;
+  if (!cache.open(args, err) || !optionsOk(args, err)) return 2;
   options.cache = cache.get();
 
   const auto& registry = oracle::RelationRegistry::builtin();
   std::vector<oracle::RelationReport> reports;
-  if (const auto name = args.get("--relation")) {
+  if (name) {
     const oracle::MetamorphicRelation* rel = registry.find(*name);
     if (!rel) {
       err << "error: unknown relation '" << *name << "' (try: hcsim oracle list)\n";
@@ -749,66 +824,88 @@ int oracleRelations(const ArgParser& args, std::ostream& out, std::ostream& err)
   return 0;
 }
 
-/// The figures a record/check run covers: all of them, or --figure F.
-bool selectFigures(const ArgParser& args, std::ostream& err,
-                   std::vector<const oracle::GoldenFigure*>& out) {
-  if (const auto name = args.get("--figure")) {
-    const oracle::GoldenFigure* fig = oracle::findFigure(*name);
-    if (!fig) {
-      err << "error: unknown figure '" << *name << "' (try: hcsim oracle list)\n";
+/// What a record/check run covers: the figures of --dir, all of them or
+/// --figure F, plus the run options both subcommands share. Every
+/// option is read here, before anything runs.
+struct FigureRun {
+  std::string dir;
+  std::vector<oracle::GoldenFigure> figures;
+  std::size_t jobs = 0;
+  sweep::TrialOptions opts;
+  CacheSession cache;
+
+  bool open(const ArgParser& args, std::ostream& err) {
+    dir = args.getOr("--dir", oracle::kPaperDir);
+    jobs = args.sizeOr("--jobs", 0);
+    opts.telemetry = args.has("--telemetry");
+    const auto only = args.get("--figure");
+    if (!cache.open(args, err) || !optionsOk(args, err)) return false;
+    std::string error;
+    if (!oracle::loadFigures(dir, figures, error)) {
+      err << "error: " << error << "\n";
       return false;
     }
-    out.push_back(fig);
+    if (!only) return true;
+    std::erase_if(figures, [&](const oracle::GoldenFigure& f) { return f.name != *only; });
+    if (figures.empty()) {
+      err << "error: unknown figure '" << *only << "' (try: hcsim oracle list)\n";
+      return false;
+    }
     return true;
   }
-  for (const auto& f : oracle::builtinFigures()) out.push_back(&f);
-  return true;
-}
+};
 
 int oracleRecord(const ArgParser& args, std::ostream& out, std::ostream& err) {
-  const std::string dir = args.getOr("--dir", "tests/golden");
-  const std::size_t jobs = args.sizeOr("--jobs", 0);
-  std::vector<const oracle::GoldenFigure*> figures;
-  if (!selectFigures(args, err, figures)) return 2;
-  CacheSession cache;
-  if (!cache.open(args, err)) return 2;
-  sweep::TrialOptions opts;
-  opts.telemetry = args.has("--telemetry");
-  for (const oracle::GoldenFigure* fig : figures) {
+  FigureRun run;
+  if (!run.open(args, err)) return 2;
+  for (const oracle::GoldenFigure& fig : run.figures) {
     std::string error;
-    if (!oracle::recordFigure(*fig, dir, jobs, error, cache.get(), opts)) {
+    if (!oracle::recordFigure(fig, run.dir, run.jobs, error, run.cache.get(), run.opts)) {
       err << "error: " << error << "\n";
       return 1;
     }
-    out << "recorded " << oracle::goldenPath(dir, fig->name) << " ("
-        << fig->spec.trialCount() << " cells)\n";
+    out << "recorded " << oracle::goldenPath(run.dir, fig.name) << " ("
+        << fig.spec.trialCount() << " cells)\n";
   }
-  if (!cache.close(err)) return 2;
+  if (!run.cache.close(err)) return 2;
   return 0;
 }
 
 int oracleCheck(const ArgParser& args, std::ostream& out, std::ostream& err) {
-  const std::string dir = args.getOr("--dir", "tests/golden");
-  const std::size_t jobs = args.sizeOr("--jobs", 0);
   const double tolerance = args.numberOr("--tolerance", 2.0);
-  std::vector<const oracle::GoldenFigure*> figures;
-  if (!selectFigures(args, err, figures)) return 2;
+  const bool fullTable = args.has("--full");
+  FigureRun run;
+  if (!run.open(args, err)) return 2;
   // Cache stats and telemetry deliberately never reach stdout here:
   // check output must stay byte-identical with the cache on or off,
   // with or without --telemetry, at any --jobs.
-  CacheSession cache;
-  if (!cache.open(args, err)) return 2;
-  sweep::TrialOptions opts;
-  opts.telemetry = args.has("--telemetry");
   bool pass = true;
-  for (const oracle::GoldenFigure* fig : figures) {
-    const oracle::FigureCheck check =
-        oracle::checkFigure(*fig, dir, jobs, tolerance, cache.get(), opts);
-    out << oracle::deltaTable(check, tolerance, args.has("--full"));
+  std::optional<oracle::Cells> fig2a, fig2b;
+  for (const oracle::GoldenFigure& fig : run.figures) {
+    oracle::FigureCheck check =
+        oracle::checkFigure(fig, run.dir, run.jobs, tolerance, run.cache.get(), run.opts);
+    out << oracle::deltaTable(check, tolerance, fullTable);
     pass = pass && check.pass();
+    if (fig.name == "fig2a") fig2a = std::move(check.current);
+    if (fig.name == "fig2b") fig2b = std::move(check.current);
+  }
+  // The section-VII takeaways are band checks over fig2a and fig2b's
+  // cells. A directory whose sweeps lack a cell they read (an older,
+  // reduced geometry) has no takeaways to check.
+  std::string missing;
+  const std::vector<calibration::Check> takeaways =
+      fig2a && fig2b ? oracle::takeawayChecks(*fig2a, *fig2b, missing)
+                     : std::vector<calibration::Check>{};
+  if (!takeaways.empty()) {
+    const auto misses = std::count_if(takeaways.begin(), takeaways.end(),
+                                      [](const calibration::Check& c) { return !c.pass(); });
+    out << "takeaways: " << takeaways.size() << " rows, " << misses
+        << " outside their paper band\n";
+    if (misses > 0) out << calibration::toMarkdown(takeaways);
+    pass = pass && misses == 0;
   }
   out << (pass ? "oracle golden check: PASS" : "oracle golden check: FAIL") << "\n";
-  if (!cache.close(err)) return 2;
+  if (!run.cache.close(err)) return 2;
   return pass ? 0 : 1;
 }
 
@@ -816,7 +913,7 @@ int oracleCheck(const ArgParser& args, std::ostream& out, std::ostream& err) {
 
 int cmdOracle(const ArgParser& args, std::ostream& out, std::ostream& err) {
   const std::string sub = args.positionalOr(1, "list");
-  if (sub == "list") return oracleList(out);
+  if (sub == "list") return oracleList(args, out, err);
   if (sub == "relations") return oracleRelations(args, out, err);
   if (sub == "record") return oracleRecord(args, out, err);
   if (sub == "check") return oracleCheck(args, out, err);
@@ -826,9 +923,10 @@ int cmdOracle(const ArgParser& args, std::ostream& out, std::ostream& err) {
 
 namespace {
 
-/// Shared workload driver for trace/stats: build the environment, run
-/// one IOR or DLIO pass (telemetry pre-enabled when asked), and hand
-/// back the app-level event log.
+/// Shared workload driver for trace/stats: read the workload's options
+/// (the caller has read its own), build the environment, run one IOR or
+/// DLIO pass (telemetry pre-enabled when asked), and hand back the
+/// app-level event log.
 struct WorkloadRun {
   Environment env;
   TraceLog appTrace;
@@ -839,39 +937,39 @@ bool runTracedWorkload(const ArgParser& args, std::ostream& err, bool telemetryO
   Site site;
   StorageKind kind;
   if (!parseTarget(args, err, site, kind)) return false;
-  const std::string w = args.getOr("--workload", "ior");
+  const bool ior = args.getOr("--workload", "ior") == "ior";
   const std::size_t nodes = args.sizeOr("--nodes", 4);
-  run.env = makeEnvironment(site, kind, nodes);
-  if (telemetryOn) run.env.bench->telemetry().setEnabled(true);
-  if (selfProfileOn) run.env.bench->profiler().setEnabled(true);
-  if (w == "ior") {
+  IorConfig iorCfg;
+  DlioConfig dlioCfg;
+  if (ior) {
     AccessPattern access;
     if (!parsePattern(args.getOr("--access", "seq-write"), access)) {
       err << "error: bad --access\n";
       return false;
     }
-    IorConfig cfg = IorConfig::scalability(access, nodes, args.sizeOr("--ppn", 16));
-    cfg.segments = args.sizeOr("--segments", 512);
-    cfg.repetitions = 1;
-    cfg.noiseStdDevFrac = 0.0;
-    IorRunner runner(*run.env.bench, *run.env.fs);
-    runner.setTraceLog(&run.appTrace);
-    runner.run(cfg);
-    return true;
-  }
-  DlioConfig cfg;
-  if (w == "resnet50") cfg.workload = DlioWorkload::resnet50();
-  else if (w == "cosmoflow") cfg.workload = DlioWorkload::cosmoflow();
-  else if (w == "unet3d") cfg.workload = DlioWorkload::unet3d();
-  else {
+    iorCfg = IorConfig::scalability(access, nodes, args.sizeOr("--ppn", 16));
+    iorCfg.segments = args.sizeOr("--segments", 512);
+    iorCfg.repetitions = 1;
+    iorCfg.noiseStdDevFrac = 0.0;
+  } else if (!parseDlioWorkload(args.getOr("--workload", ""), dlioCfg.workload)) {
     err << "error: --workload must be ior|resnet50|cosmoflow|unet3d\n";
     return false;
+  } else {
+    dlioCfg.nodes = nodes;
+    dlioCfg.procsPerNode = args.sizeOr("--ppn", 4);
   }
-  cfg.nodes = nodes;
-  cfg.procsPerNode = args.sizeOr("--ppn", 4);
-  DlioRunner runner(*run.env.bench, *run.env.fs);
-  DlioResult r = runner.run(cfg);
-  run.appTrace = std::move(r.trace);
+  if (!optionsOk(args, err)) return false;
+  run.env = makeEnvironment(site, kind, nodes);
+  if (telemetryOn) run.env.bench->telemetry().setEnabled(true);
+  if (selfProfileOn) run.env.bench->profiler().setEnabled(true);
+  if (ior) {
+    IorRunner runner(*run.env.bench, *run.env.fs);
+    runner.setTraceLog(&run.appTrace);
+    runner.run(iorCfg);
+  } else {
+    DlioRunner runner(*run.env.bench, *run.env.fs);
+    run.appTrace = runner.run(dlioCfg).trace;
+  }
   return true;
 }
 
@@ -879,10 +977,10 @@ bool runTracedWorkload(const ArgParser& args, std::ostream& err, bool telemetryO
 
 int cmdTrace(const ArgParser& args, std::ostream& out, std::ostream& err) {
   const bool internal = args.has("--internal");
+  const std::string path = args.getOr("--out", "trace.json");
   WorkloadRun run;
   if (!runTracedWorkload(args, err, internal, run)) return 2;
   const telemetry::Telemetry& tel = run.env.bench->telemetry();
-  const std::string path = args.getOr("--out", "trace.json");
   std::ofstream f(path);
   if (!f) {
     err << "error: cannot write " << path << "\n";
@@ -902,6 +1000,7 @@ int cmdTrace(const ArgParser& args, std::ostream& out, std::ostream& err) {
 }
 
 int cmdStats(const ArgParser& args, std::ostream& out, std::ostream& err) {
+  const bool json = args.has("--json");
   WorkloadRun run;
   if (!runTracedWorkload(args, err, /*telemetryOn=*/true, run, args.has("--self"))) return 2;
   telemetry::MetricsRegistry reg;
@@ -909,7 +1008,7 @@ int cmdStats(const ArgParser& args, std::ostream& out, std::ostream& err) {
   // transport.* rows appear only when the environment ran on a fabric
   // (DAOS always does; other models only with a "transport" section).
   if (run.env.transport) run.env.transport->exportMetrics(reg);
-  if (args.has("--json")) {
+  if (json) {
     // Machine face of the registry: numbers round-trip losslessly (the
     // JSON writer is the same one behind the sweep JSONL).
     out << writeJson(reg.toJson(), 2) << "\n";
@@ -924,13 +1023,14 @@ int cmdStats(const ArgParser& args, std::ostream& out, std::ostream& err) {
 int cmdDumpConfig(const ArgParser& args, std::ostream& out, std::ostream& err) {
   Site site;
   StorageKind kind;
-  if (!parseTarget(args, err, site, kind)) return 2;
+  if (!parseTarget(args, err, site, kind) || !optionsOk(args, err)) return 2;
   out << writeJson(presetJson(site, kind), 2) << "\n";
   return 0;
 }
 
 int run(const ArgParser& args, std::ostream& out, std::ostream& err) {
   const std::string cmd = args.positionalOr(0, "help");
+  if (cmd == "help" || args.has("--help")) return cmdHelp(out);
   try {
     if (cmd == "ior") return cmdIor(args, out, err);
     if (cmd == "dlio") return cmdDlio(args, out, err);
@@ -952,7 +1052,6 @@ int run(const ArgParser& args, std::ostream& out, std::ostream& err) {
     err << "error: " << ex.what() << "\n";
     return 1;
   }
-  if (cmd == "help" || cmd == "--help") return cmdHelp(out);
   err << "error: unknown command '" << cmd << "' (try: hcsim help)\n";
   return 2;
 }

@@ -182,23 +182,14 @@ class FieldReader {
     v = parsed;
   }
 
-  /// "" when every key parsed, else the first problem — an unknown key
-  /// only when every known one was fine.
-  std::string finish() {
-    if (error_.empty() && claimed_ < obj_.size()) {
-      for (const auto& kv : obj_) {
-        const auto named = [&kv](const char* k) { return kv.first == k; };
-        if (std::none_of(known_.begin(), known_.end(), named)) {
-          return dotted(kv.first.c_str()) + ": unknown key";
-        }
-      }
-    }
-    return error_;
-  }
+  /// The first problem with a listed key, "" when there is none.
+  const std::string& error() const { return error_; }
+  /// True when every listed key was fine but the object holds another:
+  /// an unknown key is reported only then.
+  bool unclaimed() const { return error_.empty() && claimed_ < obj_.size(); }
 
  private:
   const JsonValue* claim(const char* key) {
-    known_.push_back(key);
     if (!error_.empty()) return nullptr;
     const auto it = obj_.find(key);
     if (it == obj_.end()) return nullptr;
@@ -250,9 +241,46 @@ class FieldReader {
 
   const JsonObject& obj_;
   const std::string& path_;
-  std::vector<const char*> known_;
   std::size_t claimed_ = 0;
   std::string error_;
+};
+
+/// Collects a field list's keys, to name an unknown one. Only a read
+/// that meets an unknown key walks its list twice, so a read that
+/// succeeds allocates nothing.
+class FieldNames {
+ public:
+  explicit FieldNames(std::initializer_list<const char*> others) : keys_(others) {}
+
+  template <class T>
+  void operator()(const char* key, const T&, const Range& = {}) {
+    keys_.push_back(key);
+  }
+  template <class T>
+  void omitWhen(const char* key, const T&, const T&, const Range& = {}) {
+    keys_.push_back(key);
+  }
+  template <class T, class Apply>
+  void preset(const char* key, const T&, Apply&&) {
+    keys_.push_back(key);
+  }
+  void oneOf(const char* key, const std::string&, std::initializer_list<const char*>) {
+    keys_.push_back(key);
+  }
+
+  /// "<path>.<key>: unknown key" for the first key of `obj` not listed.
+  std::string firstUnknown(const JsonObject& obj, const std::string& path) const {
+    for (const auto& kv : obj) {
+      const auto named = [&kv](const char* k) { return kv.first == k; };
+      if (std::none_of(keys_.begin(), keys_.end(), named)) {
+        return (path.empty() ? kv.first : path + "." + kv.first) + ": unknown key";
+      }
+    }
+    return "";
+  }
+
+ private:
+  std::vector<const char*> keys_;
 };
 
 /// Walks a field list over a struct built in code. `error` names the
@@ -305,7 +333,10 @@ std::string readFields(const JsonValue& j, T& out, const std::string& path,
   if (obj == nullptr) return (path.empty() ? "" : path + ": ") + "must be an object";
   FieldReader r(*obj, path, others);
   fields(r, out);
-  return r.finish();
+  if (!r.unclaimed()) return r.error();
+  FieldNames names(others);
+  fields(names, out);
+  return names.firstUnknown(*obj, path);
 }
 
 /// Check every field of `c` against its range. Throws

@@ -29,14 +29,6 @@ inline constexpr double kVastVsNvmeSingleNodeFactor = 5.0; ///< "almost 5x"
 inline constexpr std::size_t kGpfsSeqReadSaturationNodes = 32;  ///< Fig 2a saturation
 inline constexpr std::size_t kVastLassenStagnationNodes = 32;   ///< "abrupt stagnation after 32"
 
-// ---- Fixed experiment geometry ----
-inline constexpr std::size_t kLassenProcsPerNode = 44;
-inline constexpr std::size_t kWombatProcsPerNode = 48;
-inline constexpr std::size_t kScalabilityMaxNodesLassen = 128;
-inline constexpr std::size_t kScalabilityMaxNodesWombat = 8;
-inline constexpr std::size_t kSingleNodeMaxProcs = 32;
-inline constexpr std::size_t kRepetitions = 10;  ///< "we repeated our tests 10 times"
-
 /// One paper-vs-measured comparison row.
 struct Check {
   std::string name;

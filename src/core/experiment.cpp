@@ -82,52 +82,6 @@ void parseSpecHeader(const JsonValue& doc, SpecHeader& out, std::vector<std::str
   probe::parseMonitors(doc, out.monitors, problems);
 }
 
-namespace {
-BandwidthPoint toPoint(std::size_t x, const IorResult& r) {
-  BandwidthPoint p;
-  p.x = x;
-  p.meanGBs = units::toGBs(r.bandwidth.mean);
-  p.minGBs = units::toGBs(r.bandwidth.min);
-  p.maxGBs = units::toGBs(r.bandwidth.max);
-  return p;
-}
-}  // namespace
-
-std::vector<BandwidthPoint> runIorNodeSweep(Site site, StorageKind kind, AccessPattern access,
-                                            const std::vector<std::size_t>& nodeCounts,
-                                            std::size_t procsPerNode, std::size_t repetitions,
-                                            double noiseFrac) {
-  std::vector<BandwidthPoint> out;
-  out.reserve(nodeCounts.size());
-  for (std::size_t nodes : nodeCounts) {
-    // NVMe scalability reads require one extra node as the round-robin
-    // copy source; the TestBench wires nodes only, copies are uncounted.
-    Environment env = makeEnvironment(site, kind, nodes);
-    IorRunner runner(*env.bench, *env.fs);
-    IorConfig cfg = IorConfig::scalability(access, nodes, procsPerNode);
-    cfg.repetitions = repetitions;
-    cfg.noiseStdDevFrac = noiseFrac;
-    out.push_back(toPoint(nodes, runner.run(cfg)));
-  }
-  return out;
-}
-
-std::vector<BandwidthPoint> runIorProcSweep(Site site, StorageKind kind, AccessPattern access,
-                                            const std::vector<std::size_t>& procCounts,
-                                            std::size_t repetitions, double noiseFrac) {
-  std::vector<BandwidthPoint> out;
-  out.reserve(procCounts.size());
-  for (std::size_t procs : procCounts) {
-    Environment env = makeEnvironment(site, kind, 1);
-    IorRunner runner(*env.bench, *env.fs);
-    IorConfig cfg = IorConfig::singleNodeFsync(access, procs);
-    cfg.repetitions = repetitions;
-    cfg.noiseStdDevFrac = noiseFrac;
-    out.push_back(toPoint(procs, runner.run(cfg)));
-  }
-  return out;
-}
-
 DlioResult runDlio(Site site, StorageKind kind, const DlioConfig& cfg) {
   Environment env = makeEnvironment(site, kind, cfg.nodes);
   DlioRunner runner(*env.bench, *env.fs);

@@ -2,8 +2,8 @@
 // Experiment framework — the paper's contribution is a *methodology*:
 // evaluate a storage system across (1) diverse workloads, (2) storage
 // configurations and (3) deployment methods. This module packages that
-// methodology as a library: pick a site and a storage system, run IOR
-// node/process sweeps or DLIO training runs, get summarized series.
+// methodology as a library: pick a site and a storage system and build
+// its environment; hcsim::sweep runs the paper's experiments on it.
 
 #include <memory>
 #include <string>
@@ -80,25 +80,6 @@ void parseSpecHeader(const JsonValue& doc, SpecHeader& out, std::vector<std::str
 
 /// makeEnvironment for a parsed header.
 Environment makeEnvironment(const SpecHeader& spec, std::size_t nodes);
-
-/// One point of a bandwidth series.
-struct BandwidthPoint {
-  std::size_t x = 0;  ///< nodes (scalability) or processes (single-node)
-  double meanGBs = 0.0;
-  double minGBs = 0.0;
-  double maxGBs = 0.0;
-};
-
-/// Fig 2-style node sweep: full-node IOR at each node count.
-std::vector<BandwidthPoint> runIorNodeSweep(Site site, StorageKind kind, AccessPattern access,
-                                            const std::vector<std::size_t>& nodeCounts,
-                                            std::size_t procsPerNode, std::size_t repetitions = 1,
-                                            double noiseFrac = 0.0);
-
-/// Fig 3-style process sweep: single node, fsync-per-write, per-op sim.
-std::vector<BandwidthPoint> runIorProcSweep(Site site, StorageKind kind, AccessPattern access,
-                                            const std::vector<std::size_t>& procCounts,
-                                            std::size_t repetitions = 1, double noiseFrac = 0.0);
 
 /// One DLIO training run on a fresh environment.
 DlioResult runDlio(Site site, StorageKind kind, const DlioConfig& cfg);

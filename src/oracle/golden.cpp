@@ -1,12 +1,11 @@
 #include "oracle/golden.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <fstream>
-#include <map>
 #include <sstream>
 
-#include "config/serialize.hpp"
-#include "dlio/dlio_config.hpp"
 #include "sweep/result_sink.hpp"
 #include "sweep/sweep_runner.hpp"
 #include "sweep/trial_cache.hpp"
@@ -15,76 +14,111 @@ namespace hcsim::oracle {
 
 namespace {
 
-sweep::Axis numAxis(std::string path, std::initializer_list<double> vs) {
-  sweep::Axis ax;
-  ax.path = std::move(path);
-  for (double v : vs) ax.values.emplace_back(v);
-  return ax;
+/// Mean GB/s per node of one fig2 cell. False, naming the cell in
+/// `missing`, when it is absent or failed.
+bool perNode(const Cells& cells, const char* fig, const char* storage, const char* access,
+             double nodes, double& out, std::string& missing) {
+  JsonObject params;  // as sweep::paramsKey spells the cell
+  params["storage"] = storage;
+  params["ior.access"] = access;
+  params["ior.nodes"] = nodes;
+  const std::string key = writeJson(JsonValue(std::move(params)));
+  const auto it = cells.find(key);
+  if (it == cells.end() || !it->second.ok) {
+    missing = std::string(fig) + " has no cell " + key;
+    return false;
+  }
+  out = it->second.meanGBs / nodes;
+  return true;
 }
 
-sweep::Axis strAxis(std::string path, std::initializer_list<const char*> vs) {
-  sweep::Axis ax;
-  ax.path = std::move(path);
-  for (const char* v : vs) ax.values.emplace_back(v);
-  return ax;
+/// 100 * (current - golden) / golden; 100 when only golden is 0.
+double pctDelta(double golden, double current) {
+  if (golden != 0.0) return 100.0 * (current - golden) / golden;
+  return current != 0.0 ? 100.0 : 0.0;
 }
 
-GoldenFigure iorFigure(std::string name, std::string title, const char* site,
-                       std::initializer_list<const char*> storages,
-                       std::initializer_list<double> nodes) {
-  GoldenFigure fig;
-  fig.name = std::move(name);
-  fig.title = std::move(title);
-  fig.spec.name = "golden-" + fig.name;
-  fig.spec.experiment = "ior";
-  JsonObject ior;
-  ior["segments"] = 400.0;
-  ior["procsPerNode"] = 8.0;
-  ior["repetitions"] = 1.0;
-  JsonObject base;
-  base["site"] = site;
-  base["ior"] = JsonValue(std::move(ior));
-  fig.spec.base = JsonValue(std::move(base));
-  fig.spec.axes.push_back(strAxis("storage", storages));
-  fig.spec.axes.push_back(strAxis("ior.access", {"seq-write", "seq-read", "rand-read"}));
-  fig.spec.axes.push_back(numAxis("ior.nodes", nodes));
-  return fig;
+/// The recorded columns other than meanGBs (the delta table's own) that
+/// `current` has left by more than tolerancePct, or lacks, as "drifted:
+/// dlio.systemGBs 0.13 -> 0.1365 (5%), ..."; "" when none. A column is a
+/// number in the snapshot's metrics object or in one of its blocks, so
+/// a block the snapshot predates is not compared.
+std::string driftedColumns(const sweep::TrialMetrics& golden, const sweep::TrialMetrics& current,
+                           double tolerancePct) {
+  const JsonValue was = sweep::metricsToJson(golden);
+  const JsonValue now = sweep::metricsToJson(current);
+  std::ostringstream os;
+  const char* sep = "drifted: ";
+  const auto compare = [&](const std::string& column, const JsonValue& g, const JsonValue* c) {
+    if (!g.isNumber() || column == "meanGBs") return;
+    if (c == nullptr || !c->isNumber()) {
+      os << sep << column << " " << *g.number() << " -> absent";
+    } else if (const double pct = pctDelta(*g.number(), *c->number());
+               std::abs(pct) > tolerancePct) {
+      os << sep << column << " " << *g.number() << " -> " << *c->number() << " (" << pct << "%)";
+    } else {
+      return;
+    }
+    sep = ", ";
+  };
+  for (const auto& [key, value] : *was.object()) {
+    const JsonValue* block = now.find(key);
+    if (value.object() == nullptr) {
+      compare(key, value, block);
+      continue;
+    }
+    for (const auto& [column, v] : *value.object()) {
+      compare(key + "." + column, v, block != nullptr ? block->find(column) : nullptr);
+    }
+  }
+  return os.str();
 }
 
-GoldenFigure dlioFigure(std::string name, std::string title, const DlioWorkload& workload,
-                        double samples, double epochs) {
-  GoldenFigure fig;
-  fig.name = std::move(name);
-  fig.title = std::move(title);
-  fig.spec.name = "golden-" + fig.name;
-  fig.spec.experiment = "dlio";
-  JsonValue w = toJson(workload);
-  sweep::jsonPathSet(w, "samples", JsonValue(samples));
-  sweep::jsonPathSet(w, "epochs", JsonValue(epochs));
-  JsonObject dlio;
-  dlio["workload"] = std::move(w);
-  dlio["nodes"] = 1.0;
-  dlio["procsPerNode"] = 2.0;
-  dlio["seed"] = 7.0;
-  JsonObject base;
-  base["site"] = "lassen";
-  base["dlio"] = JsonValue(std::move(dlio));
-  fig.spec.base = JsonValue(std::move(base));
-  fig.spec.axes.push_back(strAxis("storage", {"vast", "gpfs"}));
-  fig.spec.axes.push_back(numAxis("dlio.nodes", {1, 2, 4}));
-  return fig;
+}  // namespace
+
+bool loadFigures(const std::string& dir, std::vector<GoldenFigure>& out, std::string& error) {
+  namespace fs = std::filesystem;
+  std::vector<fs::path> paths;
+  std::error_code ec;
+  for (fs::directory_iterator it(dir, ec), end; !ec && it != end; it.increment(ec)) {
+    if (it->path().extension() == ".json") paths.push_back(it->path());
+  }
+  if (ec) {
+    error = "cannot read directory " + dir + ": " + ec.message();
+    return false;
+  }
+  if (paths.empty()) {
+    error = dir + ": no *.json sweep specs";
+    return false;
+  }
+  std::sort(paths.begin(), paths.end());
+  out.clear();
+  for (const fs::path& p : paths) {
+    GoldenFigure fig;
+    fig.name = p.stem().string();
+    if (std::string e; !sweep::loadSpec(p.string(), fig.spec, &e)) {
+      error = p.string() + ": " + e;
+      return false;
+    }
+    out.push_back(std::move(fig));
+  }
+  return true;
 }
 
-/// One golden cell as recorded: ok flag plus mean bandwidth.
-struct GoldenCell {
-  bool ok = false;
-  double meanGBs = 0.0;
-};
+std::string goldenPath(const std::string& dir, const std::string& name) {
+  return dir + "/" + name + ".jsonl";
+}
 
-/// Full-fidelity snapshot loader. Unlike sweep::loadBaseline this keeps
-/// failed cells, so a trial that used to fail and now succeeds (or vice
-/// versa) is visible as drift rather than silently skipped.
-bool loadGoldenCells(const std::string& path, std::map<std::string, GoldenCell>& out) {
+Cells cellsOf(const sweep::SweepOutcome& out) {
+  Cells cells;
+  for (const sweep::TrialResult& r : out.results) cells[sweep::paramsKey(r.trial)] = r.metrics;
+  return cells;
+}
+
+/// Unlike sweep::loadBaseline this keeps failed cells, so a trial that
+/// used to fail and now succeeds (or vice versa) is visible as drift
+/// rather than silently skipped.
+bool loadCells(const std::string& path, Cells& out) {
   std::ifstream in(path);
   if (!in) return false;
   std::string line;
@@ -96,38 +130,9 @@ bool loadGoldenCells(const std::string& path, std::map<std::string, GoldenCell>&
     const JsonValue* metrics = j.find("metrics");
     sweep::TrialMetrics m;
     if (!params || !metrics || !sweep::metricsFromJson(*metrics, m)) return false;
-    out[writeJson(*params)] = {m.ok, m.meanGBs};
+    out[writeJson(*params)] = std::move(m);
   }
   return true;
-}
-
-}  // namespace
-
-const std::vector<GoldenFigure>& builtinFigures() {
-  static const std::vector<GoldenFigure> figures = [] {
-    std::vector<GoldenFigure> f;
-    f.push_back(iorFigure("fig2a", "IOR scaling on Lassen: GPFS vs VAST over TCP", "lassen",
-                          {"gpfs", "vast"}, {1, 2, 4, 8, 16, 32}));
-    f.push_back(iorFigure("fig2b", "IOR scaling on Wombat: VAST over RDMA vs node-local NVMe",
-                          "wombat", {"vast", "nvme"}, {1, 2, 4, 8}));
-    f.push_back(dlioFigure("fig4", "DLIO resnet50 throughput on Lassen: VAST vs GPFS",
-                           DlioWorkload::resnet50(), 48, 1));
-    f.push_back(dlioFigure("fig6", "DLIO cosmoflow throughput on Lassen: VAST vs GPFS",
-                           DlioWorkload::cosmoflow(), 32, 1));
-    return f;
-  }();
-  return figures;
-}
-
-const GoldenFigure* findFigure(const std::string& name) {
-  for (const GoldenFigure& f : builtinFigures()) {
-    if (f.name == name) return &f;
-  }
-  return nullptr;
-}
-
-std::string goldenPath(const std::string& dir, const std::string& name) {
-  return dir + "/" + name + ".jsonl";
 }
 
 bool recordFigure(const GoldenFigure& fig, const std::string& dir, std::size_t jobs,
@@ -157,14 +162,15 @@ FigureCheck checkFigure(const GoldenFigure& fig, const std::string& dir, std::si
   FigureCheck check;
   check.figure = fig.name;
 
-  std::map<std::string, GoldenCell> golden;
-  if (!loadGoldenCells(goldenPath(dir, fig.name), golden)) {
+  Cells golden;
+  if (!loadCells(goldenPath(dir, fig.name), golden)) {
     check.error = "cannot read golden snapshot " + goldenPath(dir, fig.name) +
                   " (run 'hcsim oracle record' first)";
     return check;
   }
 
   const sweep::SweepOutcome out = sweep::runSweep(fig.spec, jobs, cache, opts);
+  check.current = cellsOf(out);
   std::map<std::string, bool> goldenSeen;
   for (const sweep::TrialResult& r : out.results) {
     CellDelta d;
@@ -184,10 +190,9 @@ FigureCheck checkFigure(const GoldenFigure& fig, const std::string& dir, std::si
         d.violated = true;
         d.note = "cell succeeded but golden recorded a failure";
       } else if (r.metrics.ok) {
-        d.deltaPct = d.goldenGBs != 0.0
-                         ? 100.0 * (d.currentGBs - d.goldenGBs) / d.goldenGBs
-                         : (d.currentGBs != 0.0 ? 100.0 : 0.0);
-        d.violated = std::abs(d.deltaPct) > tolerancePct;
+        d.deltaPct = pctDelta(d.goldenGBs, d.currentGBs);
+        d.note = driftedColumns(it->second, r.metrics, tolerancePct);
+        d.violated = std::abs(d.deltaPct) > tolerancePct || !d.note.empty();
       }
     }
     if (d.violated) ++check.violations;
@@ -230,6 +235,40 @@ std::string deltaTable(const FigureCheck& check, double tolerancePct, bool fullT
     os << " |\n";
   }
   return os.str();
+}
+
+std::vector<calibration::Check> takeawayChecks(const Cells& fig2a, const Cells& fig2b,
+                                               std::string& missing) {
+  namespace cal = calibration;
+  // Each row is a 1-node per-node figure, except two. Wombat reads
+  // saturate VAST's 8 CNodes within a couple of nodes (Fig 2b), so the
+  // paper's "per node" read sits on that shoulder, and 2 nodes is the
+  // closest point. GPFS's 1.4 GB/s/node random read reflects
+  // cache-defeating scale, Fig 2a's upper range, so it is read at 64.
+  double tcpWrite = 0, tcpRead = 0, gpfsSeq = 0, gpfsRand = 0;
+  double rdmaWrite = 0, rdmaRead = 0, vastRand = 0;
+  if (!perNode(fig2a, "fig2a", "vast", "seq-write", 1, tcpWrite, missing) ||
+      !perNode(fig2a, "fig2a", "vast", "seq-read", 1, tcpRead, missing) ||
+      !perNode(fig2a, "fig2a", "gpfs", "seq-read", 1, gpfsSeq, missing) ||
+      !perNode(fig2a, "fig2a", "gpfs", "rand-read", 64, gpfsRand, missing) ||
+      !perNode(fig2b, "fig2b", "vast", "seq-write", 1, rdmaWrite, missing) ||
+      !perNode(fig2b, "fig2b", "vast", "seq-read", 2, rdmaRead, missing) ||
+      !perNode(fig2b, "fig2b", "vast", "rand-read", 2, vastRand, missing)) {
+    return {};
+  }
+  const auto ratio = [](double a, double b) { return b > 0 ? a / b : 0.0; };
+  return {
+      {"TCP VAST write GB/s per node", cal::kTcpPerNodeGBs, tcpWrite, 2.0},
+      {"RDMA VAST write GB/s per node", cal::kRdmaPerNodeGBs, rdmaWrite, 2.0},
+      {"RDMA/TCP write factor", cal::kRdmaVsTcpFactor, ratio(rdmaWrite, tcpWrite), 2.0},
+      {"RDMA/TCP read factor", cal::kRdmaVsTcpFactor, ratio(rdmaRead, tcpRead), 2.0},
+      {"GPFS seq read GB/s per node", cal::kGpfsSeqReadPerNodeGBs, gpfsSeq, 1.5},
+      {"GPFS random read GB/s per node", cal::kGpfsRandReadPerNodeGBs, gpfsRand, 2.0},
+      {"GPFS random drop fraction", cal::kGpfsRandomDropFraction,
+       gpfsSeq > 0 ? 1.0 - gpfsRand / gpfsSeq : 0.0, 1.25},
+      {"VAST seq read GB/s per node", cal::kVastSeqReadPerNodeGBs, rdmaRead, 2.0},
+      {"VAST random read GB/s per node", cal::kVastRandReadPerNodeGBs, vastRand, 2.0},
+  };
 }
 
 }  // namespace hcsim::oracle

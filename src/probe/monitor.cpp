@@ -4,6 +4,7 @@
 #include <iomanip>
 #include <sstream>
 
+#include "config/fields.hpp"
 #include "probe/flight_recorder.hpp"
 #include "telemetry/metrics_registry.hpp"
 #include "util/stats.hpp"
@@ -45,34 +46,36 @@ void parseMonitors(const JsonValue& root, std::vector<MonitorSpec>& out,
     }
     MonitorSpec spec;
     const std::string metric = m.stringOr("metric", "");
-    if (metric == "goodputGBs") {
-      spec.metric = MonitorMetric::GoodputGBs;
-      const JsonValue* min = m.find("min");
-      if (!min || !min->isNumber() || *min->number() <= 0.0) {
-        problems.push_back(where + ": goodputGBs requires 'min' > 0 (GB/s floor)");
-      } else {
-        spec.min = *min->number();
-      }
-      spec.windowSec = m.numberOr("windowSec", 0.0);
-      if (spec.windowSec < 0.0 || (m.find("windowSec") && spec.windowSec <= 0.0)) {
-        problems.push_back(where + ": 'windowSec' must be > 0 when present");
-      }
-    } else if (metric == "p99OpLatencySec" || metric == "recoverySec" || metric == "stallSec") {
-      spec.metric = metric == "p99OpLatencySec" ? MonitorMetric::P99OpLatencySec
-                    : metric == "recoverySec"   ? MonitorMetric::RecoverySec
-                                                : MonitorMetric::StallSec;
-      const JsonValue* max = m.find("max");
-      if (!max || !max->isNumber() || *max->number() <= 0.0) {
-        problems.push_back(where + ": " + metric + " requires 'max' > 0 (seconds ceiling)");
-      } else {
-        spec.max = *max->number();
-      }
-    } else {
+    if (metric == "goodputGBs") spec.metric = MonitorMetric::GoodputGBs;
+    else if (metric == "p99OpLatencySec") spec.metric = MonitorMetric::P99OpLatencySec;
+    else if (metric == "recoverySec") spec.metric = MonitorMetric::RecoverySec;
+    else if (metric == "stallSec") spec.metric = MonitorMetric::StallSec;
+    else {
       problems.push_back(where + ": unknown 'metric' \"" + metric +
                          "\" (expected goodputGBs, p99OpLatencySec, recoverySec or stallSec)");
       continue;
     }
-    spec.name = m.stringOr("name", toString(spec.metric));
+    if (std::string e = readFields(m, spec, where, {"metric"}); !e.empty()) {
+      problems.push_back(std::move(e));
+      continue;
+    }
+    if (spec.metric == MonitorMetric::GoodputGBs) {
+      if (!(spec.min > 0.0)) {
+        problems.push_back(where + ": goodputGBs requires 'min' > 0 (GB/s floor)");
+      }
+      if (m.find("windowSec") && !(spec.windowSec > 0.0)) {
+        problems.push_back(where + ": 'windowSec' must be > 0 when present");
+      }
+      if (m.find("max")) problems.push_back(where + ": goodputGBs takes 'min', not 'max'");
+    } else {
+      if (!(spec.max > 0.0)) {
+        problems.push_back(where + ": " + metric + " requires 'max' > 0 (seconds ceiling)");
+      }
+      if (m.find("min") || m.find("windowSec")) {
+        problems.push_back(where + ": " + metric + " takes 'max' only");
+      }
+    }
+    if (spec.name.empty()) spec.name = metric;
     parsed.push_back(std::move(spec));
   }
   if (problems.size() == before) {

@@ -48,6 +48,17 @@ struct MonitorSpec {
   double windowSec = 0.0;  ///< GoodputGBs trailing window (0 = each slice on its own)
 };
 
+/// A monitors[i] entry's keys beside "metric", which parseMonitors reads
+/// first: each metric takes its own bounds, so their rules are
+/// per-metric checks there.
+template <class IO>
+void fields(IO& io, MonitorSpec& m) {
+  io("name", m.name);
+  io("min", m.min);
+  io("max", m.max);
+  io("windowSec", m.windowSec);
+}
+
 struct Breach {
   std::string monitor;
   MonitorMetric metric = MonitorMetric::GoodputGBs;

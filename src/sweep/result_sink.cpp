@@ -97,6 +97,13 @@ const Block kBlocks[] = {
       {"connSetups", "transportConnSetups", &M::transportConnSetups},
       {"sqWaits", "transportSqWaits", &M::transportSqWaits},
       {"doorbells", "transportDoorbells", &M::transportDoorbells}}},
+    // DLIO's Fig 4-6 columns beside meanGBs (application throughput)
+    // and elapsedSec (runtime): dlio trials only.
+    {"dlio", &M::hasDlio, &M::hasDlio,
+     {{"systemGBs", "dlioSystemGBs", &M::dlioSystemGBs},
+      {"nonOverlappingIoSec", "dlioNonOverlappingIoSec", &M::dlioNonOverlappingIoSec},
+      {"overlappingIoSec", "dlioOverlappingIoSec", &M::dlioOverlappingIoSec},
+      {"computeSec", "dlioComputeSec", &M::dlioComputeSec}}},
 };
 
 JsonValue cell(const Column& c, const M& m) {

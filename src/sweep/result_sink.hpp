@@ -19,7 +19,7 @@ std::string paramsKey(const Trial& trial);
 
 /// The "metrics" object of a JSONL record: ok plus every base column
 /// and each block the trial shows (opLatency, telemetry, probe, self,
-/// transport), or ok:false plus error. One column table drives this,
+/// transport, dlio), or ok:false plus error. One column table drives this,
 /// its reader and the CSV; the trial cache stores this same object.
 JsonValue metricsToJson(const TrialMetrics& m);
 /// Read a metrics object back. False when it is not one: no boolean ok,

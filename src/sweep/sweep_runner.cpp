@@ -174,6 +174,11 @@ TrialMetrics runDlioTrial(const JsonValue& config, Site site, StorageKind kind,
   m.meanGBs = m.minGBs = m.maxGBs = units::toGBs(r.throughput.application);
   m.elapsedSec = r.runtime;
   m.bytesMoved = static_cast<double>(r.bytesRead + r.bytesCheckpointed);
+  m.hasDlio = true;
+  m.dlioSystemGBs = units::toGBs(r.throughput.system);
+  m.dlioNonOverlappingIoSec = r.breakdown.nonOverlappingIo;
+  m.dlioOverlappingIoSec = r.breakdown.overlappingIo;
+  m.dlioComputeSec = r.breakdown.totalCompute;
   if (opts.telemetry) fillTelemetry(m, env);
   if (opts.selfProfile) fillSelf(m, env);
   fillTransport(m, env);

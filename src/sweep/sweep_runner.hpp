@@ -37,6 +37,16 @@ struct TrialOptions {
 
 struct TrialMetrics {
   bool ok = false;
+  // Which optional blocks the trial shows, each described beside its
+  // columns below. A sweep keeps one TrialMetrics per trial, so the
+  // flags share one word instead of padding every block.
+  bool latencyCapable = false;
+  bool hasOpLatency = false;
+  bool hasTelemetry = false;
+  bool hasMonitors = false;
+  bool hasSelf = false;
+  bool hasTransport = false;
+  bool hasDlio = false;
   std::string error;  ///< populated when !ok (bad config, impossible deployment)
   double meanGBs = 0.0;
   double minGBs = 0.0;
@@ -51,16 +61,14 @@ struct TrialMetrics {
   /// `hasOpLatency` distinguishes "not collected" (serialized as null,
   /// never as zeros) from a real distribution. dlio/chaos trials are not
   /// latency-capable and emit no opLatency field, as before.
-  bool latencyCapable = false;
-  bool hasOpLatency = false;
   double opCount = 0.0;
   double opP50 = 0.0;
   double opP95 = 0.0;
   double opP99 = 0.0;
 
   /// Telemetry columns (doubles so JSONL round-trips losslessly);
-  /// populated only when the trial ran with TrialOptions.telemetry.
-  bool hasTelemetry = false;
+  /// populated (hasTelemetry) only when the trial ran with
+  /// TrialOptions.telemetry.
   double rerates = 0.0;
   double eventsScheduled = 0.0;
   double eventsCancelled = 0.0;
@@ -69,33 +77,39 @@ struct TrialMetrics {
   std::string dominantStage;  ///< bottleneck attribution winner ("" if no spans)
   double dominantSharePct = 0.0;
 
-  /// SLO watchdog columns, populated when the trial's spec declared
-  /// "monitors" (chaos and workload experiments).
-  bool hasMonitors = false;
+  /// SLO watchdog columns, populated (hasMonitors) when the trial's spec
+  /// declared "monitors" (chaos and workload experiments).
   double monitors = 0.0;
   double breaches = 0.0;
 
-  /// Self-profiler columns (TrialOptions.selfProfile): wall-clock
+  /// Self-profiler columns (hasSelf, TrialOptions.selfProfile): wall-clock
   /// seconds the host spent per engine bucket while this trial ran.
-  bool hasSelf = false;
   double selfDispatchSec = 0.0;
   double selfCallbackSec = 0.0;
   double selfSolveSec = 0.0;
   double selfTelemetrySec = 0.0;
   double selfSinkSec = 0.0;
 
-  /// NIC/transport columns (hcsim::transport), populated only when the
-  /// trial ran with a fabric attached — a "transport" section in the
-  /// config, or DAOS storage (always on the fabric). Like telemetry and
-  /// self, absent means the emitted bytes match a build without the
-  /// feature; the columns ride LAST so older headers stay prefixes.
-  bool hasTransport = false;
+  /// NIC/transport columns (hcsim::transport), populated (hasTransport)
+  /// only when the trial ran with a fabric attached — a "transport"
+  /// section in the config, or DAOS storage (always on the fabric). Like
+  /// telemetry and self, absent means the emitted bytes match a build
+  /// without the feature; the columns follow the older blocks so older
+  /// headers stay prefixes.
   double transportOps = 0.0;
   double transportBytes = 0.0;
   double transportThrottleSec = 0.0;
   double transportConnSetups = 0.0;
   double transportSqWaits = 0.0;
   double transportDoorbells = 0.0;
+
+  /// DLIO columns (Figs 4-6), populated (hasDlio) for dlio trials:
+  /// meanGBs is the application throughput and elapsedSec the runtime;
+  /// these add the system throughput and the run's I/O-time split.
+  double dlioSystemGBs = 0.0;
+  double dlioNonOverlappingIoSec = 0.0;
+  double dlioOverlappingIoSec = 0.0;
+  double dlioComputeSec = 0.0;
 };
 
 struct TrialResult {

@@ -25,6 +25,16 @@ struct Expander {
     return false;
   }
 
+  /// False, naming it, when a production holds a key its shape does not
+  /// take.
+  bool onlyKeys(const JsonValue& prod, const std::string& at,
+                std::initializer_list<const char*> keys) {
+    for (const auto& [key, v] : *prod.object()) {
+      if (!isOneOf(key, keys)) return fail(at + "." + key + ": unknown key");
+    }
+    return true;
+  }
+
   std::string knownRules() const {
     std::string s;
     for (const auto& [name, v] : *rules) {
@@ -69,6 +79,7 @@ struct Expander {
       return fail(at + ": a production must be a rule name or an object");
     }
     if (const JsonValue* rule2 = prod.find("rule")) {
+      if (!onlyKeys(prod, at, {"rule", "repeat"})) return false;
       if (!rule2->isString()) return fail(at + ": 'rule' must be a string");
       const double repeat = prod.numberOr("repeat", 1.0);
       if (repeat < 1.0 || repeat != static_cast<double>(static_cast<std::uint64_t>(repeat))) {
@@ -80,6 +91,7 @@ struct Expander {
       return true;
     }
     if (const JsonValue* compute = prod.find("compute")) {
+      if (!onlyKeys(prod, at, {"compute"})) return false;
       if (!compute->isNumber() || *compute->number() < 0.0) {
         return fail(at + ": 'compute' must be a non-negative number of seconds");
       }
@@ -90,6 +102,7 @@ struct Expander {
       return true;
     }
     if (prod.find("barrier") != nullptr) {
+      if (!onlyKeys(prod, at, {"barrier"})) return false;
       if (!prod.boolOr("barrier", false)) return fail(at + ": 'barrier' must be true");
       GrammarOp op;
       op.kind = OpKind::Barrier;
@@ -102,6 +115,7 @@ struct Expander {
     }
     const std::string& kind = *opName->str();
     if (kind == "open" || kind == "sync") {
+      if (!onlyKeys(prod, at, {"op", "shared"})) return false;
       GrammarOp op;
       op.kind = OpKind::Meta;
       op.metaOp = kind == "open" ? MetaOp::Open : MetaOp::Close;
@@ -111,6 +125,9 @@ struct Expander {
     }
     if (kind != "read" && kind != "write") {
       return fail(at + ": unknown op '" + kind + "' (expected read, write, open or sync)");
+    }
+    if (!onlyKeys(prod, at, {"op", "bytes", "count", "pattern", "stride", "fsync", "shared"})) {
+      return false;
     }
     GrammarOp op;
     op.kind = OpKind::Io;

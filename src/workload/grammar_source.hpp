@@ -10,15 +10,16 @@
 //    "count": N, "pattern": "seq"|"strided"|    requests of B bytes in
 //    "random", "stride": S, "fsync": true,      the given pattern
 //    "shared": true}
-//   {"op": "open"|"sync"}                       a metadata leaf
+//   {"op": "open"|"sync", "shared": true}       a metadata leaf
 //   {"compute": seconds}                        a pure compute delay
 //   {"barrier": true}                           all ranks rendezvous
 //
 // Expansion starts at the "start" rule (default "main"), is checked for
 // cycles (rules must form a DAG) and flattened once at parse time; each
 // rank then replays the same template with its own rng/cursor state, so
-// patterns — not just sizes — become sweepable axes. Validation returns
-// one actionable line per problem, never an exception.
+// patterns — not just sizes — become sweepable axes. Each production
+// takes only its own shape's keys. Validation returns one actionable
+// line per problem, never an exception.
 
 #include <string>
 #include <vector>

@@ -91,10 +91,16 @@ TEST(ChaosSpec, RetryFalseDisablesTheLayer) {
 }
 
 TEST(ChaosSpec, ParseRejectsBadEvents) {
-  EXPECT_NE(parseError(R"({"events": [{"atSec": -1, "action": "fail",
-                           "component": "cnode"}]})")
-                .find("'atSec'"),
-            std::string::npos);
+  // A missing required key keeps its message; a value outside the key's
+  // range is reported by the field list, like every other key's.
+  EXPECT_EQ(parseError(R"({"events": [{"action": "fail", "component": "cnode"}]})"),
+            "events[0]: 'atSec' must be a non-negative number");
+  EXPECT_EQ(parseError(R"({"events": [{"atSec": -1, "action": "fail",
+                           "component": "cnode"}]})"),
+            "events[0].atSec: must be >= 0 (got -1)");
+  EXPECT_EQ(parseError(R"({"events": [{"atSec": 1, "action": "fail",
+                           "component": "cnode", "index": 1.5}]})"),
+            "events[0].index: must be a non-negative integer (got 1.5)");
   EXPECT_NE(parseError(R"({"events": [{"atSec": 1, "action": "explode",
                            "component": "cnode"}]})")
                 .find("fail|fail-slow|restore"),
@@ -112,6 +118,38 @@ TEST(ChaosSpec, ParseRejectsBadEvents) {
                           {"atSec": 2, "action": "bogus", "component": "cnode"}]})")
                 .find("events[1]"),
             std::string::npos);
+}
+
+TEST(ChaosSpec, EventAndMonitorEntriesRejectUnknownKeys) {
+  EXPECT_EQ(parseError(R"({"events": [
+      {"atSec": 30, "action": "fail", "component": "cnode", "index": 0},
+      {"atSec": 30, "action": "fail", "component": "cnode", "index": 1},
+      {"atSec": 60, "action": "restore", "component": "cnode", "index": 0,
+       "rebuildGib": 32}]})"),
+            "events[2].rebuildGib: unknown key");
+  EXPECT_EQ(parseError(R"({"monitors": [
+      {"metric": "goodputGBs", "min": 4.0, "windowsec": 15.0}]})"),
+            "monitors[0].windowsec: unknown key");
+  // Wrong types and values outside a key's range name the key too.
+  EXPECT_EQ(parseError(R"({"events": [
+      {"atSec": 1, "action": "fail", "component": "cnode", "severity": "low"}]})"),
+            "events[0].severity: must be a number (got 'low')");
+  EXPECT_EQ(parseError(R"({"monitors": [{"metric": "stallSec", "max": "10"}]})"),
+            "monitors[0].max: must be a number (got '10')");
+  // A bound the monitor's metric does not read is rejected, not ignored.
+  EXPECT_EQ(parseError(R"({"monitors": [{"metric": "stallSec", "max": 10, "min": 1}]})"),
+            "monitors[0]: stallSec takes 'max' only");
+  // Every key of the committed example reads.
+  const ChaosSpec spec = specFromText(R"({"events": [
+      {"atSec": 45, "action": "fail-slow", "link": "oss0.device", "severity": 0.5},
+      {"atSec": 60, "action": "restore", "link": "oss0.device", "rebuildGiB": 1}],
+    "monitors": [{"name": "floor", "metric": "goodputGBs", "min": 4, "windowSec": 15}]})");
+  ASSERT_EQ(spec.events.size(), 2u);
+  EXPECT_EQ(spec.events[0].fault.component, "link");
+  EXPECT_DOUBLE_EQ(spec.events[0].fault.severity, 0.5);
+  EXPECT_DOUBLE_EQ(spec.events[1].rebuildGiB, 1.0);
+  ASSERT_EQ(spec.monitors.size(), 1u);
+  EXPECT_DOUBLE_EQ(spec.monitors[0].windowSec, 15.0);
 }
 
 // ---------- schedule validation against a deployment ----------

@@ -58,9 +58,23 @@ TEST(ArgParser, PositionalOrFallback) {
 
 TEST(ArgParser, UnknownOptionsDetected) {
   const ArgParser a = parse({"--good", "1", "--typo", "2"});
-  const auto unknown = a.unknownOptions({"--good"});
-  ASSERT_EQ(unknown.size(), 1u);
-  EXPECT_EQ(unknown[0], "--typo");
+  EXPECT_EQ(a.problem(), "--good: unknown option");  // nothing read yet
+  EXPECT_EQ(a.sizeOr("--good", 0), 1u);
+  EXPECT_EQ(a.problem(), "--typo: unknown option");
+  EXPECT_TRUE(a.has("--typo"));  // asking for it reads it
+  EXPECT_EQ(a.problem(), "");
+}
+
+TEST(ArgParser, NonNumericValueOfANumericOptionIsAProblem) {
+  const ArgParser a = parse({"--nodes", "four", "--x", "1e3", "--n", "-2"});
+  EXPECT_EQ(a.sizeOr("--nodes", 4), 4u);
+  EXPECT_DOUBLE_EQ(a.numberOr("--x", 0), 1000.0);
+  EXPECT_EQ(a.problem(), "--n: unknown option");
+  EXPECT_EQ(a.sizeOr("--n", 3), 3u);
+  EXPECT_EQ(a.problem(), "--nodes: must be a non-negative integer (got 'four')");
+  const ArgParser b = parse({"--rate", "fast"});
+  EXPECT_DOUBLE_EQ(b.numberOr("--rate", 5.0), 5.0);
+  EXPECT_EQ(b.problem(), "--rate: must be a number (got 'fast')");
 }
 
 TEST(ArgParser, ArgcArgvConstructorSkipsProgramName) {
@@ -91,6 +105,9 @@ TEST(Cli, HelpListsCommands) {
 TEST(Cli, NoArgsShowsHelp) {
   std::string out;
   EXPECT_EQ(runCli({}, &out), 0);
+  EXPECT_NE(out.find("usage"), std::string::npos);
+  // --help after any command is the usage too, not an unread option.
+  EXPECT_EQ(runCli({"ior", "--site", "lassen", "--help"}, &out), 0);
   EXPECT_NE(out.find("usage"), std::string::npos);
 }
 
@@ -288,12 +305,13 @@ TEST(Cli, NonsenseSpecValuesExitTwoWithOneLine) {
       {"chaos", R"({"retry": {"maxRetries": -1}})", "retry.maxRetries: must be a non-negative"},
       {"chaos", R"({"retry": {"backoffBaseSec": -0.5}})", "retry.backoffBaseSec: must be >= 0"},
       {"chaos", R"({"retry": {"backoffMultiplier": 0.5}})", "retry.backoffMultiplier: must be >= 1"},
-      {"chaos", "{" + badEvent + "}", "events[0]: 'index' must be a non-negative integer"},
+      {"chaos", "{" + badEvent + "}",
+       "events[0].index: must be a non-negative integer (got -1)"},
       {"workload", "{" + ior + R"(, "retry": {"timeoutSec": -1}})", "retry.timeoutSec: must be > 0"},
       {"workload", "{" + ior + R"(, "retry": {"maxRetries": -1}})",
        "retry.maxRetries: must be a non-negative"},
       {"workload", "{" + ior + R"(, "chaos": {)" + badEvent + "}}",
-       "events[0]: 'index' must be a non-negative integer"},
+       "events[0].index: must be a non-negative integer (got -1)"},
       // Config sections go through the one strict field reader.
       {"workload", R"({"workload": {"generator": "ior", "access": "seq-reed"}})",
        "workload.access: must be seq-read|seq-write|rand-read|rand-write (got 'seq-reed')"},
@@ -393,6 +411,44 @@ TEST(Cli, StaleTrialCacheFailsLoudly) {
   std::remove(cachePath.c_str());
   std::remove(specPath.c_str());
   EXPECT_NE(err.find("malformed (delete it to rebuild)"), std::string::npos) << err;
+}
+
+// An option a command does not read, or a number that does not parse,
+// exits 2 with one line naming the option, before anything runs.
+TEST(Cli, UnknownOrMalformedOptionExitsTwoBeforeRunning) {
+  const std::string spec = writeTempSpec("strict_flags_spec", R"({"experiment": "ior",
+    "base": {"site": "wombat", "storage": "vast", "ior": {"segments": 4}},
+    "axes": [{"path": "ior.nodes", "values": [1]}]})");
+  const struct {
+    std::vector<std::string> argv;
+    const char* problem;
+  } cases[] = {
+      {{"ior", "--site", "lassen", "--storage", "vast", "--acess", "seq-read"},
+       "--acess: unknown option"},
+      {{"ior", "--site", "lassen", "--storage", "vast", "--access", "seq-write", "--nodez", "9"},
+       "--nodez: unknown option"},
+      {{"ior", "--site", "lassen", "--storage", "vast", "--access", "seq-write", "--nodes",
+        "four"},
+       "--nodes: must be a non-negative integer (got 'four')"},
+      {{"oracle", "check", "--dir", HCSIM_PAPER_DIR, "--tolerence", "0"},
+       "--tolerence: unknown option"},
+      {{"scale", "--sed", "5"}, "--sed: unknown option"},
+      {{"scale", "--rate", "fast"}, "--rate: must be a number (got 'fast')"},
+      {{"sweep", "--spec", spec, "--jobz", "1"}, "--jobz: unknown option"},
+      {{"takeaways", "--jobs", "2"}, "--jobs: unknown option"},
+      {{"trace", "--site", "lassen", "--storage", "vast", "--workload", "resnet50", "--segments",
+        "8", "--out", "/tmp/hcsim_cli_unused_trace.json"},
+       "--segments: unknown option"},
+      {{"dump-config", "--site", "lassen", "--storage", "vast", "--json"},
+       "--json: unknown option"},
+  };
+  for (const auto& c : cases) {
+    std::ostringstream out, err;
+    EXPECT_EQ(cli::run(ArgParser(c.argv), out, err), 2) << c.argv[0] << " " << c.problem;
+    EXPECT_EQ(err.str(), std::string("error: ") + c.problem + "\n");
+    EXPECT_EQ(out.str(), "") << "nothing may run before the options are checked";
+  }
+  std::remove(spec.c_str());
 }
 
 TEST(Cli, IorLoadsConfigFile) {

@@ -1,5 +1,4 @@
 #include "core/experiment.hpp"
-#include "core/sweep.hpp"
 
 #include <gtest/gtest.h>
 
@@ -69,26 +68,6 @@ TEST(BackendTable, RowsSitInEnumOrderAndServeEverySite) {
   EXPECT_TRUE(backendInfo(StorageKind::Daos).oracleKnobs.empty());
 }
 
-TEST(Experiment, NodeSweepReturnsOnePointPerCount) {
-  const auto pts = runIorNodeSweep(Site::Wombat, StorageKind::Vast,
-                                   AccessPattern::SequentialWrite, {1, 2, 4}, 8);
-  ASSERT_EQ(pts.size(), 3u);
-  EXPECT_EQ(pts[0].x, 1u);
-  EXPECT_EQ(pts[2].x, 4u);
-  for (const auto& p : pts) {
-    EXPECT_GT(p.meanGBs, 0.0);
-    EXPECT_LE(p.minGBs, p.meanGBs);
-    EXPECT_GE(p.maxGBs, p.meanGBs);
-  }
-}
-
-TEST(Experiment, ProcSweepRunsSingleNode) {
-  const auto pts = runIorProcSweep(Site::Wombat, StorageKind::NvmeLocal,
-                                   AccessPattern::SequentialWrite, {1, 4});
-  ASSERT_EQ(pts.size(), 2u);
-  EXPECT_GT(pts[1].meanGBs, pts[0].meanGBs * 0.5);
-}
-
 TEST(Experiment, RunDlioProducesTrace) {
   DlioConfig cfg;
   cfg.workload = DlioWorkload::resnet50();
@@ -98,31 +77,6 @@ TEST(Experiment, RunDlioProducesTrace) {
   const DlioResult r = runDlio(Site::Lassen, StorageKind::Gpfs, cfg);
   EXPECT_GT(r.trace.size(), 0u);
   EXPECT_EQ(r.batchesTrained, 32u);
-}
-
-TEST(Sweep, PowersOfTwo) {
-  EXPECT_EQ(powersOfTwo(8), (std::vector<std::size_t>{1, 2, 4, 8}));
-  EXPECT_EQ(powersOfTwo(1), (std::vector<std::size_t>{1}));
-  EXPECT_EQ(powersOfTwo(100), (std::vector<std::size_t>{1, 2, 4, 8, 16, 32, 64}));
-}
-
-TEST(Sweep, FigureTableAlignsSeries) {
-  Series a{"A", {{1, 1.0, 0.9, 1.1}, {2, 2.0, 1.9, 2.1}}};
-  Series b{"B", {{2, 4.0, 3.9, 4.1}, {4, 8.0, 7.9, 8.1}}};
-  const ResultTable t = makeFigureTable("fig", "nodes", {a, b});
-  EXPECT_EQ(t.rowCount(), 3u);  // x grid = {1, 2, 4}
-  EXPECT_EQ(t.columnCount(), 3u);
-  // Row for x=1 has no B value.
-  EXPECT_EQ(std::get<std::string>(t.at(0, 2)), "");
-  EXPECT_DOUBLE_EQ(std::get<double>(t.at(1, 2)), 4.0);
-}
-
-TEST(Sweep, FigureTableSpreadColumns) {
-  Series a{"A", {{1, 1.0, 0.9, 1.1}}};
-  const ResultTable t = makeFigureTable("fig", "x", {a}, /*spread=*/true);
-  EXPECT_EQ(t.columnCount(), 4u);
-  EXPECT_DOUBLE_EQ(std::get<double>(t.at(0, 2)), 0.9);
-  EXPECT_DOUBLE_EQ(std::get<double>(t.at(0, 3)), 1.1);
 }
 
 }  // namespace

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <set>
 #include <sstream>
 
@@ -330,7 +332,6 @@ TEST(SuiteReport, MarkdownIsDeterministicAndNamesEveryRelation) {
 oracle::GoldenFigure tinyFigure() {
   oracle::GoldenFigure fig;
   fig.name = "tinyfig";
-  fig.title = "test-only: wombat NVMe reads at two node counts";
   fig.spec.name = "golden-tinyfig";
   fig.spec.experiment = "ior";
   JsonObject ior;
@@ -350,8 +351,8 @@ oracle::GoldenFigure tinyFigure() {
   return fig;
 }
 
-/// Scale every recorded meanGBs by `factor` (simulated drift).
-void scaleGolden(const std::string& path, double factor) {
+/// Apply `edit` to every record of a snapshot.
+void rewriteGolden(const std::string& path, const std::function<void(JsonValue&)>& edit) {
   std::ifstream in(path);
   ASSERT_TRUE(in);
   std::vector<std::string> lines;
@@ -359,13 +360,23 @@ void scaleGolden(const std::string& path, double factor) {
   while (std::getline(in, line)) {
     JsonValue j;
     ASSERT_TRUE(parseJson(line, j));
-    const double mean = j.find("metrics")->numberOr("meanGBs", 0.0);
-    ASSERT_TRUE(sweep::jsonPathSet(j, "metrics.meanGBs", JsonValue(mean * factor)));
+    edit(j);
     lines.push_back(writeJson(j));
   }
   in.close();
   std::ofstream out(path);
   for (const auto& l : lines) out << l << "\n";
+}
+
+/// Scale every recorded `metric` (a path under "metrics") by `factor`
+/// (simulated drift).
+void scaleGolden(const std::string& path, double factor, const std::string& metric = "meanGBs") {
+  rewriteGolden(path, [&](JsonValue& j) {
+    const std::string at = "metrics." + metric;
+    const double v = numberAtPath(j, at, 0.0);
+    ASSERT_NE(v, 0.0) << at;
+    ASSERT_TRUE(sweep::jsonPathSet(j, at, JsonValue(v * factor)));
+  });
 }
 
 /// A snapshot directory of the running test's own: ctest runs each test
@@ -429,6 +440,40 @@ TEST(Golden, PerturbedModelConstantFailsWithNamedCell) {
   EXPECT_NE(table.find("FAIL"), std::string::npos);
 }
 
+TEST(Golden, EveryRecordedColumnIsChecked) {
+  // One fig5 cell (VAST, 1 node): a dlio trial, whose dlio block holds
+  // Figs 4-6's system throughput and I/O split beside meanGBs.
+  std::vector<oracle::GoldenFigure> figures;
+  std::string error;
+  ASSERT_TRUE(oracle::loadFigures(HCSIM_PAPER_DIR, figures, error)) << error;
+  const auto fig5 = std::find_if(figures.begin(), figures.end(),
+                                 [](const oracle::GoldenFigure& f) { return f.name == "fig5"; });
+  ASSERT_NE(fig5, figures.end());
+  oracle::GoldenFigure fig = *fig5;
+  for (sweep::Axis& axis : fig.spec.axes) axis.values.resize(1);
+  const std::string dir = ownGoldenDir();
+  const std::string path = oracle::goldenPath(dir, fig.name);
+  ASSERT_TRUE(oracle::recordFigure(fig, dir, 1, error)) << error;
+
+  // The application throughput holds while the recorded system
+  // throughput has moved 5%: the cell fails, naming the column.
+  scaleGolden(path, 1.0 / 1.05, "dlio.systemGBs");
+  const oracle::FigureCheck moved = oracle::checkFigure(fig, dir, 1, 2.0);
+  EXPECT_FALSE(moved.pass());
+  ASSERT_EQ(moved.deltas.size(), 1u);
+  EXPECT_EQ(moved.deltas[0].deltaPct, 0.0);
+  const std::string table = oracle::deltaTable(moved, 2.0, false);
+  EXPECT_NE(table.find("drifted: dlio.systemGBs"), std::string::npos) << table;
+  EXPECT_EQ(table.find("dlio.computeSec"), std::string::npos) << "only drifted columns:\n"
+                                                              << table;
+
+  // A block the snapshot predates is not compared.
+  ASSERT_TRUE(oracle::recordFigure(fig, dir, 1, error)) << error;
+  rewriteGolden(path, [](JsonValue& j) { j.object()->at("metrics").object()->erase("dlio"); });
+  const oracle::FigureCheck older = oracle::checkFigure(fig, dir, 1, 2.0);
+  EXPECT_TRUE(older.pass()) << oracle::deltaTable(older, 2.0, true);
+}
+
 TEST(Golden, MissingSnapshotIsAnExplicitError) {
   const oracle::FigureCheck check =
       oracle::checkFigure(tinyFigure(), "/nonexistent-golden-dir", 1, 2.0);
@@ -437,18 +482,30 @@ TEST(Golden, MissingSnapshotIsAnExplicitError) {
       << "the error must tell the user how to create the snapshot";
 }
 
-TEST(Golden, BuiltinFiguresAreWellFormed) {
-  const auto& figs = oracle::builtinFigures();
-  ASSERT_EQ(figs.size(), 4u);
-  std::set<std::string> names;
-  for (const auto& f : figs) {
-    names.insert(f.name);
-    EXPECT_GT(f.spec.trialCount(), 0u) << f.name;
-    EXPECT_FALSE(f.title.empty()) << f.name;
-  }
-  EXPECT_EQ(names, (std::set<std::string>{"fig2a", "fig2b", "fig4", "fig6"}));
-  EXPECT_NE(oracle::findFigure("fig2a"), nullptr);
-  EXPECT_EQ(oracle::findFigure("fig9"), nullptr);
+TEST(Golden, LoadFiguresReadsEverySpecInNameOrder) {
+  const std::string dir = ownGoldenDir();
+  std::filesystem::remove(dir + "/c.json");  // left by an earlier run
+  const auto write = [&dir](const std::string& file, const std::string& text) {
+    std::ofstream(dir + "/" + file) << text;
+  };
+  write("b.json", R"({"name": "second", "experiment": "dlio"})");
+  write("a.json", R"({"name": "first"})");
+  write("a.jsonl", "not a spec: a snapshot sits beside its spec\n");
+  std::vector<oracle::GoldenFigure> figures;
+  std::string error;
+  ASSERT_TRUE(oracle::loadFigures(dir, figures, error)) << error;
+  ASSERT_EQ(figures.size(), 2u);
+  EXPECT_EQ(figures[0].name, "a");
+  EXPECT_EQ(figures[0].spec.name, "first");
+  EXPECT_EQ(figures[1].name, "b");
+  EXPECT_EQ(figures[1].spec.experiment, "dlio");
+
+  // A spec the strict reader rejects fails the load, naming its file.
+  write("c.json", R"({"name": "typo", "axis": []})");
+  EXPECT_FALSE(oracle::loadFigures(dir, figures, error));
+  EXPECT_NE(error.find("c.json"), std::string::npos) << error;
+  EXPECT_NE(error.find("axis"), std::string::npos) << error;
+  EXPECT_FALSE(oracle::loadFigures(dir + "/no-such-dir", figures, error));
 }
 
 // ---------- CLI surface ----------
@@ -462,9 +519,21 @@ int runCli(std::initializer_list<std::string> args, std::string& out, std::strin
   return rc;
 }
 
+/// A temporary directory holding copies of the named paper specs.
+std::string specDir(const std::string& name, std::initializer_list<const char*> figures) {
+  const std::string dir = ::testing::TempDir() + name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  for (const char* fig : figures) {
+    std::filesystem::copy_file(std::string(HCSIM_PAPER_DIR) + "/" + fig + ".json",
+                               dir + "/" + fig + ".json");
+  }
+  return dir;
+}
+
 TEST(OracleCli, ListNamesRelationsAndFigures) {
   std::string out, err;
-  EXPECT_EQ(runCli({"oracle", "list"}, out, err), 0) << err;
+  EXPECT_EQ(runCli({"oracle", "list", "--dir", HCSIM_PAPER_DIR}, out, err), 0) << err;
   EXPECT_NE(out.find("lustre.read-monotone-in-stripe-count"), std::string::npos);
   EXPECT_NE(out.find("fig2b"), std::string::npos);
 }
@@ -493,8 +562,7 @@ TEST(OracleCli, SingleRelationSelectionAndUnknownName) {
 }
 
 TEST(OracleCli, RecordThenCheckByteIdenticalAcrossJobCounts) {
-  const std::string dir = ::testing::TempDir() + "oracle-cli-golden";
-  std::filesystem::create_directories(dir);
+  const std::string dir = specDir("oracle-cli-golden", {"fig2b"});
   std::string out, err;
   ASSERT_EQ(runCli({"oracle", "record", "--dir", dir, "--figure", "fig2b", "--jobs", "4"}, out,
                    err),
@@ -515,9 +583,61 @@ TEST(OracleCli, RecordThenCheckByteIdenticalAcrossJobCounts) {
 
 TEST(OracleCli, CheckWithoutSnapshotFails) {
   std::string out, err;
-  const std::string dir = ::testing::TempDir() + "oracle-cli-empty";
-  EXPECT_EQ(runCli({"oracle", "check", "--dir", dir, "--figure", "fig4"}, out, err), 1);
+  const std::string dir = specDir("oracle-cli-empty", {"fig5"});
+  EXPECT_EQ(runCli({"oracle", "check", "--dir", dir, "--figure", "fig5"}, out, err), 1);
   EXPECT_NE(out.find("ERROR"), std::string::npos);
+  EXPECT_EQ(runCli({"oracle", "check", "--dir", dir, "--figure", "fig9"}, out, err), 2);
+  EXPECT_NE(err.find("fig9"), std::string::npos);
+}
+
+/// fig2a and fig2b cut to the cells the takeaways read, with `fig2bBase`
+/// as fig2b's base config.
+std::string takeawayDir(const std::string& name, const std::string& fig2bBase) {
+  const std::string dir = specDir(name, {});
+  std::ofstream(dir + "/fig2a.json") << R"({"name": "fig2a-cut", "base": {"site": "lassen",
+      "ior": {"procsPerNode": 44, "repetitions": 10, "noiseStdDevFrac": 0.03}},
+    "axes": [{"path": "storage", "values": ["vast", "gpfs"]},
+             {"path": "ior.access", "values": ["seq-write", "seq-read", "rand-read"]},
+             {"path": "ior.nodes", "values": [1, 64]}]})";
+  std::ofstream(dir + "/fig2b.json") << R"({"name": "fig2b-cut", "base": )" << fig2bBase << R"(,
+    "axes": [{"path": "storage", "values": ["vast"]},
+             {"path": "ior.access", "values": ["seq-write", "seq-read", "rand-read"]},
+             {"path": "ior.nodes", "values": [1, 2]}]})";
+  return dir;
+}
+
+TEST(OracleCli, FullCheckFailsOnATakeawayBandMiss) {
+  const std::string fig2b =
+      R"({"site": "wombat", "ior": {"procsPerNode": 48, "repetitions": 10,
+          "noiseStdDevFrac": 0.03}})";
+  std::string out, err;
+  const std::string dir = takeawayDir("oracle-cli-takeaways", fig2b);
+  ASSERT_EQ(runCli({"oracle", "record", "--dir", dir}, out, err), 0) << err;
+  EXPECT_EQ(runCli({"oracle", "check", "--dir", dir}, out, err), 0) << out;
+  EXPECT_NE(out.find("takeaways: 9 rows, 0 outside their paper band"), std::string::npos) << out;
+
+  // Doubling the CNodes' read bandwidth lifts Wombat's per-node reads
+  // past the paper's band. Recorded that way, no cell drifts, and the
+  // takeaways alone fail the check.
+  const double cnodeRead = numberAtPath(presetJson(Site::Wombat, StorageKind::Vast),
+                                        "cnodeReadBandwidth", 0.0);
+  ASSERT_GT(cnodeRead, 0.0);
+  const std::string fast = takeawayDir(
+      "oracle-cli-takeaways-miss",
+      R"({"site": "wombat", "storageConfig": {"cnodeReadBandwidth": )" +
+          writeJson(JsonValue(2.0 * cnodeRead)) +
+          R"(}, "ior": {"procsPerNode": 48, "repetitions": 10, "noiseStdDevFrac": 0.03}})");
+  ASSERT_EQ(runCli({"oracle", "record", "--dir", fast}, out, err), 0) << err;
+  EXPECT_EQ(runCli({"oracle", "check", "--dir", fast}, out, err), 1) << out;
+  EXPECT_NE(out.find("VAST seq read GB/s per node"), std::string::npos) << out;
+  EXPECT_NE(out.find("MISS"), std::string::npos) << out;
+  EXPECT_NE(out.find("oracle golden check: FAIL"), std::string::npos) << out;
+  EXPECT_EQ(out.find("| FAIL"), std::string::npos) << "no cell drifted:\n" << out;
+
+  // `hcsim takeaways` reads the same cells and exits 1 on the miss.
+  EXPECT_EQ(runCli({"takeaways", "--dir", fast}, out, err), 1) << err;
+  EXPECT_NE(out.find("MISS"), std::string::npos) << out;
+  EXPECT_EQ(runCli({"takeaways", "--dir", dir}, out, err), 0) << out;
 }
 
 TEST(OracleCli, UnknownSubcommandRejected) {

@@ -3,10 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include "config/fields.hpp"
 #include "core/experiment.hpp"
 #include "dlio/dlio_runner.hpp"
 #include "ior/ior_runner.hpp"
 #include "oracle/relation.hpp"
+#include "sweep/result_sink.hpp"
+#include "sweep/sweep_runner.hpp"
 #include "util/random.hpp"
 
 namespace hcsim {
@@ -109,13 +112,24 @@ TEST_P(IorMonotonicityTest, AggregateBandwidthNonDecreasingInNodes) {
       {Site::Wombat, StorageKind::NvmeLocal, AccessPattern::SequentialWrite},
   };
   const SweepCase& c = cases[static_cast<std::size_t>(GetParam())];
-  const auto pts = runIorNodeSweep(c.site, c.kind, c.pattern, {1, 2, 4, 8}, 8);
-  for (std::size_t i = 1; i < pts.size(); ++i) {
+  sweep::SweepSpec spec;
+  JsonObject ior;
+  ior["access"] = enumName(c.pattern);
+  ior["procsPerNode"] = 8.0;
+  JsonObject base;
+  base["site"] = siteInfo(c.site).name;
+  base["storage"] = backendInfo(c.kind).name;
+  base["ior"] = JsonValue(std::move(ior));
+  spec.base = JsonValue(std::move(base));
+  spec.axes.push_back({"ior.nodes", {JsonValue(1.0), JsonValue(2.0), JsonValue(4.0), JsonValue(8.0)}});
+  const sweep::SweepOutcome out = sweep::runSweep(spec, 1);
+  for (std::size_t i = 1; i < out.results.size(); ++i) {
     // Near-monotone: growing working sets may shave cache hit ratios
     // (GPFS random reads), but aggregate bandwidth must never collapse
     // when nodes are added.
-    EXPECT_GE(pts[i].meanGBs, pts[i - 1].meanGBs * 0.85)
-        << toString(c.kind) << "@" << toString(c.site) << " x=" << pts[i].x;
+    EXPECT_GE(out.results[i].metrics.meanGBs, out.results[i - 1].metrics.meanGBs * 0.85)
+        << toString(c.kind) << "@" << toString(c.site) << " "
+        << sweep::paramsKey(out.results[i].trial);
   }
 }
 

@@ -1,24 +1,124 @@
-// Regression tests pinning the paper's headline results. These run the
-// actual experiments (smaller repetitions) and assert the SHAPES the
-// paper reports: who wins, by what rough factor, where saturation falls.
-// If a model change breaks a finding, these fail.
+// Regression tests pinning the paper's headline results. The paper's
+// artifacts are the sweep specs under examples/specs/paper, each pinned
+// by the snapshot beside it: PaperArtifact re-runs every spec against
+// its snapshot, and the other tests assert the SHAPES the paper reports
+// (who wins, by what rough factor, where saturation falls) over the
+// committed cells. A model change that moves any recorded column of a
+// cell past the oracle's 2% (throughput, runtime, the dlio block's
+// system throughput and I/O split) fails the first; one that breaks a
+// finding fails the others once the snapshots are re-recorded.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <set>
+
 #include "core/calibration.hpp"
 #include "core/experiment.hpp"
-#include "core/takeaways.hpp"
+#include "oracle/golden.hpp"
+#include "sweep/result_sink.hpp"
 
 namespace hcsim {
 namespace {
 
+// ---------- every artifact reproduces its snapshot ----------
+
+std::vector<oracle::GoldenFigure> paperFigures() {
+  std::vector<oracle::GoldenFigure> figures;
+  std::string error;
+  if (!oracle::loadFigures(HCSIM_PAPER_DIR, figures, error)) ADD_FAILURE() << error;
+  return figures;
+}
+
+std::vector<std::string> artifactNames() {
+  std::vector<std::string> names;
+  for (const oracle::GoldenFigure& f : paperFigures()) names.push_back(f.name);
+  return names;
+}
+
+class PaperArtifact : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(PaperArtifact, SpecReproducesItsSnapshot) {
+  const std::vector<oracle::GoldenFigure> figures = paperFigures();
+  const auto fig = std::find_if(figures.begin(), figures.end(),
+                                [](const oracle::GoldenFigure& f) { return f.name == GetParam(); });
+  ASSERT_NE(fig, figures.end());
+  const oracle::FigureCheck check = oracle::checkFigure(*fig, HCSIM_PAPER_DIR, 1, 2.0);
+  EXPECT_TRUE(check.pass()) << oracle::deltaTable(check, 2.0, false);
+  EXPECT_EQ(check.cells, fig->spec.trialCount());
+}
+
+INSTANTIATE_TEST_SUITE_P(Paper, PaperArtifact, ::testing::ValuesIn(artifactNames()),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                           return info.param;
+                         });
+
+TEST(PaperArtifacts, EverySpecHasASnapshotAndEverySnapshotASpec) {
+  std::set<std::string> specs, snapshots;
+  for (const auto& entry : std::filesystem::directory_iterator(HCSIM_PAPER_DIR)) {
+    const std::filesystem::path& p = entry.path();
+    if (p.extension() == ".json") specs.insert(p.stem().string());
+    if (p.extension() == ".jsonl") snapshots.insert(p.stem().string());
+  }
+  EXPECT_EQ(specs, (std::set<std::string>{"fig2a", "fig2b", "fig3a", "fig3b", "fig3c", "fig3d",
+                                          "fig5", "fig6"}));
+  EXPECT_EQ(snapshots, specs);
+}
+
+// ---------- the paper's shapes over the committed cells ----------
+
+/// The committed snapshot of one paper artifact.
+oracle::Cells artifact(const std::string& name) {
+  oracle::Cells cells;
+  EXPECT_TRUE(oracle::loadCells(oracle::goldenPath(HCSIM_PAPER_DIR, name), cells)) << name;
+  return cells;
+}
+
+/// The cell at these axis values; a test failure when absent.
+const sweep::TrialMetrics& at(const oracle::Cells& cells, JsonObject params) {
+  static const sweep::TrialMetrics kAbsent;
+  const std::string key = writeJson(JsonValue(std::move(params)));
+  const auto it = cells.find(key);
+  if (it == cells.end() || !it->second.ok) {
+    ADD_FAILURE() << "no cell " << key;
+    return kAbsent;
+  }
+  return it->second;
+}
+
+/// Aggregate GB/s of a Fig 2 (node scaling) cell.
+double fig2(const oracle::Cells& cells, const char* storage, const char* access, double nodes) {
+  return at(cells, {{"storage", storage}, {"ior.access", access}, {"ior.nodes", nodes}}).meanGBs;
+}
+
+/// GB/s of a Fig 3 (single node, fsync) cell.
+double fig3(const oracle::Cells& cells, const char* storage, const char* access, double procs) {
+  return at(cells, {{"storage", storage}, {"ior.access", access}, {"ior.procsPerNode", procs}})
+      .meanGBs;
+}
+
+/// A DLIO (Figs 4-6) cell.
+const sweep::TrialMetrics& dlio(const oracle::Cells& cells, const char* storage, double nodes) {
+  return at(cells, {{"storage", storage}, {"dlio.nodes", nodes}});
+}
+
+double totalIo(const sweep::TrialMetrics& m) {
+  return m.dlioNonOverlappingIoSec + m.dlioOverlappingIoSec;
+}
+
 TEST(Regression, RdmaVastBeatsTcpVastByRoughly8x) {
-  const RdmaVsTcp r = measureRdmaVsTcp();
-  EXPECT_GT(r.writeFactor(), 4.0);
-  EXPECT_LT(r.writeFactor(), 16.0);
-  EXPECT_GT(r.readFactor(), 4.0);
-  EXPECT_NEAR(r.tcpWriteGBsPerNode, calibration::kTcpPerNodeGBs, 0.5);
-  EXPECT_NEAR(r.rdmaWriteGBsPerNode, calibration::kRdmaPerNodeGBs, 3.0);
+  const oracle::Cells lassen = artifact("fig2a");
+  const oracle::Cells wombat = artifact("fig2b");
+  const double tcpWrite = fig2(lassen, "vast", "seq-write", 1);
+  const double tcpRead = fig2(lassen, "vast", "seq-read", 1);
+  const double rdmaWrite = fig2(wombat, "vast", "seq-write", 1);
+  const double rdmaRead = fig2(wombat, "vast", "seq-read", 2) / 2;
+  EXPECT_GT(rdmaWrite / tcpWrite, 4.0);
+  EXPECT_LT(rdmaWrite / tcpWrite, 16.0);
+  EXPECT_GT(rdmaRead / tcpRead, 4.0);
+  EXPECT_NEAR(tcpWrite, calibration::kTcpPerNodeGBs, 0.5);
+  EXPECT_NEAR(rdmaWrite, calibration::kRdmaPerNodeGBs, 3.0);
 }
 
 TEST(Regression, VastOnLassenStagnatesAfter32NodesWhileGpfsScales) {
@@ -26,117 +126,113 @@ TEST(Regression, VastOnLassenStagnatesAfter32NodesWhileGpfsScales) {
   // increases"; VAST grows ~1 GB/s per node until the gateway network
   // saturates, then flatlines at "the maximum available bandwidth on the
   // network".
-  const auto vast = runIorNodeSweep(Site::Lassen, StorageKind::Vast,
-                                    AccessPattern::RandomRead, {4, 32, 64, 128}, 44);
-  const auto gpfs = runIorNodeSweep(Site::Lassen, StorageKind::Gpfs,
-                                    AccessPattern::SequentialWrite, {4, 64}, 44);
-  EXPECT_GT(vast[1].meanGBs, 3.0 * vast[0].meanGBs);          // grows to 32
-  EXPECT_NEAR(vast[2].meanGBs / vast[1].meanGBs, 1.0, 0.15);  // flat after
-  EXPECT_NEAR(vast[3].meanGBs / vast[1].meanGBs, 1.0, 0.15);
+  const oracle::Cells c = artifact("fig2a");
+  const double vast4 = fig2(c, "vast", "rand-read", 4);
+  const double vast32 = fig2(c, "vast", "rand-read", 32);
+  EXPECT_GT(vast32, 3.0 * vast4);  // grows to 32
+  EXPECT_NEAR(fig2(c, "vast", "rand-read", 64) / vast32, 1.0, 0.15);  // flat after
+  EXPECT_NEAR(fig2(c, "vast", "rand-read", 128) / vast32, 1.0, 0.15);
   // Plateau == the gateway's physical network budget (2x100 GbE).
-  EXPECT_NEAR(vast[3].meanGBs, units::toGBs(vastOnLassen().gateway.totalBandwidth()), 7.0);
-  EXPECT_GT(gpfs[1].meanGBs / gpfs[0].meanGBs, 8.0);  // ~linear
+  EXPECT_NEAR(fig2(c, "vast", "rand-read", 128),
+              units::toGBs(vastOnLassen().gateway.totalBandwidth()), 7.0);
+  EXPECT_GT(fig2(c, "gpfs", "seq-write", 64) / fig2(c, "gpfs", "seq-write", 4), 8.0);  // ~linear
 }
 
 TEST(Regression, GpfsSequentialReadSaturatesNear32Nodes) {
-  const auto pts = runIorNodeSweep(Site::Lassen, StorageKind::Gpfs,
-                                   AccessPattern::SequentialRead, {16, 32, 64, 128}, 44);
+  const oracle::Cells c = artifact("fig2a");
+  const double at32 = fig2(c, "gpfs", "seq-read", 32);
   // Growing up to 32, flat beyond.
-  EXPECT_GT(pts[1].meanGBs, pts[0].meanGBs * 1.5);
-  EXPECT_NEAR(pts[2].meanGBs / pts[1].meanGBs, 1.0, 0.15);
-  EXPECT_NEAR(pts[3].meanGBs / pts[1].meanGBs, 1.0, 0.15);
+  EXPECT_GT(at32, fig2(c, "gpfs", "seq-read", 16) * 1.5);
+  EXPECT_NEAR(fig2(c, "gpfs", "seq-read", 64) / at32, 1.0, 0.15);
+  EXPECT_NEAR(fig2(c, "gpfs", "seq-read", 128) / at32, 1.0, 0.15);
 }
 
 TEST(Regression, GpfsRandomReadsCollapseVsSequential) {
-  // Takeaway: ~14.5 GB/s sequential vs ~1.4 GB/s random per node (90%).
-  const SeqVsRandom sr = measureSeqVsRandom();
-  EXPECT_GT(sr.gpfsDropFraction(), 0.75);
-  EXPECT_NEAR(sr.gpfsSeqGBs, calibration::kGpfsSeqReadPerNodeGBs, 3.0);
-  EXPECT_NEAR(sr.gpfsRandGBs, calibration::kGpfsRandReadPerNodeGBs, 1.0);
+  // Takeaway: ~14.5 GB/s sequential vs ~1.4 GB/s random per node (90%),
+  // the random figure at cache-defeating scale.
+  const oracle::Cells c = artifact("fig2a");
+  const double seq = fig2(c, "gpfs", "seq-read", 1);
+  const double rand = fig2(c, "gpfs", "rand-read", 64) / 64;
+  EXPECT_GT(1.0 - rand / seq, 0.75);
+  EXPECT_NEAR(seq, calibration::kGpfsSeqReadPerNodeGBs, 3.0);
+  EXPECT_NEAR(rand, calibration::kGpfsRandReadPerNodeGBs, 1.0);
 }
 
 TEST(Regression, VastReadsConsistentAcrossPatterns) {
   // Takeaway: "RDMA-based VAST stays consistent" seq vs random.
-  const SeqVsRandom sr = measureSeqVsRandom();
-  EXPECT_LT(sr.vastDropFraction(), 0.35);
-  EXPECT_GT(sr.vastRandGBs, 0.6 * sr.vastSeqGBs);
+  const oracle::Cells c = artifact("fig2b");
+  const double seq = fig2(c, "vast", "seq-read", 2);
+  const double rand = fig2(c, "vast", "rand-read", 2);
+  EXPECT_LT(1.0 - rand / seq, 0.35);
+  EXPECT_GT(rand, 0.6 * seq);
 }
 
 TEST(Regression, VastOutperformsNvmeAtSmallScaleReads) {
   // Fig 2b: "VAST is able to outperform the NVMe in smaller scales".
-  const auto vast = runIorNodeSweep(Site::Wombat, StorageKind::Vast,
-                                    AccessPattern::SequentialRead, {1, 8}, 48);
-  const auto nvme = runIorNodeSweep(Site::Wombat, StorageKind::NvmeLocal,
-                                    AccessPattern::SequentialRead, {1, 8}, 48);
-  EXPECT_GT(vast[0].meanGBs, 1.5 * nvme[0].meanGBs);  // 1 node: VAST wins
-  EXPECT_GT(nvme[1].meanGBs, vast[1].meanGBs);        // 8 nodes: NVMe wins
+  const oracle::Cells c = artifact("fig2b");
+  EXPECT_GT(fig2(c, "vast", "seq-read", 1), 1.5 * fig2(c, "nvme", "seq-read", 1));  // VAST wins
+  EXPECT_GT(fig2(c, "nvme", "seq-read", 8), fig2(c, "vast", "seq-read", 8));  // NVMe wins
 }
 
 TEST(Regression, WombatVastMlPeaksThenSaturates) {
   // "global maximum bandwidth of 22.5 GB/s ... saturates on eight nodes".
-  const auto pts = runIorNodeSweep(Site::Wombat, StorageKind::Vast,
-                                   AccessPattern::RandomRead, {4, 8}, 48);
-  EXPECT_NEAR(pts[0].meanGBs, calibration::kWombatMlPeakGBs, 6.0);
-  EXPECT_NEAR(pts[1].meanGBs / pts[0].meanGBs, 1.0, 0.1);  // saturated
+  const oracle::Cells c = artifact("fig2b");
+  const double peak =
+      fig2(c, "vast", "rand-read", static_cast<double>(calibration::kWombatMlPeakNodes));
+  EXPECT_NEAR(peak, calibration::kWombatMlPeakGBs, 6.0);
+  EXPECT_NEAR(fig2(c, "vast", "rand-read", 8) / peak, 1.0, 0.1);  // saturated
 }
 
 TEST(Regression, SingleNodeFsyncVastBeatsNvmeBy5x) {
   // Fig 3d: "VAST performs almost 5x better ... than the NVMe".
-  const auto vast = runIorProcSweep(Site::Wombat, StorageKind::Vast,
-                                    AccessPattern::SequentialWrite, {32});
-  const auto nvme = runIorProcSweep(Site::Wombat, StorageKind::NvmeLocal,
-                                    AccessPattern::SequentialWrite, {32});
-  const double factor = vast[0].meanGBs / nvme[0].meanGBs;
+  const oracle::Cells c = artifact("fig3d");
+  const double vast = fig3(c, "vast", "seq-write", 32);
+  const double factor = vast / fig3(c, "nvme", "seq-write", 32);
   EXPECT_GT(factor, 3.0);
   EXPECT_LT(factor, 8.0);
-  EXPECT_NEAR(vast[0].meanGBs, calibration::kWombatSingleNodeWriteGBs, 2.0);
+  EXPECT_NEAR(vast, calibration::kWombatSingleNodeWriteGBs, 2.0);
 }
 
 TEST(Regression, QuartzVastIsGatewayStarved) {
   // Fig 3b: VAST flat and tiny on Quartz (2x1Gb gateway links).
-  const auto vast = runIorProcSweep(Site::Quartz, StorageKind::Vast,
-                                    AccessPattern::SequentialRead, {32});
-  const auto lustre = runIorProcSweep(Site::Quartz, StorageKind::Lustre,
-                                      AccessPattern::SequentialRead, {32});
-  EXPECT_LT(vast[0].meanGBs, 0.5);
-  EXPECT_GT(lustre[0].meanGBs, 10.0 * vast[0].meanGBs);
+  const oracle::Cells c = artifact("fig3b");
+  const double vast = fig3(c, "vast", "seq-read", 32);
+  EXPECT_LT(vast, 0.5);
+  EXPECT_GT(fig3(c, "lustre", "seq-read", 32), 10.0 * vast);
 }
 
 TEST(Regression, LustreFsyncWritesScaleAlmostLinearly) {
   // Fig 3b/3c: "Lustre ... almost linear increase in bandwidth".
-  const auto pts = runIorProcSweep(Site::Ruby, StorageKind::Lustre,
-                                   AccessPattern::SequentialWrite, {4, 16});
-  EXPECT_GT(pts[1].meanGBs, 3.0 * pts[0].meanGBs);
+  const oracle::Cells c = artifact("fig3c");
+  EXPECT_GT(fig3(c, "lustre", "seq-write", 16), 3.0 * fig3(c, "lustre", "seq-write", 4));
 }
 
 TEST(Regression, ResNetIoMostlyOverlapsOnVastAtModerateScale) {
   // Fig 4a/5: VAST spends more I/O time than GPFS but hides most of it.
-  DlioConfig cfg;
-  cfg.workload = DlioWorkload::resnet50();
-  cfg.nodes = 4;
-  cfg.procsPerNode = 4;
-  const DlioResult vast = runDlio(Site::Lassen, StorageKind::Vast, cfg);
-  const DlioResult gpfs = runDlio(Site::Lassen, StorageKind::Gpfs, cfg);
-  EXPECT_GT(vast.breakdown.totalIo, gpfs.breakdown.totalIo);        // more I/O on VAST
-  EXPECT_GT(vast.breakdown.overlappingIo, vast.breakdown.nonOverlappingIo);
-  EXPECT_GT(gpfs.throughput.system, vast.throughput.system);        // Fig 5b
+  const oracle::Cells c = artifact("fig5");
+  const sweep::TrialMetrics& vast = dlio(c, "vast", 4);
+  const sweep::TrialMetrics& gpfs = dlio(c, "gpfs", 4);
+  EXPECT_GT(totalIo(vast), totalIo(gpfs));  // more I/O on VAST
+  EXPECT_GT(vast.dlioOverlappingIoSec, vast.dlioNonOverlappingIoSec);
+  EXPECT_GT(gpfs.dlioSystemGBs, vast.dlioSystemGBs);  // Fig 5b
 }
 
 TEST(Regression, CosmoflowFavorsGpfs) {
   // Fig 6: "GPFS serves Cosmoflow better than VAST".
-  DlioConfig cfg;
-  cfg.workload = DlioWorkload::cosmoflow();
-  cfg.nodes = 8;
-  cfg.procsPerNode = 4;
-  const DlioResult vast = runDlio(Site::Lassen, StorageKind::Vast, cfg);
-  const DlioResult gpfs = runDlio(Site::Lassen, StorageKind::Gpfs, cfg);
-  EXPECT_GT(gpfs.throughput.application, vast.throughput.application);
-  EXPECT_GT(gpfs.throughput.system, vast.throughput.system);
-  EXPECT_GT(vast.breakdown.nonOverlappingIo, gpfs.breakdown.nonOverlappingIo);
+  const oracle::Cells c = artifact("fig6");
+  const sweep::TrialMetrics& vast = dlio(c, "vast", 8);
+  const sweep::TrialMetrics& gpfs = dlio(c, "gpfs", 8);
+  EXPECT_GT(gpfs.meanGBs, vast.meanGBs);  // application throughput
+  EXPECT_GT(gpfs.dlioSystemGBs, vast.dlioSystemGBs);
+  EXPECT_GT(vast.dlioNonOverlappingIoSec, gpfs.dlioNonOverlappingIoSec);
 }
 
 TEST(Regression, AllCalibrationChecksPass) {
-  for (const auto& check : runAllChecks()) {
+  std::string missing;
+  const std::vector<calibration::Check> checks =
+      oracle::takeawayChecks(artifact("fig2a"), artifact("fig2b"), missing);
+  ASSERT_EQ(checks.size(), 9u) << missing;
+  for (const auto& check : checks) {
     EXPECT_TRUE(check.pass()) << check.name << ": paper=" << check.paperValue
                               << " measured=" << check.measured;
   }

@@ -344,8 +344,12 @@ TEST(TelemetryIdentity, CsvGrowsColumnsOnlyWithTelemetry) {
 // Satellite: golden snapshots and figure checks must not notice
 // telemetry at all.
 TEST(TelemetryIdentity, GoldenRecordAndCheckIgnoreTelemetry) {
-  const oracle::GoldenFigure* fig = oracle::findFigure("fig2b");
-  ASSERT_NE(fig, nullptr);
+  std::vector<oracle::GoldenFigure> figures;
+  std::string error;
+  ASSERT_TRUE(oracle::loadFigures(HCSIM_PAPER_DIR, figures, error)) << error;
+  const auto fig = std::find_if(figures.begin(), figures.end(),
+                                [](const oracle::GoldenFigure& f) { return f.name == "fig2b"; });
+  ASSERT_NE(fig, figures.end());
   oracle::GoldenFigure small = *fig;  // shrink for test runtime
   small.spec.axes.back().values = {JsonValue(1), JsonValue(2)};
 
@@ -353,7 +357,6 @@ TEST(TelemetryIdentity, GoldenRecordAndCheckIgnoreTelemetry) {
   const std::string dirOn = ::testing::TempDir() + "golden-tel-on";
   std::filesystem::create_directories(dirOff);
   std::filesystem::create_directories(dirOn);
-  std::string error;
   sweep::TrialOptions telemetryOn;
   telemetryOn.telemetry = true;
   ASSERT_TRUE(oracle::recordFigure(small, dirOff, 2, error)) << error;

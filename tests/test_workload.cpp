@@ -162,6 +162,27 @@ TEST(GrammarSpec, ZeroSizeOpIsOneActionableLine) {
   EXPECT_NE(problems[0].find("zero-size op"), std::string::npos) << problems[0];
 }
 
+TEST(GrammarSpec, EachProductionShapeTakesOnlyItsOwnKeys) {
+  const struct {
+    const char* production;
+    const char* problem;
+  } cases[] = {
+      {R"({"op":"write","bytes":4194304,"cont":16})", "workload.rules.main[0].cont: unknown key"},
+      {R"({"op":"read","bytes":1048576,"patern":"random"})",
+       "workload.rules.main[0].patern: unknown key"},
+      {R"({"op":"open","bytes":4096})", "workload.rules.main[0].bytes: unknown key"},
+      {R"({"rule":"leaf","count":2})", "workload.rules.main[0].count: unknown key"},
+      {R"({"compute":0.5,"op":"read"})", "workload.rules.main[0].op: unknown key"},
+      {R"({"barrier":true,"shared":true})", "workload.rules.main[0].shared: unknown key"},
+  };
+  for (const auto& c : cases) {
+    const auto problems = grammarProblems(std::string(R"({"generator":"grammar","rules":{
+      "leaf":[{"op":"sync"}],"main":[)") + c.production + "]}}");
+    ASSERT_EQ(problems.size(), 1u) << c.production;
+    EXPECT_EQ(problems[0], c.problem);
+  }
+}
+
 TEST(WorkloadCli, BadGrammarSpecExitsTwoWithActionableError) {
   const std::string spec = writeTemp("wl_bad_grammar.json", R"({
     "site":"lassen","storage":"vast",
