@@ -60,7 +60,8 @@ int main() {
     std::printf("%s\n", t.toString().c_str());
   }
 
-  std::printf("Shape: writes degrade linearly with CNodes (similarity/compression is\n"
-              "CNode CPU); reads ride the DNode caches until fabric paths halve.\n");
+  std::printf("Shape: bandwidth falls with the CNodes lost (half of them down halves it),\n"
+              "because CNode CPU binds. Every DNode and DBox row reads the healthy figure:\n"
+              "the CNodes bind before the surviving fabric paths or drives do.\n");
   return 0;
 }

@@ -91,23 +91,25 @@ grep -q 'hit rate 100%' "$BUILD/check-sweep-warm.txt"
 
 # Oracle gates: the metamorphic catalog must hold at full depth, and the
 # check of the paper's artifacts (every spec under examples/specs/paper
-# against its snapshot, plus the takeaways' paper bands) must pass AND be
+# against its snapshot, plus the takeaways' paper bands) and of its
+# ablation studies (examples/specs/studies) must pass AND be
 # byte-identical whatever the job count — and whether or not a trial
 # cache (cold or warm) served the sweeps.
 "$BUILD/src/hcsim" oracle relations --cases 50 >/dev/null
-"$BUILD/src/hcsim" oracle check --dir "$ROOT/examples/specs/paper" --jobs 8 \
-    > "$BUILD/check-oracle-8.txt"
-"$BUILD/src/hcsim" oracle check --dir "$ROOT/examples/specs/paper" --jobs 1 \
-    > "$BUILD/check-oracle-1.txt"
-cmp "$BUILD/check-oracle-8.txt" "$BUILD/check-oracle-1.txt"
 OCACHE="$BUILD/check-oracle-cache.jsonl"
-rm -f "$OCACHE"
-"$BUILD/src/hcsim" oracle check --dir "$ROOT/examples/specs/paper" --jobs 8 \
-    --cache "$OCACHE" > "$BUILD/check-oracle-cold.txt"
-"$BUILD/src/hcsim" oracle check --dir "$ROOT/examples/specs/paper" --jobs 1 \
-    --cache "$OCACHE" > "$BUILD/check-oracle-warm.txt"
-cmp "$BUILD/check-oracle-8.txt" "$BUILD/check-oracle-cold.txt"
-cmp "$BUILD/check-oracle-8.txt" "$BUILD/check-oracle-warm.txt"
+for specs in paper studies; do
+  O="$BUILD/check-oracle-$specs"
+  "$BUILD/src/hcsim" oracle check --dir "$ROOT/examples/specs/$specs" --jobs 8 > "$O-8.txt"
+  "$BUILD/src/hcsim" oracle check --dir "$ROOT/examples/specs/$specs" --jobs 1 > "$O-1.txt"
+  cmp "$O-8.txt" "$O-1.txt"
+  rm -f "$OCACHE"
+  "$BUILD/src/hcsim" oracle check --dir "$ROOT/examples/specs/$specs" --jobs 8 \
+      --cache "$OCACHE" > "$O-cold.txt"
+  "$BUILD/src/hcsim" oracle check --dir "$ROOT/examples/specs/$specs" --jobs 1 \
+      --cache "$OCACHE" > "$O-warm.txt"
+  cmp "$O-8.txt" "$O-cold.txt"
+  cmp "$O-8.txt" "$O-warm.txt"
+done
 
 # Telemetry gates: with --telemetry the sweep must stay deterministic
 # across job counts, emit per-trial "telemetry" blocks, and reduce to the
@@ -126,7 +128,7 @@ sed 's/,"telemetry":{[^}]*}//' "$OUT-tel-8.jsonl" > "$OUT-tel-stripped.jsonl"
 cmp "$OUT-8.jsonl" "$OUT-tel-stripped.jsonl"
 "$BUILD/src/hcsim" oracle check --dir "$ROOT/examples/specs/paper" --jobs 8 \
     --telemetry > "$BUILD/check-oracle-tel.txt"
-cmp "$BUILD/check-oracle-8.txt" "$BUILD/check-oracle-tel.txt"
+cmp "$BUILD/check-oracle-paper-8.txt" "$BUILD/check-oracle-tel.txt"
 "$BUILD/src/hcsim" trace --site lassen --storage vast --access seq-read \
     --nodes 32 --ppn 8 --internal --out "$BUILD/check-trace.json" \
     > "$BUILD/check-trace.txt"

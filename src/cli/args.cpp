@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstdlib>
 
+#include "config/range.hpp"
+
 namespace hcsim {
 
 namespace {
@@ -89,12 +91,22 @@ double ArgParser::numberOr(const std::string& key, double fallback) const {
 }
 
 std::size_t ArgParser::sizeOr(const std::string& key, std::size_t fallback) const {
+  return integerOr(key, fallback, kWhole);
+}
+
+std::size_t ArgParser::countOr(const std::string& key, std::size_t fallback) const {
+  return integerOr(key, fallback, kCount);
+}
+
+std::size_t ArgParser::integerOr(const std::string& key, std::size_t fallback,
+                                 const Range& range) const {
   const auto v = get(key);
   if (!v) return fallback;
-  if (const auto d = toNumber(*v); d && *d >= 0.0 && *d < 1e15 && *d == std::floor(*d)) {
-    return static_cast<std::size_t>(*d);
+  const auto d = toNumber(*v);
+  if (d && range.holds(*d) && *d < 1e15) return static_cast<std::size_t>(*d);
+  if (badNumber_.empty()) {
+    badNumber_ = key + ": " + range.rule + " (got " + (d ? *v : "'" + *v + "'") + ")";
   }
-  if (badNumber_.empty()) badNumber_ = key + ": must be a non-negative integer (got '" + *v + "')";
   return fallback;
 }
 

@@ -10,6 +10,8 @@
 
 namespace hcsim {
 
+struct Range;  // config/range.hpp
+
 class ArgParser {
  public:
   /// Parse argv-style input (excluding the program name). Tokens
@@ -32,6 +34,9 @@ class ArgParser {
   double numberOr(const std::string& key, double fallback) const;
   /// As numberOr, for a non-negative integer.
   std::size_t sizeOr(const std::string& key, std::size_t fallback) const;
+  /// As numberOr, for a positive integer (a count of nodes, processes,
+  /// segments, ...): "--nodes: must be a positive integer (got 0)".
+  std::size_t countOr(const std::string& key, std::size_t fallback) const;
 
   /// One line naming the first option no accessor has read
   /// ("--acess: unknown option"), else the first numeric option whose
@@ -41,6 +46,9 @@ class ArgParser {
 
  private:
   void parse(const std::vector<std::string>& args);
+  /// The value as a whole number within `range` (config/range.hpp), else
+  /// `fallback` with the range's phrase recorded as the problem.
+  std::size_t integerOr(const std::string& key, std::size_t fallback, const Range& range) const;
 
   std::vector<std::string> positionals_;
   std::map<std::string, std::string> options_;  // flag -> "" for bare flags

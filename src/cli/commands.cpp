@@ -282,12 +282,12 @@ int cmdIor(const ArgParser& args, std::ostream& out, std::ostream& err) {
       err << "error: bad --access\n";
       return 2;
     }
-    cfg = IorConfig::scalability(access, args.sizeOr("--nodes", 4), args.sizeOr("--ppn", 16));
-    cfg.segments = args.sizeOr("--segments", 512);
+    cfg = IorConfig::scalability(access, args.countOr("--nodes", 4), args.countOr("--ppn", 16));
+    cfg.segments = args.countOr("--segments", 512);
     if (args.has("--fsync")) cfg.fsyncPerWrite = true;
     if (args.has("--per-op")) cfg.mode = IorConfig::Mode::PerOp;
     if (args.has("--shared-file")) cfg.filePerProcess = false;
-    cfg.repetitions = args.sizeOr("--reps", 3);
+    cfg.repetitions = args.countOr("--reps", 3);
     cfg.noiseStdDevFrac = args.numberOr("--noise", 0.03);
     cfg.stonewallSeconds = args.numberOr("--stonewall", 0.0);
   }
@@ -322,8 +322,8 @@ int cmdDlio(const ArgParser& args, std::ostream& out, std::ostream& err) {
       err << "error: --workload must be resnet50|cosmoflow|unet3d\n";
       return 2;
     }
-    cfg.nodes = args.sizeOr("--nodes", 4);
-    cfg.procsPerNode = args.sizeOr("--ppn", 4);
+    cfg.nodes = args.countOr("--nodes", 4);
+    cfg.procsPerNode = args.countOr("--ppn", 4);
   }
   if (!optionsOk(args, err)) return 2;
 
@@ -347,11 +347,11 @@ int cmdMdtest(const ArgParser& args, std::ostream& out, std::ostream& err) {
   if (!parseTarget(args, err, site, kind)) return 2;
 
   MdtestConfig cfg;
-  cfg.nodes = args.sizeOr("--nodes", 1);
-  cfg.procsPerNode = args.sizeOr("--procs", 16);
-  cfg.itemsPerProc = args.sizeOr("--items", 128);
+  cfg.nodes = args.countOr("--nodes", 1);
+  cfg.procsPerNode = args.countOr("--procs", 16);
+  cfg.itemsPerProc = args.countOr("--items", 128);
   cfg.uniqueDirPerTask = args.has("--unique-dir");
-  cfg.repetitions = args.sizeOr("--reps", 3);
+  cfg.repetitions = args.countOr("--reps", 3);
   cfg.noiseStdDevFrac = args.numberOr("--noise", 0.03);
   if (!optionsOk(args, err)) return 2;
 
@@ -380,8 +380,8 @@ int cmdPlan(const ArgParser& args, std::ostream& out, std::ostream& err) {
     return 2;
   }
   goal.minGBsPerNode = args.numberOr("--min-gbs", 1.0);
-  goal.nodes = args.sizeOr("--nodes", 8);
-  goal.procsPerNode = args.sizeOr("--ppn", 16);
+  goal.nodes = args.countOr("--nodes", 8);
+  goal.procsPerNode = args.countOr("--ppn", 16);
   if (!optionsOk(args, err)) return 2;
 
   const auto candidates = planVastDeployment(machine, goal);
@@ -700,9 +700,10 @@ int cmdScale(const ArgParser& args, std::ostream& out, std::ostream& err) {
   }
   // The flags are keys of an open-loop section, read through
   // OpenLoopConfig's field list: a value outside its key's range fails
-  // naming the key ("requestBytes: must be > 0 (got 0)").
+  // naming the key ("requestBytes: must be > 0 (got 0)"). --classes
+  // sets two keys, so it is read as a count and names itself.
   workload::OpenLoopConfig cfg;
-  const double classes = args.numberOr("--classes", 256);
+  const double classes = static_cast<double>(args.countOr("--classes", 256));
   JsonObject section;
   section["clients"] = classes;
   // ceil: at least --clients in all
@@ -938,7 +939,7 @@ bool runTracedWorkload(const ArgParser& args, std::ostream& err, bool telemetryO
   StorageKind kind;
   if (!parseTarget(args, err, site, kind)) return false;
   const bool ior = args.getOr("--workload", "ior") == "ior";
-  const std::size_t nodes = args.sizeOr("--nodes", 4);
+  const std::size_t nodes = args.countOr("--nodes", 4);
   IorConfig iorCfg;
   DlioConfig dlioCfg;
   if (ior) {
@@ -947,8 +948,8 @@ bool runTracedWorkload(const ArgParser& args, std::ostream& err, bool telemetryO
       err << "error: bad --access\n";
       return false;
     }
-    iorCfg = IorConfig::scalability(access, nodes, args.sizeOr("--ppn", 16));
-    iorCfg.segments = args.sizeOr("--segments", 512);
+    iorCfg = IorConfig::scalability(access, nodes, args.countOr("--ppn", 16));
+    iorCfg.segments = args.countOr("--segments", 512);
     iorCfg.repetitions = 1;
     iorCfg.noiseStdDevFrac = 0.0;
   } else if (!parseDlioWorkload(args.getOr("--workload", ""), dlioCfg.workload)) {
@@ -956,7 +957,7 @@ bool runTracedWorkload(const ArgParser& args, std::ostream& err, bool telemetryO
     return false;
   } else {
     dlioCfg.nodes = nodes;
-    dlioCfg.procsPerNode = args.sizeOr("--ppn", 4);
+    dlioCfg.procsPerNode = args.countOr("--ppn", 4);
   }
   if (!optionsOk(args, err)) return false;
   run.env = makeEnvironment(site, kind, nodes);

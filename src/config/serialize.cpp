@@ -15,8 +15,6 @@ JsonValue toJson(NfsTransport t) { return FieldWriter::encode(t); }
 bool fromJson(const JsonValue& j, NfsTransport& out) { return parseEnum(j, out); }
 JsonValue toJson(ScalingMode m) { return FieldWriter::encode(m); }
 bool fromJson(const JsonValue& j, ScalingMode& out) { return parseEnum(j, out); }
-JsonValue toJson(UnifyFsPlacement p) { return FieldWriter::encode(p); }
-bool fromJson(const JsonValue& j, UnifyFsPlacement& out) { return parseEnum(j, out); }
 
 JsonValue toJson(const SsdSpec& s) { return writeFields(s); }
 bool fromJson(const JsonValue& j, SsdSpec& out) { return readFields(j, out, "").empty(); }
@@ -34,8 +32,6 @@ JsonValue toJson(const LustreConfig& c) { return writeFields(c); }
 bool fromJson(const JsonValue& j, LustreConfig& out) { return readFields(j, out, "").empty(); }
 JsonValue toJson(const NvmeLocalConfig& c) { return writeFields(c); }
 bool fromJson(const JsonValue& j, NvmeLocalConfig& out) { return readFields(j, out, "").empty(); }
-JsonValue toJson(const UnifyFsConfig& c) { return writeFields(c); }
-bool fromJson(const JsonValue& j, UnifyFsConfig& out) { return readFields(j, out, "").empty(); }
 JsonValue toJson(const DaosConfig& c) { return writeFields(c); }
 bool fromJson(const JsonValue& j, DaosConfig& out) { return readFields(j, out, "").empty(); }
 JsonValue toJson(const IorConfig& c) { return writeFields(c); }
@@ -86,7 +82,6 @@ HCSIM_CONFIG_IO(VastConfig)
 HCSIM_CONFIG_IO(GpfsConfig)
 HCSIM_CONFIG_IO(LustreConfig)
 HCSIM_CONFIG_IO(NvmeLocalConfig)
-HCSIM_CONFIG_IO(UnifyFsConfig)
 HCSIM_CONFIG_IO(DaosConfig)
 HCSIM_CONFIG_IO(IorConfig)
 HCSIM_CONFIG_IO(DlioWorkload)

@@ -19,7 +19,6 @@
 #include "lustre/lustre_config.hpp"
 #include "mdtest/mdtest.hpp"
 #include "nvme/nvme_local.hpp"
-#include "unifyfs/unifyfs_model.hpp"
 #include "util/json.hpp"
 #include "vast/vast_config.hpp"
 
@@ -32,8 +31,6 @@ JsonValue toJson(NfsTransport t);
 bool fromJson(const JsonValue& j, NfsTransport& out);
 JsonValue toJson(ScalingMode m);
 bool fromJson(const JsonValue& j, ScalingMode& out);
-JsonValue toJson(UnifyFsPlacement p);
-bool fromJson(const JsonValue& j, UnifyFsPlacement& out);
 
 // ---- device specs ----
 JsonValue toJson(const SsdSpec& s);
@@ -54,8 +51,6 @@ JsonValue toJson(const LustreConfig& c);
 bool fromJson(const JsonValue& j, LustreConfig& out);
 JsonValue toJson(const NvmeLocalConfig& c);
 bool fromJson(const JsonValue& j, NvmeLocalConfig& out);
-JsonValue toJson(const UnifyFsConfig& c);
-bool fromJson(const JsonValue& j, UnifyFsConfig& out);
 /// DaosConfig embeds its transport::TransportProfile under "fabric"
 /// (profile (de)serializers live in transport/transport_profile.hpp).
 JsonValue toJson(const DaosConfig& c);

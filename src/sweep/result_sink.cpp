@@ -14,18 +14,21 @@ JsonValue paramsObject(const Trial& trial) {
   return JsonValue(std::move(o));
 }
 
+/// A string's text, or the JSON of any other value (an object- or
+/// array-valued axis value is written as JSON), quoted with its inner
+/// quotes doubled when it holds a comma, a quote or a newline.
 std::string csvField(const JsonValue& v) {
-  if (const std::string* s = v.str()) {
-    if (s->find_first_of(",\"\n") == std::string::npos) return *s;
-    std::string quoted = "\"";
-    for (char c : *s) {
-      if (c == '"') quoted += '"';
-      quoted += c;
-    }
-    quoted += '"';
-    return quoted;
+  if (v.isNumber() || v.isBool()) return writeJson(v);
+  const std::string* s = v.str();
+  std::string text = s != nullptr ? *s : writeJson(v);
+  if (text.find_first_of(",\"\n") == std::string::npos) return text;
+  std::string quoted = "\"";
+  for (char c : text) {
+    if (c == '"') quoted += '"';
+    quoted += c;
   }
-  return writeJson(v);
+  quoted += '"';
+  return quoted;
 }
 
 using M = TrialMetrics;

@@ -353,7 +353,9 @@ TEST(Cli, NonsenseSpecValuesExitTwoWithOneLine) {
 }
 
 // Each flag of `hcsim scale` is a key of the open-loop section and is
-// checked against that key's range before anything runs.
+// checked against that key's range before anything runs. --classes sets
+// two keys (clients and clientsPerRank), so it is checked, and named,
+// as a flag.
 TEST(Cli, ScaleFlagsOutsideTheirRangeExitTwoNamingTheKey) {
   struct Case {
     const char* flag;
@@ -366,7 +368,7 @@ TEST(Cli, ScaleFlagsOutsideTheirRangeExitTwoNamingTheKey) {
       {"--read-fraction", "2", "readFraction: must be in [0, 1] (got 2)"},
       {"--demand-sigma", "-1", "demandSigma: must be >= 0 (got -1)"},
       {"--objects", "0", "objects: must be a positive integer (got 0)"},
-      {"--classes", "0", "clients: must be a positive integer (got 0)"},
+      {"--classes", "0", "--classes: must be a positive integer (got 0)"},
       {"--rate", "0", "ratePerClientHz: must be > 0 (got 0)"},
   };
   for (const Case& c : cases) {
@@ -429,7 +431,26 @@ TEST(Cli, UnknownOrMalformedOptionExitsTwoBeforeRunning) {
        "--nodez: unknown option"},
       {{"ior", "--site", "lassen", "--storage", "vast", "--access", "seq-write", "--nodes",
         "four"},
-       "--nodes: must be a non-negative integer (got 'four')"},
+       "--nodes: must be a positive integer (got 'four')"},
+      // A zero count names the flag here, not the config field in validate().
+      {{"ior", "--site", "lassen", "--storage", "vast", "--nodes", "0"},
+       "--nodes: must be a positive integer (got 0)"},
+      {{"ior", "--site", "lassen", "--storage", "vast", "--ppn", "0"},
+       "--ppn: must be a positive integer (got 0)"},
+      {{"ior", "--site", "lassen", "--storage", "vast", "--segments", "0"},
+       "--segments: must be a positive integer (got 0)"},
+      {{"ior", "--site", "lassen", "--storage", "vast", "--reps", "0"},
+       "--reps: must be a positive integer (got 0)"},
+      {{"dlio", "--site", "lassen", "--storage", "vast", "--nodes", "0"},
+       "--nodes: must be a positive integer (got 0)"},
+      {{"mdtest", "--site", "lassen", "--storage", "vast", "--procs", "0"},
+       "--procs: must be a positive integer (got 0)"},
+      {{"plan", "--nodes", "0"}, "--nodes: must be a positive integer (got 0)"},
+      {{"trace", "--site", "lassen", "--storage", "vast", "--nodes", "0", "--out",
+        "/tmp/hcsim_cli_unused_trace.json"},
+       "--nodes: must be a positive integer (got 0)"},
+      {{"stats", "--site", "lassen", "--storage", "vast", "--nodes", "0"},
+       "--nodes: must be a positive integer (got 0)"},
       {{"oracle", "check", "--dir", HCSIM_PAPER_DIR, "--tolerence", "0"},
        "--tolerence: unknown option"},
       {{"scale", "--sed", "5"}, "--sed: unknown option"},

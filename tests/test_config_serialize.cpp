@@ -36,9 +36,6 @@ TEST(ConfigSerialize, EnumsRoundTrip) {
   ScalingMode m{};
   EXPECT_TRUE(fromJson(toJson(ScalingMode::Strong), m));
   EXPECT_EQ(m, ScalingMode::Strong);
-  UnifyFsPlacement pl{};
-  EXPECT_TRUE(fromJson(toJson(UnifyFsPlacement::Striped), pl));
-  EXPECT_EQ(pl, UnifyFsPlacement::Striped);
   AccessPattern bad{};
   EXPECT_FALSE(fromJson(JsonValue("bogus"), bad));
   EXPECT_FALSE(fromJson(JsonValue(3.0), bad));
@@ -75,7 +72,7 @@ TEST(ConfigSerialize, VastGatewayRoundTrip) {
   EXPECT_DOUBLE_EQ(out.gateway.linkBandwidth, units::gbps(1));
 }
 
-TEST(ConfigSerialize, GpfsLustreNvmeUnifyRoundTrip) {
+TEST(ConfigSerialize, GpfsLustreNvmeRoundTrip) {
   const GpfsConfig g = roundTrip(gpfsOnLassen());
   EXPECT_EQ(g.nsdServers, 16u);
   EXPECT_EQ(g.capacityTotal, 24 * units::PB);
@@ -89,11 +86,6 @@ TEST(ConfigSerialize, GpfsLustreNvmeUnifyRoundTrip) {
   const NvmeLocalConfig n = roundTrip(nvmeOnWombat());
   EXPECT_EQ(n.drivesPerNode, 3u);
   EXPECT_EQ(n.drive.name, "Samsung970PRO");
-
-  UnifyFsConfig u0;
-  u0.placement = UnifyFsPlacement::Striped;
-  const UnifyFsConfig u = roundTrip(u0);
-  EXPECT_EQ(u.placement, UnifyFsPlacement::Striped);
 }
 
 TEST(ConfigSerialize, IorConfigRoundTrip) {

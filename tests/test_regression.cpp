@@ -1,10 +1,11 @@
 // Regression tests pinning the paper's headline results. The paper's
-// artifacts are the sweep specs under examples/specs/paper, each pinned
-// by the snapshot beside it: PaperArtifact re-runs every spec against
-// its snapshot, and the other tests assert the SHAPES the paper reports
-// (who wins, by what rough factor, where saturation falls) over the
-// committed cells. A model change that moves any recorded column of a
-// cell past the oracle's 2% (throughput, runtime, the dlio block's
+// artifacts are the sweep specs under examples/specs/paper, and its
+// ablations those under examples/specs/studies, each pinned by the
+// snapshot beside it: PaperArtifact and StudyArtifact re-run every spec
+// against its snapshot, and the other tests assert the SHAPES the paper
+// reports (who wins, by what rough factor, where saturation falls) over
+// the committed cells. A model change that moves any recorded column of
+// a cell past the oracle's 2% (throughput, runtime, the dlio block's
 // system throughput and I/O split) fails the first; one that breaks a
 // finding fails the others once the snapshots are re-recorded.
 
@@ -24,46 +25,72 @@ namespace {
 
 // ---------- every artifact reproduces its snapshot ----------
 
-std::vector<oracle::GoldenFigure> paperFigures() {
+/// The specs of `dir`, in name order.
+std::vector<oracle::GoldenFigure> figuresIn(const char* dir) {
   std::vector<oracle::GoldenFigure> figures;
   std::string error;
-  if (!oracle::loadFigures(HCSIM_PAPER_DIR, figures, error)) ADD_FAILURE() << error;
+  if (!oracle::loadFigures(dir, figures, error)) ADD_FAILURE() << error;
   return figures;
 }
 
-std::vector<std::string> artifactNames() {
+std::vector<std::string> artifactNames(const char* dir) {
   std::vector<std::string> names;
-  for (const oracle::GoldenFigure& f : paperFigures()) names.push_back(f.name);
+  for (const oracle::GoldenFigure& f : figuresIn(dir)) names.push_back(f.name);
   return names;
 }
 
-class PaperArtifact : public ::testing::TestWithParam<std::string> {};
+std::string paramName(const ::testing::TestParamInfo<std::string>& info) { return info.param; }
 
-TEST_P(PaperArtifact, SpecReproducesItsSnapshot) {
-  const std::vector<oracle::GoldenFigure> figures = paperFigures();
+void expectReproducesItsSnapshot(const char* dir, const std::string& name) {
+  const std::vector<oracle::GoldenFigure> figures = figuresIn(dir);
   const auto fig = std::find_if(figures.begin(), figures.end(),
-                                [](const oracle::GoldenFigure& f) { return f.name == GetParam(); });
+                                [&](const oracle::GoldenFigure& f) { return f.name == name; });
   ASSERT_NE(fig, figures.end());
-  const oracle::FigureCheck check = oracle::checkFigure(*fig, HCSIM_PAPER_DIR, 1, 2.0);
+  const oracle::FigureCheck check = oracle::checkFigure(*fig, dir, 1, 2.0);
   EXPECT_TRUE(check.pass()) << oracle::deltaTable(check, 2.0, false);
   EXPECT_EQ(check.cells, fig->spec.trialCount());
 }
 
-INSTANTIATE_TEST_SUITE_P(Paper, PaperArtifact, ::testing::ValuesIn(artifactNames()),
-                         [](const ::testing::TestParamInfo<std::string>& info) {
-                           return info.param;
-                         });
+// The paper's figures, examples/specs/paper.
+class PaperArtifact : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(PaperArtifact, SpecReproducesItsSnapshot) {
+  expectReproducesItsSnapshot(HCSIM_PAPER_DIR, GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Paper, PaperArtifact, ::testing::ValuesIn(artifactNames(HCSIM_PAPER_DIR)),
+                         paramName);
+
+// The ablations and extensions, examples/specs/studies.
+class StudyArtifact : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(StudyArtifact, SpecReproducesItsSnapshot) {
+  expectReproducesItsSnapshot(HCSIM_STUDIES_DIR, GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Studies, StudyArtifact,
+                         ::testing::ValuesIn(artifactNames(HCSIM_STUDIES_DIR)), paramName);
 
 TEST(PaperArtifacts, EverySpecHasASnapshotAndEverySnapshotASpec) {
-  std::set<std::string> specs, snapshots;
-  for (const auto& entry : std::filesystem::directory_iterator(HCSIM_PAPER_DIR)) {
-    const std::filesystem::path& p = entry.path();
-    if (p.extension() == ".json") specs.insert(p.stem().string());
-    if (p.extension() == ".jsonl") snapshots.insert(p.stem().string());
+  const struct {
+    const char* dir;
+    std::set<std::string> specs;
+  } dirs[] = {
+      {HCSIM_PAPER_DIR, {"fig2a", "fig2b", "fig3a", "fig3b", "fig3c", "fig3d", "fig5", "fig6"}},
+      {HCSIM_STUDIES_DIR,
+       {"dlio_compute", "dlio_io_threads", "dlio_prefetch", "frontend", "hardware",
+        "sharedfile_lassen", "sharedfile_quartz", "sharedfile_wombat"}},
+  };
+  for (const auto& d : dirs) {
+    std::set<std::string> specs, snapshots;
+    for (const auto& entry : std::filesystem::directory_iterator(d.dir)) {
+      const std::filesystem::path& p = entry.path();
+      if (p.extension() == ".json") specs.insert(p.stem().string());
+      if (p.extension() == ".jsonl") snapshots.insert(p.stem().string());
+    }
+    EXPECT_EQ(specs, d.specs) << d.dir;
+    EXPECT_EQ(snapshots, specs) << d.dir;
   }
-  EXPECT_EQ(specs, (std::set<std::string>{"fig2a", "fig2b", "fig3a", "fig3b", "fig3c", "fig3d",
-                                          "fig5", "fig6"}));
-  EXPECT_EQ(snapshots, specs);
 }
 
 // ---------- the paper's shapes over the committed cells ----------

@@ -244,15 +244,50 @@ TEST(SweepRun, NonsenseSectionsFailEveryTrialWithTheKey) {
   }
 }
 
+/// The fields of one CSV line: commas split them except inside quotes,
+/// where a doubled quote stands for one.
+std::vector<std::string> csvFields(const std::string& line) {
+  std::vector<std::string> fields(1);
+  bool quoted = false;
+  for (std::size_t i = 0; i < line.size(); ++i) {
+    const char c = line[i];
+    if (quoted && c == '"' && i + 1 < line.size() && line[i + 1] == '"') {
+      fields.back() += '"';
+      ++i;
+    } else if (c == '"') {
+      quoted = !quoted;
+    } else if (c == ',' && !quoted) {
+      fields.emplace_back();
+    } else {
+      fields.back() += c;
+    }
+  }
+  return fields;
+}
+
 TEST(SweepSink, CsvHasHeaderAxisColumnsAndRows) {
   SweepSpec spec = smallIorSpec();
-  spec.axes.resize(1);  // storage only -> 2 trials
+  spec.axes.resize(1);  // storage
+  // An object-valued axis: its cells are JSON, with commas and quotes.
+  JsonValue tcp, rdma;
+  ASSERT_TRUE(parseJson(R"({"kind": "tcp", "lanes": 2})", tcp));
+  ASSERT_TRUE(parseJson(R"({"kind": "rdma", "lanes": 4})", rdma));
+  spec.axes.push_back({"transport", {tcp, rdma}});
   const SweepOutcome out = runSweep(spec, 2);
-  const std::string csv = toCsv(out);
-  EXPECT_NE(csv.find("trial,storage,ok,meanGBs"), std::string::npos);
-  std::size_t lines = 0;
-  for (char c : csv) lines += c == '\n';
-  EXPECT_EQ(lines, 3u);  // header + 2 trials
+  EXPECT_EQ(out.failures, 0u);
+  std::istringstream csv(toCsv(out));
+  std::string line;
+  ASSERT_TRUE(std::getline(csv, line));
+  EXPECT_EQ(line.rfind("trial,storage,transport,ok,meanGBs", 0), 0u) << line;
+  const std::size_t width = csvFields(line).size();
+  std::size_t rows = 0;
+  while (std::getline(csv, line)) {
+    const std::vector<std::string> fields = csvFields(line);
+    EXPECT_EQ(fields.size(), width) << line;
+    EXPECT_EQ(fields[2], writeJson(rows % 2 == 0 ? tcp : rdma)) << line;
+    ++rows;
+  }
+  EXPECT_EQ(rows, 4u);  // 2 storages x 2 transports
 }
 
 TEST(SweepSink, BaselineSelfCompareIsZeroDelta) {
