@@ -1,6 +1,5 @@
-// Engine micro-benchmarks: simulator event loop, flow network
-// re-rating, LRU/prefetch caches — the hot paths behind every figure
-// bench.
+// Engine micro-benchmarks: the simulator event loop, flow-network
+// re-rating and the RNG, which every sweep trial runs on.
 //
 // Two modes:
 //   (default)              google-benchmark BM_* suite
@@ -24,8 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "cache/lru_cache.hpp"
-#include "cache/prefetch_cache.hpp"
 #include "engine_scenarios.hpp"
 #include "net/flow_network.hpp"
 #include "oracle/golden.hpp"
@@ -117,28 +114,6 @@ void BM_FlowNetworkStaggeredRebalance(benchmark::State& state) {
                           static_cast<std::int64_t>(n) * static_cast<std::int64_t>(n + 1));
 }
 BENCHMARK(BM_FlowNetworkStaggeredRebalance)->Arg(128)->Arg(512);
-
-void BM_LruCacheTouch(benchmark::State& state) {
-  LruCache cache(1 << 20);
-  for (std::uint64_t k = 0; k < 1024; ++k) cache.insert(k, 1024);
-  Rng rng(7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.touch(rng.uniformInt(2048)));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_LruCacheTouch);
-
-void BM_PrefetchCacheSequentialRead(benchmark::State& state) {
-  PrefetchCache cache(64 * 1024 * 1024, 4096, 8);
-  Bytes offset = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.read(1, offset, 4096));
-    offset += 4096;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_PrefetchCacheSequentialRead);
 
 void BM_RngNormal(benchmark::State& state) {
   Rng rng(1);

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Build everything, run the full test suite, then regenerate every figure
 # of the paper from its sweep spec (examples/specs/paper/*.json), the
-# section-VII takeaways over fig2a/fig2b, every ablation study
-# (examples/specs/studies/*.json) and the remaining table and extension
-# benches, teeing the outputs the repo's docs reference. Each figure's
-# CSV lands in build/paper/, each study's in build/studies/.
+# section-VII takeaways over fig2a/fig2b, every study (the ablations and
+# the application suite, examples/specs/studies/*.json) and the remaining
+# table and extension benches, teeing the outputs the repo's docs
+# reference. Each figure's CSV lands in build/paper/, each study's in
+# build/studies/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -82,11 +82,15 @@ std::string ArgParser::getOr(const std::string& key, const std::string& fallback
   return v ? *v : fallback;
 }
 
-double ArgParser::numberOr(const std::string& key, double fallback) const {
+double ArgParser::numberOr(const std::string& key, double fallback, const Range& range) const {
   const auto v = get(key);
   if (!v) return fallback;
-  if (const auto d = toNumber(*v)) return *d;
-  if (badNumber_.empty()) badNumber_ = key + ": must be a number (got '" + *v + "')";
+  const auto d = toNumber(*v);
+  if (d && range.holds(*d)) return *d;
+  if (badNumber_.empty()) {
+    badNumber_ = key + ": " + (d ? std::string(range.rule) + " (got " + *v + ")"
+                                 : "must be a number (got '" + *v + "')");
+  }
   return fallback;
 }
 

@@ -8,9 +8,9 @@
 #include <string>
 #include <vector>
 
-namespace hcsim {
+#include "config/range.hpp"
 
-struct Range;  // config/range.hpp
+namespace hcsim {
 
 class ArgParser {
  public:
@@ -30,8 +30,10 @@ class ArgParser {
   bool has(const std::string& key) const;
   std::optional<std::string> get(const std::string& key) const;
   std::string getOr(const std::string& key, const std::string& fallback) const;
-  /// A value that is not a number returns `fallback` and is a problem().
-  double numberOr(const std::string& key, double fallback) const;
+  /// A value that is not a number, or is outside `range`
+  /// (config/range.hpp; the default takes any finite number), returns
+  /// `fallback` and is a problem(): "--noise: must be >= 0 (got -1)".
+  double numberOr(const std::string& key, double fallback, const Range& range = {}) const;
   /// As numberOr, for a non-negative integer.
   std::size_t sizeOr(const std::string& key, std::size_t fallback) const;
   /// As numberOr, for a positive integer (a count of nodes, processes,
@@ -40,8 +42,9 @@ class ArgParser {
 
   /// One line naming the first option no accessor has read
   /// ("--acess: unknown option"), else the first numeric option whose
-  /// value did not parse; "" when neither. A command asks once it has
-  /// read every option it takes, before it runs.
+  /// value did not parse or is outside its range; "" when neither. A
+  /// command asks once it has read every option it takes, before it
+  /// runs.
   std::string problem() const;
 
  private:

@@ -288,8 +288,8 @@ int cmdIor(const ArgParser& args, std::ostream& out, std::ostream& err) {
     if (args.has("--per-op")) cfg.mode = IorConfig::Mode::PerOp;
     if (args.has("--shared-file")) cfg.filePerProcess = false;
     cfg.repetitions = args.countOr("--reps", 3);
-    cfg.noiseStdDevFrac = args.numberOr("--noise", 0.03);
-    cfg.stonewallSeconds = args.numberOr("--stonewall", 0.0);
+    cfg.noiseStdDevFrac = args.numberOr("--noise", 0.03, kNonNegative);
+    cfg.stonewallSeconds = args.numberOr("--stonewall", 0.0, kNonNegative);
   }
   if (!optionsOk(args, err)) return 2;
 
@@ -352,7 +352,7 @@ int cmdMdtest(const ArgParser& args, std::ostream& out, std::ostream& err) {
   cfg.itemsPerProc = args.countOr("--items", 128);
   cfg.uniqueDirPerTask = args.has("--unique-dir");
   cfg.repetitions = args.countOr("--reps", 3);
-  cfg.noiseStdDevFrac = args.numberOr("--noise", 0.03);
+  cfg.noiseStdDevFrac = args.numberOr("--noise", 0.03, kNonNegative);
   if (!optionsOk(args, err)) return 2;
 
   Environment env = makeEnvironment(site, kind, cfg.nodes);
@@ -379,7 +379,7 @@ int cmdPlan(const ArgParser& args, std::ostream& out, std::ostream& err) {
     err << "error: bad --pattern\n";
     return 2;
   }
-  goal.minGBsPerNode = args.numberOr("--min-gbs", 1.0);
+  goal.minGBsPerNode = args.numberOr("--min-gbs", 1.0, kPositive);
   goal.nodes = args.countOr("--nodes", 8);
   goal.procsPerNode = args.countOr("--ppn", 16);
   if (!optionsOk(args, err)) return 2;
@@ -796,8 +796,8 @@ int oracleList(const ArgParser& args, std::ostream& out, std::ostream& err) {
 
 int oracleRelations(const ArgParser& args, std::ostream& out, std::ostream& err) {
   oracle::SuiteOptions options;
-  options.casesPerRelation = args.sizeOr("--cases", 50);
-  options.seed = static_cast<std::uint64_t>(args.numberOr("--seed", 1.0));
+  options.casesPerRelation = args.countOr("--cases", 50);
+  options.seed = args.sizeOr("--seed", 1);
   options.jobs = args.sizeOr("--jobs", 0);
   options.shrink = !args.has("--no-shrink");
   const auto name = args.get("--relation");
@@ -873,7 +873,7 @@ int oracleRecord(const ArgParser& args, std::ostream& out, std::ostream& err) {
 }
 
 int oracleCheck(const ArgParser& args, std::ostream& out, std::ostream& err) {
-  const double tolerance = args.numberOr("--tolerance", 2.0);
+  const double tolerance = args.numberOr("--tolerance", 2.0, kNonNegative);
   const bool fullTable = args.has("--full");
   FigureRun run;
   if (!run.open(args, err)) return 2;

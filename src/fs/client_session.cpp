@@ -7,30 +7,11 @@
 
 namespace hcsim {
 
-void ClientSession::submit(Bytes offset, Bytes size, std::uint64_t ops, AccessPattern pattern,
-                           bool fsync, std::function<void(const IoResult&)> done) {
-  IoRequest req;
-  req.client = client_;
-  req.fileId = fileId_;
-  req.offset = offset;
-  req.bytes = size * ops;
-  req.pattern = pattern;
-  req.fsync = fsync;
-  req.ops = ops;
-  if (retrySim_ == nullptr) {
-    fs_->submit(req, std::move(done));
-    return;
-  }
-  submitAttempt(req, 0, retrySim_->now(), std::make_shared<IoCallback>(std::move(done)));
-}
-
 void ClientSession::submitAttempt(const IoRequest& req, std::size_t attempt, SimTime opStart,
                                   std::shared_ptr<IoCallback> done) {
   Simulator& sim = *retrySim_;
   // One settle flag per attempt: whichever of {completion, timeout}
-  // fires first wins; the loser sees the flag and backs off. Records
-  // carry the request's client, not the session's: WorkloadRunner
-  // submits every rank's requests through an anonymous session. A flow
+  // fires first wins; the loser sees the flag and backs off. A flow
   // class (req.members > 1) shares one flag, one timer and one counter
   // increment across all its members — retries are never double-billed.
   auto settled = std::make_shared<bool>(false);
@@ -94,42 +75,6 @@ void ClientSession::submitRequest(const IoRequest& req, std::function<void(const
     return;
   }
   submitAttempt(req, 0, retrySim_->now(), std::make_shared<IoCallback>(std::move(done)));
-}
-
-void ClientSession::write(Bytes size, bool fsync, std::function<void(const IoResult&)> done) {
-  submit(cursor_, size, 1, AccessPattern::SequentialWrite, fsync, std::move(done));
-  cursor_ += size;
-}
-
-void ClientSession::read(Bytes size, std::function<void(const IoResult&)> done) {
-  submit(cursor_, size, 1, AccessPattern::SequentialRead, false, std::move(done));
-  cursor_ += size;
-}
-
-void ClientSession::readAt(Bytes offset, Bytes size, std::function<void(const IoResult&)> done) {
-  submit(offset, size, 1, AccessPattern::RandomRead, false, std::move(done));
-}
-
-void ClientSession::writeAt(Bytes offset, Bytes size, bool fsync,
-                            std::function<void(const IoResult&)> done) {
-  submit(offset, size, 1, AccessPattern::RandomWrite, fsync, std::move(done));
-}
-
-void ClientSession::writeRun(Bytes size, std::uint64_t ops, bool fsync,
-                             std::function<void(const IoResult&)> done) {
-  submit(cursor_, size, ops, AccessPattern::SequentialWrite, fsync, std::move(done));
-  cursor_ += size * ops;
-}
-
-void ClientSession::readRun(Bytes size, std::uint64_t ops,
-                            std::function<void(const IoResult&)> done) {
-  submit(cursor_, size, ops, AccessPattern::SequentialRead, false, std::move(done));
-  cursor_ += size * ops;
-}
-
-void ClientSession::randomReadRun(Bytes size, std::uint64_t ops,
-                                  std::function<void(const IoResult&)> done) {
-  submit(0, size, ops, AccessPattern::RandomRead, false, std::move(done));
 }
 
 }  // namespace hcsim

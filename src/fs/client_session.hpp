@@ -1,7 +1,8 @@
 #pragma once
-// ClientSession — POSIX-flavoured per-process file handle over a
-// FileSystemModel. One session == one process's sequential I/O stream
-// (IOR file-per-process, or one DLIO reader thread).
+// ClientSession — the client-side retry layer over a FileSystemModel.
+// WorkloadRunner submits every generator's whole requests through one
+// (workload_runner.hpp); without enableRetry a request passes straight
+// through to the model.
 //
 // With retry enabled (hcsim::chaos), each request races a timeout: if
 // the storage model has not completed it within the deadline — an op
@@ -49,15 +50,7 @@ void fields(IO& io, RetryPolicy& p) {
 
 class ClientSession {
  public:
-  /// `fileId` identifies the file this session operates on (N-N: unique
-  /// per process; N-1: shared id across sessions).
-  ClientSession(FileSystemModel& fs, ClientId client, std::uint64_t fileId)
-      : fs_(&fs), client_(client), fileId_(fileId) {}
-
-  ClientId client() const { return client_; }
-  std::uint64_t fileId() const { return fileId_; }
-  Bytes cursor() const { return cursor_; }
-  void seek(Bytes offset) { cursor_ = offset; }
+  explicit ClientSession(FileSystemModel& fs) : fs_(&fs) {}
 
   /// Arm the timeout/retry/backoff path for every subsequent request.
   /// The session must outlive all pending requests. Without this call
@@ -73,43 +66,16 @@ class ClientSession {
   std::uint64_t failedOps() const { return failedOps_; }
   std::uint64_t lateCompletions() const { return lateCompletions_; }
 
-  /// Submit a fully-formed request through the session's retry layer
-  /// (the request's own client/fileId/offset are used as given; the
-  /// cursor is untouched). Without retry this is a straight pass-through
-  /// to the model — byte-identical to calling FileSystemModel::submit.
-  /// This is how WorkloadRunner issues every generator's I/O.
+  /// Submit a fully-formed request through the retry layer, as given.
+  /// Without retry this is a straight pass-through to the model —
+  /// byte-identical to calling FileSystemModel::submit.
   void submitRequest(const IoRequest& req, std::function<void(const IoResult&)> done);
 
-  /// Write `size` bytes at the cursor (advances it). `fsync` waits for
-  /// stable storage, as IOR -e does.
-  void write(Bytes size, bool fsync, std::function<void(const IoResult&)> done);
-
-  /// Sequential read at the cursor (advances it).
-  void read(Bytes size, std::function<void(const IoResult&)> done);
-
-  /// Random read at an explicit offset (cursor unchanged).
-  void readAt(Bytes offset, Bytes size, std::function<void(const IoResult&)> done);
-
-  /// Random write at an explicit offset (cursor unchanged).
-  void writeAt(Bytes offset, Bytes size, bool fsync, std::function<void(const IoResult&)> done);
-
-  /// Coalesced run of `ops` sequential same-size operations (see
-  /// DESIGN.md §5); advances the cursor by ops*size.
-  void writeRun(Bytes size, std::uint64_t ops, bool fsync,
-                std::function<void(const IoResult&)> done);
-  void readRun(Bytes size, std::uint64_t ops, std::function<void(const IoResult&)> done);
-  void randomReadRun(Bytes size, std::uint64_t ops, std::function<void(const IoResult&)> done);
-
  private:
-  void submit(Bytes offset, Bytes size, std::uint64_t ops, AccessPattern pattern, bool fsync,
-              std::function<void(const IoResult&)> done);
   void submitAttempt(const IoRequest& req, std::size_t attempt, SimTime opStart,
                      std::shared_ptr<IoCallback> done);
 
   FileSystemModel* fs_;
-  ClientId client_;
-  std::uint64_t fileId_;
-  Bytes cursor_ = 0;
 
   Simulator* retrySim_ = nullptr;  ///< non-null once enableRetry was called
   RetryPolicy policy_{};

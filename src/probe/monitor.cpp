@@ -6,7 +6,6 @@
 
 #include "config/fields.hpp"
 #include "probe/flight_recorder.hpp"
-#include "telemetry/metrics_registry.hpp"
 #include "util/stats.hpp"
 
 namespace hcsim::probe {
@@ -243,60 +242,6 @@ void WatchdogSet::finish(double endSec) {
         break;
     }
   }
-}
-
-void WatchdogSet::exportTo(telemetry::MetricsRegistry& reg) const {
-  if (states_.empty()) return;
-  reg.gauge("probe.monitors", static_cast<double>(states_.size()));
-  reg.gauge("probe.breaches", static_cast<double>(breaches_.size()));
-  for (const State& st : states_) {
-    reg.gauge("probe.monitor." + st.spec.name + ".breaches",
-              static_cast<double>(st.occurrences));
-  }
-}
-
-namespace {
-
-std::string objective(const MonitorSpec& s) {
-  std::ostringstream os;
-  switch (s.metric) {
-    case MonitorMetric::GoodputGBs:
-      os << ">= " << s.min << " GB/s";
-      if (s.windowSec > 0.0) os << " over trailing " << s.windowSec << " s";
-      break;
-    case MonitorMetric::P99OpLatencySec: os << "p99 <= " << s.max << " s"; break;
-    case MonitorMetric::RecoverySec: os << "recover within " << s.max << " s of restore"; break;
-    case MonitorMetric::StallSec: os << "no stall > " << s.max << " s"; break;
-  }
-  return os.str();
-}
-
-}  // namespace
-
-std::string WatchdogSet::renderTable() const {
-  if (states_.empty()) return "";
-  std::ostringstream os;
-  os << "monitors:\n";
-  for (const State& st : states_) {
-    os << "  " << std::left << std::setw(22) << st.spec.name << " " << std::setw(38)
-       << objective(st.spec);
-    if (!st.fired) {
-      os << " ok\n";
-    } else {
-      const Breach* b = nullptr;
-      for (const Breach& x : breaches_) {
-        if (x.monitor == st.spec.name && x.metric == st.spec.metric) b = &x;
-      }
-      os << " BREACH";
-      if (b) {
-        os << ": observed " << b->observed << " vs limit " << b->limit << " at t=" << b->atSec
-           << "s";
-        if (b->occurrences > 1) os << " (x" << b->occurrences << ")";
-      }
-      os << "\n";
-    }
-  }
-  return os.str();
 }
 
 std::string renderBreachTable(const std::vector<Breach>& breaches) {

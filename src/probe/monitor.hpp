@@ -15,17 +15,14 @@
 // never schedules events, so a run with every monitor satisfied is
 // byte-identical (timeline, JSONL, metrics) to the same run with no
 // monitors at all. Breaches become first-class events: a MonitorBreach
-// flight-recorder record, `probe.*` gauges, a rendered breach table and
-// a nonzero `hcsim` exit.
+// flight-recorder record, the run outcome's `probe.monitors` and
+// `probe.breaches` gauges, a rendered breach table and a nonzero
+// `hcsim` exit.
 
 #include <string>
 #include <vector>
 
 #include "util/json.hpp"
-
-namespace hcsim::telemetry {
-class MetricsRegistry;
-}
 
 namespace hcsim::probe {
 
@@ -104,14 +101,6 @@ class WatchdogSet {
 
   const std::vector<Breach>& breaches() const { return breaches_; }
   bool breached() const { return !breaches_.empty(); }
-
-  /// probe.monitors / probe.breaches gauges plus one
-  /// probe.monitor.<name>.breaches gauge per monitor.
-  void exportTo(telemetry::MetricsRegistry& reg) const;
-
-  /// Human table: one row per monitor, OK or BREACH with observed vs
-  /// limit and the firing time. Empty string when no monitors.
-  std::string renderTable() const;
 
  private:
   struct SliceWindow {

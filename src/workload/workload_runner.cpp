@@ -341,7 +341,7 @@ WorkloadOutcome WorkloadRunner::run(WorkloadSource& source) {
   for (Impl::RankState& st : impl.ranks) {
     // Requests carry their own client and file; the session only adds
     // the retry layer.
-    st.session = std::make_unique<ClientSession>(fs_, ClientId{}, 0);
+    st.session = std::make_unique<ClientSession>(fs_);
     if (retryEnabled_) st.session->enableRetry(*impl.sim, retry_);
     st.nextArrival = impl.start;
   }

@@ -5,6 +5,7 @@
 #include <map>
 #include <set>
 #include <stdexcept>
+#include <utility>
 
 #include "config/fields.hpp"
 #include "trace/trace_import.hpp"
@@ -72,6 +73,17 @@ bool readValidated(const JsonValue& w, Config& cfg, std::vector<std::string>& pr
 SourceBundle makeIor(const JsonValue& w, std::vector<std::string>& problems) {
   IorConfig cfg;
   if (!readValidated(w, cfg, problems)) return {};
+  // IorSource simulates one noiseless run: repetitions and their noise
+  // are IorRunner's, which the sweep's "ior" experiment runs.
+  for (const auto& [key, asSimulated] : {std::pair{"repetitions", cfg.repetitions == 1},
+                                         std::pair{"noiseStdDevFrac", cfg.noiseStdDevFrac == 0}}) {
+    if (asSimulated) continue;
+    problems.push_back(fieldError(std::string(kWhere) + "." + key,
+                                  "the ior generator runs IOR once, without noise; repeat "
+                                  "it with a sweep's \"ior\" experiment",
+                                  *w.find(key)));
+    return {};
+  }
   return {std::make_unique<IorSource>(cfg), cfg.nodes};
 }
 

@@ -1,5 +1,3 @@
-#include "cache/lru_cache.hpp"
-#include "cache/prefetch_cache.hpp"
 #include "cache/writeback_buffer.hpp"
 
 #include <gtest/gtest.h>
@@ -8,181 +6,6 @@
 
 namespace hcsim {
 namespace {
-
-// ---------------- LruCache ----------------
-
-TEST(LruCache, StartsEmpty) {
-  LruCache c(1000);
-  EXPECT_EQ(c.size(), 0u);
-  EXPECT_EQ(c.entries(), 0u);
-  EXPECT_FALSE(c.contains(1));
-}
-
-TEST(LruCache, InsertAndTouch) {
-  LruCache c(1000);
-  c.insert(1, 100);
-  EXPECT_TRUE(c.contains(1));
-  EXPECT_TRUE(c.touch(1));
-  EXPECT_FALSE(c.touch(2));
-  EXPECT_EQ(c.hits(), 1u);
-  EXPECT_EQ(c.misses(), 1u);
-  EXPECT_DOUBLE_EQ(c.hitRatio(), 0.5);
-}
-
-TEST(LruCache, EvictsLeastRecentlyUsed) {
-  LruCache c(300);
-  c.insert(1, 100);
-  c.insert(2, 100);
-  c.insert(3, 100);
-  c.touch(1);        // promote 1; LRU order now 1,3,2
-  c.insert(4, 100);  // evicts 2
-  EXPECT_TRUE(c.contains(1));
-  EXPECT_FALSE(c.contains(2));
-  EXPECT_TRUE(c.contains(3));
-  EXPECT_TRUE(c.contains(4));
-  EXPECT_EQ(c.evictions(), 1u);
-}
-
-TEST(LruCache, ReinsertUpdatesSize) {
-  LruCache c(1000);
-  c.insert(1, 100);
-  c.insert(1, 300);
-  EXPECT_EQ(c.size(), 300u);
-  EXPECT_EQ(c.entries(), 1u);
-}
-
-TEST(LruCache, OversizedEntryNotCached) {
-  LruCache c(100);
-  c.insert(1, 200);
-  EXPECT_FALSE(c.contains(1));
-  EXPECT_EQ(c.size(), 0u);
-}
-
-TEST(LruCache, EraseRemovesEntry) {
-  LruCache c(1000);
-  c.insert(1, 100);
-  c.erase(1);
-  EXPECT_FALSE(c.contains(1));
-  EXPECT_EQ(c.size(), 0u);
-  c.erase(42);  // no-op
-}
-
-TEST(LruCache, ClearKeepsCounters) {
-  LruCache c(1000);
-  c.insert(1, 100);
-  c.touch(1);
-  c.clear();
-  EXPECT_EQ(c.size(), 0u);
-  EXPECT_EQ(c.hits(), 1u);
-  c.resetCounters();
-  EXPECT_EQ(c.hits(), 0u);
-  EXPECT_DOUBLE_EQ(c.hitRatio(), 0.0);
-}
-
-TEST(LruCache, SizeNeverExceedsCapacity) {
-  LruCache c(1000);
-  for (std::uint64_t k = 0; k < 100; ++k) c.insert(k, 64);
-  EXPECT_LE(c.size(), 1000u);
-}
-
-// ---------------- PrefetchCache ----------------
-
-TEST(PrefetchCache, ZeroBlockSizeThrows) {
-  EXPECT_THROW(PrefetchCache(1024, 0, 4), std::invalid_argument);
-}
-
-TEST(PrefetchCache, ColdReadGoesToBackend) {
-  PrefetchCache c(units::MiB, 4096, 0);
-  const auto r = c.read(1, 0, 4096);
-  EXPECT_EQ(r.cachedBytes, 0u);
-  EXPECT_EQ(r.backendBytes, 4096u);
-}
-
-TEST(PrefetchCache, RereadHits) {
-  PrefetchCache c(units::MiB, 4096, 0);
-  c.read(1, 0, 4096);
-  const auto r = c.read(1, 0, 4096);
-  EXPECT_EQ(r.cachedBytes, 4096u);
-  EXPECT_EQ(r.backendBytes, 0u);
-}
-
-TEST(PrefetchCache, SequentialRunTriggersReadahead) {
-  PrefetchCache c(units::MiB, 4096, 4, /*runThreshold=*/2);
-  c.read(1, 0, 4096);
-  c.read(1, 4096, 4096);  // run length 2 -> prefetch blocks 2..5
-  EXPECT_GT(c.prefetchedBytes(), 0u);
-  const auto r = c.read(1, 8192, 4096);  // block 2 was prefetched
-  EXPECT_EQ(r.cachedBytes, 4096u);
-}
-
-TEST(PrefetchCache, ReadaheadChargesBackendBytes) {
-  PrefetchCache c(units::MiB, 4096, 4, 2);
-  c.read(1, 0, 4096);
-  const auto r = c.read(1, 4096, 4096);
-  // The request itself missed (4096) + 4 blocks readahead.
-  EXPECT_EQ(r.backendBytes, 4096u * 5);
-}
-
-TEST(PrefetchCache, RandomAccessDefeatsPrefetch) {
-  PrefetchCache c(units::MiB, 4096, 4, 2);
-  // Stride far apart: no sequential run forms.
-  c.read(1, 0, 4096);
-  c.read(1, 40960, 4096);
-  c.read(1, 81920, 4096);
-  EXPECT_EQ(c.prefetchedBytes(), 0u);
-}
-
-TEST(PrefetchCache, SequentialHitRatioBeatsRandom) {
-  PrefetchCache seq(256 * units::KiB, 4096, 8, 2);
-  PrefetchCache rnd(256 * units::KiB, 4096, 8, 2);
-  // Sequential scan of 2 MiB with a cache of 256 KiB: prefetch keeps
-  // hits coming despite capacity misses.
-  for (Bytes off = 0; off < 2 * units::MiB; off += 4096) seq.read(1, off, 4096);
-  // Random-ish scan: large prime stride defeats run detection.
-  Bytes off = 0;
-  for (int i = 0; i < 512; ++i) {
-    rnd.read(1, off % (2 * units::MiB), 4096);
-    off += 1224899;  // prime-ish stride, block-aligned enough to jump
-  }
-  EXPECT_GT(seq.hitRatio(), rnd.hitRatio());
-}
-
-TEST(PrefetchCache, PerFileStreamsAreIndependent) {
-  PrefetchCache c(units::MiB, 4096, 4, 2);
-  c.read(1, 0, 4096);
-  c.read(2, 0, 4096);  // different file: does not extend file 1's run
-  c.read(1, 4096, 4096);
-  EXPECT_GT(c.prefetchedBytes(), 0u);  // file 1 run is 2 long
-}
-
-TEST(PrefetchCache, WriteAllocatePopulates) {
-  PrefetchCache c(units::MiB, 4096, 0);
-  c.writeAllocate(1, 0, 8192);
-  EXPECT_EQ(c.read(1, 0, 8192).cachedBytes, 8192u);
-}
-
-TEST(PrefetchCache, InvalidateAllDropsResidency) {
-  PrefetchCache c(units::MiB, 4096, 0);
-  c.writeAllocate(1, 0, 4096);
-  c.invalidateAll();
-  EXPECT_EQ(c.read(1, 0, 4096).cachedBytes, 0u);
-}
-
-TEST(PrefetchCache, MultiBlockReadSplitsCorrectly) {
-  PrefetchCache c(units::MiB, 4096, 0);
-  c.writeAllocate(1, 0, 4096);  // only first block resident
-  const auto r = c.read(1, 0, 12288);
-  EXPECT_EQ(r.cachedBytes, 4096u);
-  EXPECT_EQ(r.backendBytes, 8192u);
-}
-
-TEST(PrefetchCache, UnalignedReadCountsPartialSpans) {
-  PrefetchCache c(units::MiB, 4096, 0);
-  const auto r = c.read(1, 1000, 100);  // inside block 0
-  EXPECT_EQ(r.backendBytes, 100u);
-  const auto r2 = c.read(1, 1000, 100);
-  EXPECT_EQ(r2.cachedBytes, 100u);
-}
 
 // ---------------- WritebackBuffer ----------------
 

@@ -301,9 +301,18 @@ struct NvmeRetryHarness {
   std::unique_ptr<NvmeLocalModel> fs;
 };
 
+/// One 1 MiB sequential write by client {0, 0} to file 0, on node 0's
+/// drive.
+IoRequest oneMiBWrite() {
+  IoRequest req;
+  req.bytes = units::MiB;
+  req.pattern = AccessPattern::SequentialWrite;
+  return req;
+}
+
 TEST(Retry, OpFailsAfterExhaustingRetriesAgainstDeadDrive) {
   NvmeRetryHarness h;
-  ClientSession session(*h.fs, ClientId{0, 0}, 0);
+  ClientSession session(*h.fs);
   RetryPolicy policy;
   policy.timeout = 1.0;
   policy.maxRetries = 2;
@@ -319,7 +328,7 @@ TEST(Retry, OpFailsAfterExhaustingRetriesAgainstDeadDrive) {
 
   IoResult result;
   bool done = false;
-  session.write(units::MiB, false, [&](const IoResult& r) {
+  session.submitRequest(oneMiBWrite(), [&](const IoResult& r) {
     result = r;
     done = true;
   });
@@ -335,7 +344,7 @@ TEST(Retry, OpFailsAfterExhaustingRetriesAgainstDeadDrive) {
 
 TEST(Retry, OpSucceedsWhenDriveRestoresBeforeRetriesRunOut) {
   NvmeRetryHarness h;
-  ClientSession session(*h.fs, ClientId{0, 0}, 0);
+  ClientSession session(*h.fs);
   RetryPolicy policy;
   policy.timeout = 1.0;
   policy.maxRetries = 4;
@@ -353,7 +362,7 @@ TEST(Retry, OpSucceedsWhenDriveRestoresBeforeRetriesRunOut) {
 
   IoResult result;
   bool done = false;
-  session.write(units::MiB, false, [&](const IoResult& r) {
+  session.submitRequest(oneMiBWrite(), [&](const IoResult& r) {
     result = r;
     done = true;
   });
@@ -367,9 +376,9 @@ TEST(Retry, OpSucceedsWhenDriveRestoresBeforeRetriesRunOut) {
 
 TEST(Retry, DisabledLayerPassesThroughUnchanged) {
   NvmeRetryHarness h;
-  ClientSession plain(*h.fs, ClientId{0, 0}, 0);
+  ClientSession plain(*h.fs);
   IoResult result;
-  plain.write(units::MiB, false, [&](const IoResult& r) { result = r; });
+  plain.submitRequest(oneMiBWrite(), [&](const IoResult& r) { result = r; });
   h.bench.sim().run();
   EXPECT_FALSE(result.failed);
   EXPECT_EQ(result.bytes, units::MiB);

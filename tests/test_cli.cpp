@@ -319,6 +319,13 @@ TEST(Cli, NonsenseSpecValuesExitTwoWithOneLine) {
        "storageConfig.cnodez: unknown key"},
       {"workload", R"({"workload": {"generator": "ior", "nodes": -3}})",
        "workload.nodes: must be a positive integer (got -3)"},
+      // The ior generator simulates one noiseless run: keys it would
+      // ignore are errors, not a run that prints the same number.
+      {"workload", "{" + ior.substr(0, ior.size() - 1) + R"(, "repetitions": 7}})",
+       "workload.repetitions: the ior generator runs IOR once, without noise; repeat it with "
+       "a sweep's \"ior\" experiment (got 7)"},
+      {"workload", "{" + ior.substr(0, ior.size() - 1) + R"(, "noiseStdDevFrac": 0.5}})",
+       "workload.noiseStdDevFrac: the ior generator runs IOR once"},
       {"chaos", R"({"transport": {"lanez": 2}})", "transport.lanez: unknown key"},
       // The scenario's own top-level keys are a field list too.
       {"chaos", R"({"horizonSec": "4"})", "horizonSec: must be a number (got '4')"},
@@ -462,6 +469,20 @@ TEST(Cli, UnknownOrMalformedOptionExitsTwoBeforeRunning) {
        "--segments: unknown option"},
       {{"dump-config", "--site", "lassen", "--storage", "vast", "--json"},
        "--json: unknown option"},
+      // A number outside the flag's range names the flag, before it runs
+      // on nonsense or reaches the config's validate().
+      {{"oracle", "relations", "--cases", "0"}, "--cases: must be a positive integer (got 0)"},
+      {{"oracle", "relations", "--seed", "-1"},
+       "--seed: must be a non-negative integer (got -1)"},
+      {{"oracle", "check", "--dir", HCSIM_PAPER_DIR, "--tolerance", "-1"},
+       "--tolerance: must be >= 0 (got -1)"},
+      {{"plan", "--min-gbs", "-1"}, "--min-gbs: must be > 0 (got -1)"},
+      {{"ior", "--site", "lassen", "--storage", "vast", "--noise", "-1"},
+       "--noise: must be >= 0 (got -1)"},
+      {{"ior", "--site", "lassen", "--storage", "vast", "--stonewall", "-2"},
+       "--stonewall: must be >= 0 (got -2)"},
+      {{"mdtest", "--site", "lassen", "--storage", "vast", "--noise", "-1"},
+       "--noise: must be >= 0 (got -1)"},
   };
   for (const auto& c : cases) {
     std::ostringstream out, err;

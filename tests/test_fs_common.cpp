@@ -93,63 +93,24 @@ class FakeFs final : public FileSystemModel {
   std::string name_ = "fake";
 };
 
-TEST(ClientSession, WriteAdvancesCursorAndSetsFields) {
+TEST(ClientSession, CallbackReceivesResult) {
   FakeFs fs;
-  ClientSession s(fs, ClientId{3, 7}, 42);
-  s.write(1000, true, nullptr);
-  s.write(500, false, nullptr);
-  ASSERT_EQ(fs.requests.size(), 2u);
+  ClientSession s(fs);
+  IoRequest req;
+  req.client = ClientId{3, 7};
+  req.fileId = 42;
+  req.offset = 1000;
+  req.bytes = 100;
+  IoResult got{};
+  s.submitRequest(req, [&](const IoResult& r) { got = r; });
+  EXPECT_EQ(got.bytes, 100u);
+  EXPECT_DOUBLE_EQ(got.elapsed(), 1.0);
+  // Without retry the request reaches the model as given.
+  ASSERT_EQ(fs.requests.size(), 1u);
   EXPECT_EQ(fs.requests[0].client.node, 3u);
   EXPECT_EQ(fs.requests[0].client.proc, 7u);
   EXPECT_EQ(fs.requests[0].fileId, 42u);
-  EXPECT_EQ(fs.requests[0].offset, 0u);
-  EXPECT_EQ(fs.requests[0].bytes, 1000u);
-  EXPECT_TRUE(fs.requests[0].fsync);
-  EXPECT_EQ(fs.requests[1].offset, 1000u);
-  EXPECT_FALSE(fs.requests[1].fsync);
-  EXPECT_EQ(s.cursor(), 1500u);
-}
-
-TEST(ClientSession, ReadUsesSequentialPattern) {
-  FakeFs fs;
-  ClientSession s(fs, ClientId{0, 0}, 1);
-  s.read(256, nullptr);
-  EXPECT_EQ(fs.requests[0].pattern, AccessPattern::SequentialRead);
-  EXPECT_EQ(s.cursor(), 256u);
-}
-
-TEST(ClientSession, ReadAtIsRandomAndKeepsCursor) {
-  FakeFs fs;
-  ClientSession s(fs, ClientId{0, 0}, 1);
-  s.seek(100);
-  s.readAt(5000, 64, nullptr);
-  EXPECT_EQ(fs.requests[0].pattern, AccessPattern::RandomRead);
-  EXPECT_EQ(fs.requests[0].offset, 5000u);
-  EXPECT_EQ(s.cursor(), 100u);
-}
-
-TEST(ClientSession, RunsCoalesceOps) {
-  FakeFs fs;
-  ClientSession s(fs, ClientId{0, 0}, 1);
-  s.writeRun(1024, 8, false, nullptr);
-  EXPECT_EQ(fs.requests[0].ops, 8u);
-  EXPECT_EQ(fs.requests[0].bytes, 8192u);
-  EXPECT_EQ(s.cursor(), 8192u);
-  s.readRun(1024, 4, nullptr);
-  EXPECT_EQ(fs.requests[1].offset, 8192u);
-  EXPECT_EQ(s.cursor(), 8192u + 4096u);
-  s.randomReadRun(1024, 16, nullptr);
-  EXPECT_EQ(fs.requests[2].pattern, AccessPattern::RandomRead);
-  EXPECT_EQ(fs.requests[2].ops, 16u);
-}
-
-TEST(ClientSession, CallbackReceivesResult) {
-  FakeFs fs;
-  ClientSession s(fs, ClientId{0, 0}, 1);
-  IoResult got{};
-  s.write(100, false, [&](const IoResult& r) { got = r; });
-  EXPECT_EQ(got.bytes, 100u);
-  EXPECT_DOUBLE_EQ(got.elapsed(), 1.0);
+  EXPECT_EQ(fs.requests[0].offset, 1000u);
 }
 
 TEST(FileSystemModel, DefaultClientParallelismIsOne) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/experiment.hpp"
+
 namespace hcsim {
 namespace {
 
@@ -264,6 +266,44 @@ TEST(IorRunner, ReadsAfterWritesSeeWorkingSet) {
   cfg.segments = 64;
   const double bw = runner.run(cfg).bandwidth.mean;
   EXPECT_GT(bw, 0.0);
+}
+
+// The app-suite studies (examples/specs/studies/apps_ior_*.json) pin
+// each IOR phase as a cell on a fresh environment, and HACC's aggregate
+// (checkpoint, then restart) and KMeans' (pass after pass) are sums over
+// those cells. That holds because a coalesced IOR run on these four
+// deployments leaves no state behind for the next run on the same
+// environment. Only this case is claimed: DAOS keeps its transport
+// connections from one run to the next (a later run at this geometry
+// reads 0.02-0.05% faster).
+TEST(IorRunner, CoalescedRunsOnTheAppSuiteDeploymentsCarryNoState) {
+  const struct {
+    Site site;
+    StorageKind kind;
+  } deployments[] = {{Site::Lassen, StorageKind::Vast},
+                     {Site::Lassen, StorageKind::Gpfs},
+                     {Site::Wombat, StorageKind::Vast},
+                     {Site::Wombat, StorageKind::NvmeLocal}};
+  IorConfig write = IorConfig::scalability(AccessPattern::SequentialWrite, 4, 16);
+  write.segments = 512;
+  IorConfig read = write;
+  read.access = AccessPattern::SequentialRead;
+  for (const auto& d : deployments) {
+    const auto fresh = [&](const IorConfig& cfg) {
+      Environment env = makeEnvironment(d.site, d.kind, cfg.nodes);
+      return IorRunner(*env.bench, *env.fs).run(cfg).bandwidth.mean;
+    };
+    const double freshWrite = fresh(write);
+    const double freshRead = fresh(read);
+    Environment env = makeEnvironment(d.site, d.kind, write.nodes);
+    IorRunner runner(*env.bench, *env.fs);
+    EXPECT_EQ(runner.run(write).bandwidth.mean, freshWrite) << toString(d.kind);
+    const IorConfig later[] = {write, read, read, read};
+    for (const IorConfig& cfg : later) {
+      const double want = isRead(cfg.access) ? freshRead : freshWrite;
+      EXPECT_NEAR(runner.run(cfg).bandwidth.mean, want, 1e-12 * want) << toString(d.kind);
+    }
+  }
 }
 
 }  // namespace

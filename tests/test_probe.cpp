@@ -422,26 +422,6 @@ TEST(Watchdog, BreachLandsInTheFlightRecorder) {
   EXPECT_DOUBLE_EQ(snap[0].value, 1.0);
 }
 
-TEST(Watchdog, ExportsProbeGauges) {
-  MonitorSpec floor;
-  floor.name = "floor";
-  floor.metric = MonitorMetric::GoodputGBs;
-  floor.min = 5.0;
-  MonitorSpec stall;
-  stall.name = "stall";
-  stall.metric = MonitorMetric::StallSec;
-  stall.max = 100.0;
-  WatchdogSet dog({floor, stall});
-  dog.observeSlice(0.0, 1.0, 1.0);
-  dog.finish(1.0);
-  telemetry::MetricsRegistry reg;
-  dog.exportTo(reg);
-  EXPECT_DOUBLE_EQ(reg.gaugeOr("probe.monitors", 0.0), 2.0);
-  EXPECT_DOUBLE_EQ(reg.gaugeOr("probe.breaches", 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(reg.gaugeOr("probe.monitor.floor.breaches", -1.0), 1.0);
-  EXPECT_DOUBLE_EQ(reg.gaugeOr("probe.monitor.stall.breaches", -1.0), 0.0);
-}
-
 TEST(Watchdog, BreachTableNamesObservedAndLimit) {
   MonitorSpec spec;
   spec.name = "floor";
@@ -632,6 +612,21 @@ TEST(ProbeCli, BreachedMonitorExitsThreeWithBreachTable) {
   EXPECT_EQ(cli::run(ArgParser({"chaos", spec}), so, se), 3);
   EXPECT_NE(so.str().find("SLO breaches:"), std::string::npos) << so.str();
   EXPECT_NE(so.str().find("impossible"), std::string::npos) << so.str();
+  std::remove(spec.c_str());
+}
+
+// The run's outcome exports the probe gauges, and --telemetry prints
+// them with the run's other gauges.
+TEST(ProbeCli, TelemetryPrintsTheMonitorAndBreachGauges) {
+  const std::string spec = writeTemp("probe_gauges.json", cliChaosSpec(R"(,
+    "monitors": [
+      {"name": "floor", "metric": "goodputGBs", "min": 0.0001},
+      {"name": "impossible", "metric": "goodputGBs", "min": 100000.0}
+    ])"));
+  std::ostringstream so, se;
+  EXPECT_EQ(cli::run(ArgParser({"chaos", spec, "--telemetry"}), so, se), 3);
+  EXPECT_NE(so.str().find("  probe.monitors = 2\n"), std::string::npos) << so.str();
+  EXPECT_NE(so.str().find("  probe.breaches = 1\n"), std::string::npos) << so.str();
   std::remove(spec.c_str());
 }
 

@@ -78,7 +78,8 @@ TEST(PaperArtifacts, EverySpecHasASnapshotAndEverySnapshotASpec) {
   } dirs[] = {
       {HCSIM_PAPER_DIR, {"fig2a", "fig2b", "fig3a", "fig3b", "fig3c", "fig3d", "fig5", "fig6"}},
       {HCSIM_STUDIES_DIR,
-       {"dlio_compute", "dlio_io_threads", "dlio_prefetch", "frontend", "hardware",
+       {"apps_dlio_lassen", "apps_dlio_wombat", "apps_ior_lassen", "apps_ior_wombat",
+        "dlio_compute", "dlio_io_threads", "dlio_prefetch", "frontend", "hardware",
         "sharedfile_lassen", "sharedfile_quartz", "sharedfile_wombat"}},
   };
   for (const auto& d : dirs) {
@@ -95,10 +96,10 @@ TEST(PaperArtifacts, EverySpecHasASnapshotAndEverySnapshotASpec) {
 
 // ---------- the paper's shapes over the committed cells ----------
 
-/// The committed snapshot of one paper artifact.
-oracle::Cells artifact(const std::string& name) {
+/// The committed snapshot of one paper artifact, or of one study.
+oracle::Cells artifact(const std::string& name, const char* dir = HCSIM_PAPER_DIR) {
   oracle::Cells cells;
-  EXPECT_TRUE(oracle::loadCells(oracle::goldenPath(HCSIM_PAPER_DIR, name), cells)) << name;
+  EXPECT_TRUE(oracle::loadCells(oracle::goldenPath(dir, name), cells)) << name;
   return cells;
 }
 
@@ -252,6 +253,19 @@ TEST(Regression, CosmoflowFavorsGpfs) {
   EXPECT_GT(gpfs.meanGBs, vast.meanGBs);  // application throughput
   EXPECT_GT(gpfs.dlioSystemGBs, vast.dlioSystemGBs);
   EXPECT_GT(vast.dlioNonOverlappingIoSec, gpfs.dlioNonOverlappingIoSec);
+}
+
+TEST(Regression, SharedFileReadsAreSlowerOnGpfs) {
+  // The app suite (studies/apps_ior_lassen.json): BD-CATS reads one
+  // shared HDF5 file (N-1), and is slower on GPFS than the N-N read of
+  // HACC's restart and of every KMeans pass.
+  const oracle::Cells c = artifact("apps_ior_lassen", HCSIM_STUDIES_DIR);
+  JsonObject perProcess = {
+      {"access", "seq-read"}, {"nodes", 4}, {"procsPerNode", 16}, {"segments", 512}};
+  JsonObject shared = perProcess;
+  shared["filePerProcess"] = false;
+  EXPECT_LT(at(c, {{"storage", "gpfs"}, {"ior", JsonValue(std::move(shared))}}).meanGBs,
+            at(c, {{"storage", "gpfs"}, {"ior", JsonValue(std::move(perProcess))}}).meanGBs);
 }
 
 TEST(Regression, AllCalibrationChecksPass) {

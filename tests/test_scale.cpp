@@ -451,7 +451,7 @@ class StallFirstFs final : public FileSystemModel {
 TEST(RetryUnderAggregation, TimedOutClassBillsOneRetryNotN) {
   Simulator sim;
   StallFirstFs fs(sim, 1);
-  ClientSession session(fs, ClientId{0, 0}, 1);
+  ClientSession session(fs);
   session.enableRetry(sim, RetryPolicy{1.0, 4, 0.25, 2.0});
   IoRequest req = classBaseRequest(AccessPattern::SequentialWrite);
   req.members = 64;
@@ -476,7 +476,7 @@ TEST(RetryUnderAggregation, TimedOutClassBillsOneRetryNotN) {
 TEST(RetryUnderAggregation, ExhaustedClassFailsOnce) {
   Simulator sim;
   StallFirstFs fs(sim, 100);  // every attempt strands
-  ClientSession session(fs, ClientId{0, 0}, 1);
+  ClientSession session(fs);
   session.enableRetry(sim, RetryPolicy{0.5, 2, 0.1, 2.0});
   IoRequest req = classBaseRequest(AccessPattern::SequentialWrite);
   req.members = 1000;
@@ -518,7 +518,7 @@ class LateFirstFs final : public FileSystemModel {
 TEST(RetryUnderAggregation, LateClassCompletionSwallowedOnce) {
   Simulator sim;
   LateFirstFs fs(sim);
-  ClientSession session(fs, ClientId{0, 0}, 1);
+  ClientSession session(fs);
   session.enableRetry(sim, RetryPolicy{1.0, 4, 0.25, 2.0});
   IoRequest req = classBaseRequest(AccessPattern::SequentialWrite);
   req.members = 32;

@@ -59,9 +59,13 @@ std::string chromeTraceFixture() {
 /// One small trial config per registered generator, all fast to run.
 std::vector<JsonValue> generatorConfigs(const std::string& tracePath) {
   std::vector<JsonValue> configs;
+  // The ior generator simulates one noiseless run: it takes repetitions
+  // and noise at those values (any other exits 2, see
+  // Cli.NonsenseSpecValuesExitTwoWithOneLine).
   configs.push_back(mustParse(R"({"site":"lassen","storage":"vast","workload":{
     "generator":"ior","nodes":1,"procsPerNode":2,"segments":4,
-    "blockSize":4194304,"transferSize":1048576,"seed":41}})"));
+    "blockSize":4194304,"transferSize":1048576,"seed":41,
+    "repetitions":1,"noiseStdDevFrac":0}})"));
   configs.push_back(mustParse(R"({"site":"lassen","storage":"vast","workload":{
     "generator":"dlio","nodes":1,"procsPerNode":2,"workload":{
       "name":"tiny","samples":16,"sampleSize":153600,"transferSize":153600,
