@@ -9,8 +9,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cmake -B build -G Ninja
-cmake --build build
+cmake -B build -S .
+cmake --build build -j
 
 ctest --test-dir build --timeout 300 2>&1 | tee test_output.txt
 

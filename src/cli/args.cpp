@@ -1,30 +1,14 @@
 #include "cli/args.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
-
-#include "config/range.hpp"
 
 namespace hcsim {
 
 namespace {
 
-/// Options that never take a value. "--flag token" must leave `token` a
-/// positional instead of swallowing it as the flag's value; every other
-/// option follows the "--key value" rule.
-bool isBareFlag(const std::string& name) {
-  static const char* const kBareFlags[] = {
-      "--fsync", "--per-op", "--shared-file", "--unique-dir", "--help",
-      "--no-shrink", "--full", "--internal", "--telemetry", "--json",
-      "--self", "--self-profile",
-  };
-  for (const char* flag : kBareFlags) {
-    if (name == flag) return true;
-  }
-  return false;
-}
-
-/// The whole value as a finite number, else nullopt.
+/// The whole token as a finite number, else nullopt.
 std::optional<double> toNumber(const std::string& v) {
   char* end = nullptr;
   const double d = std::strtod(v.c_str(), &end);
@@ -34,29 +18,31 @@ std::optional<double> toNumber(const std::string& v) {
 
 }  // namespace
 
-ArgParser::ArgParser(const std::vector<std::string>& args) { parse(args); }
+ArgParser::ArgParser(const std::vector<std::string>& args) : args_(args) { split({}); }
 
-ArgParser::ArgParser(int argc, const char* const* argv) {
-  std::vector<std::string> args;
-  for (int i = 1; i < argc; ++i) args.emplace_back(argv[i]);
-  parse(args);
-}
+ArgParser::ArgParser(int argc, const char* const* argv)
+    : ArgParser(argc > 1 ? std::vector<std::string>(argv + 1, argv + argc)
+                         : std::vector<std::string>{}) {}
 
-void ArgParser::parse(const std::vector<std::string>& args) {
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& tok = args[i];
-    if (tok.rfind("--", 0) == 0) {
-      const auto eq = tok.find('=');
-      if (eq != std::string::npos) {
-        options_[tok.substr(0, eq)] = tok.substr(eq + 1);
-      } else if (!isBareFlag(tok) && i + 1 < args.size() &&
-                 args[i + 1].rfind("--", 0) != 0) {
-        options_[tok] = args[++i];
-      } else {
-        options_[tok] = "";
-      }
-    } else {
+void ArgParser::split(const std::vector<Flag>& flags) {
+  const auto bare = [&flags](const std::string& key) {
+    return key == "--help" || std::any_of(flags.begin(), flags.end(), [&key](const Flag& f) {
+             return f.kind == Flag::Kind::Bare && key == f.key;
+           });
+  };
+  const auto isOption = [](const std::string& token) { return token.rfind("--", 0) == 0; };
+  positionals_.clear();
+  options_.clear();
+  for (std::size_t i = 0; i < args_.size(); ++i) {
+    const std::string& tok = args_[i];
+    if (!isOption(tok)) {
       positionals_.push_back(tok);
+    } else if (const auto eq = tok.find('='); eq != std::string::npos) {
+      options_.push_back({tok.substr(0, eq), tok.substr(eq + 1)});
+    } else if (!bare(tok) && i + 1 < args_.size() && !isOption(args_[i + 1])) {
+      options_.push_back({tok, args_[++i]});
+    } else {
+      options_.push_back({tok, std::nullopt});
     }
   }
 }
@@ -65,60 +51,35 @@ std::string ArgParser::positionalOr(std::size_t index, const std::string& fallba
   return index < positionals_.size() ? positionals_[index] : fallback;
 }
 
-bool ArgParser::has(const std::string& key) const {
-  read_.insert(key);
-  return options_.count(key) > 0;
-}
-
 std::optional<std::string> ArgParser::get(const std::string& key) const {
-  read_.insert(key);
-  const auto it = options_.find(key);
-  if (it == options_.end()) return std::nullopt;
-  return it->second;
+  const auto it = std::find_if(options_.rbegin(), options_.rend(),
+                               [&key](const auto& o) { return o.first == key; });
+  if (it == options_.rend()) return std::nullopt;
+  return it->second.value_or("");
 }
 
-std::string ArgParser::getOr(const std::string& key, const std::string& fallback) const {
-  const auto v = get(key);
-  return v ? *v : fallback;
-}
-
-double ArgParser::numberOr(const std::string& key, double fallback, const Range& range) const {
-  const auto v = get(key);
-  if (!v) return fallback;
-  const auto d = toNumber(*v);
-  if (d && range.holds(*d)) return *d;
-  if (badNumber_.empty()) {
-    badNumber_ = key + ": " + (d ? std::string(range.rule) + " (got " + *v + ")"
-                                 : "must be a number (got '" + *v + "')");
-  }
-  return fallback;
-}
-
-std::size_t ArgParser::sizeOr(const std::string& key, std::size_t fallback) const {
-  return integerOr(key, fallback, kWhole);
-}
-
-std::size_t ArgParser::countOr(const std::string& key, std::size_t fallback) const {
-  return integerOr(key, fallback, kCount);
-}
-
-std::size_t ArgParser::integerOr(const std::string& key, std::size_t fallback,
-                                 const Range& range) const {
-  const auto v = get(key);
-  if (!v) return fallback;
-  const auto d = toNumber(*v);
-  if (d && range.holds(*d) && *d < 1e15) return static_cast<std::size_t>(*d);
-  if (badNumber_.empty()) {
-    badNumber_ = key + ": " + range.rule + " (got " + (d ? *v : "'" + *v + "'") + ")";
-  }
-  return fallback;
-}
-
-std::string ArgParser::problem() const {
+std::string ArgParser::collect(const std::vector<Flag>& flags, JsonObject& out) {
+  split(flags);
   for (const auto& [key, value] : options_) {
-    if (read_.count(key) == 0) return key + ": unknown option";
+    const auto flag = std::find_if(flags.begin(), flags.end(),
+                                   [&key](const Flag& f) { return key == f.key; });
+    if (flag == flags.end()) return key + ": unknown option";
+    const std::optional<double> number =
+        value && flag->kind == Flag::Kind::Number ? toNumber(*value) : std::nullopt;
+    if (!value) {
+      out[key] = flag->kind == Flag::Kind::Bare ? JsonValue(true) : JsonValue();
+    } else if (flag->kind == Flag::Kind::Bare && (*value == "true" || *value == "false")) {
+      out[key] = *value == "true";  // --flag=true|false
+    } else if (number) {
+      out[key] = *number;
+    } else {
+      out[key] = *value;
+    }
   }
-  return badNumber_;
+  for (const Flag& f : flags) {
+    if (f.required && out.count(f.key) == 0) out[f.key] = JsonValue();
+  }
+  return "";
 }
 
 }  // namespace hcsim

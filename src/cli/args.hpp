@@ -1,62 +1,102 @@
 #pragma once
-// Tiny command-line parser for the hcsim CLI: positionals + --key value
-// options + --flags. Deliberately simple and fully testable.
+// The hcsim command line: positionals, "--key value" and "--key=value"
+// options, read onto a command's flags through a field list
+// (config/fields.hpp) whose keys are the flags themselves:
+//
+//   io("--procs", f.cfg.procsPerNode, kCount);
+//   io("--unique-dir", f.cfg.uniqueDirPerTask);
+//
+// read() turns argv into a JSON object for readFields, so a flag gets a
+// spec key's ranges, enum spellings and one-line messages ("--procs: must
+// be a positive integer (got 0)"), and `hcsim help` prints the same list.
 
-#include <map>
+#include <cstdio>
+#include <cstring>
 #include <optional>
-#include <set>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
-#include "config/range.hpp"
+#include "config/fields.hpp"
 
 namespace hcsim {
 
+/// One flag of a list, as argv and `hcsim help` see it.
+struct Flag {
+  enum class Kind { Bare, Number, Text };
+  const char* key;
+  Kind kind;
+  bool required;        ///< an enum whose default is past its last spelling ("?")
+  std::string value;    ///< the default as help prints it; "" for none
+  std::string choices;  ///< "a|b|c" for an enum or oneOf flag
+};
+
+/// Walks a flag list: a bool field is a bare flag, a number's token is
+/// parsed as a number, and every other value is a string.
+class FlagList {
+ public:
+  template <class T>
+  void operator()(const char* key, const T& v, const Range& = {}) {
+    if constexpr (std::is_same_v<T, bool>) {
+      flags.push_back({key, Flag::Kind::Bare, false, "", ""});
+    } else if constexpr (std::is_arithmetic_v<T>) {
+      char text[32];
+      std::snprintf(text, sizeof text, "%.15g", static_cast<double>(v));
+      flags.push_back({key, Flag::Kind::Number, false, text, ""});
+    } else if constexpr (std::is_enum_v<T>) {
+      const bool required = std::strcmp(enumName(v), "?") == 0;
+      flags.push_back({key, Flag::Kind::Text, required, required ? "" : enumName(v),
+                       enumChoices<T>()});
+    } else {
+      flags.push_back({key, Flag::Kind::Text, false, v, ""});
+    }
+  }
+  void oneOf(const char* key, const std::string& v, std::initializer_list<const char*> names) {
+    flags.push_back({key, Flag::Kind::Text, false, v, oneOfChoices(names)});
+  }
+
+  std::vector<Flag> flags;
+};
+
 class ArgParser {
  public:
-  /// Parse argv-style input (excluding the program name). Tokens
-  /// starting with "--" are options; "--key value" when the next token
-  /// is not an option, otherwise a boolean flag. Known boolean flags
-  /// (--fsync, --per-op, --shared-file, --unique-dir, --help) never
-  /// consume a value. Everything else is a positional. "--key=value" is
-  /// also accepted.
   explicit ArgParser(const std::vector<std::string>& args);
   ArgParser(int argc, const char* const* argv);  ///< skips argv[0]
 
+  /// The tokens that are neither an option nor an option's value. Until
+  /// read() names the bare flags, every option but --help takes the
+  /// next token unless it starts with "--".
   const std::vector<std::string>& positionals() const { return positionals_; }
   std::string positionalOr(std::size_t index, const std::string& fallback) const;
-
-  // Every accessor records the key as read by the running command.
-  bool has(const std::string& key) const;
+  /// The last value given for `key` ("" for a bare one): for --help and
+  /// for the flag that decides which list a command reads.
   std::optional<std::string> get(const std::string& key) const;
-  std::string getOr(const std::string& key, const std::string& fallback) const;
-  /// A value that is not a number, or is outside `range`
-  /// (config/range.hpp; the default takes any finite number), returns
-  /// `fallback` and is a problem(): "--noise: must be >= 0 (got -1)".
-  double numberOr(const std::string& key, double fallback, const Range& range = {}) const;
-  /// As numberOr, for a non-negative integer.
-  std::size_t sizeOr(const std::string& key, std::size_t fallback) const;
-  /// As numberOr, for a positive integer (a count of nodes, processes,
-  /// segments, ...): "--nodes: must be a positive integer (got 0)".
-  std::size_t countOr(const std::string& key, std::size_t fallback) const;
 
-  /// One line naming the first option no accessor has read
-  /// ("--acess: unknown option"), else the first numeric option whose
-  /// value did not parse or is outside its range; "" when neither. A
-  /// command asks once it has read every option it takes, before it
-  /// runs.
-  std::string problem() const;
+  /// Read every option onto `flags` through its field list: "" or one
+  /// line naming the flag ("--acess: unknown option", "--nodes: must be a
+  /// positive integer (got 0)"). The token after a bare flag becomes a
+  /// positional.
+  template <class T>
+  std::string read(T& flags) {
+    FlagList list;
+    fields(list, flags);
+    JsonObject given;
+    if (std::string e = collect(list.flags, given); !e.empty()) return e;
+    return readFields(JsonValue(std::move(given)), flags, "");
+  }
 
  private:
-  void parse(const std::vector<std::string>& args);
-  /// The value as a whole number within `range` (config/range.hpp), else
-  /// `fallback` with the range's phrase recorded as the problem.
-  std::size_t integerOr(const std::string& key, std::size_t fallback, const Range& range) const;
+  /// Split argv into positionals and options, `flags`' bare ones (and
+  /// --help) taking no value.
+  void split(const std::vector<Flag>& flags);
+  /// The options as JSON values of their flags, an absent required one
+  /// as null; "" or the first unknown option.
+  std::string collect(const std::vector<Flag>& flags, JsonObject& out);
 
+  std::vector<std::string> args_;
   std::vector<std::string> positionals_;
-  std::map<std::string, std::string> options_;  // flag -> "" for bare flags
-  mutable std::set<std::string> read_;
-  mutable std::string badNumber_;
+  std::vector<std::pair<std::string, std::optional<std::string>>> options_;
 };
 
 }  // namespace hcsim

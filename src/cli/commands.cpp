@@ -4,7 +4,6 @@
 #include <cmath>
 #include <fstream>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <ostream>
 #include <stdexcept>
@@ -34,39 +33,287 @@ namespace hcsim::cli {
 
 namespace {
 
-bool parsePattern(const std::string& s, AccessPattern& out) {
-  return fromJson(JsonValue(s), out);
+/// A bad command line, or a bad spec, config or cache file it names:
+/// run() prints "error: " and the message, and exits 2. Any other
+/// exception is a failed run (exit 1).
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// The command's flags, read through their field list (cli/args.hpp).
+template <class Flags>
+Flags readFlags(ArgParser& args) {
+  Flags flags;
+  if (std::string e = args.read(flags); !e.empty()) throw UsageError(e);
+  return flags;
 }
 
-bool parseDlioWorkload(const std::string& s, DlioWorkload& out) {
-  if (s == "resnet50") out = DlioWorkload::resnet50();
-  else if (s == "cosmoflow") out = DlioWorkload::cosmoflow();
-  else if (s == "unet3d") out = DlioWorkload::unet3d();
-  else return false;
-  return true;
+// ---- flag lists ----
+//
+// Each command reads one struct below, its field list's keys being its
+// flags (read onto the config they fill where there is one); help prints
+// the struct's defaults. Where a flag decides which flags a run takes
+// (ior/dlio --config, trace/stats --workload), there are two lists.
+
+/// The deployment a run is built on. Neither flag has a default: each
+/// starts past its enum's last spelling, so read() requires it.
+struct TargetFlags {
+  Site site = static_cast<Site>(-1);
+  StorageKind storage = static_cast<StorageKind>(-1);
+};
+template <class IO>
+void fields(IO& io, TargetFlags& f) {
+  io("--site", f.site);
+  io("--storage", f.storage);
 }
 
-/// Call once a command has read every option it takes, before it runs:
-/// an option it did not read, or a number that did not parse, is one
-/// line and exit 2.
-bool optionsOk(const ArgParser& args, std::ostream& err) {
-  const std::string problem = args.problem();
-  if (problem.empty()) return true;
-  err << "error: " << problem << "\n";
-  return false;
+/// `ior` or `dlio` with its config read from a file instead of flags.
+struct ConfigFlags : TargetFlags {
+  std::string config;
+};
+template <class IO>
+void fields(IO& io, ConfigFlags& f) {
+  fields(io, static_cast<TargetFlags&>(f));
+  io("--config", f.config);
 }
 
-bool parseTarget(const ArgParser& args, std::ostream& err, Site& site, StorageKind& kind) {
-  if (!parseSite(args.getOr("--site", ""), site)) {
-    err << "error: --site must be one of " << siteNames() << "\n";
-    return false;
+struct IorFlags : TargetFlags {
+  IorConfig cfg{.segments = 512, .nodes = 4, .procsPerNode = 16, .repetitions = 3,
+                .noiseStdDevFrac = 0.03};
+  bool perOp = false, sharedFile = false;
+
+  IorConfig config() const {
+    IorConfig c = cfg;
+    if (perOp) c.mode = IorConfig::Mode::PerOp;
+    c.filePerProcess = !sharedFile;
+    return c;
   }
-  if (!parseStorage(args.getOr("--storage", ""), kind)) {
-    err << "error: --storage must be one of " << storageNames() << "\n";
-    return false;
-  }
-  return true;
+};
+template <class IO>
+void fields(IO& io, IorFlags& f) {
+  fields(io, static_cast<TargetFlags&>(f));
+  io("--access", f.cfg.access);
+  io("--nodes", f.cfg.nodes, kCount);
+  io("--ppn", f.cfg.procsPerNode, kCount);
+  io("--segments", f.cfg.segments, kCount);
+  io("--fsync", f.cfg.fsyncPerWrite);
+  io("--per-op", f.perOp);
+  io("--shared-file", f.sharedFile);
+  io("--reps", f.cfg.repetitions, kCount);
+  io("--noise", f.cfg.noiseStdDevFrac, kNonNegative);
+  io("--stonewall", f.cfg.stonewallSeconds, kNonNegative);
 }
+
+/// The DLIO presets --workload names.
+constexpr std::initializer_list<const char*> kDlioPresets = {"resnet50", "cosmoflow", "unet3d"};
+
+struct DlioFlags : TargetFlags {
+  std::string workload = "resnet50";
+  DlioConfig cfg{.workload = {}, .nodes = 4};
+
+  DlioConfig config() const {
+    DlioConfig c = cfg;
+    c.workload = workload == "cosmoflow" ? DlioWorkload::cosmoflow()
+                 : workload == "unet3d"  ? DlioWorkload::unet3d()
+                                         : DlioWorkload::resnet50();
+    return c;
+  }
+};
+template <class IO>
+void fields(IO& io, DlioFlags& f) {
+  fields(io, static_cast<TargetFlags&>(f));
+  io.oneOf("--workload", f.workload, kDlioPresets);
+  io("--nodes", f.cfg.nodes, kCount);
+  io("--ppn", f.cfg.procsPerNode, kCount);
+}
+
+struct MdtestFlags : TargetFlags {
+  MdtestConfig cfg{.procsPerNode = 16, .itemsPerProc = 128, .repetitions = 3,
+                   .noiseStdDevFrac = 0.03};
+};
+template <class IO>
+void fields(IO& io, MdtestFlags& f) {
+  fields(io, static_cast<TargetFlags&>(f));
+  io("--nodes", f.cfg.nodes, kCount);
+  io("--procs", f.cfg.procsPerNode, kCount);
+  io("--items", f.cfg.itemsPerProc, kCount);
+  io("--unique-dir", f.cfg.uniqueDirPerTask);
+  io("--reps", f.cfg.repetitions, kCount);
+  io("--noise", f.cfg.noiseStdDevFrac, kNonNegative);
+}
+
+struct PlanFlags {
+  Site machine = Site::Wombat;
+  PlanGoal goal;
+};
+template <class IO>
+void fields(IO& io, PlanFlags& f) {
+  io("--machine", f.machine);
+  io("--pattern", f.goal.pattern);
+  io("--min-gbs", f.goal.minGBsPerNode, kPositive);
+  io("--nodes", f.goal.nodes, kCount);
+  io("--ppn", f.goal.procsPerNode, kCount);
+}
+
+/// The directory of paper figures the oracle and `takeaways` read.
+struct DirFlags {
+  std::string dir = oracle::kPaperDir;
+};
+template <class IO>
+void fields(IO& io, DirFlags& f) {
+  io("--dir", f.dir);
+}
+
+struct SweepFlags {
+  std::string spec;
+  std::size_t jobs = sweep::defaultJobs();
+  sweep::TrialOptions trial;
+  std::string out, csv, baseline, cache;
+};
+template <class IO>
+void fields(IO& io, SweepFlags& f) {
+  io("--spec", f.spec);
+  io("--jobs", f.jobs, kWhole);
+  io("--telemetry", f.trial.telemetry);
+  io("--self-profile", f.trial.selfProfile);
+  io("--out", f.out);
+  io("--csv", f.csv);
+  io("--baseline", f.baseline);
+  io("--cache", f.cache);
+}
+
+/// `chaos`, `workload` and `probe`: the spec (--spec, else the first
+/// positional) and the outputs they share.
+struct SpecRunFlags {
+  std::string spec;
+  bool telemetry = false;
+  std::string out, csv, dumpOnExit;
+};
+template <class IO>
+void fields(IO& io, SpecRunFlags& f) {
+  io("--spec", f.spec);
+  io("--telemetry", f.telemetry);
+  io("--out", f.out);
+  io("--csv", f.csv);
+  io("--dump-on-exit", f.dumpOnExit);
+}
+
+/// `scale`: most flags are open-loop keys under another name; --clients
+/// and --classes together set clients and clientsPerRank.
+struct ScaleFlags {
+  Site site = Site::Lassen;
+  StorageKind storage = StorageKind::Vast;
+  double clients = 1e6;
+  std::size_t classes = 256;
+  workload::OpenLoopConfig cfg{.clientsPerNode = 8, .ratePerClientHz = 5.0, .horizonSec = 5.0};
+  bool telemetry = false;
+  std::string out;
+};
+template <class IO>
+void fields(IO& io, ScaleFlags& f) {
+  io("--site", f.site);
+  io("--storage", f.storage);
+  io("--clients", f.clients, kPositive);
+  io("--classes", f.classes, kCount);
+  io("--classes-per-node", f.cfg.clientsPerNode, kCount);
+  io("--rate", f.cfg.ratePerClientHz, kPositive);
+  io("--horizon", f.cfg.horizonSec, kPositive);
+  io("--demand-sigma", f.cfg.demandSigma, kNonNegative);
+  io("--request", f.cfg.requestBytes, kPositive);
+  io("--read-fraction", f.cfg.readFraction, kFraction);
+  io("--objects", f.cfg.objects, kCount);
+  io("--seed", f.cfg.seed);
+  io("--telemetry", f.telemetry);
+  io("--out", f.out);
+}
+
+struct RelationsFlags {
+  oracle::SuiteOptions suite;
+  bool noShrink = false;
+  std::string relation, cache;
+};
+template <class IO>
+void fields(IO& io, RelationsFlags& f) {
+  io("--cases", f.suite.casesPerRelation, kCount);
+  io("--seed", f.suite.seed, kWhole);
+  io("--jobs", f.suite.jobs, kWhole);
+  io("--no-shrink", f.noShrink);
+  io("--relation", f.relation);
+  io("--cache", f.cache);
+}
+
+/// `oracle record`, and the run options `oracle check` shares.
+struct RecordFlags : DirFlags {
+  std::size_t jobs = 0;
+  sweep::TrialOptions trial;
+  std::string figure, cache;
+};
+template <class IO>
+void fields(IO& io, RecordFlags& f) {
+  fields(io, static_cast<DirFlags&>(f));
+  io("--jobs", f.jobs, kWhole);
+  io("--telemetry", f.trial.telemetry);
+  io("--figure", f.figure);
+  io("--cache", f.cache);
+}
+
+struct CheckFlags : RecordFlags {
+  double tolerance = 2.0;
+  bool full = false;
+};
+template <class IO>
+void fields(IO& io, CheckFlags& f) {
+  fields(io, static_cast<RecordFlags&>(f));
+  io("--tolerance", f.tolerance, kNonNegative);
+  io("--full", f.full);
+}
+
+/// `trace` and `stats` run one noiseless IOR pass (--workload ior, the
+/// default) or, when --workload names a DLIO preset, `hcsim dlio`'s run
+/// (DlioFlags).
+struct TracedIor : TargetFlags {
+  std::string workload = "ior";
+  IorConfig cfg{.segments = 512, .nodes = 4, .procsPerNode = 16};
+};
+template <class IO>
+void fields(IO& io, TracedIor& f) {
+  fields(io, static_cast<TargetFlags&>(f));
+  io.oneOf("--workload", f.workload, {"ior", "resnet50", "cosmoflow", "unet3d"});
+  io("--nodes", f.cfg.nodes, kCount);
+  io("--access", f.cfg.access);
+  io("--ppn", f.cfg.procsPerNode, kCount);
+  io("--segments", f.cfg.segments, kCount);
+}
+
+bool tracesDlio(const ArgParser& args) {
+  const auto w = args.get("--workload");
+  return w && isOneOf(*w, kDlioPresets);
+}
+
+template <class Run>
+struct TraceFlags : Run {
+  bool internal = false;
+  std::string out = "trace.json";
+};
+template <class IO, class Run>
+void fields(IO& io, TraceFlags<Run>& f) {
+  fields(io, static_cast<Run&>(f));
+  io("--internal", f.internal);
+  io("--out", f.out);
+}
+
+template <class Run>
+struct StatsFlags : Run {
+  bool json = false, self = false;
+};
+template <class IO, class Run>
+void fields(IO& io, StatsFlags<Run>& f) {
+  fields(io, static_cast<Run&>(f));
+  io("--json", f.json);
+  io("--self", f.self);
+}
+
+// ---- shared plumbing ----
 
 /// Shared --cache plumbing: when the flag names a file, load it into a
 /// TrialCache before the run and persist the merged contents after.
@@ -74,74 +321,51 @@ bool parseTarget(const ArgParser& args, std::ostream& err, Site& site, StorageKi
 /// so results never depend on whether a cache was used.
 class CacheSession {
  public:
-  /// False (with a message on err) when the named file is malformed.
-  bool open(const ArgParser& args, std::ostream& err) {
-    const auto path = args.get("--cache");
-    if (!path) return true;
-    path_ = *path;
-    cache_ = std::make_unique<sweep::TrialCache>();
-    if (!cache_->loadFile(path_)) {
-      err << "error: trial cache " << path_ << " is malformed (delete it to rebuild)\n";
-      return false;
+  explicit CacheSession(const std::string& path) : path_(path) {
+    if (!path.empty() && !cache_.emplace().loadFile(path)) {
+      throw UsageError("trial cache " + path + " is malformed (delete it to rebuild)");
     }
-    return true;
   }
-
-  sweep::TrialCache* get() { return cache_.get(); }
-
-  /// Persist; false (with a message) when the file cannot be written.
-  bool close(std::ostream& err) {
-    if (!cache_) return true;
-    if (!cache_->saveFile(path_)) {
-      err << "error: cannot write trial cache " << path_ << "\n";
-      return false;
-    }
-    return true;
+  sweep::TrialCache* get() { return cache_ ? &*cache_ : nullptr; }
+  void close() {
+    if (cache_ && !cache_->saveFile(path_)) throw UsageError("cannot write trial cache " + path_);
   }
 
  private:
   std::string path_;
-  std::unique_ptr<sweep::TrialCache> cache_;
+  std::optional<sweep::TrialCache> cache_;
 };
+
+/// Write `text` to `path` and say so.
+void writeFile(const std::string& path, const std::string& text, std::ostream& out) {
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  if (!(f << text)) throw std::runtime_error("cannot write " + path);
+  out << "wrote " << path << "\n";
+}
+
+/// The environment's metrics: bench, storage model and, when the run
+/// had one, the transport fabric.
+telemetry::MetricsRegistry metricsOf(const Environment& env) {
+  telemetry::MetricsRegistry reg;
+  env.bench->collectMetrics(reg, env.fs.get());
+  if (env.transport) env.transport->exportMetrics(reg);
+  return reg;
+}
 
 /// --dump-on-exit plumbing: write the bench's flight-recorder ring as
 /// <prefix>.jsonl (one record per line) and <prefix>.trace.json
 /// (chrome-trace instants, loadable in a trace viewer).
-bool dumpRecorder(const probe::FlightRecorder& rec, const std::string& prefix,
-                  std::ostream& out, std::ostream& err) {
-  const std::string jsonlPath = prefix + ".jsonl";
-  const std::string tracePath = prefix + ".trace.json";
-  std::ofstream j(jsonlPath, std::ios::binary | std::ios::trunc);
-  if (!j) {
-    err << "error: cannot write " << jsonlPath << "\n";
-    return false;
+void dumpRecorder(const probe::FlightRecorder& rec, const std::string& prefix, std::ostream& out) {
+  using Recorder = probe::FlightRecorder;
+  for (const auto& [suffix, dump] : {std::pair{".jsonl", &Recorder::dumpJsonl},
+                                     std::pair{".trace.json", &Recorder::dumpChromeTrace}}) {
+    std::ofstream f(prefix + suffix, std::ios::binary | std::ios::trunc);
+    if (!f) throw std::runtime_error("cannot write " + prefix + suffix);
+    (rec.*dump)(f);
   }
-  rec.dumpJsonl(j);
-  std::ofstream t(tracePath, std::ios::binary | std::ios::trunc);
-  if (!t) {
-    err << "error: cannot write " << tracePath << "\n";
-    return false;
-  }
-  rec.dumpChromeTrace(t);
-  out << "dumped " << rec.size() << " flight-recorder record(s) to " << jsonlPath << " and "
-      << tracePath << "\n";
-  return true;
+  out << "dumped " << rec.size() << " flight-recorder record(s) to " << prefix << ".jsonl and "
+      << prefix << ".trace.json\n";
 }
-
-/// The output options `hcsim chaos` and `hcsim workload` share, read
-/// before the run.
-struct RunOutputs {
-  bool telemetry = false;
-  std::optional<std::string> jsonl;       ///< --out
-  std::optional<std::string> csv;         ///< --csv
-  std::optional<std::string> dumpPrefix;  ///< --dump-on-exit
-
-  explicit RunOutputs(const ArgParser& args)
-      : telemetry(args.has("--telemetry")),
-        jsonl(args.get("--out")),
-        csv(args.get("--csv")),
-        dumpPrefix(args.get("--dump-on-exit")) {}
-};
 
 /// What a finished chaos or workload run hands the shared output tail.
 struct RunReport {
@@ -155,145 +379,82 @@ struct RunReport {
 /// The tail `hcsim chaos` and `hcsim workload` share: the breach table,
 /// the --telemetry registry and attribution table, --out, --csv,
 /// --dump-on-exit, and exit 3 when a monitor breached.
-int finishRun(const RunOutputs& opts, const Environment& env, const RunReport& run,
-              std::ostream& out, std::ostream& err) {
+int finishRun(const SpecRunFlags& opts, const Environment& env, const RunReport& run,
+              std::ostream& out) {
   if (run.monitors > 0) {
     out << "monitors: " << run.monitors << " evaluated, " << run.breaches.size()
         << " breach(es)\n";
     out << probe::renderBreachTable(run.breaches);
   }
   if (opts.telemetry) {
-    telemetry::MetricsRegistry reg;
-    env.bench->collectMetrics(reg, env.fs.get());
-    if (env.transport) env.transport->exportMetrics(reg);
+    telemetry::MetricsRegistry reg = metricsOf(env);
     run.exportTo(reg);
     out << reg.renderTable();
     const telemetry::AttributionReport rep = env.bench->telemetry().attribution();
     if (rep.spans > 0) out << rep.renderTable();
   }
-  for (const auto& [path, text] : {std::pair{opts.jsonl, &run.jsonl}, std::pair{opts.csv, &run.csv}}) {
-    if (!path) continue;
-    std::ofstream f(*path, std::ios::binary | std::ios::trunc);
-    if (!f) {
-      err << "error: cannot write " << *path << "\n";
-      return 1;
-    }
-    f << *text;
-    out << "wrote " << *path << "\n";
+  for (const auto& [path, text] : {std::pair{&opts.out, &run.jsonl}, std::pair{&opts.csv, &run.csv}}) {
+    if (!path->empty()) writeFile(*path, *text, out);
   }
-  if (opts.dumpPrefix && !dumpRecorder(env.bench->recorder(), *opts.dumpPrefix, out, err)) {
-    return 1;
-  }
+  if (!opts.dumpOnExit.empty()) dumpRecorder(env.bench->recorder(), opts.dumpOnExit, out);
   return run.breaches.empty() ? 0 : 3;
 }
 
-}  // namespace
-
-int cmdHelp(std::ostream& out) {
-  out << "hcsim — highly configurable storage simulator (CLUSTER'24 reproduction)\n\n"
-         "usage: hcsim <command> [options]\n\n"
-         "commands:\n"
-         "  ior         --site S --storage K --access seq-write|seq-read|rand-read\n"
-         "              [--nodes N] [--ppn P] [--segments S] [--fsync] [--per-op]\n"
-         "              [--shared-file] [--reps R] [--stonewall SEC] [--config F.json]\n"
-         "  dlio        --site S --storage K --workload resnet50|cosmoflow|unet3d\n"
-         "              [--nodes N] [--ppn P] [--config F.json]\n"
-         "  mdtest      --site S --storage K [--procs P] [--items N] [--unique-dir]\n"
-         "  plan        --machine M --pattern A --min-gbs G [--nodes N] [--ppn P]\n"
-         "  takeaways   [--dir D]   (the paper's section-VII checks over the\n"
-         "               fig2a and fig2b sweeps in D; D defaults to the source\n"
-         "               tree's examples/specs/paper, as for oracle)\n"
-         "  sweep       --spec F.json [--jobs N] [--out results.jsonl] [--csv results.csv]\n"
-         "              [--baseline prior.jsonl] [--cache trials.jsonl] [--telemetry]\n"
-         "              [--self-profile]\n"
-         "              (parallel what-if config sweep; --cache memoizes trials\n"
-         "               across runs and reports the hit rate; --telemetry adds\n"
-         "               engine/attribution columns without changing results;\n"
-         "               --self-profile adds wall-clock self.* columns per trial\n"
-         "               and bypasses the cache)\n"
-         "  chaos       <scenario.json> [--out timeline.jsonl] [--csv timeline.csv]\n"
-         "              [--telemetry] [--dump-on-exit PREFIX]\n"
-         "              (scheduled fault injection: validates the schedule, runs\n"
-         "               the workload under faults/retries, prints the per-interval\n"
-         "               bandwidth + availability timeline; the spec's \"monitors\"\n"
-         "               are SLO watchdogs — breaches print a table and exit 3)\n"
-         "  workload    <spec.json> [--out results.jsonl] [--csv timeline.csv]\n"
-         "              [--telemetry] [--dump-on-exit PREFIX]\n"
-         "              (pluggable workload generators: the spec's\n"
-         "               \"workload\" section picks ior, dlio, replay, io500,\n"
-         "               grammar or openloop; optional \"chaos\"/\"retry\" sections\n"
-         "               compose faults and the retry layer with any generator;\n"
-         "               \"monitors\"/\"sampleIntervalSec\" arm SLO watchdogs)\n"
-         "  probe       <spec.json> [chaos/workload options]   (SLO watchdog run:\n"
-         "               dispatches the spec to chaos or workload by shape,\n"
-         "               evaluates its \"monitors\", exits 3 on breach;\n"
-         "               --dump-on-exit PREFIX writes the always-on flight\n"
-         "               recorder as PREFIX.jsonl + PREFIX.trace.json)\n"
-         "  scale       [--clients N] [--classes C] [--site S] [--storage K]\n"
-         "              [--rate HZ] [--horizon SEC] [--demand-sigma S] [--telemetry]\n"
-         "              [--out results.jsonl]   (flow-class aggregation demo: a\n"
-         "               million-client open-loop population simulated as C\n"
-         "               classes of N/C members each; prints aggregate goodput,\n"
-         "               demuxed per-client latency percentiles and the engine's\n"
-         "               peak event footprint)\n"
-         "  oracle      list | relations | record | check   (regression harness;\n"
-         "               a figure is D/NAME.json, a sweep spec, pinned by D/NAME.jsonl;\n"
-         "               D defaults to the source tree's examples/specs/paper)\n"
-         "              list      [--dir D]\n"
-         "              relations [--cases N] [--seed S] [--jobs J] [--relation NAME]\n"
-         "                        [--no-shrink] [--cache F]  (metamorphic relations)\n"
-         "              record    [--dir D] [--jobs J] [--figure F]\n"
-         "                        [--cache F]\n"
-         "              check     [--dir D] [--jobs J] [--figure F]\n"
-         "                        [--tolerance PCT] [--full] [--cache F] [--telemetry]\n"
-         "                        (golden-figure drift, plus the takeaways' paper\n"
-         "                         bands when fig2a and fig2b are checked; output\n"
-         "                         is byte-identical with or without --cache or\n"
-         "                         --telemetry)\n"
-         "  trace       --site S --storage K [--workload ior|resnet50|cosmoflow|unet3d]\n"
-         "              [--access A] [--nodes N] [--ppn P] [--segments S]\n"
-         "              [--internal] [--out trace.json]\n"
-         "              (chrome-trace export; --internal adds simulator op spans\n"
-         "               and prints the bottleneck-attribution table)\n"
-         "  stats       --site S --storage K [--workload W] [--access A] [--nodes N]\n"
-         "              [--ppn P] [--segments S] [--json] [--self]\n"
-         "              (metrics-registry summary; --json emits the registry as\n"
-         "               lossless JSON, --self adds wall-clock self.* profiling)\n"
-         "  dump-config --storage vast|gpfs|lustre|nvme|daos --site S   (preset as JSON)\n"
-         "  help        this text\n";
-  return 0;
+/// The spec file a chaos, workload or probe run reads.
+std::string specPath(const ArgParser& args, const SpecRunFlags& f, const std::string& command,
+                     const char* what) {
+  std::string path = f.spec.empty() ? args.positionalOr(1, "") : f.spec;
+  if (path.empty()) {
+    throw UsageError(command + " requires a " + what + " (hcsim " + command + " <spec.json>)");
+  }
+  return path;
 }
 
-int cmdIor(const ArgParser& args, std::ostream& out, std::ostream& err) {
-  Site site;
-  StorageKind kind;
-  if (!parseTarget(args, err, site, kind)) return 2;
+/// "invalid <what>:" and one "  - " line per problem.
+UsageError invalid(const std::string& what, const std::vector<std::string>& problems) {
+  std::string msg = "invalid " + what + ":";
+  for (const std::string& p : problems) msg += "\n  - " + p;
+  return UsageError(msg);
+}
 
-  IorConfig cfg;
-  if (const auto path = args.get("--config")) {
-    std::string why;
-    if (!loadConfig(*path, cfg, &why)) {
-      err << "error: cannot load IOR config: " << why << "\n";
-      return 2;
-    }
-  } else {
-    AccessPattern access;
-    if (!parsePattern(args.getOr("--access", "seq-write"), access)) {
-      err << "error: bad --access\n";
-      return 2;
-    }
-    cfg = IorConfig::scalability(access, args.countOr("--nodes", 4), args.countOr("--ppn", 16));
-    cfg.segments = args.countOr("--segments", 512);
-    if (args.has("--fsync")) cfg.fsyncPerWrite = true;
-    if (args.has("--per-op")) cfg.mode = IorConfig::Mode::PerOp;
-    if (args.has("--shared-file")) cfg.filePerProcess = false;
-    cfg.repetitions = args.countOr("--reps", 3);
-    cfg.noiseStdDevFrac = args.numberOr("--noise", 0.03, kNonNegative);
-    cfg.stonewallSeconds = args.numberOr("--stonewall", 0.0, kNonNegative);
+/// makeEnvironment for a parsed spec. A storageConfig or transport
+/// section the config reader (or the model's validate()) rejects is a
+/// spec problem like any other (exit 2). A site/storage pair without a
+/// deployment still throws, as for `hcsim ior` (exit 1).
+Environment specEnvironment(const SpecHeader& spec, std::size_t nodes, const std::string& what) {
+  requireSite(spec.storage, spec.site);
+  try {
+    return makeEnvironment(spec, nodes);
+  } catch (const std::invalid_argument& ex) {
+    throw invalid(what, {ex.what()});
   }
-  if (!optionsOk(args, err)) return 2;
+}
 
-  Environment env = makeEnvironment(site, kind, cfg.nodes);
+/// The deployment and run config of `ior` or `dlio`: from the flags of
+/// `Flags`, or read from --config F.
+template <class Flags, class Config = decltype(Flags::cfg)>
+std::pair<TargetFlags, Config> runConfig(ArgParser& args, const std::string& what) {
+  if (!args.get("--config")) {
+    const auto f = readFlags<Flags>(args);
+    return {f, f.config()};
+  }
+  const auto f = readFlags<ConfigFlags>(args);
+  Config cfg;
+  std::string why;
+  if (!loadConfig(f.config, cfg, &why)) throw UsageError("cannot load " + what + " config: " + why);
+  return {f, cfg};
+}
+
+// ---- commands ----
+
+int ior(ArgParser& args, std::ostream& out) {
+  const auto [target, cfg] = runConfig<IorFlags>(args, "IOR");
+  try {
+    cfg.validate();
+  } catch (const std::invalid_argument& ex) {
+    throw UsageError(ex.what());
+  }
+  Environment env = makeEnvironment(target.site, target.storage, cfg.nodes);
   IorRunner runner(*env.bench, *env.fs);
   const IorResult r = runner.run(cfg);
   out << cfg.describe() << " on " << env.fs->name() << "\n";
@@ -305,31 +466,11 @@ int cmdIor(const ArgParser& args, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
-int cmdDlio(const ArgParser& args, std::ostream& out, std::ostream& err) {
-  Site site;
-  StorageKind kind;
-  if (!parseTarget(args, err, site, kind)) return 2;
-
-  DlioConfig cfg;
-  if (const auto path = args.get("--config")) {
-    std::string why;
-    if (!loadConfig(*path, cfg, &why)) {
-      err << "error: cannot load DLIO config: " << why << "\n";
-      return 2;
-    }
-  } else {
-    if (!parseDlioWorkload(args.getOr("--workload", "resnet50"), cfg.workload)) {
-      err << "error: --workload must be resnet50|cosmoflow|unet3d\n";
-      return 2;
-    }
-    cfg.nodes = args.countOr("--nodes", 4);
-    cfg.procsPerNode = args.countOr("--ppn", 4);
-  }
-  if (!optionsOk(args, err)) return 2;
-
-  const DlioResult r = runDlio(site, kind, cfg);
-  out << cfg.workload.name << " on " << toString(kind) << "@" << toString(site) << " ("
-      << cfg.nodes << " nodes x " << cfg.procsPerNode << " ranks)\n";
+int dlio(ArgParser& args, std::ostream& out) {
+  const auto [target, cfg] = runConfig<DlioFlags>(args, "DLIO");
+  const DlioResult r = runDlio(target.site, target.storage, cfg);
+  out << cfg.workload.name << " on " << toString(target.storage) << "@" << toString(target.site)
+      << " (" << cfg.nodes << " nodes x " << cfg.procsPerNode << " ranks)\n";
   out << "  runtime             : " << formatSeconds(r.runtime) << "\n";
   out << "  non-overlapping I/O : " << formatSeconds(r.breakdown.nonOverlappingIo) << "\n";
   out << "  overlapping I/O     : " << formatSeconds(r.breakdown.overlappingIo) << "\n";
@@ -341,21 +482,10 @@ int cmdDlio(const ArgParser& args, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
-int cmdMdtest(const ArgParser& args, std::ostream& out, std::ostream& err) {
-  Site site;
-  StorageKind kind;
-  if (!parseTarget(args, err, site, kind)) return 2;
-
-  MdtestConfig cfg;
-  cfg.nodes = args.countOr("--nodes", 1);
-  cfg.procsPerNode = args.countOr("--procs", 16);
-  cfg.itemsPerProc = args.countOr("--items", 128);
-  cfg.uniqueDirPerTask = args.has("--unique-dir");
-  cfg.repetitions = args.countOr("--reps", 3);
-  cfg.noiseStdDevFrac = args.numberOr("--noise", 0.03, kNonNegative);
-  if (!optionsOk(args, err)) return 2;
-
-  Environment env = makeEnvironment(site, kind, cfg.nodes);
+int mdtest(ArgParser& args, std::ostream& out) {
+  const auto f = readFlags<MdtestFlags>(args);
+  const MdtestConfig& cfg = f.cfg;
+  Environment env = makeEnvironment(f.site, f.storage, cfg.nodes);
   MdtestRunner runner(*env.bench, *env.fs);
   const MdtestResult r = runner.run(cfg);
   out << "mdtest on " << env.fs->name() << " ("
@@ -367,24 +497,9 @@ int cmdMdtest(const ArgParser& args, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
-int cmdPlan(const ArgParser& args, std::ostream& out, std::ostream& err) {
-  Site site;
-  if (!parseSite(args.getOr("--machine", "wombat"), site)) {
-    err << "error: --machine must be " << siteNames() << "\n";
-    return 2;
-  }
-  const Machine machine = machineFor(site);
-  PlanGoal goal;
-  if (!parsePattern(args.getOr("--pattern", "seq-read"), goal.pattern)) {
-    err << "error: bad --pattern\n";
-    return 2;
-  }
-  goal.minGBsPerNode = args.numberOr("--min-gbs", 1.0, kPositive);
-  goal.nodes = args.countOr("--nodes", 8);
-  goal.procsPerNode = args.countOr("--ppn", 16);
-  if (!optionsOk(args, err)) return 2;
-
-  const auto candidates = planVastDeployment(machine, goal);
+int plan(ArgParser& args, std::ostream& out) {
+  const auto f = readFlags<PlanFlags>(args);
+  const auto candidates = planVastDeployment(machineFor(f.machine), f.goal);
   ResultTable t("deployment candidates (sorted: goal-meeting first, cheapest first)");
   t.setHeader({"config", "GB/s per node", "meets goal", "cost units"});
   for (const auto& c : candidates) {
@@ -395,55 +510,36 @@ int cmdPlan(const ArgParser& args, std::ostream& out, std::ostream& err) {
   return candidates.empty() || !candidates.front().meetsGoal ? 1 : 0;
 }
 
-int cmdTakeaways(const ArgParser& args, std::ostream& out, std::ostream& err) {
-  const std::string dir = args.getOr("--dir", oracle::kPaperDir);
-  if (!optionsOk(args, err)) return 2;
-  // The takeaways read fig2a and fig2b cells, fresh from the model.
-  oracle::Cells cells[2];
+/// The sweep spec at `path`.
+sweep::SweepSpec loadSweep(const std::string& path) {
+  sweep::SweepSpec spec;
   std::string error;
-  for (int i = 0; i < 2; ++i) {
-    const std::string path = dir + (i == 0 ? "/fig2a.json" : "/fig2b.json");
-    sweep::SweepSpec spec;
-    if (!sweep::loadSpec(path, spec, &error)) {
-      err << "error: " << path << ": " << error << "\n";
-      return 2;
-    }
-    cells[i] = oracle::cellsOf(sweep::runSweep(spec, 0));
-  }
-  const auto checks = oracle::takeawayChecks(cells[0], cells[1], error);
-  if (checks.empty()) {
-    err << "error: " << error << "\n";
-    return 2;
-  }
+  if (!sweep::loadSpec(path, spec, &error)) throw UsageError(path + ": " + error);
+  return spec;
+}
+
+int takeaways(ArgParser& args, std::ostream& out) {
+  const std::string dir = readFlags<DirFlags>(args).dir;
+  // The takeaways read fig2a and fig2b cells, fresh from the model.
+  const auto cells = [&dir](const char* name) {
+    return oracle::cellsOf(sweep::runSweep(loadSweep(dir + name), 0));
+  };
+  std::string error;
+  const auto checks = oracle::takeawayChecks(cells("/fig2a.json"), cells("/fig2b.json"), error);
+  if (checks.empty()) throw UsageError(error);
   out << calibration::toMarkdown(checks);
   const bool pass = std::all_of(checks.begin(), checks.end(),
                                 [](const calibration::Check& c) { return c.pass(); });
   return pass ? 0 : 1;
 }
 
-int cmdSweep(const ArgParser& args, std::ostream& out, std::ostream& err) {
-  const auto specPath = args.get("--spec");
-  if (!specPath) {
-    err << "error: sweep requires --spec <file.json>\n";
-    return 2;
-  }
-  sweep::SweepSpec spec;
-  std::string problem;
-  if (!sweep::loadSpec(*specPath, spec, &problem)) {
-    err << "error: " << *specPath << ": " << problem << "\n";
-    return 2;
-  }
-  std::size_t jobs = args.sizeOr("--jobs", sweep::defaultJobs());
-  if (jobs == 0) jobs = sweep::defaultJobs();
-  sweep::TrialOptions opts;
-  opts.telemetry = args.has("--telemetry");
-  opts.selfProfile = args.has("--self-profile");
-  const auto outPath = args.get("--out");
-  const auto csvPath = args.get("--csv");
-  const auto basePath = args.get("--baseline");
-  CacheSession cache;
-  if (!cache.open(args, err) || !optionsOk(args, err)) return 2;
-  const sweep::SweepOutcome result = sweep::runSweep(spec, jobs, cache.get(), opts);
+int sweepCommand(ArgParser& args, std::ostream& out) {
+  const auto f = readFlags<SweepFlags>(args);
+  if (f.spec.empty()) throw UsageError("sweep requires --spec <file.json>");
+  const sweep::SweepSpec spec = loadSweep(f.spec);
+  const std::size_t jobs = f.jobs == 0 ? sweep::defaultJobs() : f.jobs;
+  CacheSession cache(f.cache);
+  const sweep::SweepOutcome result = sweep::runSweep(spec, jobs, cache.get(), f.trial);
 
   ResultTable t("sweep '" + spec.name + "': " + std::to_string(result.results.size()) +
                 " trials on " + std::to_string(jobs) + " jobs");
@@ -476,27 +572,18 @@ int cmdSweep(const ArgParser& args, std::ostream& out, std::ostream& err) {
         << "%, " << cache.get()->size() << " entries\n";
   }
 
-  if (outPath) {
-    if (!sweep::writeJsonl(result, *outPath)) {
-      err << "error: cannot write " << *outPath << "\n";
-      return 1;
-    }
-    out << "wrote " << *outPath << "\n";
+  for (const auto& [path, write] :
+       {std::pair{&f.out, &sweep::writeJsonl}, std::pair{&f.csv, &sweep::writeCsv}}) {
+    if (path->empty()) continue;
+    if (!write(result, *path)) throw std::runtime_error("cannot write " + *path);
+    out << "wrote " << *path << "\n";
   }
-  if (csvPath) {
-    if (!sweep::writeCsv(result, *csvPath)) {
-      err << "error: cannot write " << *csvPath << "\n";
-      return 1;
-    }
-    out << "wrote " << *csvPath << "\n";
-  }
-  if (basePath) {
+  if (!f.baseline.empty()) {
     std::map<std::string, double> baseline;
-    if (!sweep::loadBaseline(*basePath, baseline)) {
-      err << "error: cannot load baseline from " << *basePath << "\n";
-      return 1;
+    if (!sweep::loadBaseline(f.baseline, baseline)) {
+      throw std::runtime_error("cannot load baseline from " + f.baseline);
     }
-    ResultTable d("delta vs " + *basePath);
+    ResultTable d("delta vs " + f.baseline);
     d.setHeader({"trial", "params", "baseline GB/s", "now GB/s", "delta %"});
     for (const auto& delta : sweep::compareToBaseline(result, baseline)) {
       if (delta.matched) {
@@ -509,55 +596,22 @@ int cmdSweep(const ArgParser& args, std::ostream& out, std::ostream& err) {
     }
     out << d.toString();
   }
-  if (!cache.close(err)) return 2;
+  cache.close();
   const bool allFailed = !result.results.empty() && result.failures == result.results.size();
   return allFailed ? 1 : 0;
 }
 
-/// makeEnvironment for a parsed spec. A storageConfig or transport
-/// section the config reader (or the model's validate()) rejects is a
-/// spec problem like any other: one line, exit 2. A site/storage pair
-/// without a deployment still throws, as for `hcsim ior` (exit 1).
-std::optional<Environment> specEnvironment(const SpecHeader& spec, std::size_t nodes,
-                                           const std::string& what, std::ostream& err) {
-  requireSite(spec.storage, spec.site);
-  try {
-    return makeEnvironment(spec, nodes);
-  } catch (const std::invalid_argument& ex) {
-    err << "error: invalid " << what << ":\n  - " << ex.what() << "\n";
-    return std::nullopt;
-  }
-}
-
-int cmdChaos(const ArgParser& args, std::ostream& out, std::ostream& err) {
-  std::string specPath = args.positionalOr(1, "");
-  if (const auto opt = args.get("--spec")) specPath = *opt;
-  if (specPath.empty()) {
-    err << "error: chaos requires a scenario file (hcsim chaos <spec.json>)\n";
-    return 2;
-  }
-  const RunOutputs outputs(args);
-  if (!optionsOk(args, err)) return 2;
+int runChaos(const SpecRunFlags& f, const std::string& specPath, std::ostream& out) {
   chaos::ChaosSpec spec;
   std::string parseErr;
-  if (!chaos::loadChaosSpec(specPath, spec, parseErr)) {
-    err << "error: " << parseErr << "\n";
-    return 2;
-  }
-  std::optional<Environment> made =
-      specEnvironment(spec, spec.workload.nodes, "scenario " + specPath, err);
-  if (!made) return 2;
-  Environment& env = *made;
+  if (!chaos::loadChaosSpec(specPath, spec, parseErr)) throw UsageError(parseErr);
+  Environment env = specEnvironment(spec, spec.workload.nodes, "scenario " + specPath);
   // Validate before running so every schedule problem surfaces at once
   // with an actionable message and a distinct exit code.
   const std::vector<std::string> problems =
       chaos::validateSchedule(spec, *env.fs, env.bench->topo());
-  if (!problems.empty()) {
-    err << "error: invalid scenario " << specPath << ":\n";
-    for (const std::string& p : problems) err << "  - " << p << "\n";
-    return 2;
-  }
-  if (outputs.telemetry) env.bench->telemetry().setEnabled(true);
+  if (!problems.empty()) throw invalid("scenario " + specPath, problems);
+  if (f.telemetry) env.bench->telemetry().setEnabled(true);
   const chaos::ChaosOutcome result = chaos::runChaosOn(env, spec);
 
   ResultTable t = chaos::renderTimeline(result);
@@ -572,32 +626,29 @@ int cmdChaos(const ArgParser& args, std::ostream& out, std::ostream& err) {
     out << "rebuild: " << formatBytes(result.rebuildBytes) << " drained at t="
         << result.rebuildCompletedAt << " s\n";
   }
-  return finishRun(outputs, env,
+  return finishRun(f, env,
                    {result.monitors, result.breaches, chaos::toJsonl(result), t.toCsv(),
                     [&result](telemetry::MetricsRegistry& reg) { chaos::exportTo(result, reg); }},
-                   out, err);
+                   out);
 }
 
-int cmdWorkload(const ArgParser& args, std::ostream& out, std::ostream& err) {
-  std::string specPath = args.positionalOr(1, "");
-  if (const auto opt = args.get("--spec")) specPath = *opt;
-  if (specPath.empty()) {
-    err << "error: workload requires a spec file (hcsim workload <spec.json>)\n";
-    return 2;
-  }
-  const RunOutputs outputs(args);
-  if (!optionsOk(args, err)) return 2;
-  std::ifstream f(specPath);
-  if (!f) {
-    err << "error: cannot read " << specPath << "\n";
-    return 2;
-  }
-  std::string text((std::istreambuf_iterator<char>(f)), std::istreambuf_iterator<char>());
+int chaosCommand(ArgParser& args, std::ostream& out) {
+  const auto f = readFlags<SpecRunFlags>(args);
+  return runChaos(f, specPath(args, f, "chaos", "scenario file"), out);
+}
+
+/// The JSON document at `path`.
+JsonValue readDocument(const std::string& path) {
+  std::ifstream file(path);
+  if (!file) throw UsageError("cannot read " + path);
+  std::string text((std::istreambuf_iterator<char>(file)), std::istreambuf_iterator<char>());
   JsonValue doc;
-  if (!parseJson(text, doc)) {
-    err << "error: " << specPath << " is not valid JSON\n";
-    return 2;
-  }
+  if (!parseJson(text, doc)) throw UsageError(path + " is not valid JSON");
+  return doc;
+}
+
+int runWorkload(const SpecRunFlags& f, const std::string& specPath, const JsonValue& doc,
+                std::ostream& out) {
   // Collect every envelope + generator problem before giving up, so one
   // run of the CLI reports everything that needs fixing.
   workload::WorkloadRunSpec spec;
@@ -605,22 +656,14 @@ int cmdWorkload(const ArgParser& args, std::ostream& out, std::ostream& err) {
   workload::parseWorkloadSpec(doc, spec, problems);
   workload::SourceBundle bundle;
   if (problems.empty()) bundle = workload::makeSource(spec, problems);
-  if (!problems.empty()) {
-    err << "error: invalid workload spec " << specPath << ":\n";
-    for (const std::string& p : problems) err << "  - " << p << "\n";
-    return 2;
-  }
-  std::optional<Environment> made =
-      specEnvironment(spec, bundle.nodes, "workload spec " + specPath, err);
-  if (!made) return 2;
-  Environment& env = *made;
-  if (outputs.telemetry) env.bench->telemetry().setEnabled(true);
+  if (!problems.empty()) throw invalid("workload spec " + specPath, problems);
+  Environment env = specEnvironment(spec, bundle.nodes, "workload spec " + specPath);
+  if (f.telemetry) env.bench->telemetry().setEnabled(true);
   chaos::ChaosLandmarks landmarks;
   try {
     landmarks = workload::injectWorkloadChaos(spec, env);
   } catch (const std::exception& ex) {
-    err << "error: invalid workload spec " << specPath << ":\n  - " << ex.what() << "\n";
-    return 2;
+    throw invalid("workload spec " + specPath, {ex.what()});
   }
   TraceLog trace;
   const workload::WorkloadOutcome r =
@@ -651,88 +694,55 @@ int cmdWorkload(const ArgParser& args, std::ostream& out, std::ostream& err) {
     }
     out << t.toString();
   }
-  return finishRun(outputs, env,
+  return finishRun(f, env,
                    {r.monitors, r.breaches, workload::toJsonl(r), workload::toCsv(r),
                     [&r](telemetry::MetricsRegistry& reg) { workload::exportTo(r, reg); }},
-                   out, err);
+                   out);
 }
 
-int cmdProbe(const ArgParser& args, std::ostream& out, std::ostream& err) {
-  std::string specPath = args.positionalOr(1, "");
-  if (const auto opt = args.get("--spec")) specPath = *opt;
-  if (specPath.empty()) {
-    err << "error: probe requires a spec file (hcsim probe <spec.json>)\n";
-    return 2;
-  }
-  std::ifstream f(specPath);
-  if (!f) {
-    err << "error: cannot read " << specPath << "\n";
-    return 2;
-  }
-  std::string text((std::istreambuf_iterator<char>(f)), std::istreambuf_iterator<char>());
-  JsonValue doc;
-  if (!parseJson(text, doc) || !doc.isObject()) {
-    err << "error: " << specPath << " is not a JSON object\n";
-    return 2;
-  }
+int workloadCommand(ArgParser& args, std::ostream& out) {
+  const auto f = readFlags<SpecRunFlags>(args);
+  const std::string path = specPath(args, f, "workload", "spec file");
+  return runWorkload(f, path, readDocument(path), out);
+}
+
+int probe(ArgParser& args, std::ostream& out) {
+  const auto f = readFlags<SpecRunFlags>(args);
+  const std::string path = specPath(args, f, "probe", "spec file");
+  const JsonValue doc = readDocument(path);
+  if (!doc.isObject()) throw UsageError(path + " is not a JSON object");
   // A workload spec's "workload" section names a generator; a chaos
   // scenario's is plain drill knobs (nodes/procsPerNode/...). That key
   // decides which runner gets the spec — both evaluate its "monitors".
   const JsonValue* w = doc.find("workload");
   const bool isWorkload = w != nullptr && w->isObject() && w->find("generator") != nullptr;
-  return isWorkload ? cmdWorkload(args, out, err) : cmdChaos(args, out, err);
+  return isWorkload ? runWorkload(f, path, doc, out) : runChaos(f, path, out);
 }
 
-int cmdScale(const ArgParser& args, std::ostream& out, std::ostream& err) {
+int scale(ArgParser& args, std::ostream& out) {
   // Flow-class aggregation demo: a service-scale open-loop population
   // (a million clients by default) simulated as `--classes` flow
   // classes, each standing for clients/classes members. Memory and event
   // count stay proportional to the class count, not the client count.
-  Site site = Site::Lassen;
-  StorageKind kind = StorageKind::Vast;
-  if (const auto s = args.get("--site"); s && !parseSite(*s, site)) {
-    err << "error: --site must be one of " << siteNames() << "\n";
-    return 2;
-  }
-  if (const auto s = args.get("--storage"); s && !parseStorage(*s, kind)) {
-    err << "error: --storage must be one of " << storageNames() << "\n";
-    return 2;
-  }
-  // The flags are keys of an open-loop section, read through
-  // OpenLoopConfig's field list: a value outside its key's range fails
-  // naming the key ("requestBytes: must be > 0 (got 0)"). --classes
-  // sets two keys, so it is read as a count and names itself.
-  workload::OpenLoopConfig cfg;
-  const double classes = static_cast<double>(args.countOr("--classes", 256));
-  JsonObject section;
-  section["clients"] = classes;
+  auto f = readFlags<ScaleFlags>(args);
+  JsonObject derived;
+  derived["clients"] = static_cast<double>(f.classes);
   // ceil: at least --clients in all
-  section["clientsPerRank"] = std::ceil(args.numberOr("--clients", 1e6) / classes);
-  section["clientsPerNode"] = args.numberOr("--classes-per-node", 8);
-  section["ratePerClientHz"] = args.numberOr("--rate", 5.0);
-  section["horizonSec"] = args.numberOr("--horizon", 5.0);
-  section["demandSigma"] = args.numberOr("--demand-sigma", 0.0);
-  section["requestBytes"] = args.numberOr("--request", 128.0 * 1024.0);
-  section["readFraction"] = args.numberOr("--read-fraction", 0.9);
-  section["objects"] = args.numberOr("--objects", static_cast<double>(cfg.objects));
-  section["seed"] = args.numberOr("--seed", static_cast<double>(cfg.seed));
-  const bool telemetryOn = args.has("--telemetry");
-  const auto outPath = args.get("--out");
-  if (!optionsOk(args, err)) return 2;
-  if (std::string e = readFields(JsonValue(std::move(section)), cfg, ""); !e.empty()) {
-    err << "error: " << e << "\n";
-    return 2;
+  derived["clientsPerRank"] = std::ceil(f.clients / static_cast<double>(f.classes));
+  if (std::string e = readFields(JsonValue(std::move(derived)), f.cfg, ""); !e.empty()) {
+    throw UsageError("--clients: " + e);
   }
+  const workload::OpenLoopConfig& cfg = f.cfg;
 
-  Environment env = makeEnvironment(site, kind, cfg.nodes(), nullptr);
-  if (telemetryOn) env.bench->telemetry().setEnabled(true);
+  Environment env = makeEnvironment(f.site, f.storage, cfg.nodes(), nullptr);
+  if (f.telemetry) env.bench->telemetry().setEnabled(true);
   workload::OpenLoopSource source(cfg);
   workload::WorkloadRunner runner(*env.bench, *env.fs);
   const workload::WorkloadOutcome r = runner.run(source);
 
   out << "scale: " << r.clientsTotal() << " clients as " << r.ranks << " flow classes x "
-      << r.clientsPerRank << " members on " << toString(site) << "/" << toString(kind) << " ("
-      << cfg.nodes() << " nodes)\n";
+      << r.clientsPerRank << " members on " << toString(f.site) << "/" << toString(f.storage)
+      << " (" << cfg.nodes() << " nodes)\n";
   out << "  aggregate: " << r.opsCompleted << " client ops, " << formatBytes(r.bytesMoved)
       << " in " << formatSeconds(r.elapsed) << " -> " << r.goodputGBs() << " GB/s ("
       << r.goodputGBs() / static_cast<double>(r.clientsTotal()) * 1e6 << " KB/s per client)\n";
@@ -751,36 +761,25 @@ int cmdScale(const ArgParser& args, std::ostream& out, std::ostream& err) {
   out << "  engine: " << sim.eventsDispatched() << " events dispatched, peak pending "
       << sim.peakPendingEvents() << ", slab " << sim.slabSize()
       << " slots (flat in members, proportional to classes)\n";
-  if (telemetryOn) {
-    telemetry::MetricsRegistry reg;
-    env.bench->collectMetrics(reg, env.fs.get());
-    if (env.transport) env.transport->exportMetrics(reg);
+  if (f.telemetry) {
+    telemetry::MetricsRegistry reg = metricsOf(env);
     workload::exportTo(r, reg);
     out << reg.renderTable();
   }
-  if (outPath) {
-    std::ofstream of(*outPath, std::ios::binary | std::ios::trunc);
-    if (!of) {
-      err << "error: cannot write " << *outPath << "\n";
-      return 1;
-    }
-    of << workload::toJsonl(r);
-    out << "wrote " << *outPath << "\n";
-  }
+  if (!f.out.empty()) writeFile(f.out, workload::toJsonl(r), out);
   return 0;
 }
 
-namespace {
-
-int oracleList(const ArgParser& args, std::ostream& out, std::ostream& err) {
-  const std::string dir = args.getOr("--dir", oracle::kPaperDir);
-  if (!optionsOk(args, err)) return 2;
+/// The golden figures of `dir`.
+std::vector<oracle::GoldenFigure> loadFigures(const std::string& dir) {
   std::vector<oracle::GoldenFigure> figures;
   std::string error;
-  if (!oracle::loadFigures(dir, figures, error)) {
-    err << "error: " << error << "\n";
-    return 2;
-  }
+  if (!oracle::loadFigures(dir, figures, error)) throw UsageError(error);
+  return figures;
+}
+
+int oracleList(ArgParser& args, std::ostream& out) {
+  const auto figures = loadFigures(readFlags<DirFlags>(args).dir);
   const auto& registry = oracle::RelationRegistry::builtin();
   out << "metamorphic relations (" << registry.all().size() << "):\n";
   for (const auto& r : registry.all()) {
@@ -794,31 +793,24 @@ int oracleList(const ArgParser& args, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
-int oracleRelations(const ArgParser& args, std::ostream& out, std::ostream& err) {
-  oracle::SuiteOptions options;
-  options.casesPerRelation = args.countOr("--cases", 50);
-  options.seed = args.sizeOr("--seed", 1);
-  options.jobs = args.sizeOr("--jobs", 0);
-  options.shrink = !args.has("--no-shrink");
-  const auto name = args.get("--relation");
-  CacheSession cache;
-  if (!cache.open(args, err) || !optionsOk(args, err)) return 2;
+int oracleRelations(ArgParser& args, std::ostream& out) {
+  auto f = readFlags<RelationsFlags>(args);
+  oracle::SuiteOptions& options = f.suite;
+  options.shrink = !f.noShrink;
+  CacheSession cache(f.cache);
   options.cache = cache.get();
 
   const auto& registry = oracle::RelationRegistry::builtin();
   std::vector<oracle::RelationReport> reports;
-  if (name) {
-    const oracle::MetamorphicRelation* rel = registry.find(*name);
-    if (!rel) {
-      err << "error: unknown relation '" << *name << "' (try: hcsim oracle list)\n";
-      return 2;
-    }
+  if (!f.relation.empty()) {
+    const oracle::MetamorphicRelation* rel = registry.find(f.relation);
+    if (!rel) throw UsageError("unknown relation '" + f.relation + "' (try: hcsim oracle list)");
     reports.push_back(oracle::runRelation(*rel, options));
   } else {
     reports = oracle::runSuite(registry, options);
   }
   out << oracle::toMarkdown(reports);
-  if (!cache.close(err)) return 2;
+  cache.close();
   for (const auto& r : reports) {
     if (!r.pass()) return 1;
   }
@@ -826,57 +818,38 @@ int oracleRelations(const ArgParser& args, std::ostream& out, std::ostream& err)
 }
 
 /// What a record/check run covers: the figures of --dir, all of them or
-/// --figure F, plus the run options both subcommands share. Every
-/// option is read here, before anything runs.
+/// --figure F, plus the trial cache both subcommands share.
 struct FigureRun {
-  std::string dir;
-  std::vector<oracle::GoldenFigure> figures;
-  std::size_t jobs = 0;
-  sweep::TrialOptions opts;
   CacheSession cache;
+  std::vector<oracle::GoldenFigure> figures;
 
-  bool open(const ArgParser& args, std::ostream& err) {
-    dir = args.getOr("--dir", oracle::kPaperDir);
-    jobs = args.sizeOr("--jobs", 0);
-    opts.telemetry = args.has("--telemetry");
-    const auto only = args.get("--figure");
-    if (!cache.open(args, err) || !optionsOk(args, err)) return false;
-    std::string error;
-    if (!oracle::loadFigures(dir, figures, error)) {
-      err << "error: " << error << "\n";
-      return false;
-    }
-    if (!only) return true;
-    std::erase_if(figures, [&](const oracle::GoldenFigure& f) { return f.name != *only; });
+  explicit FigureRun(const RecordFlags& f) : cache(f.cache), figures(loadFigures(f.dir)) {
+    if (f.figure.empty()) return;
+    std::erase_if(figures, [&](const oracle::GoldenFigure& g) { return g.name != f.figure; });
     if (figures.empty()) {
-      err << "error: unknown figure '" << *only << "' (try: hcsim oracle list)\n";
-      return false;
+      throw UsageError("unknown figure '" + f.figure + "' (try: hcsim oracle list)");
     }
-    return true;
   }
 };
 
-int oracleRecord(const ArgParser& args, std::ostream& out, std::ostream& err) {
-  FigureRun run;
-  if (!run.open(args, err)) return 2;
+int oracleRecord(ArgParser& args, std::ostream& out) {
+  const auto f = readFlags<RecordFlags>(args);
+  FigureRun run(f);
   for (const oracle::GoldenFigure& fig : run.figures) {
     std::string error;
-    if (!oracle::recordFigure(fig, run.dir, run.jobs, error, run.cache.get(), run.opts)) {
-      err << "error: " << error << "\n";
-      return 1;
+    if (!oracle::recordFigure(fig, f.dir, f.jobs, error, run.cache.get(), f.trial)) {
+      throw std::runtime_error(error);
     }
-    out << "recorded " << oracle::goldenPath(run.dir, fig.name) << " ("
+    out << "recorded " << oracle::goldenPath(f.dir, fig.name) << " ("
         << fig.spec.trialCount() << " cells)\n";
   }
-  if (!run.cache.close(err)) return 2;
+  run.cache.close();
   return 0;
 }
 
-int oracleCheck(const ArgParser& args, std::ostream& out, std::ostream& err) {
-  const double tolerance = args.numberOr("--tolerance", 2.0, kNonNegative);
-  const bool fullTable = args.has("--full");
-  FigureRun run;
-  if (!run.open(args, err)) return 2;
+int oracleCheck(ArgParser& args, std::ostream& out) {
+  const auto f = readFlags<CheckFlags>(args);
+  FigureRun run(f);
   // Cache stats and telemetry deliberately never reach stdout here:
   // check output must stay byte-identical with the cache on or off,
   // with or without --telemetry, at any --jobs.
@@ -884,8 +857,8 @@ int oracleCheck(const ArgParser& args, std::ostream& out, std::ostream& err) {
   std::optional<oracle::Cells> fig2a, fig2b;
   for (const oracle::GoldenFigure& fig : run.figures) {
     oracle::FigureCheck check =
-        oracle::checkFigure(fig, run.dir, run.jobs, tolerance, run.cache.get(), run.opts);
-    out << oracle::deltaTable(check, tolerance, fullTable);
+        oracle::checkFigure(fig, f.dir, f.jobs, f.tolerance, run.cache.get(), f.trial);
+    out << oracle::deltaTable(check, f.tolerance, f.full);
     pass = pass && check.pass();
     if (fig.name == "fig2a") fig2a = std::move(check.current);
     if (fig.name == "fig2b") fig2b = std::move(check.current);
@@ -894,122 +867,73 @@ int oracleCheck(const ArgParser& args, std::ostream& out, std::ostream& err) {
   // cells. A directory whose sweeps lack a cell they read (an older,
   // reduced geometry) has no takeaways to check.
   std::string missing;
-  const std::vector<calibration::Check> takeaways =
+  const std::vector<calibration::Check> checks =
       fig2a && fig2b ? oracle::takeawayChecks(*fig2a, *fig2b, missing)
                      : std::vector<calibration::Check>{};
-  if (!takeaways.empty()) {
-    const auto misses = std::count_if(takeaways.begin(), takeaways.end(),
+  if (!checks.empty()) {
+    const auto misses = std::count_if(checks.begin(), checks.end(),
                                       [](const calibration::Check& c) { return !c.pass(); });
-    out << "takeaways: " << takeaways.size() << " rows, " << misses
+    out << "takeaways: " << checks.size() << " rows, " << misses
         << " outside their paper band\n";
-    if (misses > 0) out << calibration::toMarkdown(takeaways);
+    if (misses > 0) out << calibration::toMarkdown(checks);
     pass = pass && misses == 0;
   }
   out << (pass ? "oracle golden check: PASS" : "oracle golden check: FAIL") << "\n";
-  if (!run.cache.close(err)) return 2;
+  run.cache.close();
   return pass ? 0 : 1;
 }
 
-}  // namespace
-
-int cmdOracle(const ArgParser& args, std::ostream& out, std::ostream& err) {
-  const std::string sub = args.positionalOr(1, "list");
-  if (sub == "list") return oracleList(args, out, err);
-  if (sub == "relations") return oracleRelations(args, out, err);
-  if (sub == "record") return oracleRecord(args, out, err);
-  if (sub == "check") return oracleCheck(args, out, err);
-  err << "error: oracle subcommand must be list|relations|record|check\n";
-  return 2;
-}
-
-namespace {
-
-/// Shared workload driver for trace/stats: read the workload's options
-/// (the caller has read its own), build the environment, run one IOR or
-/// DLIO pass (telemetry pre-enabled when asked), and hand back the
-/// app-level event log.
-struct WorkloadRun {
+/// A traced run's environment and its app-level event log.
+struct TracedRun {
   Environment env;
   TraceLog appTrace;
 };
 
-bool runTracedWorkload(const ArgParser& args, std::ostream& err, bool telemetryOn,
-                       WorkloadRun& run, bool selfProfileOn = false) {
-  Site site;
-  StorageKind kind;
-  if (!parseTarget(args, err, site, kind)) return false;
-  const bool ior = args.getOr("--workload", "ior") == "ior";
-  const std::size_t nodes = args.countOr("--nodes", 4);
-  IorConfig iorCfg;
-  DlioConfig dlioCfg;
-  if (ior) {
-    AccessPattern access;
-    if (!parsePattern(args.getOr("--access", "seq-write"), access)) {
-      err << "error: bad --access\n";
-      return false;
-    }
-    iorCfg = IorConfig::scalability(access, nodes, args.countOr("--ppn", 16));
-    iorCfg.segments = args.countOr("--segments", 512);
-    iorCfg.repetitions = 1;
-    iorCfg.noiseStdDevFrac = 0.0;
-  } else if (!parseDlioWorkload(args.getOr("--workload", ""), dlioCfg.workload)) {
-    err << "error: --workload must be ior|resnet50|cosmoflow|unet3d\n";
-    return false;
-  } else {
-    dlioCfg.nodes = nodes;
-    dlioCfg.procsPerNode = args.countOr("--ppn", 4);
-  }
-  if (!optionsOk(args, err)) return false;
-  run.env = makeEnvironment(site, kind, nodes);
+/// Run `f`'s IOR pass or DLIO training, telemetry and the self-profiler
+/// switched on first when asked.
+template <class Flags>
+TracedRun runTraced(const Flags& f, bool telemetryOn, bool selfProfileOn) {
+  TracedRun run{makeEnvironment(f.site, f.storage, f.cfg.nodes), {}};
   if (telemetryOn) run.env.bench->telemetry().setEnabled(true);
   if (selfProfileOn) run.env.bench->profiler().setEnabled(true);
-  if (ior) {
+  if constexpr (std::is_base_of_v<DlioFlags, Flags>) {
+    run.appTrace = DlioRunner(*run.env.bench, *run.env.fs).run(f.config()).trace;
+  } else {
     IorRunner runner(*run.env.bench, *run.env.fs);
     runner.setTraceLog(&run.appTrace);
-    runner.run(iorCfg);
-  } else {
-    DlioRunner runner(*run.env.bench, *run.env.fs);
-    run.appTrace = runner.run(dlioCfg).trace;
+    runner.run(f.cfg);
   }
-  return true;
+  return run;
 }
 
-}  // namespace
-
-int cmdTrace(const ArgParser& args, std::ostream& out, std::ostream& err) {
-  const bool internal = args.has("--internal");
-  const std::string path = args.getOr("--out", "trace.json");
-  WorkloadRun run;
-  if (!runTracedWorkload(args, err, internal, run)) return 2;
+template <class Run>
+int traceWith(ArgParser& args, std::ostream& out) {
+  const auto f = readFlags<TraceFlags<Run>>(args);
+  const TracedRun run = runTraced(f, f.internal, false);
   const telemetry::Telemetry& tel = run.env.bench->telemetry();
-  std::ofstream f(path);
-  if (!f) {
-    err << "error: cannot write " << path << "\n";
-    return 1;
-  }
-  f << telemetry::mergedChromeTraceJson(run.appTrace, tel);
-  f.close();
-  if (!f) {
-    err << "error: cannot write " << path << "\n";
-    return 1;
-  }
-  out << "wrote " << path << " (" << run.appTrace.events().size() << " app events";
-  if (internal) out << ", " << tel.spanCount() << " internal spans";
+  std::ofstream file(f.out);
+  file << telemetry::mergedChromeTraceJson(run.appTrace, tel);
+  file.close();
+  if (!file) throw std::runtime_error("cannot write " + f.out);
+  out << "wrote " << f.out << " (" << run.appTrace.events().size() << " app events";
+  if (f.internal) out << ", " << tel.spanCount() << " internal spans";
   out << ")\n";
-  if (internal) out << tel.attribution().renderTable();
+  if (f.internal) out << tel.attribution().renderTable();
   return 0;
 }
 
-int cmdStats(const ArgParser& args, std::ostream& out, std::ostream& err) {
-  const bool json = args.has("--json");
-  WorkloadRun run;
-  if (!runTracedWorkload(args, err, /*telemetryOn=*/true, run, args.has("--self"))) return 2;
-  telemetry::MetricsRegistry reg;
-  run.env.bench->collectMetrics(reg, run.env.fs.get());
+int trace(ArgParser& args, std::ostream& out) {
+  return tracesDlio(args) ? traceWith<DlioFlags>(args, out) : traceWith<TracedIor>(args, out);
+}
+
+template <class Run>
+int statsWith(ArgParser& args, std::ostream& out) {
+  const auto f = readFlags<StatsFlags<Run>>(args);
+  const TracedRun run = runTraced(f, /*telemetryOn=*/true, f.self);
   // transport.* rows appear only when the environment ran on a fabric
   // (DAOS always does; other models only with a "transport" section).
-  if (run.env.transport) run.env.transport->exportMetrics(reg);
-  if (json) {
+  const telemetry::MetricsRegistry reg = metricsOf(run.env);
+  if (f.json) {
     // Machine face of the registry: numbers round-trip losslessly (the
     // JSON writer is the same one behind the sweep JSONL).
     out << writeJson(reg.toJson(), 2) << "\n";
@@ -1021,40 +945,150 @@ int cmdStats(const ArgParser& args, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
-int cmdDumpConfig(const ArgParser& args, std::ostream& out, std::ostream& err) {
-  Site site;
-  StorageKind kind;
-  if (!parseTarget(args, err, site, kind) || !optionsOk(args, err)) return 2;
-  out << writeJson(presetJson(site, kind), 2) << "\n";
+int stats(ArgParser& args, std::ostream& out) {
+  return tracesDlio(args) ? statsWith<DlioFlags>(args, out) : statsWith<TracedIor>(args, out);
+}
+
+int dumpConfig(ArgParser& args, std::ostream& out) {
+  const auto f = readFlags<TargetFlags>(args);
+  out << writeJson(presetJson(f.site, f.storage), 2) << "\n";
   return 0;
 }
 
-int run(const ArgParser& args, std::ostream& out, std::ostream& err) {
-  const std::string cmd = args.positionalOr(0, "help");
-  if (cmd == "help" || args.has("--help")) return cmdHelp(out);
+// ---- the command table and help ----
+
+/// One `hcsim` command or `oracle` subcommand: its name, what it does,
+/// what `hcsim help` prints under it (nothing when null), and what runs
+/// it.
+struct Command {
+  const char* name;
+  const char* purpose;
+  void (*usage)(std::ostream& out, std::size_t indent);
+  int (*run)(ArgParser& args, std::ostream& out);
+};
+
+/// A flag as help shows it: "[--nodes 4]" with its default, "[--fsync]"
+/// bare, "--site a|b" required, an enum's choices after its default.
+std::string helpWord(const Flag& f) {
+  if (f.required) return std::string(f.key) + " " + f.choices;
+  std::string word = "[" + std::string(f.key);
+  if (f.kind != Flag::Kind::Bare) word += " " + (f.value.empty() ? std::string("...") : f.value);
+  if (!f.choices.empty()) word += " (" + f.choices + ")";
+  return word + "]";
+}
+
+/// Each list's flags, wrapped at 79 columns; a second list is the
+/// command's other form ("or").
+template <class... Lists>
+void usage(std::ostream& out, std::size_t indent) {
+  std::string line;
+  const auto print = [&]<class List>(List defaults) {
+    FlagList list;
+    fields(list, defaults);
+    line = line.empty() ? std::string(indent, ' ') : std::string(indent - 3, ' ') + "or ";
+    for (const Flag& f : list.flags) {
+      const std::string word = helpWord(f);
+      if (line.size() > indent && line.size() + 1 + word.size() > 79) {
+        out << line << "\n";
+        line = std::string(indent, ' ');
+      }
+      line += (line.size() > indent ? " " : "") + word;
+    }
+    out << line << "\n";
+  };
+  (print(Lists{}), ...);
+}
+
+void printTable(std::ostream& out, const std::vector<Command>& table, std::size_t indent) {
+  for (const Command& c : table) {
+    std::string name = std::string(indent, ' ') + c.name;
+    name.resize(std::max(name.size() + 1, indent + 13), ' ');
+    out << name << c.purpose << "\n";
+    if (c.usage) c.usage(out, indent + 13);
+  }
+}
+
+const std::vector<Command>& oracleCommands() {
+  static const std::vector<Command> table = {
+      {"list", "the relations, and the figures of --dir", usage<DirFlags>, oracleList},
+      {"relations", "run the metamorphic relations", usage<RelationsFlags>, oracleRelations},
+      {"record", "re-record each figure's snapshot, D/NAME.jsonl", usage<RecordFlags>,
+       oracleRecord},
+      {"check", "check the figures' drift and the takeaways' bands", usage<CheckFlags>,
+       oracleCheck},
+  };
+  return table;
+}
+
+int oracle(ArgParser& args, std::ostream& out) {
+  const std::string sub = args.positionalOr(1, "list");
+  for (const Command& c : oracleCommands()) {
+    if (sub == c.name) return c.run(args, out);
+  }
+  throw UsageError("oracle subcommand must be list|relations|record|check");
+}
+
+int help(ArgParser&, std::ostream& out);
+
+const std::vector<Command>& commands() {
+  static const std::vector<Command> table = {
+      {"ior", "run one IOR experiment", usage<IorFlags, ConfigFlags>, ior},
+      {"dlio", "run one DLIO training", usage<DlioFlags, ConfigFlags>, dlio},
+      {"mdtest", "run one MDTest metadata storm", usage<MdtestFlags>, mdtest},
+      {"plan", "cheapest VAST deployments meeting --min-gbs per node", usage<PlanFlags>, plan},
+      {"takeaways", "section-VII checks over --dir's fig2a and fig2b", usage<DirFlags>, takeaways},
+      {"sweep", "run a what-if sweep spec on --jobs threads", usage<SweepFlags>, sweepCommand},
+      {"chaos", "run a fault scenario and print its timeline", usage<SpecRunFlags>, chaosCommand},
+      {"workload", "run a workload spec on any generator", usage<SpecRunFlags>, workloadCommand},
+      {"probe", "run a chaos or workload spec under its SLO monitors", usage<SpecRunFlags>, probe},
+      {"scale", "a million-client open-loop run as flow classes", usage<ScaleFlags>, scale},
+      {"oracle", "the regression harness; a figure is a sweep spec D/NAME.json",
+       [](std::ostream& out, std::size_t indent) { printTable(out, oracleCommands(), indent); },
+       oracle},
+      {"trace", "run IOR or a DLIO preset and write a chrome trace",
+       usage<TraceFlags<TracedIor>, TraceFlags<DlioFlags>>, trace},
+      {"stats", "run IOR or a DLIO preset and print the metrics registry",
+       usage<StatsFlags<TracedIor>, StatsFlags<DlioFlags>>, stats},
+      {"dump-config", "print a site's storage preset as JSON", usage<TargetFlags>, dumpConfig},
+      {"help", "this text", nullptr, help},
+  };
+  return table;
+}
+
+int help(ArgParser&, std::ostream& out) {
+  out << "hcsim — highly configurable storage simulator (CLUSTER'24 reproduction)\n\n"
+         "usage: hcsim <command> [flags]\n"
+         "  [--flag value] is optional and shows its default, (a|b) its choices;\n"
+         "  --flag a|b without brackets is required. chaos, workload and probe\n"
+         "  take their spec as --spec or as the argument after the command.\n\n"
+         "commands:\n";
+  printTable(out, commands(), 2);
+  return 0;
+}
+
+}  // namespace
+
+int run(ArgParser args, std::ostream& out, std::ostream& err) {
+  const std::string name = args.positionalOr(0, "help");
+  if (args.get("--help")) return help(args, out);
+  const auto& table = commands();
+  const auto cmd = std::find_if(table.begin(), table.end(),
+                                [&name](const Command& c) { return name == c.name; });
+  if (cmd == table.end()) {
+    err << "error: unknown command '" << name << "' (try: hcsim help)\n";
+    return 2;
+  }
   try {
-    if (cmd == "ior") return cmdIor(args, out, err);
-    if (cmd == "dlio") return cmdDlio(args, out, err);
-    if (cmd == "mdtest") return cmdMdtest(args, out, err);
-    if (cmd == "plan") return cmdPlan(args, out, err);
-    if (cmd == "takeaways") return cmdTakeaways(args, out, err);
-    if (cmd == "sweep") return cmdSweep(args, out, err);
-    if (cmd == "chaos") return cmdChaos(args, out, err);
-    if (cmd == "workload") return cmdWorkload(args, out, err);
-    if (cmd == "probe") return cmdProbe(args, out, err);
-    if (cmd == "scale") return cmdScale(args, out, err);
-    if (cmd == "oracle") return cmdOracle(args, out, err);
-    if (cmd == "trace") return cmdTrace(args, out, err);
-    if (cmd == "stats") return cmdStats(args, out, err);
-    if (cmd == "dump-config") return cmdDumpConfig(args, out, err);
+    return cmd->run(args, out);
+  } catch (const UsageError& ex) {
+    err << "error: " << ex.what() << "\n";
+    return 2;
   } catch (const std::exception& ex) {
     // Bad geometry, impossible site/storage combinations, etc. surface
     // as clean CLI errors, not crashes.
     err << "error: " << ex.what() << "\n";
     return 1;
   }
-  err << "error: unknown command '" << cmd << "' (try: hcsim help)\n";
-  return 2;
 }
 
 }  // namespace hcsim::cli

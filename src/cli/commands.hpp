@@ -1,7 +1,7 @@
 #pragma once
 // The hcsim CLI commands — thin, scriptable entry points over the
-// library. Each returns a process exit code and writes to the given
-// streams, so tests can drive them without spawning processes.
+// library. `hcsim help` lists each command with its flags and their
+// defaults, printed from the flag lists the commands read.
 
 #include <iosfwd>
 
@@ -9,46 +9,9 @@
 
 namespace hcsim::cli {
 
-/// Dispatch `hcsim <subcommand> ...`. Known subcommands:
-///   ior       run an IOR experiment      (--site --storage --access ...)
-///   dlio      run a DLIO training        (--site --storage --workload ...)
-///   mdtest    run an MDTest storm        (--site --storage --procs ...)
-///   plan      search VAST deployments    (--machine --pattern --min-gbs ...)
-///   takeaways run the paper's §VII checks
-///   sweep     run a what-if config sweep   (--spec --jobs --out --baseline)
-///   chaos     run a fault scenario          (<spec.json> --out --csv)
-///             validates the schedule, injects the faults, prints the
-///             per-interval bandwidth/availability timeline
-///   workload  run any registered workload generator (<spec.json> --out
-///             --csv --telemetry); the spec selects ior/dlio/replay/
-///             io500/grammar/openloop and may compose chaos + retry
-///   probe     run a chaos or workload spec under its SLO monitors
-///             (<spec.json>, dispatched by shape); breaches exit 3, and
-///             --dump-on-exit writes the flight-recorder ring
-///   oracle    metamorphic & golden-figure regression harness
-///             (list | relations | record | check)
-///   trace     run a workload and export chrome-trace JSON; --internal
-///             merges simulator-internal op spans and prints the
-///             bottleneck-attribution table
-///   stats     run a workload with telemetry and print the full metrics
-///             registry (engine, network, per-link, storage model)
-///   dump-config  print a preset config as JSON (--storage vast@wombat ...)
-///   help      usage
-int run(const ArgParser& args, std::ostream& out, std::ostream& err);
-
-int cmdIor(const ArgParser& args, std::ostream& out, std::ostream& err);
-int cmdDlio(const ArgParser& args, std::ostream& out, std::ostream& err);
-int cmdMdtest(const ArgParser& args, std::ostream& out, std::ostream& err);
-int cmdPlan(const ArgParser& args, std::ostream& out, std::ostream& err);
-int cmdTakeaways(const ArgParser& args, std::ostream& out, std::ostream& err);
-int cmdSweep(const ArgParser& args, std::ostream& out, std::ostream& err);
-int cmdChaos(const ArgParser& args, std::ostream& out, std::ostream& err);
-int cmdWorkload(const ArgParser& args, std::ostream& out, std::ostream& err);
-int cmdProbe(const ArgParser& args, std::ostream& out, std::ostream& err);
-int cmdOracle(const ArgParser& args, std::ostream& out, std::ostream& err);
-int cmdTrace(const ArgParser& args, std::ostream& out, std::ostream& err);
-int cmdStats(const ArgParser& args, std::ostream& out, std::ostream& err);
-int cmdDumpConfig(const ArgParser& args, std::ostream& out, std::ostream& err);
-int cmdHelp(std::ostream& out);
+/// Run `hcsim <command> ...`: the process exit code, with output on
+/// `out` and errors on `err`, so tests can drive it without spawning
+/// processes. 2 is a bad command line or spec, 1 a failed run.
+int run(ArgParser args, std::ostream& out, std::ostream& err);
 
 }  // namespace hcsim::cli

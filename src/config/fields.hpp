@@ -31,10 +31,15 @@
 // range, or a negative, non-finite or too-large number for an unsigned
 // field fails the read with one line naming the dotted key:
 // "ior.access: must be seq-read|... (got 'x')", "storageConfig.cnodes:
-// must be a positive integer (got 0)". An unsigned field truncates a
-// fraction toward zero, and its range must hold before and after (count
-// ranges reject fractions). The checker fails in the same words, and
-// builds no string while every field holds.
+// must be a positive integer (got 0)". A non-number for an unsigned
+// field fails with the field's range phrase ("must be a positive
+// integer (got '4')"), for a double with "must be a number". An unsigned
+// field truncates a fraction toward zero, and its range must hold before
+// and after (count ranges reject fractions). The checker fails in the
+// same words, and builds no string while every field holds.
+//
+// toJson()/fromJson() are the whole-value pair over the same lists, for
+// any struct with a field list and any enum.
 
 #include <algorithm>
 #include <cmath>
@@ -228,9 +233,8 @@ class FieldReader {
       constexpr double kLimit =
           2.0 * static_cast<double>(T{1} << (std::numeric_limits<T>::digits - 1));
       const double* d = j.number();
-      if (d == nullptr || !(*d >= 0.0 && *d < kLimit)) {
-        return fail(key, "must be a non-negative integer", j);
-      }
+      if (d == nullptr) return fail(key, r.rule ? r.rule : "must be a non-negative integer", j);
+      if (!(*d >= 0.0 && *d < kLimit)) return fail(key, "must be a non-negative integer", j);
       v = static_cast<T>(*d);
     } else {
       error_ = readFields(j, v, dotted(key));
@@ -337,6 +341,27 @@ std::string readFields(const JsonValue& j, T& out, const std::string& path,
   FieldNames names(others);
   fields(names, out);
   return names.firstUnknown(*obj, path);
+}
+
+/// A struct with a field list, or an enum spelled by enumName.
+template <class T>
+concept Serializable = std::is_enum_v<T> || requires(FieldWriter& w, T& v) { fields(w, v); };
+
+/// The JSON of `v`: its field list's object, or its enum spelling.
+template <Serializable T>
+JsonValue toJson(const T& v) {
+  return FieldWriter::encode(v);
+}
+
+/// Read `j` onto `out` as readFields does (an enum from its spelling);
+/// false on any problem.
+template <Serializable T>
+bool fromJson(const JsonValue& j, T& out) {
+  if constexpr (std::is_enum_v<T>) {
+    return parseEnum(j, out);
+  } else {
+    return readFields(j, out, "").empty();
+  }
 }
 
 /// Check every field of `c` against its range. Throws

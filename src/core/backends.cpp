@@ -5,7 +5,6 @@
 
 #include "cluster/deployments.hpp"
 #include "config/fields.hpp"
-#include "config/serialize.hpp"
 
 namespace hcsim {
 
@@ -36,16 +35,6 @@ std::unique_ptr<FileSystemModel> attachPreset(TestBench& bench, Site site,
     if (!e.empty()) throw std::invalid_argument(e);
   }
   return (bench.*Attach)(std::move(c));
-}
-
-template <class Row>
-std::string joinNames(const std::vector<Row>& rows) {
-  std::string s;
-  for (const Row& r : rows) {
-    if (!s.empty()) s += '|';
-    s += r.name;
-  }
-  return s;
 }
 
 }  // namespace
@@ -126,28 +115,21 @@ const char* toString(Site s) { return siteInfo(s).label; }
 const char* toString(StorageKind k) { return backendInfo(k).label; }
 Machine machineFor(Site site) { return siteInfo(site).machine(); }
 
-bool parseSite(const std::string& name, Site& out) {
-  for (const SiteInfo& row : siteTable()) {
-    if (name == row.name) {
-      out = row.site;
-      return true;
-    }
-  }
-  return false;
+const char* enumName(Site s) {
+  const auto i = static_cast<std::size_t>(s);
+  return i < siteTable().size() ? siteTable()[i].name : "?";
 }
 
+const char* enumName(StorageKind k) {
+  const auto i = static_cast<std::size_t>(k);
+  return i < backendTable().size() ? backendTable()[i].name : "?";
+}
+
+bool parseSite(const std::string& name, Site& out) { return parseEnum(JsonValue(name), out); }
 bool parseStorage(const std::string& name, StorageKind& out) {
-  for (const BackendInfo& row : backendTable()) {
-    if (name == row.name) {
-      out = row.kind;
-      return true;
-    }
-  }
-  return false;
+  return parseEnum(JsonValue(name), out);
 }
-
-std::string siteNames() { return joinNames(siteTable()); }
-std::string storageNames() { return joinNames(backendTable()); }
+std::string storageNames() { return enumChoices<StorageKind>(); }
 
 void requireSite(StorageKind kind, Site site) {
   const BackendInfo& row = backendInfo(kind);

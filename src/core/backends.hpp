@@ -72,12 +72,17 @@ const char* toString(Site s);
 const char* toString(StorageKind k);
 Machine machineFor(Site site);
 
-/// The one parser of site and storage names (specs and CLI flags alike).
+/// A row's spec/CLI name ("lassen", "vast"), "?" past the last row: the
+/// spelling config/fields.hpp reads and writes the enums by, so specs,
+/// sweep trials and CLI flags parse them like any other enum.
+const char* enumName(Site s);
+const char* enumName(StorageKind k);
+
+/// parseEnum by a row's name.
 bool parseSite(const std::string& name, Site& out);
 bool parseStorage(const std::string& name, StorageKind& out);
 
-/// "lassen|ruby|quartz|wombat" / "vast|gpfs|lustre|nvme|daos".
-std::string siteNames();
+/// "vast|gpfs|lustre|nvme|daos".
 std::string storageNames();
 
 /// Throws std::invalid_argument ("makeEnvironment: <siteRule>") when

@@ -45,15 +45,20 @@ Environment makeEnvironment(const SpecHeader& spec, std::size_t nodes) {
                          spec.transport.isNull() ? nullptr : &spec.transport);
 }
 
+std::string readDeployment(const JsonValue& doc, Site& site, StorageKind& storage) {
+  static const std::string kTopLevel;
+  const JsonObject* obj = doc.object();
+  if (obj == nullptr) return "";
+  FieldReader r(*obj, kTopLevel, {});
+  r("site", site);
+  r("storage", storage);
+  return r.error();
+}
+
 void parseSpecHeader(const JsonValue& doc, SpecHeader& out, std::vector<std::string>& problems) {
   out.name = doc.stringOr("name", out.name);
-  const std::string site = doc.stringOr("site", siteInfo(out.site).name);
-  if (!parseSite(site, out.site)) {
-    problems.push_back("site: must be " + siteNames() + " (got '" + site + "')");
-  }
-  const std::string storage = doc.stringOr("storage", backendInfo(out.storage).name);
-  if (!parseStorage(storage, out.storage)) {
-    problems.push_back("storage: must be " + storageNames() + " (got '" + storage + "')");
+  if (std::string e = readDeployment(doc, out.site, out.storage); !e.empty()) {
+    problems.push_back(std::move(e));
   }
   const auto section = [&](const char* key, const char* what, JsonValue& dst) {
     const JsonValue* v = doc.find(key);

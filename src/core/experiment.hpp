@@ -72,6 +72,12 @@ struct SpecHeader {
   std::vector<probe::MonitorSpec> monitors;  ///< SLO watchdogs (probe/monitor.hpp)
 };
 
+/// Read the "site" and "storage" keys of `doc` onto `site` and `storage`
+/// as their enums' field entries do, leaving every other key to the
+/// caller: "" when both are absent or valid (no string is built then),
+/// else one line naming the key.
+std::string readDeployment(const JsonValue& doc, Site& site, StorageKind& storage);
+
 /// Parse the header keys of `doc` (a JSON object) — name, site, storage,
 /// storageConfig, transport, retry, monitors — into `out`. Absent keys
 /// keep the defaults already in `out`. Appends one actionable line per

@@ -1,5 +1,6 @@
 #include "ior/ior_config.hpp"
 
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -22,6 +23,17 @@ void IorConfig::validate() const {
   }
   if (stonewallSeconds > 0.0 && mode != Mode::PerOp) {
     throw std::invalid_argument("IorConfig: stonewalling requires Mode::PerOp");
+  }
+  // bytesPerProc(), totalProcs() and totalBytes() must not wrap; every
+  // factor is >= 1 here, and transfersPerProc() <= bytesPerProc().
+  const auto fits = [](std::uint64_t a, std::uint64_t b) {
+    return a <= std::numeric_limits<std::uint64_t>::max() / b;
+  };
+  if (!fits(segments, blockSize) || !fits(nodes, procsPerNode) ||
+      !fits(bytesPerProc(), totalProcs())) {
+    throw std::invalid_argument(
+        fieldError("IorConfig.segments", "must keep segments x blockSize x procs below 2^64 bytes",
+                   JsonValue(static_cast<double>(segments))));
   }
 }
 

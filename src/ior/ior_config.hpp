@@ -56,8 +56,9 @@ struct IorConfig {
   }
 
   /// Throws std::invalid_argument naming the first field outside its
-  /// range, a block that is not whole transfers, or stonewalling
-  /// without Mode::PerOp.
+  /// range, a block that is not whole transfers, stonewalling without
+  /// Mode::PerOp, or a volume that does not fit in 64 bits (naming
+  /// segments).
   void validate() const;
 
   std::string describe() const;

@@ -228,12 +228,9 @@ TrialMetrics runTrial(const std::string& experiment, const JsonValue& config,
   TrialMetrics m;
   try {
     Site site = Site::Lassen;
-    if (!parseSite(config.stringOr("site", "lassen"), site)) {
-      throw std::invalid_argument("sweep: 'site' must be " + siteNames());
-    }
     StorageKind kind = StorageKind::Vast;
-    if (!parseStorage(config.stringOr("storage", "vast"), kind)) {
-      throw std::invalid_argument("sweep: 'storage' must be " + storageNames());
+    if (std::string e = readDeployment(config, site, kind); !e.empty()) {
+      throw std::invalid_argument("sweep: " + e);
     }
     if (experiment == "ior") return runIorTrial(config, site, kind, opts);
     if (experiment == "dlio") return runDlioTrial(config, site, kind, opts);

@@ -55,10 +55,4 @@ TransportProfile TransportProfile::rdma() {
   return p;
 }
 
-JsonValue toJson(const TransportProfile& p) { return writeFields(p); }
-
-bool fromJson(const JsonValue& j, TransportProfile& out) {
-  return readFields(j, out, "").empty();
-}
-
 }  // namespace hcsim::transport

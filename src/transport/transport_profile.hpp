@@ -15,6 +15,7 @@
 
 #include <string>
 
+#include "config/fields.hpp"
 #include "config/range.hpp"
 #include "util/json.hpp"
 #include "util/units.hpp"
@@ -110,9 +111,7 @@ void fields(IO& io, TransportProfile& p) {
   io("baseRtt", p.baseRtt, kNonNegative);
 }
 
-JsonValue toJson(const TransportProfile& p);
-/// False when `j` is not an object or any key fails the field list's
-/// strict read (hcsim::readFields names the failing key).
-bool fromJson(const JsonValue& j, TransportProfile& out);
+using hcsim::fromJson;
+using hcsim::toJson;
 
 }  // namespace hcsim::transport

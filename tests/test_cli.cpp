@@ -19,35 +19,71 @@ ArgParser parse(std::initializer_list<std::string> args) {
   return ArgParser(std::vector<std::string>(args));
 }
 
+/// A flag list over each kind of field read() handles.
+struct TestFlags {
+  std::string site;
+  std::string name;
+  bool fsync = false;
+  std::size_t nodes = 0;
+  double x = 0.0;
+  std::size_t n = 0;
+  double rate = 5.0;
+  std::uint64_t seed = 1;
+};
+template <class IO>
+void fields(IO& io, TestFlags& f) {
+  io("--site", f.site);
+  io("--name", f.name);
+  io("--fsync", f.fsync);
+  io("--nodes", f.nodes, kWhole);
+  io("--x", f.x);
+  io("--n", f.n, kWhole);
+  io("--rate", f.rate);
+  io("--seed", f.seed, kWhole);
+}
+
 TEST(ArgParser, SeparatesPositionalsAndOptions) {
-  const ArgParser a = parse({"ior", "--site", "wombat", "--fsync", "extra"});
+  ArgParser a = parse({"ior", "--site", "wombat", "--fsync", "extra"});
+  TestFlags f;
+  ASSERT_EQ(a.read(f), "");
+  // --fsync is a bool field, so it takes no value: "extra" is positional.
   ASSERT_EQ(a.positionals().size(), 2u);
   EXPECT_EQ(a.positionals()[0], "ior");
   EXPECT_EQ(a.positionals()[1], "extra");
-  EXPECT_EQ(a.getOr("--site", ""), "wombat");
-  EXPECT_TRUE(a.has("--fsync"));
-  EXPECT_FALSE(a.has("--missing"));
+  EXPECT_EQ(f.site, "wombat");
+  EXPECT_TRUE(f.fsync);
+  EXPECT_EQ(f.nodes, 0u);  // absent: the default stays
+  EXPECT_FALSE(a.get("--missing"));
 }
 
 TEST(ArgParser, EqualsSyntax) {
-  const ArgParser a = parse({"--nodes=8", "--name=x=y"});
-  EXPECT_EQ(a.getOr("--nodes", ""), "8");
-  EXPECT_EQ(a.getOr("--name", ""), "x=y");
+  ArgParser a = parse({"--nodes=8", "--name=x=y"});
+  TestFlags f;
+  ASSERT_EQ(a.read(f), "");
+  EXPECT_EQ(f.nodes, 8u);
+  EXPECT_EQ(f.name, "x=y");
 }
 
 TEST(ArgParser, FlagFollowedByOptionIsBare) {
-  const ArgParser a = parse({"--fsync", "--nodes", "4"});
-  EXPECT_TRUE(a.has("--fsync"));
+  ArgParser a = parse({"--fsync", "--nodes", "4"});
+  TestFlags f;
+  ASSERT_EQ(a.read(f), "");
+  EXPECT_TRUE(f.fsync);
   EXPECT_EQ(*a.get("--fsync"), "");
-  EXPECT_EQ(a.sizeOr("--nodes", 0), 4u);
+  EXPECT_EQ(f.nodes, 4u);
 }
 
 TEST(ArgParser, NumericHelpers) {
-  const ArgParser a = parse({"--x", "2.5", "--n", "12", "--bad", "abc"});
-  EXPECT_DOUBLE_EQ(a.numberOr("--x", 0), 2.5);
-  EXPECT_EQ(a.sizeOr("--n", 0), 12u);
-  EXPECT_DOUBLE_EQ(a.numberOr("--bad", 7), 7.0);
-  EXPECT_DOUBLE_EQ(a.numberOr("--missing", 9), 9.0);
+  ArgParser a = parse({"--x", "2.5", "--n", "12"});
+  TestFlags f;
+  ASSERT_EQ(a.read(f), "");
+  EXPECT_DOUBLE_EQ(f.x, 2.5);
+  EXPECT_EQ(f.n, 12u);
+  EXPECT_DOUBLE_EQ(f.rate, 5.0);  // absent: the default stays
+  // A whole number past 2^53 reads exactly, up to 2^64.
+  ArgParser big = parse({"--seed", "10000000000000000"});
+  ASSERT_EQ(big.read(f), "");
+  EXPECT_EQ(f.seed, 10000000000000000ull);
 }
 
 TEST(ArgParser, PositionalOrFallback) {
@@ -57,24 +93,22 @@ TEST(ArgParser, PositionalOrFallback) {
 }
 
 TEST(ArgParser, UnknownOptionsDetected) {
-  const ArgParser a = parse({"--good", "1", "--typo", "2"});
-  EXPECT_EQ(a.problem(), "--good: unknown option");  // nothing read yet
-  EXPECT_EQ(a.sizeOr("--good", 0), 1u);
-  EXPECT_EQ(a.problem(), "--typo: unknown option");
-  EXPECT_TRUE(a.has("--typo"));  // asking for it reads it
-  EXPECT_EQ(a.problem(), "");
+  ArgParser a = parse({"--nodes", "1", "--typo", "2", "--good", "3"});
+  TestFlags f;
+  EXPECT_EQ(a.read(f), "--typo: unknown option");  // the first, in argv order
 }
 
 TEST(ArgParser, NonNumericValueOfANumericOptionIsAProblem) {
-  const ArgParser a = parse({"--nodes", "four", "--x", "1e3", "--n", "-2"});
-  EXPECT_EQ(a.sizeOr("--nodes", 4), 4u);
-  EXPECT_DOUBLE_EQ(a.numberOr("--x", 0), 1000.0);
-  EXPECT_EQ(a.problem(), "--n: unknown option");
-  EXPECT_EQ(a.sizeOr("--n", 3), 3u);
-  EXPECT_EQ(a.problem(), "--nodes: must be a non-negative integer (got 'four')");
-  const ArgParser b = parse({"--rate", "fast"});
-  EXPECT_DOUBLE_EQ(b.numberOr("--rate", 5.0), 5.0);
-  EXPECT_EQ(b.problem(), "--rate: must be a number (got 'fast')");
+  ArgParser a = parse({"--x", "1e3", "--nodes", "four"});
+  TestFlags f;
+  EXPECT_EQ(a.read(f), "--nodes: must be a non-negative integer (got 'four')");
+  ArgParser ok = parse({"--x", "1e3"});
+  ASSERT_EQ(ok.read(f), "");
+  EXPECT_DOUBLE_EQ(f.x, 1000.0);
+  ArgParser b = parse({"--n", "-2"});
+  EXPECT_EQ(b.read(f), "--n: must be a non-negative integer (got -2)");
+  ArgParser c = parse({"--rate", "fast"});
+  EXPECT_EQ(c.read(f), "--rate: must be a number (got 'fast')");
 }
 
 TEST(ArgParser, ArgcArgvConstructorSkipsProgramName) {
@@ -359,10 +393,9 @@ TEST(Cli, NonsenseSpecValuesExitTwoWithOneLine) {
   }
 }
 
-// Each flag of `hcsim scale` is a key of the open-loop section and is
-// checked against that key's range before anything runs. --classes sets
-// two keys (clients and clientsPerRank), so it is checked, and named,
-// as a flag.
+// Each flag of `hcsim scale` sets a key of the open-loop section and is
+// checked against that key's range before anything runs, naming the
+// flag.
 TEST(Cli, ScaleFlagsOutsideTheirRangeExitTwoNamingTheKey) {
   struct Case {
     const char* flag;
@@ -370,13 +403,13 @@ TEST(Cli, ScaleFlagsOutsideTheirRangeExitTwoNamingTheKey) {
     const char* problem;
   };
   const Case cases[] = {
-      {"--request", "0", "requestBytes: must be > 0 (got 0)"},
-      {"--classes-per-node", "0", "clientsPerNode: must be a positive integer (got 0)"},
-      {"--read-fraction", "2", "readFraction: must be in [0, 1] (got 2)"},
-      {"--demand-sigma", "-1", "demandSigma: must be >= 0 (got -1)"},
-      {"--objects", "0", "objects: must be a positive integer (got 0)"},
+      {"--request", "0", "--request: must be > 0 (got 0)"},
+      {"--classes-per-node", "0", "--classes-per-node: must be a positive integer (got 0)"},
+      {"--read-fraction", "2", "--read-fraction: must be in [0, 1] (got 2)"},
+      {"--demand-sigma", "-1", "--demand-sigma: must be >= 0 (got -1)"},
+      {"--objects", "0", "--objects: must be a positive integer (got 0)"},
       {"--classes", "0", "--classes: must be a positive integer (got 0)"},
-      {"--rate", "0", "ratePerClientHz: must be > 0 (got 0)"},
+      {"--rate", "0", "--rate: must be > 0 (got 0)"},
   };
   for (const Case& c : cases) {
     std::string out, err;
@@ -483,6 +516,55 @@ TEST(Cli, UnknownOrMalformedOptionExitsTwoBeforeRunning) {
        "--stonewall: must be >= 0 (got -2)"},
       {{"mdtest", "--site", "lassen", "--storage", "vast", "--noise", "-1"},
        "--noise: must be >= 0 (got -1)"},
+      // Every command and oracle subcommand: an unknown flag, and a
+      // non-number for a numeric flag. takeaways and oracle list read
+      // only --dir; chaos, workload and probe get a bad bare-flag value
+      // instead.
+      {{"dlio", "--site", "lassen", "--storage", "vast", "--acess", "seq-read"},
+       "--acess: unknown option"},
+      {{"dlio", "--site", "lassen", "--storage", "vast", "--ppn", "four"},
+       "--ppn: must be a positive integer (got 'four')"},
+      {{"mdtest", "--site", "lassen", "--storage", "vast", "--item", "4"}, "--item: unknown option"},
+      {{"mdtest", "--site", "lassen", "--storage", "vast", "--items", "many"},
+       "--items: must be a positive integer (got 'many')"},
+      {{"plan", "--machin", "lassen"}, "--machin: unknown option"},
+      {{"plan", "--min-gbs", "lots"}, "--min-gbs: must be a number (got 'lots')"},
+      {{"sweep", "--spec", spec, "--jobs", "all"},
+       "--jobs: must be a non-negative integer (got 'all')"},
+      {{"chaos", spec, "--outt", "x.jsonl"}, "--outt: unknown option"},
+      {{"chaos", spec, "--telemetry=yes"}, "--telemetry: must be true or false (got 'yes')"},
+      {{"workload", spec, "--csvv", "x.csv"}, "--csvv: unknown option"},
+      {{"workload", spec, "--telemetry=yes"}, "--telemetry: must be true or false (got 'yes')"},
+      {{"probe", spec, "--dump", "x"}, "--dump: unknown option"},
+      {{"probe", spec, "--telemetry=yes"}, "--telemetry: must be true or false (got 'yes')"},
+      {{"scale", "--classes", "many"}, "--classes: must be a positive integer (got 'many')"},
+      {{"oracle", "list", "--jobs", "2"}, "--jobs: unknown option"},
+      {{"oracle", "relations", "--case", "3"}, "--case: unknown option"},
+      {{"oracle", "relations", "--cases", "many"},
+       "--cases: must be a positive integer (got 'many')"},
+      {{"oracle", "record", "--tolerance", "1"}, "--tolerance: unknown option"},
+      {{"oracle", "record", "--jobs", "two"}, "--jobs: must be a non-negative integer (got 'two')"},
+      {{"oracle", "check", "--dir", HCSIM_PAPER_DIR, "--tolerance", "lots"},
+       "--tolerance: must be a number (got 'lots')"},
+      {{"trace", "--site", "lassen", "--storage", "vast", "--intern"}, "--intern: unknown option"},
+      {{"trace", "--site", "lassen", "--storage", "vast", "--ppn", "x"},
+       "--ppn: must be a positive integer (got 'x')"},
+      {{"stats", "--site", "lassen", "--storage", "vast", "--jsn"}, "--jsn: unknown option"},
+      {{"stats", "--site", "lassen", "--storage", "vast", "--workload", "unet3d", "--nodes", "x"},
+       "--nodes: must be a positive integer (got 'x')"},
+      {{"dump-config", "--site", "lassen", "--storage", "vast", "--nodes", "2"},
+       "--nodes: unknown option"},
+      {{"dump-config", "--site", "lassen", "--storage", "vast=yes"},
+       "--storage: must be vast|gpfs|lustre|nvme|daos (got 'vast=yes')"},
+      // A whole number the flag's range holds, but a volume past 64 bits:
+      // IorConfig::validate() names segments before anything runs.
+      {{"ior", "--site", "wombat", "--storage", "vast", "--segments", "1e15"},
+       "IorConfig.segments: must keep segments x blockSize x procs below 2^64 bytes (got "
+       "1000000000000000)"},
+      {{"ior", "--site", "wombat", "--storage", "vast", "--segments", "100000000000000",
+        "--nodes", "4", "--ppn", "16", "--reps", "1"},
+       "IorConfig.segments: must keep segments x blockSize x procs below 2^64 bytes (got "
+       "100000000000000)"},
   };
   for (const auto& c : cases) {
     std::ostringstream out, err;

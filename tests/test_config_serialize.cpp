@@ -150,7 +150,7 @@ TEST(ConfigSerialize, StrictReaderNamesTheDottedKey) {
       {R"({"gateway": {"latencyz": 1}})", "storageConfig.gateway.latencyz: unknown key"},
       {R"({"transport": "udp"})", "storageConfig.transport: must be tcp|rdma (got 'udp')"},
       {R"({"cnodes": -3})", "storageConfig.cnodes: must be a positive integer (got -3)"},
-      {R"({"cnodes": "4"})", "storageConfig.cnodes: must be a non-negative integer (got '4')"},
+      {R"({"cnodes": "4"})", "storageConfig.cnodes: must be a positive integer (got '4')"},
       {R"({"cnodes": 1e30})", "storageConfig.cnodes: must be a non-negative integer (got 1"},
       {R"({"multipath": 1})", "storageConfig.multipath: must be true or false (got 1)"},
       {R"({"fabricLatency": null})", "storageConfig.fabricLatency: must be a number (got null)"},

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.hpp"
+#include "sweep/sweep_runner.hpp"
+#include "workload/workload_spec.hpp"
 
 namespace hcsim {
 namespace {
@@ -20,6 +22,42 @@ TEST(IorConfig, ValidateRejectsBadGeometry) {
   c = IorConfig{};
   c.repetitions = 0;
   EXPECT_THROW(c.validate(), std::invalid_argument);
+}
+
+// A geometry whose byte count does not fit in 64 bits fails with one
+// line naming segments, the same from validate(), a sweep trial and a
+// workload spec, instead of running on a wrapped volume.
+TEST(IorConfig, VolumePastSixtyFourBitsIsRejectedNamingSegments) {
+  IorConfig c = IorConfig::scalability(AccessPattern::SequentialWrite, 4, 16);
+  c.segments = 100000000000000;  // x 1 MiB x 64 procs = 6.7e21 bytes
+  const std::string line =
+      "IorConfig.segments: must keep segments x blockSize x procs below 2^64 bytes (got "
+      "100000000000000)";
+  try {
+    c.validate();
+    ADD_FAILURE() << "validate() accepted a wrapping volume";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(e.what(), line);
+  }
+  c.segments = 1000;
+  EXPECT_NO_THROW(c.validate());
+
+  const std::string ior = R"("nodes": 4, "procsPerNode": 16, "segments": 1e14)";
+  JsonValue trial;
+  ASSERT_TRUE(parseJson(R"({"site": "wombat", "storage": "vast", "ior": {)" + ior + "}}", trial));
+  const sweep::TrialMetrics m = sweep::runTrial("ior", trial, {});
+  EXPECT_FALSE(m.ok);
+  EXPECT_EQ(m.error, line);
+
+  JsonValue doc;
+  ASSERT_TRUE(parseJson(R"({"workload": {"generator": "ior", )" + ior + "}}", doc));
+  workload::WorkloadRunSpec spec;
+  std::vector<std::string> problems;
+  workload::parseWorkloadSpec(doc, spec, problems);
+  ASSERT_TRUE(problems.empty());
+  workload::makeSource(spec, problems);
+  ASSERT_EQ(problems.size(), 1u);
+  EXPECT_EQ(problems[0], "workload: " + line);
 }
 
 TEST(IorConfig, GeometryDerivations) {
