@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Release-build gate: configure + build EVERYTHING (library, tests,
-# benches, examples — a bench that fails to compile fails this script),
+# benches, examples — a bench that fails to compile, or any warning in
+# the Release build, fails this script),
 # run the full test suite, then smoke-test the sweep engine, the trial
 # cache (byte-identity cold/warm), the strict config reader (a
 # misspelled key or an out-of-range knob fails every trial by name, a
@@ -29,7 +30,7 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="${HCSIM_CHECK_BUILD_DIR:-$ROOT/build-check}"
 JOBS="$(nproc 2>/dev/null || echo 2)"
 
-cmake -S "$ROOT" -B "$BUILD" -DCMAKE_BUILD_TYPE=Release
+cmake -S "$ROOT" -B "$BUILD" -DCMAKE_BUILD_TYPE=Release -DHCSIM_WERROR=ON
 cmake --build "$BUILD" -j"$JOBS"
 
 ctest --test-dir "$BUILD" --output-on-failure -j"$JOBS"

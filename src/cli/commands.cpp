@@ -7,6 +7,7 @@
 #include <optional>
 #include <ostream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "chaos/chaos_runner.hpp"
 #include "config/fields.hpp"
@@ -732,6 +733,9 @@ int scale(ArgParser& args, std::ostream& out) {
   if (std::string e = readFields(JsonValue(std::move(derived)), f.cfg, ""); !e.empty()) {
     throw UsageError("--clients: " + e);
   }
+  if (const char* problem = f.cfg.requestBytesProblem()) {
+    throw UsageError(std::string("--request: ") + problem);
+  }
   const workload::OpenLoopConfig& cfg = f.cfg;
 
   Environment env = makeEnvironment(f.site, f.storage, cfg.nodes(), nullptr);
@@ -982,7 +986,8 @@ std::string helpWord(const Flag& f) {
 template <class... Lists>
 void usage(std::ostream& out, std::size_t indent) {
   std::string line;
-  const auto print = [&]<class List>(List defaults) {
+  const auto print = [&]<class List>(std::type_identity<List>) {
+    List defaults;
     FlagList list;
     fields(list, defaults);
     line = line.empty() ? std::string(indent, ' ') : std::string(indent - 3, ' ') + "or ";
@@ -996,7 +1001,7 @@ void usage(std::ostream& out, std::size_t indent) {
     }
     out << line << "\n";
   };
-  (print(Lists{}), ...);
+  (print(std::type_identity<Lists>{}), ...);
 }
 
 void printTable(std::ostream& out, const std::vector<Command>& table, std::size_t indent) {

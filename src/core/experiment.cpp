@@ -56,7 +56,13 @@ std::string readDeployment(const JsonValue& doc, Site& site, StorageKind& storag
 }
 
 void parseSpecHeader(const JsonValue& doc, SpecHeader& out, std::vector<std::string>& problems) {
-  out.name = doc.stringOr("name", out.name);
+  if (const JsonValue* name = doc.find("name")) {
+    if (const std::string* s = name->str()) {
+      out.name = *s;
+    } else {
+      problems.push_back(fieldError("name", "must be a string", *name));
+    }
+  }
   if (std::string e = readDeployment(doc, out.site, out.storage); !e.empty()) {
     problems.push_back(std::move(e));
   }

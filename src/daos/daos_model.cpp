@@ -28,11 +28,9 @@ DaosModel::DaosModel(Simulator& sim, Topology& topo, DaosConfig config,
   cfg_.validate();
   targets_.reserve(cfg_.totalTargets());
   for (std::size_t i = 0; i < cfg_.totalTargets(); ++i) {
-    Target t;
-    t.link = topology().addLink("daos.target.t" + std::to_string(i), cfg_.targetBandwidth, 0.0);
-    t.xstreams =
-        std::make_unique<DeviceQueue>(sim, cfg_.xstreamsPerTarget, "daos.xstream.t" + std::to_string(i));
-    targets_.push_back(std::move(t));
+    targets_.push_back({topology().addLink("daos.target.t" + std::to_string(i),
+                                           cfg_.targetBandwidth, 0.0),
+                        DeviceQueue(sim, cfg_.xstreamsPerTarget)});
   }
   // dkey/akey lookups are served by the target engines themselves — no
   // separate metadata server tier stands in the data path.
@@ -75,7 +73,7 @@ std::vector<std::size_t> DaosModel::writeGroup(std::uint64_t objectId) {
 void DaosModel::serveAt(std::size_t targetIdx, const IoRequest& req, Bytes bytes, Seconds perOp,
                         IoCallback cb) {
   Target& target = targets_[targetIdx];  // vector never resizes after ctor
-  target.xstreams->submit(cfg_.targetServiceTime,
+  target.xstreams.submit(cfg_.targetServiceTime,
                           [this, &target, req, bytes, perOp, cb = std::move(cb)]() mutable {
                             Route route{clientNic(req.client.node), target.link};
                             launchTransfer(req, bytes, route, cfg_.targetBandwidth, perOp, 0.0,
@@ -173,9 +171,9 @@ void DaosModel::exportMetrics(telemetry::MetricsRegistry& reg) const {
   std::size_t queued = 0;
   std::size_t busy = 0;
   for (const Target& t : targets_) {
-    completed += t.xstreams->completed();
-    queued += t.xstreams->queued();
-    busy += t.xstreams->busy();
+    completed += t.xstreams.completed();
+    queued += t.xstreams.queued();
+    busy += t.xstreams.busy();
   }
   reg.counter("daos.xstream.ops_completed", static_cast<double>(completed));
   reg.gauge("daos.xstream.queued", static_cast<double>(queued));

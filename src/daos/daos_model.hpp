@@ -27,7 +27,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <set>
 #include <vector>
 
@@ -78,7 +77,7 @@ class DaosModel final : public StorageModelBase {
  private:
   struct Target {
     LinkId link{};
-    std::unique_ptr<DeviceQueue> xstreams;
+    DeviceQueue xstreams;
   };
 
   /// Deterministic object placement: hash the object id onto the ring,

@@ -5,23 +5,29 @@
 
 namespace hcsim {
 
-DeviceQueue::DeviceQueue(Simulator& sim, std::size_t servers, std::string name)
-    : sim_(sim), servers_(servers), name_(std::move(name)) {
+DeviceQueue::DeviceQueue(Simulator& sim, std::size_t servers) : sim_(sim), servers_(servers) {
   if (servers_ == 0) throw std::invalid_argument("DeviceQueue: servers must be > 0");
 }
 
 void DeviceQueue::submit(Seconds serviceTime, std::function<void()> onDone) {
-  Pending op{serviceTime, std::move(onDone)};
-  if (busy_ < servers_) {
-    startService(std::move(op));
-  } else {
-    waiting_.push_back(std::move(op));
+  if (busy_ < servers_) return startService(serviceTime, std::move(onDone));
+  if (waiting_ == ring_.size()) {
+    std::vector<Pending> bigger(ring_.empty() ? 8 : 2 * ring_.size());
+    for (std::size_t i = 0; i < waiting_; ++i) {
+      bigger[i] = std::move(ring_[(head_ + i) & (ring_.size() - 1)]);
+    }
+    ring_ = std::move(bigger);
+    head_ = 0;
   }
+  Pending& slot = ring_[(head_ + waiting_) & (ring_.size() - 1)];
+  slot.serviceTime = serviceTime;
+  slot.onDone = std::move(onDone);
+  ++waiting_;
 }
 
-void DeviceQueue::startService(Pending op) {
+void DeviceQueue::startService(Seconds serviceTime, std::function<void()> onDone) {
   ++busy_;
-  sim_.schedule(op.serviceTime, [this, done = std::move(op.onDone)]() mutable {
+  sim_.schedule(serviceTime, [this, done = std::move(onDone)]() mutable {
     ++completed_;
     if (done) done();
     onServerFree();
@@ -30,11 +36,11 @@ void DeviceQueue::startService(Pending op) {
 
 void DeviceQueue::onServerFree() {
   --busy_;
-  if (!waiting_.empty()) {
-    Pending next = std::move(waiting_.front());
-    waiting_.pop_front();
-    startService(std::move(next));
-  }
+  if (waiting_ == 0) return;
+  Pending& next = ring_[head_];
+  head_ = (head_ + 1) & (ring_.size() - 1);
+  --waiting_;
+  startService(next.serviceTime, std::move(next.onDone));
 }
 
 }  // namespace hcsim

@@ -35,8 +35,7 @@ void StorageModelBase::configureMetadataPath(std::size_t servers, Seconds servic
   metaQueues_.clear();
   metaQueues_.reserve(servers);
   for (std::size_t i = 0; i < servers; ++i) {
-    metaQueues_.push_back(
-        std::make_unique<DeviceQueue>(sim_, 1, name_ + ".meta[" + std::to_string(i) + "]"));
+    metaQueues_.emplace_back(sim_, 1);
   }
   metaServiceTime_ = serviceTime;
   metaClientLatency_ = clientLatency;
@@ -65,7 +64,7 @@ void StorageModelBase::submitMeta(const MetaRequest& req, IoCallback cb) {
   const Seconds service =
       metaServiceTime_ * (req.sharedDirectory ? metaSharedDirPenalty_ : 1.0);
   sim_.schedule(metaClientLatency_, [this, server, service, finish = std::move(finish)]() mutable {
-    metaQueues_[server]->submit(service, std::move(finish));
+    metaQueues_[server].submit(service, std::move(finish));
   });
 }
 
@@ -73,10 +72,10 @@ void StorageModelBase::exportMetrics(telemetry::MetricsRegistry& reg) const {
   double queued = 0.0;
   double busy = 0.0;
   double completed = 0.0;
-  for (const auto& q : metaQueues_) {
-    queued += static_cast<double>(q->queued());
-    busy += static_cast<double>(q->busy());
-    completed += static_cast<double>(q->completed());
+  for (const DeviceQueue& q : metaQueues_) {
+    queued += static_cast<double>(q.queued());
+    busy += static_cast<double>(q.busy());
+    completed += static_cast<double>(q.completed());
   }
   if (!metaQueues_.empty()) {
     reg.counter(name_ + ".meta.ops_completed", completed);

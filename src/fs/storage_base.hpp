@@ -4,7 +4,6 @@
 // current phase, and the flow-launch helper that converts an IoRequest
 // into a rate-capped flow over a route.
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -109,7 +108,7 @@ class StorageModelBase : public FileSystemModel {
   bool inPhase_ = false;
 
   // Metadata path.
-  std::vector<std::unique_ptr<DeviceQueue>> metaQueues_;
+  std::vector<DeviceQueue> metaQueues_;
   std::size_t metaActive_ = 0;  // 0 = all configured servers
   Seconds metaServiceTime_ = 0.0;
   Seconds metaClientLatency_ = 0.0;

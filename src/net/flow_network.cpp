@@ -78,6 +78,14 @@ void FlowNetwork::setLinkHealth(LinkId id, double health) {
 
 std::size_t FlowNetwork::replaceLinkInFlows(LinkId from, LinkId to) {
   advanceProgress();
+  // A delayed flow joins no solve until it activates, so moving one
+  // alone changes no rate.
+  std::size_t delayed = 0;
+  for (Delayed& d : delayed_) {
+    if (!d.waiting || std::find(d.route.begin(), d.route.end(), from) == d.route.end()) continue;
+    std::replace(d.route.begin(), d.route.end(), from, to);
+    ++delayed;
+  }
   std::size_t rerouted = 0;
   for (std::size_t i = 0; i < live_.size();) {
     const std::uint32_t slot = live_[i];
@@ -107,7 +115,7 @@ std::size_t FlowNetwork::replaceLinkInFlows(LinkId from, LinkId to) {
     retireGroup(slot);  // erases live_[i]
   }
   if (rerouted > 0) rebalance();
-  return rerouted;
+  return rerouted + delayed;
 }
 
 Seconds FlowNetwork::routeLatency(const Route& route) const {
@@ -142,10 +150,21 @@ FlowId FlowNetwork::startFlow(const FlowSpec& spec,
   }
 
   if (spec.startupLatency > 0.0) {
-    sim_.schedule(spec.startupLatency, [this, f = std::move(flow), route = spec.route,
-                                        cap = spec.rateCap, weight = spec.weight]() mutable {
-      activate(std::move(f), route, cap, weight);
-    });
+    std::uint32_t slot;
+    if (!freeDelayed_.empty()) {
+      slot = freeDelayed_.back();
+      freeDelayed_.pop_back();
+    } else {
+      slot = static_cast<std::uint32_t>(delayed_.size());
+      delayed_.emplace_back();
+    }
+    Delayed& d = delayed_[slot];
+    d.flow = std::move(flow);
+    d.route.assign(spec.route.begin(), spec.route.end());  // reuses the slot's storage
+    d.rateCap = spec.rateCap;
+    d.weight = spec.weight;
+    d.waiting = true;
+    sim_.schedule(spec.startupLatency, [this, slot] { activateDelayed(slot); });
   } else {
     activate(std::move(flow), spec.route, spec.rateCap, spec.weight);
   }
@@ -436,6 +455,15 @@ void FlowNetwork::completeHead(std::uint32_t slot) {
   const FlowCompletion done{f.id, f.bytes * f.members, f.members, f.startTime, sim_.now()};
   rebalance();
   if (f.onComplete) f.onComplete(done);
+}
+
+void FlowNetwork::activateDelayed(std::uint32_t slot) {
+  Delayed& d = delayed_[slot];
+  d.waiting = false;
+  // The slot is freed only after activate: a zero-byte flow's callback
+  // may start flows, and must not reuse the route activate reads.
+  activate(std::move(d.flow), d.route, d.rateCap, d.weight);
+  freeDelayed_.push_back(slot);
 }
 
 Bandwidth FlowNetwork::flowRate(FlowId id) {

@@ -150,8 +150,9 @@ class FlowNetwork {
   /// re-rate — failover semantics (e.g. NFS retrying in-flight ops
   /// against a surviving server after a node failure). A group moves as
   /// a whole; when its new signature is already live it merges into that
-  /// group and every flow keeps its remaining bytes. Returns how many
-  /// flows were rerouted.
+  /// group and every flow keeps its remaining bytes. A flow still in its
+  /// startup delay is rerouted too, and starts on the new route. Returns
+  /// how many flows were rerouted.
   std::size_t replaceLinkInFlows(LinkId from, LinkId to);
 
   std::size_t linkCount() const { return links_.size(); }
@@ -212,6 +213,16 @@ class FlowNetwork {
     std::function<void(const FlowCompletion&)> onComplete;
   };
 
+  /// A flow in its startup delay. The network holds it, not the
+  /// activation event, so a reroute reaches its route.
+  struct Delayed {
+    Flow flow;
+    Route route;
+    Bandwidth rateCap = 0.0;
+    double weight = 1.0;
+    bool waiting = false;  // false once activated: the slot is free
+  };
+
   struct Group {
     std::uint64_t hash = 0;  // of (route, rateCap bits, weight bits)
     Route route;
@@ -250,6 +261,8 @@ class FlowNetwork {
   void computeMaxMinRates();
 
   void activate(Flow flow, const Route& route, Bandwidth rateCap, double weight);
+  /// The end of a delayed flow's startup latency: activate it.
+  void activateDelayed(std::uint32_t slot);
 
   /// A group's completion event: retire its head flow.
   void completeHead(std::uint32_t slot);
@@ -284,6 +297,8 @@ class FlowNetwork {
   std::vector<char> inSolve_;
   std::vector<std::uint32_t> solveLinks_;
   std::vector<std::uint32_t> unfrozen_;
+  std::vector<Delayed> delayed_;            // slots; free ones keep route storage
+  std::vector<std::uint32_t> freeDelayed_;  // free slots, reused first
 };
 
 }  // namespace hcsim

@@ -3,12 +3,9 @@
 namespace hcsim {
 
 LinkId Topology::addLink(const std::string& name, Bandwidth capacity, Seconds latency) {
-  if (byName_.count(name)) {
-    throw std::invalid_argument("Topology: duplicate link name: " + name);
-  }
-  const LinkId id = net_.addLink(name, capacity, latency);
-  byName_.emplace(name, id);
-  return id;
+  const auto [it, added] = byName_.try_emplace(name);
+  if (!added) throw std::invalid_argument("Topology: duplicate link name: " + name);
+  return it->second = net_.addLink(name, capacity, latency);
 }
 
 LinkId Topology::link(const std::string& name) const {

@@ -45,31 +45,21 @@ double pctDelta(double golden, double current) {
 /// a block the snapshot predates is not compared.
 std::string driftedColumns(const sweep::TrialMetrics& golden, const sweep::TrialMetrics& current,
                            double tolerancePct) {
-  const JsonValue was = sweep::metricsToJson(golden);
-  const JsonValue now = sweep::metricsToJson(current);
+  const auto now = sweep::numberColumns(current);
   std::ostringstream os;
   const char* sep = "drifted: ";
-  const auto compare = [&](const std::string& column, const JsonValue& g, const JsonValue* c) {
-    if (!g.isNumber() || column == "meanGBs") return;
-    if (c == nullptr || !c->isNumber()) {
-      os << sep << column << " " << *g.number() << " -> absent";
-    } else if (const double pct = pctDelta(*g.number(), *c->number());
-               std::abs(pct) > tolerancePct) {
-      os << sep << column << " " << *g.number() << " -> " << *c->number() << " (" << pct << "%)";
+  for (const auto& [column, g] : sweep::numberColumns(golden)) {
+    if (column == "meanGBs") continue;
+    const auto c = std::find_if(now.begin(), now.end(),
+                                [&column](const auto& n) { return n.first == column; });
+    if (c == now.end()) {
+      os << sep << column << " " << g << " -> absent";
+    } else if (const double pct = pctDelta(g, c->second); std::abs(pct) > tolerancePct) {
+      os << sep << column << " " << g << " -> " << c->second << " (" << pct << "%)";
     } else {
-      return;
-    }
-    sep = ", ";
-  };
-  for (const auto& [key, value] : *was.object()) {
-    const JsonValue* block = now.find(key);
-    if (value.object() == nullptr) {
-      compare(key, value, block);
       continue;
     }
-    for (const auto& [column, v] : *value.object()) {
-      compare(key + "." + column, v, block != nullptr ? block->find(column) : nullptr);
-    }
+    sep = ", ";
   }
   return os.str();
 }

@@ -1,34 +1,23 @@
 #include "sweep/result_sink.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cstring>
 #include <fstream>
-#include <sstream>
+
+#include "util/table.hpp"
 
 namespace hcsim::sweep {
 
 namespace {
 
-JsonValue paramsObject(const Trial& trial) {
-  JsonObject o;
-  for (const auto& [path, v] : trial.params) o[path] = deepCopy(v);
-  return JsonValue(std::move(o));
-}
-
-/// A string's text, or the JSON of any other value (an object- or
-/// array-valued axis value is written as JSON), quoted with its inner
-/// quotes doubled when it holds a comma, a quote or a newline.
-std::string csvField(const JsonValue& v) {
-  if (v.isNumber() || v.isBool()) return writeJson(v);
-  const std::string* s = v.str();
-  std::string text = s != nullptr ? *s : writeJson(v);
-  if (text.find_first_of(",\"\n") == std::string::npos) return text;
-  std::string quoted = "\"";
-  for (char c : text) {
-    if (c == '"') quoted += '"';
-    quoted += c;
-  }
-  quoted += '"';
-  return quoted;
+/// An axis value as a CSV cell: a string's text, or the JSON of any
+/// other value (an object- or array-valued axis value is written as
+/// JSON, quoted like any text).
+void appendCsvValue(std::string& out, const JsonValue& v) {
+  if (const std::string* s = v.str()) return appendCsvCell(out, *s);
+  if (v.isNumber() || v.isBool()) return appendJson(out, v);
+  appendCsvCell(out, writeJson(v));
 }
 
 using M = TrialMetrics;
@@ -109,8 +98,90 @@ const Block kBlocks[] = {
       {"computeSec", "dlioComputeSec", &M::dlioComputeSec}}},
 };
 
-JsonValue cell(const Column& c, const M& m) {
-  return c.text != nullptr ? JsonValue(m.*c.text) : JsonValue(m.*c.number);
+/// The metrics object's members in its key order: sorted at every
+/// level, the order JsonObject (a std::map) gave them when records were
+/// built as JSON trees, kept so the JSONL bytes stay put. A top-level
+/// member is "ok", a base column or a block; a block's member list is
+/// its columns, also sorted. Table keys are plain identifiers, so they
+/// are written without escaping.
+struct Member {
+  const char* key;
+  const Column* column = nullptr;  // a base column
+  const Block* block = nullptr;    // a block, with its columns in key order
+  std::vector<const Column*> columns;
+};
+
+const std::vector<Member>& members() {
+  static const std::vector<Member> sorted = [] {
+    const auto byKey = [](const auto& a, const auto& b) { return std::strcmp(a.key, b.key) < 0; };
+    std::vector<Member> v{{"ok", nullptr, nullptr, {}}};
+    for (const Column& c : kBase) v.push_back({c.key, &c, nullptr, {}});
+    for (const Block& b : kBlocks) {
+      Member e{b.key, nullptr, &b, {}};
+      for (const Column& c : b.columns) e.columns.push_back(&c);
+      std::sort(e.columns.begin(), e.columns.end(),
+                [&byKey](const Column* x, const Column* y) { return byKey(*x, *y); });
+      v.push_back(std::move(e));
+    }
+    std::sort(v.begin(), v.end(), byKey);
+    return v;
+  }();
+  return sorted;
+}
+
+void appendKey(std::string& out, char sep, const char* key) {
+  out += sep;
+  out += '"';
+  out += key;
+  out += "\":";
+}
+
+void appendCell(std::string& out, const Column& c, const M& m) {
+  if (c.text == nullptr) return appendJsonNumber(out, m.*c.number);
+  out += '"';
+  appendJsonEscaped(out, m.*c.text);
+  out += '"';
+}
+
+void appendCsvColumn(std::string& out, const Column& c, const M& m) {
+  if (c.text == nullptr) return appendJsonNumber(out, m.*c.number);
+  appendCsvCell(out, m.*c.text);
+}
+
+/// {"path":value,...} over the trial's axes, keyed by path in sorted
+/// order, the last value of a repeated path winning (as JsonObject
+/// stored them). A trial has a few axes, so each key is found by a pass
+/// over them instead of sorting a copy.
+void appendParams(std::string& out, const Trial& trial) {
+  const std::string* prev = nullptr;
+  char sep = '{';
+  for (;;) {
+    const std::pair<std::string, JsonValue>* next = nullptr;
+    for (const auto& p : trial.params) {
+      if (prev != nullptr && p.first <= *prev) continue;
+      if (next == nullptr || p.first <= next->first) next = &p;
+    }
+    if (next == nullptr) break;
+    out += sep;
+    sep = ',';
+    out += '"';
+    appendJsonEscaped(out, next->first);
+    out += "\":";
+    appendJson(out, next->second);
+    prev = &next->first;
+  }
+  if (sep == '{') out += '{';
+  out += '}';
+}
+
+void appendJsonlLine(std::string& out, const TrialResult& r) {
+  out += "{\"metrics\":";
+  appendMetricsJson(out, r.metrics);
+  out += ",\"params\":";
+  appendParams(out, r.trial);
+  out += ",\"trial\":";
+  appendJsonNumber(out, static_cast<double>(r.trial.index));
+  out += '}';
 }
 
 /// Read column `c` from `obj` into `m`; false when absent or mistyped.
@@ -129,27 +200,56 @@ bool readCell(const Column& c, const JsonValue& obj, M& m) {
 
 }  // namespace
 
-std::string paramsKey(const Trial& trial) { return writeJson(paramsObject(trial)); }
+std::string paramsKey(const Trial& trial) {
+  std::string key;
+  appendParams(key, trial);
+  return key;
+}
 
-JsonValue metricsToJson(const TrialMetrics& m) {
-  JsonObject o;
-  o["ok"] = m.ok;
+void appendMetricsJson(std::string& out, const TrialMetrics& m) {
   if (!m.ok) {
-    o["error"] = m.error;
-    return JsonValue(std::move(o));
+    out += "{\"error\":\"";
+    appendJsonEscaped(out, m.error);
+    out += "\",\"ok\":false}";
+    return;
   }
-  for (const Column& c : kBase) o[c.key] = cell(c, m);
-  for (const Block& b : kBlocks) {
-    if (!(m.*b.shown)) continue;
-    if (!(m.*b.filled)) {
-      o[b.key] = JsonValue();  // null, not zeros
-      continue;
+  char sep = '{';
+  for (const Member& e : members()) {
+    if (e.block != nullptr && !(m.*e.block->shown)) continue;
+    appendKey(out, sep, e.key);
+    sep = ',';
+    if (e.column != nullptr) {
+      appendCell(out, *e.column, m);
+    } else if (e.block == nullptr) {
+      out += "true";  // ok
+    } else if (!(m.*e.block->filled)) {
+      out += "null";  // shown without values: null, not zeros
+    } else {
+      char inner = '{';
+      for (const Column* c : e.columns) {
+        appendKey(out, inner, c->key);
+        inner = ',';
+        appendCell(out, *c, m);
+      }
+      out += '}';
     }
-    JsonObject sub;
-    for (const Column& c : b.columns) sub[c.key] = cell(c, m);
-    o[b.key] = JsonValue(std::move(sub));
   }
-  return JsonValue(std::move(o));
+  out += '}';
+}
+
+std::vector<std::pair<std::string, double>> numberColumns(const TrialMetrics& m) {
+  std::vector<std::pair<std::string, double>> out;
+  if (!m.ok) return out;
+  for (const Member& e : members()) {
+    if (e.column != nullptr && e.column->number != nullptr) {
+      out.emplace_back(e.key, m.*e.column->number);
+    }
+    if (e.block == nullptr || !(m.*e.block->shown) || !(m.*e.block->filled)) continue;
+    for (const Column* c : e.columns) {
+      if (c->number != nullptr) out.emplace_back(std::string(e.key) + "." + c->key, m.*c->number);
+    }
+  }
+  return out;
 }
 
 bool metricsFromJson(const JsonValue& j, TrialMetrics& out) {
@@ -182,17 +282,22 @@ bool metricsFromJson(const JsonValue& j, TrialMetrics& out) {
 }
 
 std::string toJsonlLine(const TrialResult& r) {
-  JsonObject o;
-  o["trial"] = static_cast<double>(r.trial.index);
-  o["params"] = paramsObject(r.trial);
-  o["metrics"] = metricsToJson(r.metrics);
-  return writeJson(JsonValue(std::move(o)));
+  std::string line;
+  line.reserve(512);
+  appendJsonlLine(line, r);
+  return line;
 }
 
 bool writeJsonl(const SweepOutcome& out, const std::string& path) {
   std::ofstream f(path);
   if (!f) return false;
-  for (const TrialResult& r : out.results) f << toJsonlLine(r) << "\n";
+  std::string line;
+  for (const TrialResult& r : out.results) {
+    line.clear();
+    appendJsonlLine(line, r);
+    line += '\n';
+    f << line;
+  }
   return static_cast<bool>(f);
 }
 
@@ -205,39 +310,48 @@ std::string toCsv(const SweepOutcome& out) {
       blocks.push_back(&b);
     }
   }
-  std::ostringstream os;
-  os << "trial";
+  std::string csv = "trial";
   if (!out.results.empty()) {
     for (const auto& [path, v] : out.results.front().trial.params) {
       (void)v;
-      os << "," << path;
+      csv += ',';
+      csv += path;
     }
   }
-  os << ",ok";
-  for (const Column& c : kBase) os << "," << c.csv;
-  os << ",error";
+  csv += ",ok";
+  for (const Column& c : kBase) (csv += ',') += c.csv;
+  csv += ",error";
   for (const Block* b : blocks) {
-    for (const Column& c : b->columns) os << "," << c.csv;
+    for (const Column& c : b->columns) (csv += ',') += c.csv;
   }
-  os << "\n";
+  csv += '\n';
   for (const TrialResult& r : out.results) {
     const TrialMetrics& m = r.metrics;
-    os << r.trial.index;
+    char index[24];
+    csv.append(index, std::to_chars(index, index + sizeof index, r.trial.index).ptr);
     for (const auto& [path, v] : r.trial.params) {
       (void)path;
-      os << "," << csvField(v);
+      csv += ',';
+      appendCsvValue(csv, v);
     }
-    os << (m.ok ? ",1" : ",0");
-    for (const Column& c : kBase) os << "," << (m.ok ? csvField(cell(c, m)) : "");
-    os << "," << (m.ok ? "" : csvField(JsonValue(m.error)));
+    csv += m.ok ? ",1" : ",0";
+    for (const Column& c : kBase) {
+      csv += ',';
+      if (m.ok) appendCsvColumn(csv, c, m);
+    }
+    csv += ',';
+    if (!m.ok) appendCsvCell(csv, m.error);
     // Empty — not zero — where a trial has no values for a shown block
     // (the CSV face of the opLatency null contract).
     for (const Block* b : blocks) {
-      for (const Column& c : b->columns) os << "," << (m.*b->filled ? csvField(cell(c, m)) : "");
+      for (const Column& c : b->columns) {
+        csv += ',';
+        if (m.*b->filled) appendCsvColumn(csv, c, m);
+      }
     }
-    os << "\n";
+    csv += '\n';
   }
-  return os.str();
+  return csv;
 }
 
 bool writeCsv(const SweepOutcome& out, const std::string& path) {

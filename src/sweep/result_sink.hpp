@@ -6,6 +6,7 @@
 
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sweep/sweep_runner.hpp"
@@ -13,15 +14,20 @@
 namespace hcsim::sweep {
 
 /// Canonical identity of a trial across runs: its axis assignments as a
-/// compact JSON object. Keys are sorted (JsonObject is a std::map), so
+/// compact JSON object, the JSONL record's "params". Keys are sorted, so
 /// the key survives axis reordering between spec revisions.
 std::string paramsKey(const Trial& trial);
 
-/// The "metrics" object of a JSONL record: ok plus every base column
-/// and each block the trial shows (opLatency, telemetry, probe, self,
-/// transport, dlio), or ok:false plus error. One column table drives this,
-/// its reader and the CSV; the trial cache stores this same object.
-JsonValue metricsToJson(const TrialMetrics& m);
+/// Append the "metrics" object of a JSONL record to `out`: ok plus every
+/// base column and each block the trial shows (opLatency, telemetry,
+/// probe, self, transport, dlio), or ok:false plus error, with sorted
+/// keys at every level. One column table drives this, its reader and
+/// the CSV; the trial cache stores this same object.
+void appendMetricsJson(std::string& out, const TrialMetrics& m);
+/// Every number that object holds for a successful trial, in its key
+/// order, named as a dotted path ("bytes", "dlio.computeSec"); none for
+/// a failed one.
+std::vector<std::pair<std::string, double>> numberColumns(const TrialMetrics& m);
 /// Read a metrics object back. False when it is not one: no boolean ok,
 /// a failed trial without its error, or a successful one missing (or
 /// mistyping) any base column or any column of a block it names.

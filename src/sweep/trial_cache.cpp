@@ -1,8 +1,8 @@
 #include "sweep/trial_cache.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <fstream>
-#include <sstream>
 #include <vector>
 
 #include "sweep/result_sink.hpp"
@@ -15,6 +15,16 @@ std::uint64_t fnv1a64(std::string_view s) {
   for (char c : s) h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ull;
   return h;
 }
+
+namespace {
+
+/// The record's "fnv" field: the key's hash in lowercase hex.
+std::string fnvHex(std::string_view key) {
+  char buf[16];
+  return std::string(buf, std::to_chars(buf, buf + sizeof buf, fnv1a64(key), 16).ptr);
+}
+
+}  // namespace
 
 std::string trialKey(const std::string& experiment, const JsonValue& config) {
   return experiment + '\n' + writeJson(config);
@@ -70,9 +80,7 @@ bool TrialCache::loadFile(const std::string& path) {
     const JsonValue* fnv = j.find("fnv");
     const JsonValue* metrics = j.find("metrics");
     if (!key || !key->str() || !fnv || !fnv->str() || !metrics) return false;
-    std::ostringstream expect;
-    expect << std::hex << fnv1a64(*key->str());
-    if (expect.str() != *fnv->str()) return false;  // corrupt or hand-edited
+    if (fnvHex(*key->str()) != *fnv->str()) return false;  // corrupt or hand-edited
     TrialMetrics m;
     if (!metricsFromJson(*metrics, m)) return false;
     staged[*key->str()] = std::move(m);
@@ -93,14 +101,15 @@ bool TrialCache::saveFile(const std::string& path) const {
             [](const auto* a, const auto* b) { return a->first < b->first; });
   std::ofstream out(path, std::ios::trunc);
   if (!out) return false;
+  std::string line;
   for (const auto* kv : entries) {
-    std::ostringstream fnv;
-    fnv << std::hex << fnv1a64(kv->first);
-    JsonObject rec;
-    rec["fnv"] = fnv.str();
-    rec["key"] = kv->first;
-    rec["metrics"] = metricsToJson(kv->second);
-    out << writeJson(JsonValue(std::move(rec))) << "\n";
+    // {"fnv":...,"key":...,"metrics":...}: the keys in sorted order.
+    line = "{\"fnv\":\"" + fnvHex(kv->first) + "\",\"key\":\"";
+    appendJsonEscaped(line, kv->first);
+    line += "\",\"metrics\":";
+    appendMetricsJson(line, kv->second);
+    line += "}\n";
+    out << line;
   }
   return static_cast<bool>(out);
 }

@@ -18,7 +18,7 @@
 // Record format, one JSON object per line, sorted by key:
 //   {"fnv":"<hex>","key":"<experiment>\n<config>","metrics":{...}}
 // where "metrics" is exactly the trial's JSONL metrics object
-// (sweep::metricsToJson). A line whose metrics object does not read back
+// (sweep::appendMetricsJson). A line whose metrics object does not read back
 // — e.g. a successful trial without every base column, as in the flat
 // format older builds wrote — fails the whole load.
 //

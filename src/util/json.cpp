@@ -1,10 +1,9 @@
 #include "util/json.hpp"
 
+#include <charconv>
 #include <cctype>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <sstream>
 
 namespace hcsim {
 
@@ -227,52 +226,60 @@ class Parser {
   std::size_t depth_ = 0;
 };
 
-void writeValue(const JsonValue& v, std::ostringstream& os, int indent, int depth) {
-  const std::string pad = indent > 0 ? std::string(static_cast<std::size_t>(indent * depth), ' ')
-                                     : std::string{};
-  const std::string childPad =
-      indent > 0 ? std::string(static_cast<std::size_t>(indent * (depth + 1)), ' ')
-                 : std::string{};
-  const char* nl = indent > 0 ? "\n" : "";
-  if (v.isNull()) {
-    os << "null";
-  } else if (v.isBool()) {
-    os << (*v.boolean() ? "true" : "false");
-  } else if (v.isNumber()) {
-    os << jsonNumber(*v.number());
-  } else if (v.isString()) {
-    os << '"' << jsonEscape(*v.str()) << '"';
-  } else if (v.isArray()) {
-    const JsonArray& arr = *v.array();
-    if (arr.empty()) {
-      os << "[]";
-      return;
-    }
-    os << '[' << nl;
-    for (std::size_t i = 0; i < arr.size(); ++i) {
-      os << childPad;
-      writeValue(arr[i], os, indent, depth + 1);
-      if (i + 1 < arr.size()) os << ',';
-      os << nl;
-    }
-    os << pad << ']';
-  } else {
-    const JsonObject& obj = *v.object();
-    if (obj.empty()) {
-      os << "{}";
-      return;
-    }
-    os << '{' << nl;
-    std::size_t i = 0;
-    for (const auto& [key, val] : obj) {
-      os << childPad << '"' << jsonEscape(key) << "\":";
-      if (indent > 0) os << ' ';
-      writeValue(val, os, indent, depth + 1);
-      if (++i < obj.size()) os << ',';
-      os << nl;
-    }
-    os << pad << '}';
+void appendValue(std::string& out, const JsonValue& v, int indent, int depth) {
+  if (const double* d = v.number()) return appendJsonNumber(out, *d);
+  if (const std::string* s = v.str()) {
+    out += '"';
+    appendJsonEscaped(out, *s);
+    out += '"';
+    return;
   }
+  if (const bool* b = v.boolean()) {
+    out += *b ? "true" : "false";
+    return;
+  }
+  const JsonArray* arr = v.array();
+  const JsonObject* obj = v.object();
+  if (arr == nullptr && obj == nullptr) {
+    out += "null";
+    return;
+  }
+  if (arr != nullptr ? arr->empty() : obj->empty()) {
+    out += arr != nullptr ? "[]" : "{}";
+    return;
+  }
+  // Pretty-printing puts each member on its own line, `indent` spaces
+  // deeper than its container.
+  const auto newline = [&out, indent](int level) {
+    if (indent <= 0) return;
+    out += '\n';
+    out.append(static_cast<std::size_t>(indent * level), ' ');
+  };
+  const char* sep = "";
+  if (arr != nullptr) {
+    out += '[';
+    for (const JsonValue& e : *arr) {
+      out += sep;
+      sep = ",";
+      newline(depth + 1);
+      appendValue(out, e, indent, depth + 1);
+    }
+    newline(depth);
+    out += ']';
+    return;
+  }
+  out += '{';
+  for (const auto& [key, val] : *obj) {
+    out += sep;
+    sep = ",";
+    newline(depth + 1);
+    out += '"';
+    appendJsonEscaped(out, key);
+    out += indent > 0 ? "\": " : "\":";
+    appendValue(out, val, indent, depth + 1);
+  }
+  newline(depth);
+  out += '}';
 }
 
 }  // namespace
@@ -283,42 +290,64 @@ bool parseJson(const std::string& text, JsonValue& out) {
 }
 
 std::string writeJson(const JsonValue& value, int indent) {
-  std::ostringstream os;
-  writeValue(value, os, indent, 0);
-  return os.str();
+  std::string out;
+  appendJson(out, value, indent);
+  return out;
 }
 
 std::string jsonNumber(double d) {
-  char buf[48];
-  if (std::isfinite(d) && d == std::floor(d) && std::fabs(d) < 1e15) {
-    std::snprintf(buf, sizeof buf, "%.0f", d);
-  } else {
-    std::snprintf(buf, sizeof buf, "%.17g", d);
-  }
-  return buf;
+  std::string out;
+  appendJsonNumber(out, d);
+  return out;
 }
 
 std::string jsonEscape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
-  for (char c : s) {
+  appendJsonEscaped(out, s);
+  return out;
+}
+
+void appendJson(std::string& out, const JsonValue& value, int indent) {
+  appendValue(out, value, indent, 0);
+}
+
+void appendJsonNumber(std::string& out, double d) {
+  // Both branches print what snprintf's "%.0f" and "%.17g" would.
+  char buf[32];
+  char* end;
+  if (std::isfinite(d) && d == std::floor(d) && std::fabs(d) < 1e15) {
+    char* p = buf;
+    if (d == 0.0 && std::signbit(d)) *p++ = '-';  // "%.0f" keeps -0's sign
+    end = std::to_chars(p, buf + sizeof buf, static_cast<std::int64_t>(d)).ptr;
+  } else {
+    end = std::to_chars(buf, buf + sizeof buf, d, std::chars_format::general, 17).ptr;
+  }
+  out.append(buf, end);
+}
+
+void appendJsonEscaped(std::string& out, std::string_view s) {
+  std::size_t run = 0;  // start of the bytes not yet copied
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s, run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\t': out += "\\t"; break;
       case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        out += "\\u00";
+        out += kHex[c >> 4];
+        out += kHex[c & 0xf];
+      }
     }
   }
-  return out;
+  out.append(s, run, s.size() - run);
 }
 
 }  // namespace hcsim

@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -87,5 +88,12 @@ std::string jsonEscape(const std::string& s);
 /// precision. Use when streaming JSON by hand so ad-hoc emitters cannot
 /// silently truncate (default ostream precision keeps 6 digits).
 std::string jsonNumber(double d);
+
+/// The writer itself: append writeJson's, jsonEscape's or jsonNumber's
+/// bytes to `out`, with no temporary string. Emitters that build a
+/// document from their own data (the sweep JSONL and CSV) call these.
+void appendJson(std::string& out, const JsonValue& value, int indent = 0);
+void appendJsonEscaped(std::string& out, std::string_view s);
+void appendJsonNumber(std::string& out, double d);
 
 }  // namespace hcsim

@@ -7,7 +7,7 @@ namespace hcsim {
 std::uint64_t Rng::uniformInt(std::uint64_t n) {
   if (n == 0) return 0;
   // Lemire's nearly-divisionless method (64-bit variant using 128-bit mul).
-  using u128 = unsigned __int128;
+  __extension__ using u128 = unsigned __int128;  // a GCC/Clang type, not ISO C++
   std::uint64_t x = next();
   u128 m = static_cast<u128>(x) * static_cast<u128>(n);
   std::uint64_t l = static_cast<std::uint64_t>(m);

@@ -69,34 +69,34 @@ std::string ResultTable::toString() const {
   return os.str();
 }
 
-namespace {
-std::string csvEscape(const std::string& s) {
-  if (s.find_first_of(",\"\n") == std::string::npos) return s;
-  std::string out = "\"";
-  for (char ch : s) {
-    if (ch == '"') out += '"';
-    out += ch;
+void appendCsvCell(std::string& out, std::string_view text) {
+  if (text.find_first_of(",\"\n") == std::string_view::npos) {
+    out += text;
+    return;
   }
   out += '"';
-  return out;
+  for (char c : text) {
+    if (c == '"') out += '"';
+    out += c;
+  }
+  out += '"';
 }
-}  // namespace
 
 std::string ResultTable::toCsv() const {
-  std::ostringstream os;
+  std::string csv;
   for (std::size_t i = 0; i < header_.size(); ++i) {
-    if (i) os << ',';
-    os << csvEscape(header_[i]);
+    if (i) csv += ',';
+    appendCsvCell(csv, header_[i]);
   }
-  os << '\n';
+  csv += '\n';
   for (const auto& row : rows_) {
     for (std::size_t i = 0; i < row.size(); ++i) {
-      if (i) os << ',';
-      os << csvEscape(formatCell(row[i]));
+      if (i) csv += ',';
+      appendCsvCell(csv, formatCell(row[i]));
     }
-    os << '\n';
+    csv += '\n';
   }
-  return os.str();
+  return csv;
 }
 
 std::ostream& operator<<(std::ostream& os, const ResultTable& t) { return os << t.toString(); }

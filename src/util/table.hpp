@@ -8,10 +8,15 @@
 #include <cstddef>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
 namespace hcsim {
+
+/// Append `text` to `out` as one CSV cell: quoted, with its inner quotes
+/// doubled, when it holds a comma, a quote or a newline.
+void appendCsvCell(std::string& out, std::string_view text);
 
 /// A table cell: text or a number (numbers are right-aligned and
 /// formatted with a per-table precision).
@@ -40,7 +45,7 @@ class ResultTable {
   /// Render as an aligned ASCII table.
   std::string toString() const;
 
-  /// Render as CSV (RFC-4180 quoting for text cells containing , or ").
+  /// Render as CSV (cells quoted by appendCsvCell).
   std::string toCsv() const;
 
   /// Convenience: stream toString().

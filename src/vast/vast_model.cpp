@@ -36,8 +36,7 @@ VastModel::VastModel(Simulator& sim, Topology& topo, VastConfig config,
   for (std::size_t i = 0; i < cfg_.cnodes; ++i) {
     cnodeLinks_.push_back(t.addLink(cfg_.name + ".cnode[" + std::to_string(i) + "]",
                                     cfg_.cnodeReadBandwidth));
-    cnodeCommitQueues_.push_back(std::make_unique<DeviceQueue>(
-        sim, 1, cfg_.name + ".commit[" + std::to_string(i) + "]"));
+    cnodeCommitQueues_.emplace_back(sim, 1);
   }
 
   fabricLink_ = t.addLink(cfg_.name + ".fabric",
@@ -283,10 +282,10 @@ void VastModel::exportMetrics(telemetry::MetricsRegistry& reg) const {
   double queued = 0.0;
   double busy = 0.0;
   double committed = 0.0;
-  for (const auto& q : cnodeCommitQueues_) {
-    queued += static_cast<double>(q->queued());
-    busy += static_cast<double>(q->busy());
-    committed += static_cast<double>(q->completed());
+  for (const DeviceQueue& q : cnodeCommitQueues_) {
+    queued += static_cast<double>(q.queued());
+    busy += static_cast<double>(q.busy());
+    committed += static_cast<double>(q.completed());
   }
   reg.counter(n + ".cnode.commits_completed", committed);
   reg.gauge(n + ".cnode.commit_queued", queued);
@@ -392,7 +391,7 @@ void VastModel::submitWrite(const IoRequest& req, IoCallback cb) {
         static_cast<double>(req.bytes) / cfg_.scmSpec.writeBandwidth;
     launchTransfer(req, req.bytes, route, kUncapped, rpc, rpc,
                    [this, cnode, commitService, cb = std::move(cb)](const IoResult& r) {
-                     cnodeCommitQueues_[cnode]->submit(
+                     cnodeCommitQueues_[cnode].submit(
                          commitService, [this, r, cb = std::move(cb)] {
                            if (cb) cb(IoResult{r.startTime, simulator().now(), r.bytes});
                          });

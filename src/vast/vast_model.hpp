@@ -18,7 +18,6 @@
 //    per client mount through a gateway pool (LC clusters) vs RDMA with
 //    nconnect sessions and multipathing (Wombat).
 
-#include <memory>
 #include <set>
 #include <unordered_map>
 #include <vector>
@@ -115,7 +114,7 @@ class VastModel final : public StorageModelBase {
   LinkId deviceWriteLink_{};
   GroupId gatewayGroup_{};
   std::unordered_map<std::uint32_t, std::vector<LinkId>> sessions_;
-  std::vector<std::unique_ptr<DeviceQueue>> cnodeCommitQueues_;
+  std::vector<DeviceQueue> cnodeCommitQueues_;
   SsdArray qlcPool_;
   SsdArray scmPool_;
   WritebackBuffer scm_;  ///< SCM occupancy: raw bytes awaiting QLC migration

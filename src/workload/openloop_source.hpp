@@ -53,10 +53,17 @@ struct OpenLoopConfig {
     return (clients + clientsPerNode - 1) / std::max<std::size_t>(1, clientsPerNode);
   }
   std::size_t totalClients() const { return clients * std::max<std::size_t>(1, clientsPerRank); }
+
+  /// The section's one cross-field rule, requestBytes <= objectBytes:
+  /// nullptr when it holds, else what requestBytes breaks. Every reader
+  /// of the section (a workload spec, `hcsim scale`'s flags) checks it
+  /// and names its own key.
+  const char* requestBytesProblem() const {
+    return requestBytes > objectBytes ? "must be <= objectBytes" : nullptr;
+  }
 };
 
-/// The "openloop" generator section. requestBytes <= objectBytes is the
-/// one cross-field rule, checked by the workload-spec reader.
+/// The "openloop" generator section.
 template <class IO>
 void fields(IO& io, OpenLoopConfig& c) {
   io("clients", c.clients, kCount);

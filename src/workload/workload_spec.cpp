@@ -130,8 +130,8 @@ SourceBundle makeGrammar(const JsonValue& w, std::vector<std::string>& problems)
 SourceBundle makeOpenLoop(const JsonValue& w, std::vector<std::string>& problems) {
   OpenLoopConfig cfg;
   if (!readSection(w, cfg, problems)) return {};
-  if (cfg.requestBytes > cfg.objectBytes) {
-    problems.push_back(prefix("requestBytes") + "must be <= objectBytes");
+  if (const char* problem = cfg.requestBytesProblem()) {
+    problems.push_back(prefix("requestBytes") + problem);
     return {};
   }
   return {std::make_unique<OpenLoopSource>(cfg), cfg.nodes()};

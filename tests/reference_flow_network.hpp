@@ -63,8 +63,7 @@ class FlowNetwork {
 
   std::size_t replaceLinkInFlows(LinkId from, LinkId to) {
     advanceProgress();
-    std::size_t rerouted = 0;
-    for (auto& [id, f] : active_) {
+    const auto reroute = [from, to](ActiveFlow& f) {
       bool touched = false;
       for (LinkId& l : f.route) {
         if (l == from) {
@@ -72,10 +71,16 @@ class FlowNetwork {
           touched = true;
         }
       }
-      if (touched) ++rerouted;
-    }
+      return touched;
+    };
+    std::size_t rerouted = 0;
+    for (auto& [id, f] : active_) rerouted += reroute(f) ? 1 : 0;
+    // A flow in its startup delay takes the new route when it activates;
+    // until then it holds no bandwidth, so it triggers no rebalance.
+    std::size_t delayed = 0;
+    for (auto& [id, f] : delayed_) delayed += reroute(f) ? 1 : 0;
     if (rerouted > 0) rebalance();
-    return rerouted;
+    return rerouted + delayed;
   }
 
   const Link& link(LinkId id) const { return links_.at(id.value); }
@@ -95,8 +100,9 @@ class FlowNetwork {
     flow.onComplete = std::move(onComplete);
     const FlowId id = flow.id;
     if (spec.startupLatency > 0.0) {
+      delayed_.emplace(id, std::move(flow));
       sim_.schedule(spec.startupLatency,
-                    [this, f = std::move(flow)]() mutable { activate(std::move(f)); });
+                    [this, id] { activate(std::move(delayed_.extract(id).mapped())); });
     } else {
       activate(std::move(flow));
     }
@@ -338,6 +344,7 @@ class FlowNetwork {
   std::vector<Link> links_;
   FlowId nextFlowId_ = 1;
   std::unordered_map<FlowId, ActiveFlow> active_;
+  std::unordered_map<FlowId, ActiveFlow> delayed_;  // in their startup delay
 };
 
 }  // namespace hcsim::reference

@@ -363,6 +363,10 @@ TEST(Cli, NonsenseSpecValuesExitTwoWithOneLine) {
       {"chaos", R"({"transport": {"lanez": 2}})", "transport.lanez: unknown key"},
       // The scenario's own top-level keys are a field list too.
       {"chaos", R"({"horizonSec": "4"})", "horizonSec: must be a number (got '4')"},
+      // So is the name every spec header carries.
+      {"chaos", R"({"name": 3})", "name: must be a string (got 3)"},
+      {"workload", "{" + ior + R"(, "name": 3})", "name: must be a string (got 3)"},
+      {"probe", "{" + ior + R"(, "name": ["w"]})", "name: must be a string (got [\"w\"])"},
       {"chaos", R"({"horizonn": 4})", "horizonn: unknown key"},
       // The retry object, the drill workload and the generator sections
       // go through their field lists too.
@@ -410,6 +414,10 @@ TEST(Cli, ScaleFlagsOutsideTheirRangeExitTwoNamingTheKey) {
       {"--objects", "0", "--objects: must be a positive integer (got 0)"},
       {"--classes", "0", "--classes: must be a positive integer (got 0)"},
       {"--rate", "0", "--rate: must be > 0 (got 0)"},
+      // The open-loop section's cross-field rule, against the default
+      // 4 MiB objects.
+      {"--request", "8388608", "--request: must be <= objectBytes"},
+      {"--request", "4194305", "--request: must be <= objectBytes"},
   };
   for (const Case& c : cases) {
     std::string out, err;

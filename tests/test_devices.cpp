@@ -141,7 +141,7 @@ TEST(DeviceQueue, ZeroServersThrows) {
 
 TEST(DeviceQueue, SingleServerSerializes) {
   Simulator sim;
-  DeviceQueue q(sim, 1, "dev");
+  DeviceQueue q(sim, 1);
   std::vector<SimTime> done;
   for (int i = 0; i < 3; ++i) {
     q.submit(1.0, [&] { done.push_back(sim.now()); });
@@ -195,8 +195,7 @@ TEST(DeviceQueue, SubmitFromCompletionCallback) {
 
 TEST(DeviceQueue, NameAndServersAccessors) {
   Simulator sim;
-  DeviceQueue q(sim, 3, "scm");
-  EXPECT_EQ(q.name(), "scm");
+  DeviceQueue q(sim, 3);
   EXPECT_EQ(q.servers(), 3u);
 }
 

@@ -274,6 +274,28 @@ TEST(FlowDifferentialCase, RerouteMergesIntoLiveGroup) {
   expectAgree(got, want);
 }
 
+// A reroute reaches flows still in their startup delay: they start on
+// the new route, so failing the old link right after strands none.
+TEST(FlowDifferentialCase, RerouteReachesFlowsInTheirStartupDelay) {
+  Script sc;
+  sc.links = {100.0, 150.0, 1000.0};  // old, new, shared
+  const LinkId old{0}, fresh{1}, shared{2};
+  FlowSpec delayed = onRoute({old, shared}, 1000);
+  delayed.startupLatency = 0.5;
+  sc.start(0.0, delayed);
+  sc.start(0.1, delayed);
+  sc.start(0.0, onRoute({old, shared}, 2000));    // live at the reroute
+  sc.start(0.2, onRoute({fresh, shared}, 500));  // already on the new link
+  sc.reroute(0.3, 0, 1);
+  sc.change(Step::Kind::Health, 0.3, 0, 0.0);
+  for (SimTime t : {0.4, 0.55, 0.7, 5.0}) sc.probe(t);
+  const Outcome want = replay<reference::FlowNetwork>(sc);
+  const Outcome got = replay<FlowNetwork>(sc);
+  EXPECT_EQ(got.rerouted, std::vector<std::size_t>{3});
+  ASSERT_EQ(want.done.size(), 4u);
+  expectAgree(got, want);
+}
+
 // 500 same-signature flows joining 1 ms apart next to a capped competitor
 // and a class, with a capacity drop while the burst drains.
 TEST(FlowDifferentialCase, LargeStaggeredBurst) {

@@ -111,5 +111,62 @@ TEST(Json, EscapeHelper) {
   EXPECT_EQ(jsonEscape(std::string(1, '\x01')), "\\u0001");
 }
 
+// The writer's number bytes: an integral value below 1e15 prints as
+// "%.0f" would, anything else as "%.17g" would, alone, in a container,
+// and pretty-printed.
+TEST(Json, NumberBytesArePinned) {
+  const std::pair<double, const char*> cases[] = {
+      {-0.0, "-0"},
+      {0.1, "0.10000000000000001"},
+      {1.0 / 3, "0.33333333333333331"},
+      {-2.5, "-2.5"},
+      {1e15 - 1, "999999999999999"},
+      {1e15, "1000000000000000"},
+      {9007199254740994.0, "9007199254740994"},  // 2^53 + 2
+      {5e-324, "4.9406564584124654e-324"},
+      {1.7976931348623157e308, "1.7976931348623157e+308"},
+  };
+  JsonArray all;
+  std::string compact = "[";
+  std::string pretty = "[\n";
+  for (const auto& [d, text] : cases) {
+    EXPECT_EQ(jsonNumber(d), text);
+    EXPECT_EQ(writeJson(JsonValue(d)), text);
+    EXPECT_EQ(writeJson(JsonValue(d), 2), text);
+    compact += std::string(all.empty() ? "" : ",") + text;
+    pretty += std::string(all.empty() ? "" : ",\n") + "  " + text;
+    all.push_back(JsonValue(d));
+  }
+  EXPECT_EQ(writeJson(JsonValue(all)), compact + "]");
+  EXPECT_EQ(writeJson(JsonValue(all), 2), pretty + "\n]");
+}
+
+// Every escape jsonEscape writes: the two JSON metacharacters, the three
+// named control characters, \u00XX for every other control character
+// (NUL included), and everything else byte for byte (/, DEL, UTF-8).
+TEST(Json, EscapeBytesArePinned) {
+  std::string in = "a\"b\\c\nd\te\rf";
+  in += '\0';
+  in += "\x01\b\f\x1f/\x7f\xc3\xa9";
+  const std::string out = "a\\\"b\\\\c\\nd\\te\\rf\\u0000\\u0001\\u0008\\u000c\\u001f/\x7f\xc3\xa9";
+  EXPECT_EQ(jsonEscape(in), out);
+  EXPECT_EQ(writeJson(JsonValue(in)), "\"" + out + "\"");
+  JsonObject o;
+  o[in] = in;
+  EXPECT_EQ(writeJson(JsonValue(o)), "{\"" + out + "\":\"" + out + "\"}");
+}
+
+TEST(Json, PrettyBytesArePinned) {
+  JsonObject o;
+  o["e"] = JsonArray{};
+  o["o"] = JsonObject{};
+  o["a"] = JsonArray{JsonValue(1.0), JsonValue(JsonObject{{"k", JsonValue(true)}}), JsonValue()};
+  o["s"] = "x";
+  EXPECT_EQ(writeJson(JsonValue(o), 2),
+            "{\n  \"a\": [\n    1,\n    {\n      \"k\": true\n    },\n    null\n  ],\n"
+            "  \"e\": [],\n  \"o\": {},\n  \"s\": \"x\"\n}");
+  EXPECT_EQ(writeJson(JsonValue(o)), R"({"a":[1,{"k":true},null],"e":[],"o":{},"s":"x"})");
+}
+
 }  // namespace
 }  // namespace hcsim

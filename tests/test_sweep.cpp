@@ -211,6 +211,24 @@ TEST(SweepRun, StorageConfigOverridesChangeTheOutcome) {
   EXPECT_GT(out.results[1].metrics.meanGBs, out.results[0].metrics.meanGBs * 1.2);
 }
 
+// A CNode that fails at or right after t = 0 strikes while the first
+// flows are still in their startup delay. The failover must reroute
+// those too, or they start on the dead CNode's link and the trial drains
+// with I/O outstanding.
+TEST(SweepRun, CNodeFailureAtStartReroutesFlowsInTheirStartupDelay) {
+  for (const char* at : {"0", "1e-9", "0.001"}) {
+    JsonValue config;
+    ASSERT_TRUE(parseJson(std::string(R"({"site": "wombat", "storage": "vast",
+        "ior": {"nodes": 4, "procsPerNode": 48, "segments": 512},
+        "chaos": {"events": [{"atSec": )") + at +
+                              R"(, "action": "fail", "component": "cnode", "index": 0}]}})",
+                          config));
+    const TrialMetrics m = runTrial("ior", config);
+    EXPECT_TRUE(m.ok) << "atSec " << at << ": " << m.error;
+    EXPECT_GT(m.meanGBs, 0.0) << "atSec " << at;
+  }
+}
+
 TEST(SweepRun, NonsenseSectionsFailEveryTrialWithTheKey) {
   // A misspelled axis must not draw a flat, plausible curve: every trial
   // fails without running, and its JSONL error names the dotted key.
@@ -315,6 +333,126 @@ TEST(SweepSink, UnmatchedTrialReportsNew) {
   const auto deltas = compareToBaseline(out, {});
   ASSERT_EQ(deltas.size(), 2u);
   for (const auto& d : deltas) EXPECT_FALSE(d.matched);
+}
+
+namespace {
+
+/// Three hand-built rows: opLatency shown as null, every block shown
+/// with values, and a failed trial whose error needs quoting. The axes
+/// are a string (one value with a comma) and an object, listed out of
+/// key order.
+SweepOutcome pinnedRows() {
+  JsonObject ior;
+  ior["access"] = "seq-read";
+  ior["nodes"] = 2.0;
+  const auto trial = [&ior](std::size_t index, const char* tag) {
+    TrialResult r;
+    r.trial.index = index;
+    r.trial.params = {{"tag", JsonValue(tag)}, {"ior", JsonValue(ior)}};
+    return r;
+  };
+  TrialResult a = trial(0, "plain");
+  a.metrics.ok = true;
+  a.metrics.latencyCapable = true;
+  a.metrics.meanGBs = 1.5;
+  a.metrics.minGBs = 0.1;
+  a.metrics.maxGBs = 2.0;
+  a.metrics.elapsedSec = 1.0 / 3;
+  a.metrics.bytesMoved = 1073741824.0;
+  TrialResult b = trial(1, "a,b");
+  TrialMetrics& m = b.metrics;
+  m.ok = m.latencyCapable = m.hasOpLatency = m.hasTelemetry = m.hasMonitors = true;
+  m.hasSelf = m.hasTransport = m.hasDlio = true;
+  m.meanGBs = 3.25;
+  m.minGBs = 3;
+  m.maxGBs = 3.5;
+  m.elapsedSec = 0.25;
+  m.bytesMoved = 5e15;
+  m.opCount = 96;
+  m.opP50 = 0.001;
+  m.opP95 = 0.0025;
+  m.opP99 = 0.0031;
+  m.rerates = 10;
+  m.eventsScheduled = 100;
+  m.eventsCancelled = 3;
+  m.eventsAdjusted = 40;
+  m.eventsDispatched = 97;
+  m.dominantStage = "link:vast,gw";
+  m.dominantSharePct = 81.25;
+  m.monitors = 2;
+  m.breaches = 1;
+  m.selfDispatchSec = 1e-6;
+  m.selfCallbackSec = 2e-6;
+  m.selfSolveSec = 3e-6;
+  m.selfSinkSec = 5e-7;
+  m.transportOps = 12;
+  m.transportBytes = 4096;
+  m.transportThrottleSec = 0.5;
+  m.transportConnSetups = 4;
+  m.transportSqWaits = 1;
+  m.transportDoorbells = 40;
+  m.dlioSystemGBs = 0.13;
+  m.dlioNonOverlappingIoSec = 1.5;
+  m.dlioOverlappingIoSec = 2.5;
+  m.dlioComputeSec = 7;
+  TrialResult c = trial(2, "c");
+  c.metrics.error = "bad \"x\", y\nz";
+  SweepOutcome out;
+  out.results = {a, b, c};
+  return out;
+}
+
+}  // namespace
+
+// The JSONL record's bytes: sorted keys at every level, null for a
+// shown block without values, numbers as jsonNumber writes them.
+TEST(SweepSink, JsonlRowBytesArePinned) {
+  const SweepOutcome out = pinnedRows();
+  const std::string params = R"("params":{"ior":{"access":"seq-read","nodes":2},"tag":)";
+  EXPECT_EQ(toJsonlLine(out.results[0]),
+            R"({"metrics":{"bytes":1073741824,"elapsedSec":0.33333333333333331,"maxGBs":2,)"
+            R"("meanGBs":1.5,"minGBs":0.10000000000000001,"ok":true,"opLatency":null},)" +
+                params + R"("plain"},"trial":0})");
+  EXPECT_EQ(toJsonlLine(out.results[1]),
+            R"({"metrics":{"bytes":5000000000000000,"dlio":{"computeSec":7,)"
+            R"("nonOverlappingIoSec":1.5,"overlappingIoSec":2.5,"systemGBs":0.13},)"
+            R"("elapsedSec":0.25,"maxGBs":3.5,"meanGBs":3.25,"minGBs":3,"ok":true,)"
+            R"("opLatency":{"count":96,"p50":0.001,"p95":0.0025000000000000001,)"
+            R"("p99":0.0030999999999999999},"probe":{"breaches":1,"monitors":2},)"
+            R"("self":{"callbackSec":1.9999999999999999e-06,"dispatchSec":9.9999999999999995e-07,)"
+            R"("sinkSec":4.9999999999999998e-07,"solveSec":3.0000000000000001e-06,)"
+            R"("telemetrySec":0},"telemetry":{"dominantSharePct":81.25,)"
+            R"("dominantStage":"link:vast,gw","eventsAdjusted":40,"eventsCancelled":3,)"
+            R"("eventsDispatched":97,"eventsScheduled":100,"rerates":10},)"
+            R"("transport":{"bytes":4096,"connSetups":4,"doorbells":40,"ops":12,"sqWaits":1,)"
+            R"("throttleSec":0.5}},)" +
+                params + R"("a,b"},"trial":1})");
+  EXPECT_EQ(toJsonlLine(out.results[2]),
+            R"({"metrics":{"error":"bad \"x\", y\nz","ok":false},)" + params +
+                R"("c"},"trial":2})");
+  EXPECT_EQ(paramsKey(out.results[2].trial),
+            R"({"ior":{"access":"seq-read","nodes":2},"tag":"c"})");
+}
+
+// The CSV's bytes: axis columns in axis order, every shown block's
+// columns, blank cells where a block has no values, and quoting where a
+// cell holds a comma, a quote or a newline.
+TEST(SweepSink, CsvRowBytesArePinned) {
+  const std::string ior = R"("{""access"":""seq-read"",""nodes"":2}")";
+  EXPECT_EQ(toCsv(pinnedRows()),
+            "trial,tag,ior,ok,meanGBs,minGBs,maxGBs,elapsedSec,bytes,error,opCount,opP50,opP95,"
+            "opP99,rerates,eventsScheduled,eventsCancelled,eventsAdjusted,eventsDispatched,"
+            "dominantStage,dominantSharePct,monitors,breaches,selfDispatchSec,selfCallbackSec,"
+            "selfSolveSec,selfTelemetrySec,selfSinkSec,transportOps,transportBytes,"
+            "transportThrottleSec,transportConnSetups,transportSqWaits,transportDoorbells,"
+            "dlioSystemGBs,dlioNonOverlappingIoSec,dlioOverlappingIoSec,dlioComputeSec\n"
+            "0,plain," + ior + ",1,1.5,0.10000000000000001,2,0.33333333333333331,1073741824"
+            ",,,,,,,,,,,,,,,,,,,,,,,,,,,,,\n"
+            "1,\"a,b\"," + ior + ",1,3.25,3,3.5,0.25,5000000000000000,,96,0.001,"
+            "0.0025000000000000001,0.0030999999999999999,10,100,3,40,97,\"link:vast,gw\",81.25,"
+            "2,1,9.9999999999999995e-07,1.9999999999999999e-06,3.0000000000000001e-06,0,"
+            "4.9999999999999998e-07,12,4096,0.5,4,1,40,0.13,1.5,2.5,7\n"
+            "2,c," + ior + ",0,,,,,,\"bad \"\"x\"\", y\nz\",,,,,,,,,,,,,,,,,,,,,,,,,,,,\n");
 }
 
 TEST(TrialCache, Fnv1a64IsStable) {

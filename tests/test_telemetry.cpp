@@ -461,13 +461,13 @@ TEST(TelemetryCache, MetricsRoundTripAndKeySeparation) {
   ASSERT_TRUE(hitFailed.has_value());
   EXPECT_FALSE(hitFailed->ok);
   EXPECT_EQ(hitFailed->error, failed.error);
-  // Every column of every block: the reloaded metrics serialize to the
-  // same JSONL metrics object as the originals.
+  // Every column of every block: the reloaded metrics render the same
+  // JSONL record as the originals.
   const std::pair<const char*, sweep::TrialMetrics> stored[] = {
       {"k", m}, {"k-full", full}, {"k-failed", failed}};
   for (const auto& [key, original] : stored) {
-    EXPECT_EQ(writeJson(sweep::metricsToJson(*loaded.lookup(key))),
-              writeJson(sweep::metricsToJson(original)))
+    EXPECT_EQ(sweep::toJsonlLine({sweep::Trial{}, *loaded.lookup(key)}),
+              sweep::toJsonlLine({sweep::Trial{}, original}))
         << key;
   }
   std::remove(path.c_str());
