@@ -66,8 +66,8 @@ int main() {
     t.addRow({std::string(p.label), p.fg, p.bg, foregroundGBs(p.fg, p.bg)});
   }
   std::printf("%s\n", t.toString().c_str());
-  std::printf("Weighted max-min turns the shared-cluster contention problem (see\n"
-              "bench_contention) into a dial: the foreground's share scales with its\n"
-              "weight until its own NIC/session limits bind.\n");
+  std::printf("Weighted max-min turns the shared-cluster contention problem into a\n"
+              "dial: the foreground's share scales with its weight until its own\n"
+              "NIC/session limits bind.\n");
   return 0;
 }

@@ -1,12 +1,17 @@
 // what_if_replay — the trace-replay workflow: capture a training run's
 // I/O trace on one system, then ask "what would this application's I/O
-// have cost on a different deployment?" without re-running it.
+// have cost on a different deployment?" without re-running it. The
+// replay generator (workload::ReplaySource) re-issues the captured
+// events on a WorkloadRunner, and the replayed trace is read with the
+// same Fig 4-6 metrics as the captured one.
 
 #include <cstdio>
 
 #include "core/experiment.hpp"
-#include "replay/trace_replay.hpp"
+#include "trace/overlap_analysis.hpp"
 #include "util/table.hpp"
+#include "workload/replay_source.hpp"
+#include "workload/workload_runner.hpp"
 
 using namespace hcsim;
 
@@ -22,9 +27,11 @@ int main() {
   std::printf("captured: %zu events, %s of reads, %.3f s of I/O time\n\n",
               captured.trace.size(), formatBytes(captured.bytesRead).c_str(),
               captured.breakdown.totalIo);
+  const Seconds capturedIo = captured.trace.totalDuration(TraceEventKind::Read) +
+                             captured.trace.totalDuration(TraceEventKind::Write);
 
   // 2. Replay the same event stream against each candidate deployment.
-  ReplayConfig rc;
+  workload::ReplayConfig rc;
   rc.pidsPerNode = cfg.procsPerNode;
   rc.transferSize = cfg.workload.transferSize;
 
@@ -42,10 +49,16 @@ int main() {
   };
   for (const auto& tgt : targets) {
     Environment env = makeEnvironment(tgt.site, tgt.kind, cfg.nodes);
-    TraceReplayer replayer(*env.bench, *env.fs);
-    const ReplayResult r = replayer.replay(captured.trace, rc);
-    t.addRow({std::string(toString(tgt.kind)) + "@" + toString(tgt.site), r.replayedIoTime,
-              r.ioSlowdown(), units::toGBs(r.throughput.system)});
+    workload::ReplaySource source(captured.trace, rc);
+    workload::WorkloadRunner runner(*env.bench, *env.fs);
+    TraceLog replayed;
+    runner.setTraceLog(&replayed);
+    runner.run(source);
+    replayed.sortByStart();
+    const Seconds replayedIo = analyzeOverlap(replayed).totalIo;
+    t.addRow({std::string(toString(tgt.kind)) + "@" + toString(tgt.site), replayedIo,
+              capturedIo > 0 ? replayedIo / capturedIo : 0.0,
+              units::toGBs(computeThroughput(replayed).system)});
   }
   std::printf("%s\n", t.toString().c_str());
   std::printf("Reading: TCP-attached VAST inflates this app's I/O time, RDMA-attached\n"

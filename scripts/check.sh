@@ -37,16 +37,9 @@ ctest --test-dir "$BUILD" --output-on-failure -j"$JOBS"
 
 # Reachability gate: every member of libhcsim.a must be linked into the
 # `hcsim` binary (its link map, src/CMakeLists.txt), so code that no
-# command, spec or relation reaches is folded into one or deleted. Two
-# members stay, each for its reason:
-#   background_load.cpp.o  contention/: its tenants need disjoint nodes,
-#                          which no workload spec can give yet (ROADMAP
-#                          item 3)
-#   trace_replay.cpp.o     replay/: the public replay API that
-#                          examples/what_if_replay.cpp shows
+# command, spec or relation reaches is folded into one or deleted.
 UNLINKED="$(comm -23 <(ar t "$BUILD/src/libhcsim.a" | sort -u) \
-    <(grep -o 'libhcsim\.a([^)]*)' "$BUILD/src/hcsim.map" | sed 's/.*(\(.*\))/\1/' | sort -u) \
-    | grep -v -x -e 'background_load.cpp.o' -e 'trace_replay.cpp.o' || true)"
+    <(grep -o 'libhcsim\.a([^)]*)' "$BUILD/src/hcsim.map" | sed 's/.*(\(.*\))/\1/' | sort -u))"
 if [ -n "$UNLINKED" ]; then
   echo "check.sh: libhcsim.a members that hcsim does not link:" $UNLINKED >&2
   exit 1

@@ -54,52 +54,62 @@ struct RebuildStats {
   Seconds completedAt = -1.0;  ///< when the last rebuild flow drained
 };
 
-/// Schedule a validated fault list onto the environment's simulator.
-/// Restore events with rebuildGiB start their background flow and record
-/// into `stats` when given.
+/// Apply event `i` of a schedule now. A restore event with rebuildGiB
+/// starts its background flow and records into `stats` when given.
+void strike(Environment& env, const ChaosEvent& ev, std::size_t i, RebuildStats* stats) {
+  Topology& topo = env.bench->topo();
+  FlowNetwork& net = topo.network();
+  if (probe::FlightRecorder* rec = env.bench->sim().recorder()) {
+    if (ev.fault.action == FaultAction::Restore) {
+      rec->record(env.bench->sim().now(), probe::RecordKind::FaultRestore,
+                  static_cast<std::uint32_t>(i), ev.rebuildGiB);
+    } else {
+      rec->record(env.bench->sim().now(), probe::RecordKind::FaultInject,
+                  static_cast<std::uint32_t>(i),
+                  ev.fault.action == FaultAction::FailSlow ? ev.fault.severity : 0.0);
+    }
+  }
+  if (ev.fault.component == "link") {
+    const double h = ev.fault.action == FaultAction::Fail        ? 0.0
+                     : ev.fault.action == FaultAction::FailSlow ? ev.fault.severity
+                                                                : 1.0;
+    net.setLinkHealth(topo.link(ev.fault.link), h);
+  } else {
+    env.fs->applyFault(ev.fault);
+  }
+  if (ev.fault.action == FaultAction::Restore && ev.rebuildGiB > 0.0) {
+    // Background resync: the restored component re-reads its share of
+    // data over the model's rebuild route, contending with clients.
+    const Route route = env.fs->rebuildRoute(ev.fault);
+    if (!route.empty()) {
+      FlowSpec rf;
+      rf.bytes = static_cast<Bytes>(ev.rebuildGiB * static_cast<double>(units::GiB));
+      rf.route = route;
+      rf.spanName = "rebuild";
+      net.startFlow(rf, [stats](const FlowCompletion& c) {
+        if (stats == nullptr) return;
+        stats->bytes += c.bytes;
+        stats->completedAt = c.endTime;
+      });
+    }
+  }
+}
+
+/// Put a validated fault list onto the environment. An event whose time
+/// has already come (atSec 0 on a fresh environment) strikes at once,
+/// before the run issues its first op, so it reads the same as the
+/// component being down before the run; every later event is a
+/// simulator event at its atSec.
 void scheduleFaults(Environment& env, const std::vector<ChaosEvent>& events,
                     RebuildStats* stats = nullptr) {
   Simulator& sim = env.bench->sim();
   for (std::size_t i = 0; i < events.size(); ++i) {
     const ChaosEvent& ev = events[i];
-    sim.scheduleAt(ev.at, [&env, stats, ev, i] {
-      Topology& topo = env.bench->topo();
-      FlowNetwork& net = topo.network();
-      if (probe::FlightRecorder* rec = env.bench->sim().recorder()) {
-        if (ev.fault.action == FaultAction::Restore) {
-          rec->record(env.bench->sim().now(), probe::RecordKind::FaultRestore,
-                      static_cast<std::uint32_t>(i), ev.rebuildGiB);
-        } else {
-          rec->record(env.bench->sim().now(), probe::RecordKind::FaultInject,
-                      static_cast<std::uint32_t>(i),
-                      ev.fault.action == FaultAction::FailSlow ? ev.fault.severity : 0.0);
-        }
-      }
-      if (ev.fault.component == "link") {
-        const double h = ev.fault.action == FaultAction::Fail        ? 0.0
-                         : ev.fault.action == FaultAction::FailSlow ? ev.fault.severity
-                                                                    : 1.0;
-        net.setLinkHealth(topo.link(ev.fault.link), h);
-      } else {
-        env.fs->applyFault(ev.fault);
-      }
-      if (ev.fault.action == FaultAction::Restore && ev.rebuildGiB > 0.0) {
-        // Background resync: the restored component re-reads its share of
-        // data over the model's rebuild route, contending with clients.
-        const Route route = env.fs->rebuildRoute(ev.fault);
-        if (!route.empty()) {
-          FlowSpec rf;
-          rf.bytes = static_cast<Bytes>(ev.rebuildGiB * static_cast<double>(units::GiB));
-          rf.route = route;
-          rf.spanName = "rebuild";
-          net.startFlow(rf, [stats](const FlowCompletion& c) {
-            if (stats == nullptr) return;
-            stats->bytes += c.bytes;
-            stats->completedAt = c.endTime;
-          });
-        }
-      }
-    });
+    if (ev.at <= sim.now()) {
+      strike(env, ev, i, stats);
+    } else {
+      sim.scheduleAt(ev.at, [&env, stats, ev, i] { strike(env, ev, i, stats); });
+    }
   }
 }
 

@@ -85,7 +85,8 @@ struct ChaosLandmarks {
 /// Fold a spec's "chaos" section (events plus the usual schedule keys)
 /// into whatever runs on `env` next: parse it, validate it against the
 /// deployment and schedule its faults onto the simulator, so they strike
-/// mid-run. Sweep IOR/DLIO trials and workload specs both go through
+/// mid-run; an event at atSec 0 strikes here, before the run issues its
+/// first op. Sweep IOR/DLIO trials and workload specs both go through
 /// here. A null or event-free section schedules nothing, byte-identical
 /// to no section. Throws std::invalid_argument
 /// ("<who>: 'chaos' section: ...") listing every problem.

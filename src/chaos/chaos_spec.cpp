@@ -1,9 +1,7 @@
 #include "chaos/chaos_spec.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <map>
-#include <sstream>
 
 #include "config/fields.hpp"
 #include "net/topology.hpp"
@@ -107,16 +105,10 @@ bool parseChaosSpec(const JsonValue& json, ChaosSpec& out, std::string& error) {
 }
 
 bool loadChaosSpec(const std::string& path, ChaosSpec& out, std::string& error) {
-  std::ifstream in(path);
-  if (!in) {
-    error = path + ": cannot open file";
-    return false;
-  }
-  std::stringstream ss;
-  ss << in.rdbuf();
   JsonValue j;
-  if (!parseJson(ss.str(), j)) {
-    error = path + ": not valid JSON";
+  const JsonFileStatus read = readJsonFile(path, j);
+  if (read != JsonFileStatus::Ok) {
+    error = path + (read == JsonFileStatus::Unreadable ? ": cannot open file" : ": not valid JSON");
     return false;
   }
   if (!parseChaosSpec(j, out, error)) {

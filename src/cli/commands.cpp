@@ -580,8 +580,8 @@ int sweepCommand(ArgParser& args, std::ostream& out) {
     out << "wrote " << *path << "\n";
   }
   if (!f.baseline.empty()) {
-    std::map<std::string, double> baseline;
-    if (!sweep::loadBaseline(f.baseline, baseline)) {
+    sweep::Cells baseline;
+    if (!sweep::loadCells(f.baseline, baseline)) {
       throw std::runtime_error("cannot load baseline from " + f.baseline);
     }
     ResultTable d("delta vs " + f.baseline);
@@ -640,11 +640,10 @@ int chaosCommand(ArgParser& args, std::ostream& out) {
 
 /// The JSON document at `path`.
 JsonValue readDocument(const std::string& path) {
-  std::ifstream file(path);
-  if (!file) throw UsageError("cannot read " + path);
-  std::string text((std::istreambuf_iterator<char>(file)), std::istreambuf_iterator<char>());
   JsonValue doc;
-  if (!parseJson(text, doc)) throw UsageError(path + " is not valid JSON");
+  const JsonFileStatus read = readJsonFile(path, doc);
+  if (read == JsonFileStatus::Unreadable) throw UsageError("cannot read " + path);
+  if (read == JsonFileStatus::NotJson) throw UsageError(path + " is not valid JSON");
   return doc;
 }
 

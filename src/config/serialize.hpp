@@ -11,7 +11,6 @@
 // range fail the read.
 
 #include <fstream>
-#include <sstream>
 #include <string>
 
 #include "cluster/machine.hpp"
@@ -43,18 +42,14 @@ bool saveConfig(const T& config, const std::string& path) {
 template <Serializable T>
 bool loadConfig(const std::string& path, T& out, std::string* error = nullptr) {
   std::string problem;
-  std::ifstream in(path);
   JsonValue root;
-  if (!in) {
+  const JsonFileStatus read = readJsonFile(path, root);
+  if (read == JsonFileStatus::Unreadable) {
     problem = "cannot read " + path;
-  } else {
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    if (!parseJson(buf.str(), root)) {
-      problem = path + " is not valid JSON";
-    } else if (std::string e = readFields(root, out, ""); !e.empty()) {
-      problem = path + ": " + e;
-    }
+  } else if (read == JsonFileStatus::NotJson) {
+    problem = path + " is not valid JSON";
+  } else if (std::string e = readFields(root, out, ""); !e.empty()) {
+    problem = path + ": " + e;
   }
   if (error != nullptr) *error = problem;
   return problem.empty();

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 
 #include "sweep/result_sink.hpp"
@@ -105,26 +104,6 @@ Cells cellsOf(const sweep::SweepOutcome& out) {
   return cells;
 }
 
-/// Unlike sweep::loadBaseline this keeps failed cells, so a trial that
-/// used to fail and now succeeds (or vice versa) is visible as drift
-/// rather than silently skipped.
-bool loadCells(const std::string& path, Cells& out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    JsonValue j;
-    if (!parseJson(line, j)) return false;
-    const JsonValue* params = j.find("params");
-    const JsonValue* metrics = j.find("metrics");
-    sweep::TrialMetrics m;
-    if (!params || !metrics || !sweep::metricsFromJson(*metrics, m)) return false;
-    out[writeJson(*params)] = std::move(m);
-  }
-  return true;
-}
-
 bool recordFigure(const GoldenFigure& fig, const std::string& dir, std::size_t jobs,
                   std::string& error, sweep::TrialCache* cache, const sweep::TrialOptions& opts) {
   sweep::SweepOutcome out = sweep::runSweep(fig.spec, jobs, cache, opts);
@@ -153,7 +132,9 @@ FigureCheck checkFigure(const GoldenFigure& fig, const std::string& dir, std::si
   check.figure = fig.name;
 
   Cells golden;
-  if (!loadCells(goldenPath(dir, fig.name), golden)) {
+  // Failed cells are kept, so a trial that used to fail and now succeeds
+  // (or vice versa) shows as drift rather than being skipped.
+  if (!sweep::loadCells(goldenPath(dir, fig.name), golden)) {
     check.error = "cannot read golden snapshot " + goldenPath(dir, fig.name) +
                   " (run 'hcsim oracle record' first)";
     return check;

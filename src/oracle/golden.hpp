@@ -13,11 +13,11 @@
 // (takeawayChecks), read from a run or from the snapshots.
 
 #include <cstddef>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "core/calibration.hpp"
+#include "sweep/result_sink.hpp"
 #include "sweep/sweep_runner.hpp"
 #include "sweep/sweep_spec.hpp"
 
@@ -46,12 +46,9 @@ bool loadFigures(const std::string& dir, std::vector<GoldenFigure>& out, std::st
 /// dir + "/" + name + ".jsonl"
 std::string goldenPath(const std::string& dir, const std::string& name);
 
-/// A sweep's cells: metrics per paramsKey, failed cells included.
-using Cells = std::map<std::string, sweep::TrialMetrics>;
+/// A sweep's cells, the map sweep::loadCells reads a snapshot into.
+using sweep::Cells;
 Cells cellsOf(const sweep::SweepOutcome& out);
-/// A snapshot's cells. False when the file is unreadable or a line is
-/// not a trial record.
-bool loadCells(const std::string& path, Cells& out);
 
 struct CellDelta {
   std::string key;  ///< paramsKey of the cell

@@ -361,7 +361,7 @@ bool writeCsv(const SweepOutcome& out, const std::string& path) {
   return static_cast<bool>(f);
 }
 
-bool loadBaseline(const std::string& path, std::map<std::string, double>& out) {
+bool loadCells(const std::string& path, Cells& out) {
   std::ifstream in(path);
   if (!in) return false;
   std::string line;
@@ -373,13 +373,12 @@ bool loadBaseline(const std::string& path, std::map<std::string, double>& out) {
     const JsonValue* metrics = j.find("metrics");
     TrialMetrics m;
     if (!params || !metrics || !metricsFromJson(*metrics, m)) return false;
-    if (m.ok) out[writeJson(*params)] = m.meanGBs;
+    out[writeJson(*params)] = std::move(m);
   }
   return true;
 }
 
-std::vector<BaselineDelta> compareToBaseline(const SweepOutcome& out,
-                                             const std::map<std::string, double>& baseline) {
+std::vector<BaselineDelta> compareToBaseline(const SweepOutcome& out, const Cells& baseline) {
   std::vector<BaselineDelta> deltas;
   for (const TrialResult& r : out.results) {
     if (!r.metrics.ok) continue;
@@ -388,9 +387,9 @@ std::vector<BaselineDelta> compareToBaseline(const SweepOutcome& out,
     d.key = paramsKey(r.trial);
     d.currentGBs = r.metrics.meanGBs;
     const auto it = baseline.find(d.key);
-    if (it != baseline.end()) {
+    if (it != baseline.end() && it->second.ok) {
       d.matched = true;
-      d.baselineGBs = it->second;
+      d.baselineGBs = it->second.meanGBs;
       d.deltaPct =
           d.baselineGBs != 0.0 ? 100.0 * (d.currentGBs - d.baselineGBs) / d.baselineGBs : 0.0;
     }

@@ -41,9 +41,13 @@ bool writeJsonl(const SweepOutcome& out, const std::string& path);
 std::string toCsv(const SweepOutcome& out);
 bool writeCsv(const SweepOutcome& out, const std::string& path);
 
-/// Read mean GB/s per paramsKey from a prior JSONL results file
-/// (failed trials are skipped). Returns false on unreadable input.
-bool loadBaseline(const std::string& path, std::map<std::string, double>& out);
+/// A sweep's cells: metrics per paramsKey, failed cells included.
+using Cells = std::map<std::string, TrialMetrics>;
+
+/// Read back a JSONL results file (writeJsonl's): every cell, failed
+/// ones included, keyed by its "params" as paramsKey renders them.
+/// False when the file is unreadable or a line is not a trial record.
+bool loadCells(const std::string& path, Cells& out);
 
 struct BaselineDelta {
   std::size_t index = 0;
@@ -54,8 +58,8 @@ struct BaselineDelta {
   bool matched = false;   ///< false when the baseline lacks this trial
 };
 
-/// Delta per successful trial, in trial order.
-std::vector<BaselineDelta> compareToBaseline(const SweepOutcome& out,
-                                             const std::map<std::string, double>& baseline);
+/// Delta per successful trial, in trial order, against the ok cells of
+/// `baseline`; a failed or absent cell leaves the trial unmatched.
+std::vector<BaselineDelta> compareToBaseline(const SweepOutcome& out, const Cells& baseline);
 
 }  // namespace hcsim::sweep

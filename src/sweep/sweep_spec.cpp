@@ -1,7 +1,5 @@
 #include "sweep/sweep_spec.hpp"
 
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include "config/fields.hpp"
@@ -96,13 +94,11 @@ bool fromJson(const JsonValue& j, SweepSpec& out, std::string* error) {
 }
 
 bool loadSpec(const std::string& path, SweepSpec& out, std::string* error) {
-  std::string e = "cannot open file";
-  if (std::ifstream in(path); in) {
-    std::stringstream ss;
-    ss << in.rdbuf();
-    JsonValue j;
-    e = parseJson(ss.str(), j) ? readSpec(j, out) : "not valid JSON";
-  }
+  JsonValue j;
+  const JsonFileStatus read = readJsonFile(path, j);
+  std::string e = read == JsonFileStatus::Unreadable ? "cannot open file"
+                  : read == JsonFileStatus::NotJson  ? "not valid JSON"
+                                                     : readSpec(j, out);
   if (error != nullptr) *error = e;
   return e.empty();
 }

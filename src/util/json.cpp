@@ -4,6 +4,8 @@
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 
 namespace hcsim {
 
@@ -287,6 +289,14 @@ void appendValue(std::string& out, const JsonValue& v, int indent, int depth) {
 bool parseJson(const std::string& text, JsonValue& out) {
   Parser p(text);
   return p.parse(out);
+}
+
+JsonFileStatus readJsonFile(const std::string& path, JsonValue& out) {
+  std::ifstream in(path);
+  if (!in) return JsonFileStatus::Unreadable;
+  std::ostringstream text;
+  text << in.rdbuf();
+  return parseJson(text.str(), out) ? JsonFileStatus::Ok : JsonFileStatus::NotJson;
 }
 
 std::string writeJson(const JsonValue& value, int indent) {

@@ -77,6 +77,13 @@ class JsonValue {
 /// including arrays and objects nested more than 256 deep.
 bool parseJson(const std::string& text, JsonValue& out);
 
+/// How reading a JSON file went: the step that failed, if any.
+enum class JsonFileStatus { Ok, Unreadable, NotJson };
+
+/// Read the whole file at `path` and parseJson it into `out`. Callers
+/// word the failure themselves ("cannot read P", "P: not valid JSON").
+JsonFileStatus readJsonFile(const std::string& path, JsonValue& out);
+
 /// Serialize (compact; `indent` > 0 pretty-prints).
 std::string writeJson(const JsonValue& value, int indent = 0);
 

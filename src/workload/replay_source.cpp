@@ -2,14 +2,22 @@
 
 #include <algorithm>
 #include <map>
+#include <utility>
+
+#include "config/fields.hpp"
 
 namespace hcsim::workload {
+
+ReplaySource::ReplaySource(TraceLog input, const ReplayConfig& cfg)
+    : input_(std::move(input)), cfg_(cfg) {
+  requireFields(cfg_, "ReplayConfig");
+}
 
 WorkloadPlan ReplaySource::load(const WorkloadContext& ctx) {
   (void)ctx;
   // Group events by pid (ascending), ordered by start time within a pid.
   std::map<std::uint32_t, std::vector<const TraceEvent*>> byPid;
-  for (const TraceEvent& e : input_->events()) byPid[e.pid].push_back(&e);
+  for (const TraceEvent& e : input_.events()) byPid[e.pid].push_back(&e);
 
   ranks_.clear();
   ranks_.reserve(byPid.size());
@@ -29,10 +37,10 @@ WorkloadPlan ReplaySource::load(const WorkloadContext& ctx) {
   plan.phase.pattern = AccessPattern::RandomRead;
   plan.phase.requestSize = cfg_.transferSize;
   plan.phase.nodes = static_cast<std::uint32_t>(
-      (ranks_.size() + cfg_.pidsPerNode - 1) / std::max<std::size_t>(1, cfg_.pidsPerNode));
+      (ranks_.size() + cfg_.pidsPerNode - 1) / cfg_.pidsPerNode);
   if (plan.phase.nodes == 0) plan.phase.nodes = 1;
   plan.phase.procsPerNode = static_cast<std::uint32_t>(cfg_.pidsPerNode);
-  plan.phase.workingSetBytes = input_->totalBytes(TraceEventKind::Read);
+  plan.phase.workingSetBytes = input_.totalBytes(TraceEventKind::Read);
   return plan;
 }
 

@@ -23,26 +23,6 @@ namespace {
 
 constexpr const char* kWhere = "workload";
 
-/// ReplaySource keeps a reference to the trace it replays; this wrapper
-/// owns the imported log so the bundle is self-contained.
-class OwningReplaySource : public WorkloadSource {
- public:
-  OwningReplaySource(TraceLog log, const ReplayConfig& cfg)
-      : log_(std::move(log)), inner_(log_, cfg) {}
-
-  const std::string& name() const override { return inner_.name(); }
-  WorkloadPlan load(const WorkloadContext& ctx) override { return inner_.load(ctx); }
-  NextStatus next(std::size_t rank, WorkloadOp& out) override { return inner_.next(rank, out); }
-  void onComplete(std::size_t rank, const WorkloadOp& op, const IoResult& result) override {
-    inner_.onComplete(rank, op, result);
-  }
-  std::size_t skippedOps() const { return inner_.skippedOps(); }
-
- private:
-  TraceLog log_;
-  ReplaySource inner_;
-};
-
 std::string prefix(const std::string& key) { return std::string(kWhere) + "." + key + ": "; }
 
 /// Read a generator section onto `cfg` through its field list: every
@@ -111,7 +91,7 @@ SourceBundle makeReplay(const JsonValue& w, std::vector<std::string>& problems) 
   for (const TraceEvent& e : log.events()) pids.insert(e.pid);
   const std::size_t nodes =
       std::max<std::size_t>(1, (pids.size() + cfg.pidsPerNode - 1) / cfg.pidsPerNode);
-  return {std::make_unique<OwningReplaySource>(std::move(log), cfg), nodes};
+  return {std::make_unique<ReplaySource>(std::move(log), cfg), nodes};
 }
 
 SourceBundle makeIo500(const JsonValue& w, std::vector<std::string>& problems) {

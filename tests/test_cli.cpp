@@ -240,6 +240,35 @@ TEST(Cli, ChaosRejectsMalformedSpec) {
   EXPECT_NE(err.find("not valid JSON"), std::string::npos);
 }
 
+// Config files, chaos scenarios, sweep specs and workload documents are
+// read by one helper (readJsonFile); each reader keeps its own words for
+// the step that failed.
+TEST(Cli, JsonFileErrorsNameTheStepThatFailed) {
+  const std::string bad = writeTempSpec("not_json", "{not json");
+  const std::string none = "/no/such/file.json";
+  const struct {
+    std::vector<std::string> args;
+    std::string error;
+  } cases[] = {
+      {{"chaos", none}, none + ": cannot open file"},
+      {{"chaos", bad}, bad + ": not valid JSON"},
+      {{"sweep", "--spec", none}, none + ": cannot open file"},
+      {{"sweep", "--spec", bad}, bad + ": not valid JSON"},
+      {{"workload", none}, "cannot read " + none},
+      {{"workload", bad}, bad + " is not valid JSON"},
+      {{"ior", "--site", "lassen", "--storage", "vast", "--config", none},
+       "cannot load IOR config: cannot read " + none},
+      {{"ior", "--site", "lassen", "--storage", "vast", "--config", bad},
+       "cannot load IOR config: " + bad + " is not valid JSON"},
+  };
+  for (const auto& c : cases) {
+    std::ostringstream out, err;
+    EXPECT_EQ(cli::run(ArgParser(c.args), out, err), 2) << c.error;
+    EXPECT_EQ(err.str(), "error: " + c.error + "\n");
+  }
+  std::remove(bad.c_str());
+}
+
 TEST(Cli, ChaosRejectsUnknownComponentWithActionableError) {
   const std::string path = writeTempSpec("chaos_bad_component", R"({
     "site": "lassen", "storage": "vast",
@@ -382,6 +411,12 @@ TEST(Cli, NonsenseSpecValuesExitTwoWithOneLine) {
        R"({"workload": {"generator": "grammar", "fileBytez": 4096,
                         "rules": {"main": [{"op": "read", "bytes": 4096}]}}})",
        "workload.fileBytez: unknown key"},
+      // The replay source divides by both; zero is refused before the
+      // trace is read.
+      {"workload", R"({"workload": {"generator": "replay", "trace": "t.json", "pidsPerNode": 0}})",
+       "workload.pidsPerNode: must be a positive integer (got 0)"},
+      {"workload", R"({"workload": {"generator": "replay", "trace": "t.json", "transferSize": 0}})",
+       "workload.transferSize: must be > 0 (got 0)"},
       // Nesting past the JSON parser's depth limit is malformed JSON,
       // not a stack overflow.
       {"workload", std::string(200000, '['), "is not valid JSON"},

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+
 namespace hcsim {
 namespace {
 
@@ -41,6 +44,19 @@ TEST(Json, RejectsMalformed) {
                           "{\"a\":1}extra", "{a:1}", "[1 2]", "nan"}) {
     EXPECT_FALSE(parseJson(bad, v)) << bad;
   }
+}
+
+TEST(Json, ReadJsonFileNamesTheStepThatFailed) {
+  const std::string path = std::string(::testing::TempDir()) + "json_file_test.json";
+  JsonValue v;
+  EXPECT_EQ(readJsonFile(path + ".absent", v), JsonFileStatus::Unreadable);
+  for (const auto& [text, status] : {std::pair{"{\"a\": [1, 2]}", JsonFileStatus::Ok},
+                                     std::pair{"{\"a\": [1, 2]", JsonFileStatus::NotJson},
+                                     std::pair{"", JsonFileStatus::NotJson}}) {
+    std::ofstream(path, std::ios::trunc) << text;
+    EXPECT_EQ(readJsonFile(path, v), status) << text;
+  }
+  std::remove(path.c_str());
 }
 
 TEST(Json, RejectsNestingPastTheDepthLimit) {

@@ -79,7 +79,7 @@ TEST(PaperArtifacts, EverySpecHasASnapshotAndEverySnapshotASpec) {
       {HCSIM_PAPER_DIR, {"fig2a", "fig2b", "fig3a", "fig3b", "fig3c", "fig3d", "fig5", "fig6"}},
       {HCSIM_STUDIES_DIR,
        {"apps_dlio_lassen", "apps_dlio_wombat", "apps_ior_lassen", "apps_ior_wombat",
-        "dlio_compute", "dlio_io_threads", "dlio_prefetch", "frontend", "hardware",
+        "dlio_compute", "dlio_io_threads", "dlio_prefetch", "failure", "frontend", "hardware",
         "sharedfile_lassen", "sharedfile_quartz", "sharedfile_wombat"}},
   };
   for (const auto& d : dirs) {
@@ -99,7 +99,7 @@ TEST(PaperArtifacts, EverySpecHasASnapshotAndEverySnapshotASpec) {
 /// The committed snapshot of one paper artifact, or of one study.
 oracle::Cells artifact(const std::string& name, const char* dir = HCSIM_PAPER_DIR) {
   oracle::Cells cells;
-  EXPECT_TRUE(oracle::loadCells(oracle::goldenPath(dir, name), cells)) << name;
+  EXPECT_TRUE(sweep::loadCells(oracle::goldenPath(dir, name), cells)) << name;
   return cells;
 }
 
@@ -266,6 +266,36 @@ TEST(Regression, SharedFileReadsAreSlowerOnGpfs) {
   shared["filePerProcess"] = false;
   EXPECT_LT(at(c, {{"storage", "gpfs"}, {"ior", JsonValue(std::move(shared))}}).meanGBs,
             at(c, {{"storage", "gpfs"}, {"ior", JsonValue(std::move(perProcess))}}).meanGBs);
+}
+
+/// GB/s of a failure-study cell: `count` components of one kind failed
+/// at atSec 0 (none for 0).
+double withFailed(const oracle::Cells& cells, const char* component, int count,
+                  const char* access) {
+  JsonArray events;
+  for (int i = 0; i < count; ++i) {
+    events.push_back(JsonObject{
+        {"atSec", 0}, {"action", "fail"}, {"component", component}, {"index", i}});
+  }
+  return at(cells, {{"chaos", JsonObject{{"events", std::move(events)}}}, {"ior.access", access}})
+      .meanGBs;
+}
+
+TEST(Regression, VastBandwidthFallsWithItsCNodesButNotWithItsEnclosures) {
+  // The failure study (studies/failure.json; VAST's HA design, §III-A):
+  // CNode CPU binds, so half the CNodes down halves the bandwidth, and
+  // the CNodes still bind with a DNode or whole DBoxes down.
+  const oracle::Cells c = artifact("failure", HCSIM_STUDIES_DIR);
+  for (const char* access : {"seq-write", "seq-read"}) {
+    const double healthy = withFailed(c, "cnode", 0, access);
+    EXPECT_NEAR(withFailed(c, "cnode", 4, access), healthy / 2, 0.01 * healthy) << access;
+    EXPECT_LT(withFailed(c, "cnode", 6, access), withFailed(c, "cnode", 4, access)) << access;
+    for (const auto& [component, count] :
+         {std::pair{"dnode", 1}, std::pair{"dnode", 4}, std::pair{"dbox", 1}, std::pair{"dbox", 2}}) {
+      EXPECT_DOUBLE_EQ(withFailed(c, component, count, access), healthy)
+          << access << " " << component << " x" << count;
+    }
+  }
 }
 
 TEST(Regression, AllCalibrationChecksPass) {

@@ -1,4 +1,4 @@
-#include "replay/trace_replay.hpp"
+#include "workload/replay_source.hpp"
 
 #include <gtest/gtest.h>
 
@@ -9,10 +9,14 @@
 
 #include "core/experiment.hpp"
 #include "dlio/dlio_runner.hpp"
+#include "trace/overlap_analysis.hpp"
 #include "trace/trace_import.hpp"
+#include "workload/workload_runner.hpp"
 
 namespace hcsim {
 namespace {
+
+using workload::ReplayConfig;
 
 TraceLog syntheticTrace(std::size_t pids, std::size_t readsPerPid, Bytes bytes) {
   TraceLog log;
@@ -28,23 +32,48 @@ TraceLog syntheticTrace(std::size_t pids, std::size_t readsPerPid, Bytes bytes) 
   return log;
 }
 
+/// A replay run as the replay generator gives it: the as-replayed
+/// timeline, read with the same overlap metrics as the input.
+struct Replayed {
+  TraceLog trace;
+  Seconds originalIoTime = 0.0;
+  Seconds replayedIoTime = 0.0;
+  std::size_t skippedOps = 0;
+  /// >1: the target system is slower than the traced one; <1: faster.
+  double ioSlowdown() const {
+    return originalIoTime > 0 ? replayedIoTime / originalIoTime : 0.0;
+  }
+};
+
+Replayed replay(TestBench& bench, FileSystemModel& fs, const TraceLog& input,
+                const ReplayConfig& cfg = {}) {
+  Replayed r;
+  workload::ReplaySource source(input, cfg);
+  workload::WorkloadRunner runner(bench, fs);
+  runner.setTraceLog(&r.trace);
+  runner.run(source);
+  r.trace.sortByStart();
+  r.originalIoTime =
+      input.totalDuration(TraceEventKind::Read) + input.totalDuration(TraceEventKind::Write);
+  r.replayedIoTime = analyzeOverlap(r.trace).totalIo;
+  r.skippedOps = source.skippedOps();
+  return r;
+}
+
 TEST(TraceReplay, ValidatesConfig) {
-  TestBench bench(Machine::wombat(), 1);
-  auto fs = bench.attachVast(vastOnWombat());
-  TraceReplayer replayer(bench, *fs);
+  // A zero would divide in load(); the source refuses it up front.
   ReplayConfig cfg;
   cfg.pidsPerNode = 0;
-  EXPECT_THROW(replayer.replay(TraceLog{}, cfg), std::invalid_argument);
+  EXPECT_THROW(workload::ReplaySource(TraceLog{}, cfg), std::invalid_argument);
   cfg = ReplayConfig{};
   cfg.transferSize = 0;
-  EXPECT_THROW(replayer.replay(TraceLog{}, cfg), std::invalid_argument);
+  EXPECT_THROW(workload::ReplaySource(TraceLog{}, cfg), std::invalid_argument);
 }
 
 TEST(TraceReplay, EmptyTraceIsEmptyResult) {
   TestBench bench(Machine::wombat(), 1);
   auto fs = bench.attachVast(vastOnWombat());
-  TraceReplayer replayer(bench, *fs);
-  const ReplayResult r = replayer.replay(TraceLog{});
+  const Replayed r = replay(bench, *fs, TraceLog{});
   EXPECT_TRUE(r.trace.empty());
   EXPECT_DOUBLE_EQ(r.ioSlowdown(), 0.0);
 }
@@ -52,9 +81,8 @@ TEST(TraceReplay, EmptyTraceIsEmptyResult) {
 TEST(TraceReplay, ReplaysAllEventsWithSameBytes) {
   TestBench bench(Machine::wombat(), 2);
   auto fs = bench.attachVast(vastOnWombat());
-  TraceReplayer replayer(bench, *fs);
   const TraceLog input = syntheticTrace(4, 8, units::MiB);
-  const ReplayResult r = replayer.replay(input);
+  const Replayed r = replay(bench, *fs, input);
   EXPECT_EQ(r.trace.count(TraceEventKind::Read), input.count(TraceEventKind::Read));
   EXPECT_EQ(r.trace.count(TraceEventKind::Compute), input.count(TraceEventKind::Compute));
   EXPECT_EQ(r.trace.totalBytes(TraceEventKind::Read),
@@ -65,14 +93,13 @@ TEST(TraceReplay, ReplaysAllEventsWithSameBytes) {
 TEST(TraceReplay, SkipComputeCompressesTimeline) {
   TestBench bench(Machine::wombat(), 1);
   auto fs = bench.attachVast(vastOnWombat());
-  TraceReplayer replayer(bench, *fs);
   const TraceLog input = syntheticTrace(2, 8, units::MiB);
 
   ReplayConfig withCompute;
-  const ReplayResult a = replayer.replay(input, withCompute);
+  const Replayed a = replay(bench, *fs, input, withCompute);
   ReplayConfig noCompute;
   noCompute.replayCompute = false;
-  const ReplayResult b = replayer.replay(input, noCompute);
+  const Replayed b = replay(bench, *fs, input, noCompute);
 
   const auto spanOf = [](const TraceLog& t) {
     const auto [lo, hi] = t.timeSpan();
@@ -93,15 +120,13 @@ TEST(TraceReplay, SlowerTargetYieldsHigherSlowdown) {
   const DlioResult captured = runDlio(Site::Lassen, StorageKind::Gpfs, cfg);
 
   Environment slow = makeEnvironment(Site::Lassen, StorageKind::Vast, 1);
-  TraceReplayer slowReplayer(*slow.bench, *slow.fs);
   ReplayConfig rc;
   rc.pidsPerNode = 2;
   rc.transferSize = 150 * units::KB;
-  const ReplayResult onVast = slowReplayer.replay(captured.trace, rc);
+  const Replayed onVast = replay(*slow.bench, *slow.fs, captured.trace, rc);
 
   Environment same = makeEnvironment(Site::Lassen, StorageKind::Gpfs, 1);
-  TraceReplayer sameReplayer(*same.bench, *same.fs);
-  const ReplayResult onGpfs = sameReplayer.replay(captured.trace, rc);
+  const Replayed onGpfs = replay(*same.bench, *same.fs, captured.trace, rc);
 
   EXPECT_GT(onVast.ioSlowdown(), onGpfs.ioSlowdown());
   EXPECT_GT(onVast.ioSlowdown(), 1.5);  // TCP VAST clearly slower
@@ -110,13 +135,12 @@ TEST(TraceReplay, SlowerTargetYieldsHigherSlowdown) {
 TEST(TraceReplay, PerPidOrderingPreserved) {
   TestBench bench(Machine::wombat(), 1);
   auto fs = bench.attachVast(vastOnWombat());
-  TraceReplayer replayer(bench, *fs);
   // Two reads per pid; the replayed second read must start after the
   // first ends (sequential per-process semantics).
   TraceLog input;
   input.recordRead(0, 1, 0.0, 0.1, units::MiB, "first");
   input.recordRead(0, 1, 0.2, 0.1, units::MiB, "second");
-  const ReplayResult r = replayer.replay(input);
+  const Replayed r = replay(bench, *fs, input);
   ASSERT_EQ(r.trace.size(), 2u);
   const TraceEvent* first = nullptr;
   const TraceEvent* second = nullptr;
@@ -131,13 +155,12 @@ TEST(TraceReplay, PerPidOrderingPreserved) {
 TEST(TraceReplay, SkipsAndCountsMalformedRecords) {
   TestBench bench(Machine::wombat(), 1);
   auto fs = bench.attachVast(vastOnWombat());
-  TraceReplayer replayer(bench, *fs);
   TraceLog input;
   input.recordRead(0, 1, 0.0, 0.01, units::MiB, "good");
   input.recordRead(0, 1, 0.02, 0.01, 0, "empty");       // zero-byte I/O
   input.recordCompute(0, 0, 0.04, -0.05, "backwards");  // negative span
   input.recordRead(0, 1, 0.1, 0.01, units::MiB, "good2");
-  const ReplayResult r = replayer.replay(input);
+  const Replayed r = replay(bench, *fs, input);
   EXPECT_EQ(r.skippedOps, 2u);
   EXPECT_EQ(r.trace.count(TraceEventKind::Read), 2u);
 }
@@ -168,10 +191,9 @@ TEST(TraceReplay, TruncatedTraceFileIsSalvagedAndReplayable) {
 
   TestBench bench(Machine::wombat(), 1);
   auto fs = bench.attachVast(vastOnWombat());
-  TraceReplayer replayer(bench, *fs);
   ReplayConfig cfg;
   cfg.pidsPerNode = 2;
-  const ReplayResult r = replayer.replay(imported, cfg);
+  const Replayed r = replay(bench, *fs, imported, cfg);
   EXPECT_EQ(r.trace.count(TraceEventKind::Read), stats.imported);
   EXPECT_GT(r.replayedIoTime, 0.0);
   std::remove(path.c_str());

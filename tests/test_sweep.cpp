@@ -8,6 +8,8 @@
 #include <iterator>
 #include <sstream>
 
+#include "config/fields.hpp"
+#include "core/experiment.hpp"
 #include "sweep/result_sink.hpp"
 #include "sweep/sweep_runner.hpp"
 #include "sweep/sweep_spec.hpp"
@@ -211,10 +213,11 @@ TEST(SweepRun, StorageConfigOverridesChangeTheOutcome) {
   EXPECT_GT(out.results[1].metrics.meanGBs, out.results[0].metrics.meanGBs * 1.2);
 }
 
-// A CNode that fails at or right after t = 0 strikes while the first
+// A CNode that fails right after t = 0 (1e-9) strikes while the first
 // flows are still in their startup delay. The failover must reroute
 // those too, or they start on the dead CNode's link and the trial drains
-// with I/O outstanding.
+// with I/O outstanding. One at 0 strikes before the first op is issued
+// (FaultAtTimeZeroEqualsTheComponentDownBeforeTheRun).
 TEST(SweepRun, CNodeFailureAtStartReroutesFlowsInTheirStartupDelay) {
   for (const char* at : {"0", "1e-9", "0.001"}) {
     JsonValue config;
@@ -226,6 +229,46 @@ TEST(SweepRun, CNodeFailureAtStartReroutesFlowsInTheirStartupDelay) {
     const TrialMetrics m = runTrial("ior", config);
     EXPECT_TRUE(m.ok) << "atSec " << at << ": " << m.error;
     EXPECT_GT(m.meanGBs, 0.0) << "atSec " << at;
+  }
+}
+
+// A fault at atSec 0 strikes when its schedule is injected, before the
+// run issues its first op, so the trial reads exactly as the component
+// failed before IorRunner::run: the same placement of every flow, not a
+// failover of flows already placed.
+TEST(SweepRun, FaultAtTimeZeroEqualsTheComponentDownBeforeTheRun) {
+  const struct {
+    Site site;
+    StorageKind storage;
+    const char* component;
+  } cases[] = {
+      {Site::Wombat, StorageKind::Vast, "cnode"}, {Site::Wombat, StorageKind::Vast, "dnode"},
+      {Site::Wombat, StorageKind::Vast, "dbox"},  {Site::Lassen, StorageKind::Gpfs, "nsd"},
+      {Site::Ruby, StorageKind::Lustre, "oss"},   {Site::Lassen, StorageKind::Daos, "target"},
+  };
+  for (const auto& c : cases) {
+    for (const char* access : {"seq-write", "seq-read"}) {
+      const std::string what = std::string(enumName(c.storage)) + " " + c.component + " " + access;
+      JsonValue config;
+      ASSERT_TRUE(parseJson(std::string(R"({"site": ")") + enumName(c.site) +
+                                R"(", "storage": ")" + enumName(c.storage) +
+                                R"(", "ior": {"access": ")" + access +
+                                R"(", "nodes": 2, "procsPerNode": 16, "segments": 64},
+          "chaos": {"events": [{"atSec": 0, "action": "fail", "component": ")" +
+                                c.component + R"(", "index": 0}]}})",
+                            config));
+      const TrialMetrics m = runTrial("ior", config);
+      ASSERT_TRUE(m.ok) << what << ": " << m.error;
+
+      IorConfig cfg;
+      ASSERT_EQ(readFields(*config.find("ior"), cfg, "ior"), "");
+      Environment env = makeEnvironment(c.site, c.storage, cfg.nodes);
+      FaultSpec fault;
+      fault.component = c.component;
+      ASSERT_TRUE(env.fs->applyFault(fault)) << what;
+      IorRunner runner(*env.bench, *env.fs);
+      EXPECT_EQ(m.meanGBs, units::toGBs(runner.run(cfg).bandwidth.mean)) << what;
+    }
   }
 }
 
@@ -314,8 +357,8 @@ TEST(SweepSink, BaselineSelfCompareIsZeroDelta) {
   const SweepOutcome out = runSweep(spec, 4);
   const std::string path = "/tmp/hcsim_sweep_baseline_test.jsonl";
   ASSERT_TRUE(writeJsonl(out, path));
-  std::map<std::string, double> baseline;
-  ASSERT_TRUE(loadBaseline(path, baseline));
+  Cells baseline;
+  ASSERT_TRUE(loadCells(path, baseline));
   std::remove(path.c_str());
   EXPECT_EQ(baseline.size(), 4u);
   const auto deltas = compareToBaseline(out, baseline);
@@ -333,6 +376,10 @@ TEST(SweepSink, UnmatchedTrialReportsNew) {
   const auto deltas = compareToBaseline(out, {});
   ASSERT_EQ(deltas.size(), 2u);
   for (const auto& d : deltas) EXPECT_FALSE(d.matched);
+  // A failed baseline cell has no throughput to compare against.
+  Cells failed;
+  for (const TrialResult& r : out.results) failed[paramsKey(r.trial)] = TrialMetrics{};
+  for (const auto& d : compareToBaseline(out, failed)) EXPECT_FALSE(d.matched) << d.key;
 }
 
 namespace {
